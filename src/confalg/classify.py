@@ -40,6 +40,9 @@ from .modules import (
     _as_bracket_var,
     build_graded,
     build_rank1,
+    extension_family,
+    module_residual,
+    two_action_difference,
 )
 from .poly import GaussianRational, MPoly
 
@@ -115,9 +118,7 @@ def certify_self_commuting_d_free(degree_bound: int) -> None:
     for t in range(1, degree_bound + 1):
         for s in range(0, degree_bound + 1):
             p, names = _generic_box("u", t, s)
-            lhs = _as_bracket_var(p, VAR_M).shift(VAR_D, _L) * p
-            rhs = p.shift(VAR_D, _M) * _as_bracket_var(p, VAR_M)
-            diff = lhs - rhs
+            diff = two_action_difference(p, p, p, p)
             top = diff.coeff_extract([VAR_L], {VAR_L: t + s})
             gamma = MPoly.zero()
             for q in range(s + 1):
@@ -240,9 +241,7 @@ def classify_rank1(
         )
         hi, _ = _generic_box("hi", 0, degree_bound)
         hj, _ = _generic_box("hj", 0, degree_bound)
-        yy_lhs = _as_bracket_var(hj, VAR_M).shift(VAR_D, _L) * hi - hi.shift(
-            VAR_D, _M
-        ) * _as_bracket_var(hj, VAR_M)
+        yy_lhs = two_action_difference(hj, hi, hi, hj)
         out.step(
             "YY forces g = 0",
             "with d-free h the (Y, Y) left side vanishes identically, so "
@@ -261,7 +260,7 @@ def classify_rank1(
         ok=diff == -_M,
     )
 
-    ext_family = "Y" if has_y else "M"
+    ext_family = extension_family(spec.families)
     A, B = _weight_of(spec, ext_family)
     kernel = weight_equation_kernel(A, B, degree_bound)
     w_text = f"({A})*l - m + ({B})"
@@ -308,15 +307,6 @@ def materialize_rank1(outcome: ClassifyOutcome, spec: AlgebraSpec) -> Rank1Modul
 # ---------------------------------------------------------------------------
 # graded classification
 # ---------------------------------------------------------------------------
-
-
-def _pairwise_residual(
-    t_jm: MPoly, t_i_jm: MPoly, t_im: MPoly, t_j_im: MPoly
-) -> MPoly:
-    """LHS of every two-action relation: x_(d+l,m)*y - z_(d+m,l)*w."""
-    return _as_bracket_var(t_jm, VAR_M).shift(VAR_D, _L) * t_i_jm - t_im.shift(
-        VAR_D, _M
-    ) * _as_bracket_var(t_j_im, VAR_M)
 
 
 def classify_graded(
@@ -496,7 +486,7 @@ def classify_graded(
                     "the j = 0 relations pin h[i,m] = d * H[i,m] with d_m = d constant",
                     ok=dim == 1,
                 )
-                bad = _linear_ly_collapse(f, h_tables, n_basis, k_gen)
+                bad = _linear_ly_collapse(spec, f, h_tables, n_basis, k_gen)
                 if bad is None:
                     bad = _quadratic_mm_collapse(h_tables, n_basis, k_gen)
                     bad = ("YY", *bad) if bad is not None else None
@@ -582,7 +572,7 @@ def _quadratic_mm_collapse(
             for m in range(-n_basis, n_basis + 1):
                 if abs(j + m) > n_basis or abs(i + m) > n_basis:
                     continue
-                residual = _pairwise_residual(
+                residual = two_action_difference(
                     tables[(j, m)],
                     tables[(i, j + m)],
                     tables[(i, m)],
@@ -594,14 +584,30 @@ def _quadratic_mm_collapse(
 
 
 def _linear_ly_collapse(
-    f, tables: dict[tuple[int, int], MPoly], n_basis: int, k_gen: int
+    spec: AlgebraSpec,
+    f,
+    tables: dict[tuple[int, int], MPoly],
+    n_basis: int,
+    k_gen: int,
 ) -> tuple | None:
     """First instance where the general (L, Y) relation breaks for h = d*H.
 
-    Residual (divided by the scalar d):
+    The residual (divided by the scalar d) is the module identity for
+    (L_i, Y_j) on v_m with L acting by f, Y by H and every other family by
+    zero.  This step runs only where the Y weight equation has the
+    constants as kernel, so the bracket weight is W = -m' and the residual
+    reads
         H[j,m](d+l,m') f[i,j+m](d,l) - f[i,m](d+m',l) H[j,i+m](d,m')
             + m' H[i+j,m](d, l+m')
     """
+
+    def act(family: str, i: int, m: int) -> MPoly:
+        if family == "L":
+            return f(i, m)
+        if family == "Y":
+            return tables[(i, m)]
+        return MPoly.zero()
+
     for i in range(-k_gen, k_gen + 1):
         for j in range(-k_gen, k_gen + 1):
             if abs(i + j) > k_gen:
@@ -609,9 +615,7 @@ def _linear_ly_collapse(
             for m in range(-n_basis, n_basis + 1):
                 if abs(j + m) > n_basis or abs(i + m) > n_basis:
                     continue
-                residual = _pairwise_residual(
-                    tables[(j, m)], f(i, j + m), f(i, m), tables[(j, i + m)]
-                ) + _M * _as_bracket_var(tables[(i + j, m)], _L + _M)
+                residual = module_residual(spec, act, "L", "Y", i, j, m)
                 if not residual.is_zero():
                     return ("LY", i, j, m)
     return None
@@ -646,7 +650,7 @@ def _my_yy_contradiction(degree_bound: int) -> bool:
     """
     hi, _ = _generic_box("ci", 0, degree_bound)
     hj, _ = _generic_box("cj", 0, degree_bound)
-    lhs = _pairwise_residual(hj, hi, hi, hj)
+    lhs = two_action_difference(hj, hi, hi, hj)
     return lhs.is_zero()
 
 

@@ -417,9 +417,6 @@ class Decomposition:
     q: GaussianRational
     position: int
 
-    def is_pure_inner(self) -> bool:
-        return not self.q
-
 
 def derivation_degree(deriv: DerivationSpec) -> int:
     degrees = set()

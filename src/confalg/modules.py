@@ -2,14 +2,19 @@
 the module-axiom checker, the hand-coded relation oracle, and a bounded
 reducibility witness search.
 
-Rank-one actions have the form ``F_i . v = c^i * T_F(d, l) * v``.  Because
-every term of the module identity for a pair (F_i, G_j) carries the same
-factor ``c^(i+j)``, the axiom checker works on the index-free templates;
-a zero template residual certifies the identity for every index pair (and
-for every nonzero value of ``c``).
+Every residual of the module identity ``x.(y.v) - y.(x.v) - [x_l y].v``
+comes from one kernel, ``module_residual``; its action side,
+``two_action_difference``, is shared with the guided classifier.
+``relations_oracle`` is the one deliberate second encoding, written out by
+hand and kept as an independent oracle.
 
 Graded actions ``F_i . v_m = T_F(i, m)(d, l) * v_{i+m}`` are checked on an
-explicit index window.
+explicit index window.  Rank-one actions have the form
+``F_i . v = c^i * T_F(d, l) * v``.  Because every term of the module
+identity for a pair (F_i, G_j) carries the same factor ``c^(i+j)``, the
+checker runs the kernel once per family pair at ``(i, j, m) = (0, 0, 0)``
+on the index-free templates; a zero template residual certifies the
+identity for every index pair (and for every nonzero value of ``c``).
 """
 
 from __future__ import annotations
@@ -30,8 +35,13 @@ from .poly import GaussianRational, Inconsistent, MPoly, parse_poly
 MODULE_SYMBOLS = {"alpha": "alpha", "beta": "beta", "c": "c", "d": "dd"}
 
 CoeffFn = Callable[[int, int], MPoly]
+#: ``act(family, gen_index, basis_index)``: the action polynomial of F_i on v_m
+ActionFn = Callable[[str, int, int], MPoly]
 
 _ZERO = MPoly.zero()
+_L = MPoly.var(VAR_L)
+_M = MPoly.var(VAR_M)
+_L_PLUS_M = _L + _M
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,11 @@ class BitSeq:
 
     def is_constant(self) -> bool:
         return len(set(self.bits)) <= 1
+
+
+def extension_family(families: tuple[str, ...]) -> str | None:
+    """The family carrying the scalar extension: Y if present, else M."""
+    return "Y" if "Y" in families else ("M" if "M" in families else None)
 
 
 @dataclass
@@ -127,7 +142,7 @@ def build_rank1(
     templates: dict[str, MPoly] = {}
     if "L" in spec.families:
         templates["L"] = MPoly.var(VAR_D) + pa * MPoly.var(VAR_L) + pb
-    ext_family = "Y" if "Y" in spec.families else ("M" if "M" in spec.families else None)
+    ext_family = extension_family(spec.families)
     for fam in spec.families:
         if fam == "L":
             continue
@@ -150,9 +165,6 @@ class GradedModule:
     def action(self, family: str, gen_index: int, basis_index: int) -> MPoly:
         fn = self.coeffs.get(family)
         return fn(gen_index, basis_index) if fn is not None else _ZERO
-
-    def extension_family(self) -> str | None:
-        return "Y" if "Y" in self.families else ("M" if "M" in self.families else None)
 
 
 def build_graded(
@@ -201,7 +213,7 @@ def build_graded(
         raise ValueError(f"unknown graded module kind {kind!r}")
 
     coeffs: dict[str, CoeffFn] = {"L": f_action}
-    ext_family = "Y" if "Y" in spec.families else ("M" if "M" in spec.families else None)
+    ext_family = extension_family(spec.families)
     for fam in spec.families:
         if fam == "L":
             continue
@@ -251,50 +263,44 @@ class ModuleReport:
         return not self.residuals
 
 
-def _pair_residual_rank1(
-    spec: AlgebraSpec, module: Rank1Module, fam_f: str, fam_g: str
+def two_action_difference(
+    x_jm: MPoly, y_i_jm: MPoly, z_im: MPoly, w_j_im: MPoly
 ) -> MPoly:
-    lvar = MPoly.var(VAR_L)
-    mvar = MPoly.var(VAR_M)
-    t_f = module.template(fam_f)
-    t_g = module.template(fam_g)
-    term1 = _as_bracket_var(t_g, VAR_M).shift(VAR_D, lvar) * t_f
-    term2 = t_f.shift(VAR_D, mvar) * _as_bracket_var(t_g, VAR_M)
-    term3 = _ZERO
-    for target, template in spec.templates(fam_f, fam_g):
-        t_h = module.template(target)
-        if t_h.is_zero():
-            continue
-        head = template.substitute(VAR_D, -(lvar + mvar))
-        term3 = term3 + head * _as_bracket_var(t_h, lvar + mvar)
-    return term1 - term2 - term3
+    """Action side of every two-action relation.
+
+    ``x(d+l, m) y(d, l) - z(d+m, l) w(d, m)``, with ``m`` the second bracket
+    variable: for x = G_j, y = F_i on v_(j+m), z = F_i, w = G_j on v_(i+m),
+    it is ``F_i.(G_j.v_m) - G_j.(F_i.v_m)``.
+    """
+    return _as_bracket_var(x_jm, VAR_M).shift(VAR_D, _L) * y_i_jm - z_im.shift(
+        VAR_D, _M
+    ) * _as_bracket_var(w_j_im, VAR_M)
 
 
-def _triple_residual_graded(
+def module_residual(
     spec: AlgebraSpec,
-    module: GradedModule,
+    act: ActionFn,
     fam_f: str,
     fam_g: str,
     i: int,
     j: int,
     m: int,
 ) -> MPoly:
-    lvar = MPoly.var(VAR_L)
-    mvar = MPoly.var(VAR_M)
-    g_jm = module.action(fam_g, j, m)
-    f_i_jm = module.action(fam_f, i, j + m)
-    f_im = module.action(fam_f, i, m)
-    g_j_im = module.action(fam_g, j, i + m)
-    term1 = _as_bracket_var(g_jm, VAR_M).shift(VAR_D, lvar) * f_i_jm
-    term2 = f_im.shift(VAR_D, mvar) * _as_bracket_var(g_j_im, VAR_M)
-    term3 = _ZERO
+    """Residual of ``F_i.(G_j.v_m) - G_j.(F_i.v_m) - [F_i _l G_j].v_m``.
+
+    The bracket side is read from ``spec``'s template table; ``act`` gives
+    the action polynomials.
+    """
+    residual = two_action_difference(
+        act(fam_g, j, m), act(fam_f, i, j + m), act(fam_f, i, m), act(fam_g, j, i + m)
+    )
     for target, template in spec.templates(fam_f, fam_g):
-        t_h = module.action(target, i + j, m)
+        t_h = act(target, i + j, m)
         if t_h.is_zero():
             continue
-        head = template.substitute(VAR_D, -(lvar + mvar))
-        term3 = term3 + head * _as_bracket_var(t_h, lvar + mvar)
-    return term1 - term2 - term3
+        head = template.substitute(VAR_D, -_L_PLUS_M)
+        residual = residual - head * _as_bracket_var(t_h, _L_PLUS_M)
+    return residual
 
 
 def check_module_axioms(
@@ -307,45 +313,44 @@ def check_module_axioms(
 
     Rank-one modules are checked once per ordered family pair on the
     index-free templates (exhaustive for all indices; valid for every
-    nonzero scale base, and literal when the scale base is symbolic).
-    Graded modules are checked per (family pair, generator indices, basis
-    index) over the window ``|i|, |j| <= k_gen``, ``|m| <= n_basis``.
+    nonzero scale base, and literal when the scale base is symbolic), with
+    residual keys ``(F, G)``.  Graded modules are checked per (family pair,
+    generator indices, basis index) over the window ``|i|, |j| <= k_gen``,
+    ``|m| <= n_basis``, with residual keys ``(F, G, i, j, m)``.
     """
-    if isinstance(module, Rank1Module):
-        report = ModuleReport(module_kind="rank1")
+    index_free = isinstance(module, Rank1Module)
+    report = ModuleReport(module_kind=module.kind)
+    if index_free:
         report.notes.append(
             "rank-one residuals are index-free: the scale-base power of every "
             "term of the identity for (F_i, G_j) is c^(i+j)"
         )
-        for fam_f in spec.families:
-            for fam_g in spec.families:
-                residual = _pair_residual_rank1(spec, module, fam_f, fam_g)
-                report.checked += 1
-                if not residual.is_zero():
-                    report.residuals[(fam_f, fam_g)] = residual
-        return report
 
-    report = ModuleReport(module_kind=module.kind)
-    if module.bitseq is not None:
-        need = n_basis + 2 * k_gen
-        if module.bitseq.lo > -need or module.bitseq.hi < need:
-            raise WindowTooSmall(
-                f"bit sequence must cover [-{need}, {need}] for n_basis={n_basis}, "
-                f"k_gen={k_gen}"
-            )
-    gen_range = range(-k_gen, k_gen + 1)
-    basis_range = range(-n_basis, n_basis + 1)
+        def act(family: str, _i: int, _m: int) -> MPoly:
+            return module.template(family)
+
+        gen_range = basis_range = range(1)
+    else:
+        if module.bitseq is not None:
+            need = n_basis + 2 * k_gen
+            if module.bitseq.lo > -need or module.bitseq.hi < need:
+                raise WindowTooSmall(
+                    f"bit sequence must cover [-{need}, {need}] for n_basis={n_basis}, "
+                    f"k_gen={k_gen}"
+                )
+        act = module.action
+        gen_range = range(-k_gen, k_gen + 1)
+        basis_range = range(-n_basis, n_basis + 1)
     for fam_f in spec.families:
         for fam_g in spec.families:
             for i in gen_range:
                 for j in gen_range:
                     for m in basis_range:
-                        residual = _triple_residual_graded(
-                            spec, module, fam_f, fam_g, i, j, m
-                        )
+                        residual = module_residual(spec, act, fam_f, fam_g, i, j, m)
                         report.checked += 1
                         if not residual.is_zero():
-                            report.residuals[(fam_f, fam_g, i, j, m)] = residual
+                            key = (fam_f, fam_g) if index_free else (fam_f, fam_g, i, j, m)
+                            report.residuals[key] = residual
     return report
 
 
@@ -374,9 +379,11 @@ def relations_oracle(
         MY:  h[j,m](d+l, m') g[i,j+m](d, l) = g[i,m](d+m', l) h[j,i+m](d, m')
         MM:  g[j,m](d+l, m') g[i,j+m](d, l) = g[i,m](d+m', l) g[j,i+m](d, m')
 
-    (``m'`` denotes the second bracket variable.)  This oracle never touches
-    the bracket table, so it is an independent cross-check of the generic
-    axiom checker.
+    (``m'`` denotes the second bracket variable.)  This is the deliberate
+    second encoding of the module identity, kept as an oracle: it writes the
+    relations out by hand, never touches the bracket table and does not call
+    ``module_residual`` or ``two_action_difference``, so it is an
+    independent cross-check of the generic axiom checker.
     """
     pa = as_param(a, "a")
     pb = as_param(b, "b")

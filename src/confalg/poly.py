@@ -373,17 +373,6 @@ class MPoly:
             groups.setdefault(inside, {})[outside] = coeff
         return {mono: MPoly(parts) for mono, parts in groups.items()}
 
-    def evaluate(self, assignment: Mapping[str, ScalarLike]) -> GaussianRational:
-        total = ZERO
-        for mono, coeff in self._terms.items():
-            value = coeff
-            for name, e in mono:
-                if name not in assignment:
-                    raise ValueError(f"no value for variable {name!r}")
-                value = value * GaussianRational.of(assignment[name]) ** _int(e)
-            total = total + value
-        return total
-
     # -- division ------------------------------------------------------------
 
     def leading(self, varlist: Sequence[str] | None = None) -> tuple[Mono, GaussianRational]:
@@ -486,14 +475,6 @@ PolyLike = Union[MPoly, int, Fraction, GaussianRational]
 _ZERO_POLY = MPoly()
 
 
-def _int(e) -> int:
-    return int(e)
-
-
-def _rat_text(q: Fraction) -> str:
-    return str(q)
-
-
 def _term_text(mono: Mono, coeff: GaussianRational) -> tuple[int, str]:
     """Render one term; returns (sign, body-without-sign)."""
     mono_txt = "*".join(name if e == 1 else f"{name}^{e}" for name, e in mono)
@@ -502,7 +483,7 @@ def _term_text(mono: Mono, coeff: GaussianRational) -> tuple[int, str]:
         mag = abs(coeff.re)
         if mono_txt and mag == 1:
             return sign, mono_txt
-        mag_txt = _rat_text(mag) if mag.denominator == 1 else f"({_rat_text(mag)})"
+        mag_txt = str(mag) if mag.denominator == 1 else f"({mag})"
         return sign, f"{mag_txt}*{mono_txt}" if mono_txt else mag_txt
     # complex coefficients are always fully parenthesized with explicit parts
     coeff_txt = str(coeff)

@@ -75,6 +75,10 @@ class TestRank1Axioms:
         report = check_module_axioms(spec, module)
         assert not report.all_zero
         assert any("dd" in str(res) for res in report.residuals.values())
+        # one index-free instance per ordered family pair, keyed (F, G)
+        assert report.checked == len(spec.families) ** 2
+        pairs = {(f, g) for f in spec.families for g in spec.families}
+        assert set(report.residuals) <= pairs
 
     def test_chv_extension_point(self):
         spec = build_chv(1, 0)
@@ -82,15 +86,24 @@ class TestRank1Axioms:
         assert check_module_axioms(spec, module).all_zero
 
     def test_template_residual_matches_explicit_indices(self):
-        # explicit numeric actions agree with the index-free residual scaling
-        spec = build_csv(0, 0)
-        module = build_rank1(spec, 2, Fraction(1, 2), Fraction(-3, 2), 1)
-        assert check_module_axioms(spec, module).all_zero
-        c = module.c_value()
-        for i, j in ((2, -1), (-2, -1), (0, 3)):
-            scale = c ** (i + j)
-            assert module.action("L", i) == module.template("L").scale(c**i)
-            del scale
+        # the rank-one check runs once per family pair on the index-free
+        # templates; the same module with explicit c^i actions, checked as a
+        # graded module on an index window, must reach the same verdict
+        cases = (
+            (build_csv, 0, 0, True),
+            (build_chv, 1, 0, True),
+            (build_csv, 1, 1, False),
+            (build_chv, 0, 1, False),
+        )
+        for builder, a, b, is_module in cases:
+            spec = builder(a, b)
+            r1 = build_rank1(spec, "sym", "sym", Fraction(-3, 2), "sym")
+            tables = {
+                fam: (lambda i, m, _f=fam: r1.action(_f, i)) for fam in spec.families
+            }
+            graded = graded_from_tables(spec.families, tables)
+            assert check_module_axioms(spec, r1).all_zero is is_module
+            assert check_module_axioms(spec, graded, 3, 2).all_zero is is_module
 
     def test_cw_rank1(self):
         spec = build_cw()
@@ -136,6 +149,15 @@ class TestGradedAxioms:
         spec = build_csv(1, 0)
         module = build_graded(spec, "vab", "sym", "sym", "sym")
         assert not check_module_axioms(spec, module, 2, 1).all_zero
+        # the full window: one instance per (F, G, i, j, m), keyed that way
+        for wide, checked in ((build_csv(1, 0), 1575), (build_chv(0, 1), 700)):
+            module = build_graded(wide, "vab", "sym", "sym", "sym")
+            report = check_module_axioms(wide, module, 3, 2)
+            assert report.checked == checked
+            assert not report.all_zero
+            for fam_f, fam_g, i, j, m in report.residuals:
+                assert {fam_f, fam_g} <= set(wide.families)
+                assert max(abs(i), abs(j)) <= 2 and abs(m) <= 3
 
     def test_case_split_flat_extension_needs_constant_bits(self):
         # the flat extension of a case-split base is a module exactly when
