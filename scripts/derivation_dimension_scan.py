@@ -9,10 +9,10 @@ Usage: python scripts/derivation_dimension_scan.py [csv|chv] [bound] [window]
 """
 
 import sys
-from fractions import Fraction
 
 from confalg.catalog import build_chv, build_csv
 from confalg.derivations import solve_graded_derivations
+from confalg.suite import DERIVATION_GRID_A, DERIVATION_GRID_B
 
 
 def main() -> int:
@@ -20,12 +20,10 @@ def main() -> int:
     bound = int(sys.argv[2]) if len(sys.argv) > 2 else 4
     window = int(sys.argv[3]) if len(sys.argv) > 3 else 2
     builder = {"csv": build_csv, "chv": build_chv}[algebra]
-    grid_a = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(-2))
-    grid_b = (Fraction(0), Fraction(1), Fraction(-3))
     print(f"{algebra}: image degree <= {bound}, window |i| <= {window}")
     print(f"{'a':>6} {'b':>4} {'deg':>4} {'dim':>4} {'inner':>6} {'extra':>6}")
-    for a in grid_a:
-        for b in grid_b:
+    for a in DERIVATION_GRID_A:
+        for b in DERIVATION_GRID_B:
             spec = builder(a, b)
             for degree in (-1, 0, 1):
                 res = solve_graded_derivations(spec, degree, bound, window)

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import random
-import re
 import sys
-import time
-from fractions import Fraction
 
 import yaml
 
@@ -34,10 +31,27 @@ from .derivations import (
     solve_graded_derivations,
 )
 from .lca import GenPoly, check_all_axioms
-from .modules import BitSeq, build_graded, build_rank1, check_module_axioms, relations_oracle
+from .modules import (
+    BitSeq,
+    build_graded,
+    build_rank1,
+    check_module_axioms,
+    extension_family,
+    relations_oracle,
+)
 from .poly import GaussianRational, ParseError, parse_scalar
-from .report import CheckRecord, Report
-from .suite import DEFAULT_SEED, run_paper_suite
+from .report import Report, timed_check
+from .suite import (
+    DEFAULT_SEED,
+    EXTENSION_POINT,
+    criterion_2,
+    criterion_4,
+    expected_extra_dimension,
+    expected_weights,
+    extension_expected,
+    run_paper_suite,
+    window_reach,
+)
 
 
 class ConfigError(ValueError):
@@ -48,9 +62,8 @@ def parse_param(text: str, field: str) -> str | GaussianRational:
     """Parse a parameter: 'sym', a rational 'p/q', or a Gaussian 'p/q+r/si'."""
     if text == "sym":
         return "sym"
-    normalized = re.sub(r"(\d)i\b", r"\1*i", text)
     try:
-        return parse_scalar(normalized)
+        return parse_scalar(text)
     except ParseError as exc:
         raise ConfigError(f"field {field!r}: cannot parse value {text!r}: {exc}") from exc
 
@@ -129,19 +142,14 @@ def cmd_verify_axioms(opts: Options) -> Report:
         command="verify-axioms",
         config=opts.snapshot(("algebra", "a", "b", "ap", "bp", "window", "seed")),
     )
-    t0 = time.perf_counter()
     if algebra == "tsv":
         window = _int(opts.get("window") or 5, "window")
-        check = lie_jacobi_check(build_tsv_lie(), window)
-        report.add(
-            CheckRecord(
-                check_id="tsv-lie",
-                claim=f"anti-symmetry and Jacobi on |index| <= {window}",
-                status="zero" if check.all_zero else "nonzero",
-                passed=check.all_zero,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        )
+        with timed_check(
+            report.checks, "tsv-lie", f"anti-symmetry and Jacobi on |index| <= {window}"
+        ) as rec:
+            lie = lie_jacobi_check(build_tsv_lie(), window)
+            rec.passed = lie.all_zero
+            rec.status = "zero" if lie.all_zero else "nonzero"
         return report
     params = {
         key: parse_param(str(opts.get(key)), key)
@@ -149,43 +157,36 @@ def cmd_verify_axioms(opts: Options) -> Report:
         if opts.get(key) is not None
     }
     spec = build_algebra(algebra, **params)
-    axioms = check_all_axioms(spec)
-    samples = []
-    for (fa, fb), res in axioms.skew.items():
-        if not res.is_zero():
-            samples.append(f"skew {fa},{fb}: {res}")
-    for (fa, fb, fc), res in axioms.jacobi.items():
-        if not res.is_zero():
-            samples.append(f"jacobi {fa},{fb},{fc}: {res}")
-    report.add(
-        CheckRecord(
-            check_id=f"axioms-{algebra}",
-            claim=f"skew pairs and Jacobi triples of {algebra} vanish",
-            status="zero" if axioms.all_zero else "nonzero",
-            passed=axioms.all_zero,
-            residual_samples=samples[:5],
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        )
-    )
+    with timed_check(
+        report.checks,
+        f"axioms-{algebra}",
+        f"skew pairs and Jacobi triples of {algebra} vanish",
+    ) as rec:
+        axioms = check_all_axioms(spec)
+        samples = []
+        for (fa, fb), res in axioms.skew.items():
+            if not res.is_zero():
+                samples.append(f"skew {fa},{fb}: {res}")
+        for (fa, fb, fc), res in axioms.jacobi.items():
+            if not res.is_zero():
+                samples.append(f"jacobi {fa},{fb},{fc}: {res}")
+        rec.passed = axioms.all_zero
+        rec.status = "zero" if axioms.all_zero else "nonzero"
+        rec.residual_samples = samples[:5]
     return report
 
 
 def cmd_solve_construction(opts: Options) -> Report:
     report = Report(command="solve-construction", config=opts.snapshot(("seed",)))
-    t0 = time.perf_counter()
-    sol = solve_construction()
-    report.add(
-        CheckRecord(
-            check_id="construction-weights",
-            claim="unique L-on-Y weights closing the bracket table",
-            status=f"ap = {sol.ap}; bp = {sol.bp}",
-            passed=str(sol.ap) == "(1/2)*a + 1" and str(sol.bp) == "(1/2)*b",
-            detail="; ".join(f"[{mono}] {poly}" for mono, poly in sol.equations[:6]),
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        )
-    )
-    from .suite import criterion_2
-
+    with timed_check(
+        report.checks,
+        "construction-weights",
+        "unique L-on-Y weights closing the bracket table",
+    ) as rec:
+        sol = solve_construction()
+        rec.passed = (sol.ap, sol.bp) == expected_weights()
+        rec.status = f"ap = {sol.ap}; bp = {sol.bp}"
+        rec.detail = "; ".join(f"[{mono}] {poly}" for mono, poly in sol.equations[:6])
     seed = _int(opts.get("seed"), "seed")
     for record in criterion_2(seed)[2:]:
         report.add(record)
@@ -238,38 +239,32 @@ def cmd_check_module(opts: Options) -> Report:
     module = _build_module(opts, spec)
     n_basis = _int(opts.get("window"), "window")
     k_gen = _int(opts.get("gen_bound"), "gen_bound")
-    t0 = time.perf_counter()
-    axioms = check_module_axioms(spec, module, n_basis, k_gen)
-    report.add(
-        CheckRecord(
-            check_id="module-axioms",
-            claim=f"module identity residuals over {algebra} "
-            f"({axioms.checked} instances)",
-            status="zero" if axioms.all_zero else "nonzero",
-            passed=axioms.all_zero,
-            residual_samples=[
-                f"{key}: {val}" for key, val in list(axioms.residuals.items())[:3]
-            ],
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        )
-    )
+    with timed_check(report.checks, "module-axioms") as rec:
+        axioms = check_module_axioms(spec, module, n_basis, k_gen)
+        rec.claim = f"module identity residuals over {algebra} ({axioms.checked} instances)"
+        rec.passed = axioms.all_zero
+        rec.status = "zero" if axioms.all_zero else "nonzero"
+        rec.residual_samples = [
+            f"{key}: {val}" for key, val in list(axioms.residuals.items())[:3]
+        ]
     if module.kind != "rank1" and "Y" in spec.families and a != "sym" and b != "sym":
-        t0 = time.perf_counter()
-        oracle = relations_oracle(module, a, b, n_basis, k_gen)
-        report.add(
-            CheckRecord(
-                check_id="relation-oracle",
-                claim="hand-coded structure-coefficient relations "
-                f"({oracle.checked} instances)",
-                status="zero" if oracle.all_zero else "nonzero",
-                passed=oracle.all_zero == axioms.all_zero,
-                detail="oracle agrees with the axiom checker"
-                if oracle.all_zero == axioms.all_zero
-                else "oracle disagrees with the axiom checker",
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        with timed_check(report.checks, "relation-oracle") as rec:
+            oracle = relations_oracle(module, a, b, n_basis, k_gen)
+            rec.claim = (
+                f"hand-coded structure-coefficient relations ({oracle.checked} instances)"
             )
-        )
+            rec.passed = oracle.all_zero == axioms.all_zero
+            rec.status = "zero" if oracle.all_zero else "nonzero"
+            rec.detail = (
+                "oracle agrees with the axiom checker"
+                if rec.passed
+                else "oracle disagrees with the axiom checker"
+            )
     return report
+
+
+def _families_text(outcome) -> str:
+    return "; ".join(f"{fam}: {desc}" for fam, desc in sorted(outcome.families.items()))
 
 
 def cmd_classify(opts: Options) -> Report:
@@ -285,35 +280,21 @@ def cmd_classify(opts: Options) -> Report:
              "seed", "bitseqs")
         ),
     )
-    ext_point = {"csv": (Fraction(0), Fraction(0)), "chv": (Fraction(1), Fraction(0))}[
-        algebra
-    ]
-    ext_family = "Y" if algebra == "csv" else "M"
-
-    def expected_ext(a, b) -> bool:
-        return (a.re, b.re) == ext_point and not a.im and not b.im
-
+    if algebra not in EXTENSION_POINT:
+        raise ConfigError(f"field 'algebra': classification targets csv or chv, not {algebra!r}")
+    ext_family = extension_family(build_algebra(algebra).families)
+    points = [(_numeric(str(a), "grid"), _numeric(str(b), "grid")) for a, b in grid]
     if kind == "rank1":
-        for a, b in grid:
-            a = _numeric(str(a), "grid")
-            b = _numeric(str(b), "grid")
-            t0 = time.perf_counter()
-            outcome = classify_rank1(algebra, a, b, degree)
-            want = expected_ext(a, b)
-            report.add(
-                CheckRecord(
-                    check_id=f"rank1-{a}-{b}",
-                    claim=f"rank-one families over {algebra}({a},{b})",
-                    status="; ".join(
-                        f"{fam}: {desc}" for fam, desc in sorted(outcome.families.items())
-                    ),
-                    passed=outcome.has_extension == want,
-                    detail="extension family"
-                    if outcome.has_extension
-                    else "trivial tails only",
-                    elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        for a, b in points:
+            with timed_check(
+                report.checks, f"rank1-{a}-{b}", f"rank-one families over {algebra}({a},{b})"
+            ) as rec:
+                outcome = classify_rank1(algebra, a, b, degree)
+                rec.status = _families_text(outcome)
+                rec.passed = outcome.has_extension == extension_expected(algebra, a, b)
+                rec.detail = (
+                    "extension family" if outcome.has_extension else "trivial tails only"
                 )
-            )
         return report
     if kind != "graded":
         raise ConfigError(f"field 'kind': unknown classification kind {kind!r}")
@@ -322,41 +303,33 @@ def cmd_classify(opts: Options) -> Report:
     base = str(opts.get("base"))
     rng = random.Random(seed)
     n_seqs = _int(opts.get("bitseqs"), "bitseqs")
-    reach = n_basis + 2 * k_gen
+    reach = window_reach(n_basis, k_gen)
     bitseqs = [BitSeq.random(rng, -reach, reach) for _ in range(n_seqs)]
     bases: list[tuple[str, BitSeq | None]] = []
     if base in ("vab", "both"):
         bases.append(("vab", None))
     if base in ("vAb", "both"):
         bases.extend(("vAb", bits) for bits in bitseqs)
-    for a, b in grid:
-        a = _numeric(str(a), "grid")
-        b = _numeric(str(b), "grid")
+    for a, b in points:
         for base_kind, bits in bases:
-            t0 = time.perf_counter()
-            outcome = classify_graded(
-                algebra, a, b, base_kind, degree, n_basis, k_gen, bitseq=bits
-            )
-            want = expected_ext(a, b)
             tag = base_kind if bits is None else f"{base_kind}-{bits.to_string()}"
-            got = outcome.families.get(ext_family, "0")
-            passed = (got == "d") == want and (
-                algebra == "chv" or outcome.families["M"] == "0"
-            )
-            report.add(
-                CheckRecord(
-                    check_id=f"graded-{a}-{b}-{tag}",
-                    claim=f"graded families over {algebra}({a},{b}), base {base_kind}",
-                    status="; ".join(
-                        f"{fam}: {desc}" for fam, desc in sorted(outcome.families.items())
-                    ),
-                    passed=passed,
-                    detail="extension collapsed by case mixing"
-                    if outcome.collapsed
-                    else outcome.note,
-                    elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+            with timed_check(
+                report.checks,
+                f"graded-{a}-{b}-{tag}",
+                f"graded families over {algebra}({a},{b}), base {base_kind}",
+            ) as rec:
+                outcome = classify_graded(
+                    algebra, a, b, base_kind, degree, n_basis, k_gen, bitseq=bits
                 )
-            )
+                want = extension_expected(algebra, a, b, bits, n_basis, k_gen)
+                got = outcome.families.get(ext_family, "0")
+                rec.status = _families_text(outcome)
+                rec.passed = (got == "d") == want and (
+                    algebra == "chv" or outcome.families["M"] == "0"
+                )
+                rec.detail = (
+                    "extension collapsed by case mixing" if outcome.collapsed else outcome.note
+                )
     return report
 
 
@@ -376,42 +349,33 @@ def cmd_derivations(opts: Options) -> Report:
         a = parse_param(str(opts.get("a")), "a")
         b = parse_param(str(opts.get("b")), "b")
         spec = build_algebra(algebra, a=a, b=b)
-        t0 = time.perf_counter()
-        deriv = d_vec(spec, {grading: GaussianRational.of(1)}, window=3)
-        check = check_derivation(spec, deriv)
-        report.add(
-            CheckRecord(
-                check_id="dvec-leibniz",
-                claim=f"Leibniz residuals of the M-valued family on {algebra}(a={a}, b={b})",
-                status="zero" if check.all_zero else "nonzero",
-                passed=check.all_zero == (a == GaussianRational.of(1)),
-                detail="a derivation exactly when a = 1",
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        )
+        with timed_check(
+            report.checks,
+            "dvec-leibniz",
+            f"Leibniz residuals of the M-valued family on {algebra}(a={a}, b={b})",
+            detail="a derivation exactly when a = 1",
+        ) as rec:
+            deriv = d_vec(spec, {grading: GaussianRational.of(1)}, window=3)
+            leibniz = check_derivation(spec, deriv)
+            rec.passed = leibniz.all_zero == (expected_extra_dimension(a) == 1)
+            rec.status = "zero" if leibniz.all_zero else "nonzero"
         return report
     if task == "solve":
         a = _numeric(opts.get("a"), "a")
         b = _numeric(opts.get("b"), "b")
         spec = build_algebra(algebra, a=a, b=b)
-        t0 = time.perf_counter()
-        result = solve_graded_derivations(spec, grading, degree_bound, window)
-        want = 1 if a == GaussianRational.of(1) else 0
-        report.add(
-            CheckRecord(
-                check_id="graded-solve",
-                claim=f"degree-{grading} derivations of {algebra}({a},{b})",
-                status=f"dim {result.dimension} = inner {result.inner_rank} + "
-                f"extra {result.extra_dimension}",
-                passed=result.extra_dimension == want,
-                detail=result.scope_note,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        with timed_check(
+            report.checks, "graded-solve", f"degree-{grading} derivations of {algebra}({a},{b})"
+        ) as rec:
+            result = solve_graded_derivations(spec, grading, degree_bound, window)
+            rec.passed = result.extra_dimension == expected_extra_dimension(a)
+            rec.status = (
+                f"dim {result.dimension} = inner {result.inner_rank} + "
+                f"extra {result.extra_dimension}"
             )
-        )
+            rec.detail = result.scope_note
         return report
     if task == "dichotomy":
-        from .suite import criterion_4
-
         for record in criterion_4():
             report.add(record)
         return report
@@ -419,19 +383,15 @@ def cmd_derivations(opts: Options) -> Report:
         a = _numeric(opts.get("a"), "a")
         b = _numeric(opts.get("b"), "b")
         spec = build_algebra(algebra, a=a, b=b)
-        t0 = time.perf_counter()
-        x = GenPoly.unit("M", grading)
-        deriv = ad(spec, x, window=window + 1)
-        dec = decompose(spec, deriv, bound=degree_bound)
-        report.add(
-            CheckRecord(
-                check_id="decompose-roundtrip",
-                claim=f"decompose(ad(M_{grading})) over {algebra}({a},{b})",
-                status=f"x = {dec.x}; q = {dec.q}",
-                passed=dec.x == x and not dec.q,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        )
+        with timed_check(
+            report.checks,
+            "decompose-roundtrip",
+            f"decompose(ad(M_{grading})) over {algebra}({a},{b})",
+        ) as rec:
+            x = GenPoly.unit("M", grading)
+            dec = decompose(spec, ad(spec, x, window=window + 1), bound=degree_bound)
+            rec.passed = dec.x == x and not dec.q
+            rec.status = f"x = {dec.x}; q = {dec.q}"
         return report
     raise ConfigError(f"field 'task': unknown derivations task {task!r}")
 
@@ -467,7 +427,6 @@ DEFAULTS = {
     "degree": 6,
     "grading": 0,
     "seed": DEFAULT_SEED,
-    "samples": 20,
     "bitseqs": 3,
     "bitseq_lo": -9,
     "format": "text",

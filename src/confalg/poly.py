@@ -512,6 +512,11 @@ def _tokenize(text: str) -> list[str]:
             while j < len(text) and text[j].isdigit():
                 j += 1
             tokens.append(text[k:j])
+            # a Gaussian literal such as 3/4i reads as 3/4*i
+            after = text[j + 1:j + 2]
+            if text[j:j + 1] == IMAG_TOKEN and not (after.isalnum() or after == "_"):
+                tokens.extend(("*", IMAG_TOKEN))
+                j += 1
             k = j
         elif ch.isalpha() or ch == "_":
             j = k

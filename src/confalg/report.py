@@ -8,6 +8,9 @@ timing fields.
 from __future__ import annotations
 
 import json
+import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 SCHEMA_VERSION = 1
@@ -23,6 +26,24 @@ class CheckRecord:
     residual_samples: list = field(default_factory=list)
     detail: str = ""
     elapsed_ms: float = 0.0
+
+
+@contextmanager
+def timed_check(out: list[CheckRecord], check_id: str, claim: str = "",
+                **fields) -> Iterator[CheckRecord]:
+    """Run the body of a ``with`` block as one timed check.
+
+    Appends a new record to ``out`` and yields it for the block to fill in
+    (``passed``, ``status`` and whatever else the outcome decides); its
+    ``elapsed_ms`` covers the block.
+    """
+    record = CheckRecord(check_id, claim, status="", passed=False, **fields)
+    out.append(record)
+    started = time.perf_counter()
+    try:
+        yield record
+    finally:
+        record.elapsed_ms = (time.perf_counter() - started) * 1000.0
 
 
 @dataclass

@@ -14,7 +14,6 @@ scope in their claims.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 from .catalog import (
@@ -27,6 +26,7 @@ from .catalog import (
 )
 from .classify import classify_graded, classify_rank1, materialize_rank1
 from .derivations import (
+    DerivationSpec,
     ad,
     check_derivation,
     d_vec,
@@ -46,11 +46,12 @@ from .modules import (
     build_graded,
     build_rank1,
     check_module_axioms,
+    extension_family,
     reducibility_witness,
     relations_oracle,
 )
 from .poly import GaussianRational, MPoly, NotDivisible, parse_poly
-from .report import CheckRecord, Report
+from .report import CheckRecord, Report, timed_check
 
 DEFAULT_SEED = 20250809
 
@@ -59,16 +60,56 @@ DERIVATION_GRID_B = (Fraction(0), Fraction(1), Fraction(-3))
 MODULE_GRID = ((0, 0), (1, 0), (0, 1), (2, 5), (1, 1))
 
 
-def _record(check_id: str, claim: str, started: float, passed: bool,
-            status: str, **kw) -> CheckRecord:
-    return CheckRecord(
-        check_id=check_id,
-        claim=claim,
-        status=status,
-        passed=passed,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-        **kw,
-    )
+# Expected verdicts, each stated once for the criteria below and the CLI.
+
+EXTENSION_POINT = {"csv": (0, 0), "chv": (1, 0)}
+
+
+def _equals(param, value: int) -> bool:
+    """Exact equality of a parameter (a number or 'sym') with an integer."""
+    return param != "sym" and GaussianRational.of(param) == GaussianRational.of(value)
+
+
+def expected_weights(a=MPoly.var("a"), b=MPoly.var("b")):
+    """The unique L-on-Y weights that close the construction: (a/2 + 1, b/2)."""
+    return a * Fraction(1, 2) + 1, b * Fraction(1, 2)
+
+
+def expected_extra_dimension(a) -> int:
+    """The non-inner derivation dimension: 1 exactly at a = 1, else 0."""
+    return 1 if _equals(a, 1) else 0
+
+
+def window_reach(n_basis: int, k_gen: int) -> int:
+    """Half-width of the basis window that the graded module identity reads.
+
+    The identity on v_m for generators of index i and j reads the module at
+    m, i+m, j+m and i+j+m, so over |m| <= n_basis, |i|, |j| <= k_gen it
+    reaches [-(n_basis + 2*k_gen), n_basis + 2*k_gen].
+    """
+    return n_basis + 2 * k_gen
+
+
+def constant_on_window(bits: BitSeq, n_basis: int, k_gen: int) -> bool:
+    reach = window_reach(n_basis, k_gen)
+    return len({bits.at(i) for i in range(-reach, reach + 1)}) == 1
+
+
+def extension_expected(
+    algebra: str, a, b, bits: BitSeq | None = None, n_basis: int = 3, k_gen: int = 2
+) -> bool:
+    """Whether classification over ``algebra(a, b)`` finds the scalar extension.
+
+    It exists exactly at the algebra's extension point.  On a case-split
+    (vAb) base the flat extension needs more: its (L_i, Y_j) identity
+    (L_i, M_j for chv) on v_m reads the case split at (m, i+m) and at
+    (j+m, i+j+m) and holds only where the two patterns agree, so the bits
+    must be constant on the probed window.
+    """
+    point_a, point_b = EXTENSION_POINT[algebra]
+    if not (_equals(a, point_a) and _equals(b, point_b)):
+        return False
+    return bits is None or constant_on_window(bits, n_basis, k_gen)
 
 
 def _rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -102,251 +143,218 @@ def _rand_poly(
 
 def criterion_1(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
     """Fully symbolic axiom check of the three-family construction."""
-    t0 = time.perf_counter()
-    report = check_all_axioms(build_csv("sym", "sym"))
-    ok = report.all_zero and len(report.skew) == 6 and len(report.jacobi) == 10
-    return [
-        _record(
-            "c1-axioms",
-            "all 6 skew pairs and 10 Jacobi triples of csv(a,b) vanish "
-            "identically with symbolic a, b",
-            t0,
-            ok,
-            "zero" if report.all_zero else "nonzero: " + ", ".join(report.nonzero_checks()),
+    out: list[CheckRecord] = []
+    with timed_check(
+        out,
+        "c1-axioms",
+        "all 6 skew pairs and 10 Jacobi triples of csv(a,b) vanish "
+        "identically with symbolic a, b",
+    ) as rec:
+        report = check_all_axioms(build_csv("sym", "sym"))
+        rec.passed = report.all_zero and len(report.skew) == 6 and len(report.jacobi) == 10
+        rec.status = (
+            "zero" if report.all_zero else "nonzero: " + ", ".join(report.nonzero_checks())
         )
-    ]
+    return out
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
     """Unique bracket weights, plus necessity off the solution locus."""
-    out = []
-    t0 = time.perf_counter()
-    sol = solve_construction()
-    expected_ap = parse_poly("(1/2)*a + 1")
-    expected_bp = parse_poly("(1/2)*b")
-    ok = sol.ap == expected_ap and sol.bp == expected_bp
-    out.append(
-        _record(
-            "c2-solver",
-            "the coefficient system forces ap = a/2 + 1 and bp = b/2",
-            t0,
-            ok,
-            f"ap = {sol.ap}, bp = {sol.bp}",
-        )
-    )
-    t0 = time.perf_counter()
-    sub = solve_construction(restrict_to=["d*l", "d"])
-    out.append(
-        _record(
-            "c2-solver-restricted",
-            "the d*l and d coefficient equations alone give the same weights",
-            t0,
-            sub.ap == expected_ap and sub.bp == expected_bp,
-            f"ap = {sub.ap}, bp = {sub.bp}",
-        )
-    )
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    failures = []
-    for k in range(20):
-        a = _rand_fraction(rng)
-        b = _rand_fraction(rng)
-        while True:
-            ap = _rand_fraction(rng)
-            bp = _rand_fraction(rng)
-            if ap != Fraction(a, 2) + 1 or bp != Fraction(b, 2):
-                break
-        spec = build_construction(a, ap, b, bp)
-        if check_jacobi(spec, "L", "Y", "Y").is_zero():
-            failures.append((a, ap, b, bp))
-    out.append(
-        _record(
-            "c2-necessity",
-            "20 seeded weight pairs off the locus all break the (L, Y, Y) "
-            "Jacobi identity",
-            t0,
-            not failures,
-            "all nonzero" if not failures else f"unexpected zeros: {failures}",
-            inputs={"seed": seed, "samples": 20},
-        )
-    )
+    out: list[CheckRecord] = []
+    with timed_check(
+        out, "c2-solver", "the coefficient system forces ap = a/2 + 1 and bp = b/2"
+    ) as rec:
+        sol = solve_construction()
+        rec.passed = (sol.ap, sol.bp) == expected_weights()
+        rec.status = f"ap = {sol.ap}, bp = {sol.bp}"
+    with timed_check(
+        out,
+        "c2-solver-restricted",
+        "the d*l and d coefficient equations alone give the same weights",
+    ) as rec:
+        sub = solve_construction(restrict_to=["d*l", "d"])
+        rec.passed = (sub.ap, sub.bp) == expected_weights()
+        rec.status = f"ap = {sub.ap}, bp = {sub.bp}"
+    with timed_check(
+        out,
+        "c2-necessity",
+        "20 seeded weight pairs off the locus all break the (L, Y, Y) "
+        "Jacobi identity",
+        inputs={"seed": seed, "samples": 20},
+    ) as rec:
+        rng = random.Random(seed)
+        failures = []
+        for k in range(20):
+            a = _rand_fraction(rng)
+            b = _rand_fraction(rng)
+            while True:
+                ap = _rand_fraction(rng)
+                bp = _rand_fraction(rng)
+                if (ap, bp) != expected_weights(a, b):
+                    break
+            spec = build_construction(a, ap, b, bp)
+            if check_jacobi(spec, "L", "Y", "Y").is_zero():
+                failures.append((a, ap, b, bp))
+        rec.passed = not failures
+        rec.status = "all nonzero" if not failures else f"unexpected zeros: {failures}"
     return out
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
-    t0 = time.perf_counter()
-    report = lie_jacobi_check(build_tsv_lie(), 5)
-    return [
-        _record(
-            "c3-tsv",
-            "anti-symmetry and Jacobi hold for all index triples with "
-            "|index| <= 5 of the motivating graded Lie algebra",
-            t0,
-            report.all_zero,
+    out: list[CheckRecord] = []
+    with timed_check(
+        out,
+        "c3-tsv",
+        "anti-symmetry and Jacobi hold for all index triples with "
+        "|index| <= 5 of the motivating graded Lie algebra",
+    ) as rec:
+        report = lie_jacobi_check(build_tsv_lie(), 5)
+        rec.passed = report.all_zero
+        rec.status = (
             "zero"
             if report.all_zero
             else f"{len(report.antisymmetry_failures)} antisym / "
-            f"{len(report.jacobi_failures)} jacobi failures",
+            f"{len(report.jacobi_failures)} jacobi failures"
         )
-    ]
+    return out
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
     """Derivation dichotomy: non-inner dimension is 1 iff a = 1."""
-    out = []
+    out: list[CheckRecord] = []
     for name, builder in (("csv", build_csv), ("chv", build_chv)):
-        t0 = time.perf_counter()
-        failures = []
-        for a in DERIVATION_GRID_A:
-            for b in DERIVATION_GRID_B:
-                for c in (-1, 0, 1):
-                    res = solve_graded_derivations(
-                        builder(a, b), degree=c, bound=4, window=2
-                    )
-                    want = 1 if a == 1 else 0
-                    if res.extra_dimension != want:
-                        failures.append((a, b, c, res.dimension, res.inner_rank))
-        out.append(
-            _record(
-                f"c4-dichotomy-{name}",
-                f"over the 5x3 weight grid and degrees -1..1, the non-inner "
-                f"dimension of {name} equals 1 exactly at a = 1 "
-                "(window 2, image degree 4)",
-                t0,
-                not failures,
-                "dimensions match" if not failures else f"mismatches: {failures}",
-            )
-        )
+        with timed_check(
+            out,
+            f"c4-dichotomy-{name}",
+            f"over the 5x3 weight grid and degrees -1..1, the non-inner "
+            f"dimension of {name} equals 1 exactly at a = 1 "
+            "(window 2, image degree 4)",
+        ) as rec:
+            failures = []
+            for a in DERIVATION_GRID_A:
+                for b in DERIVATION_GRID_B:
+                    for c in (-1, 0, 1):
+                        res = solve_graded_derivations(
+                            builder(a, b), degree=c, bound=4, window=2
+                        )
+                        if res.extra_dimension != expected_extra_dimension(a):
+                            failures.append((a, b, c, res.dimension, res.inner_rank))
+            rec.passed = not failures
+            rec.status = "dimensions match" if not failures else f"mismatches: {failures}"
     return out
 
 
 def criterion_5(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
-    out = []
+    out: list[CheckRecord] = []
     rng = random.Random(seed)
     support = {rng.randint(-2, 2): _rand_scalar(rng) for _ in range(3)}
     support[0] = GaussianRational.of(1)
-    t0 = time.perf_counter()
-    ok = True
-    detail = []
-    for name, builder in (("csv", build_csv), ("chv", build_chv)):
-        spec = builder(1, "sym")
-        rep = check_derivation(spec, d_vec(spec, support, window=3))
-        if not rep.all_zero:
-            ok = False
-            detail.append(f"{name}(1,b) residuals {sorted(rep.residuals)}")
-    out.append(
-        _record(
-            "c5-dvec-derivation",
-            "the M-valued family is a derivation of csv(1,b) and chv(1,b) "
-            "with symbolic b and seeded finite support",
-            t0,
-            ok,
-            "zero" if ok else "; ".join(detail),
-            inputs={"seed": seed, "support": {k: str(v) for k, v in support.items()}},
-        )
-    )
-    t0 = time.perf_counter()
-    spec00 = build_csv(0, 0)
-    rep = check_derivation(spec00, d_vec(spec00, {0: GaussianRational.of(1)}, window=3))
-    out.append(
-        _record(
-            "c5-dvec-a0",
-            "at a = 0 the same map is not a derivation (nonzero residual)",
-            t0,
-            not rep.all_zero,
-            "nonzero" if not rep.all_zero else "unexpectedly zero",
-        )
-    )
-    t0 = time.perf_counter()
-    failures = []
-    for trial in range(5):
-        c = rng.randint(-1, 1)
-        spec = build_csv(1, 0)
-        x = GenPoly.zero()
-        for fam in spec.families:
-            poly = _rand_poly(rng, ("d",), max_degree=3, max_terms=2)
-            if not poly.is_zero():
-                x = x + GenPoly.unit(fam, c, poly)
-        q = _rand_scalar(rng)
-        deriv = ad(spec, x, window=3)
-        for key, img in d_vec(spec, {c: q}, window=3).images.items():
-            deriv.images[key] = deriv.images.get(key, GenPoly.zero()) + img
-        deriv.degree = c
-        if deriv.is_zero():
-            continue
-        dec = decompose(spec, deriv, bound=5)
-        if dec.x != x or dec.q != q:
-            failures.append((trial, str(x), str(q), str(dec.x), str(dec.q)))
-    spec23 = build_csv(2, 3)
-    x = GenPoly.unit("L", 1, parse_poly("d^2"))
-    dec = decompose(spec23, ad(spec23, x, window=3), bound=5)
-    if dec.x != x or dec.q:
-        failures.append(("fixed", str(x), "0", str(dec.x), str(dec.q)))
-    out.append(
-        _record(
-            "c5-decompose",
-            "decompose recovers x and q exactly from ad(x) + q * family "
-            "instances (seeded)",
-            t0,
-            not failures,
-            "round trips" if not failures else f"failures: {failures}",
-            inputs={"seed": seed},
-        )
-    )
+    with timed_check(
+        out,
+        "c5-dvec-derivation",
+        "the M-valued family is a derivation of csv(1,b) and chv(1,b) "
+        "with symbolic b and seeded finite support",
+        inputs={"seed": seed, "support": {k: str(v) for k, v in support.items()}},
+    ) as rec:
+        detail = []
+        for name, builder in (("csv", build_csv), ("chv", build_chv)):
+            spec = builder(1, "sym")
+            rep = check_derivation(spec, d_vec(spec, support, window=3))
+            if not rep.all_zero:
+                detail.append(f"{name}(1,b) residuals {sorted(rep.residuals)}")
+        rec.passed = not detail
+        rec.status = "zero" if not detail else "; ".join(detail)
+    with timed_check(
+        out, "c5-dvec-a0", "at a = 0 the same map is not a derivation (nonzero residual)"
+    ) as rec:
+        spec00 = build_csv(0, 0)
+        rep = check_derivation(spec00, d_vec(spec00, {0: GaussianRational.of(1)}, window=3))
+        rec.passed = not rep.all_zero
+        rec.status = "nonzero" if not rep.all_zero else "unexpectedly zero"
+    with timed_check(
+        out,
+        "c5-decompose",
+        "decompose recovers x and q exactly from ad(x) + q * family "
+        "instances (seeded)",
+        inputs={"seed": seed},
+    ) as rec:
+        failures = []
+        for trial in range(5):
+            c = rng.randint(-1, 1)
+            spec = build_csv(1, 0)
+            x = GenPoly.zero()
+            for fam in spec.families:
+                poly = _rand_poly(rng, ("d",), max_degree=3, max_terms=2)
+                if not poly.is_zero():
+                    x = x + GenPoly.unit(fam, c, poly)
+            q = _rand_scalar(rng)
+            inner = ad(spec, x, window=3)
+            outer = d_vec(spec, {c: q}, window=3)
+            keys = {**inner.images, **outer.images}
+            deriv = DerivationSpec(
+                spec.families,
+                3,
+                {key: inner.image(*key) + outer.image(*key) for key in keys},
+                degree=c,
+            )
+            if deriv.is_zero():
+                continue
+            dec = decompose(spec, deriv, bound=5)
+            if dec.x != x or dec.q != q:
+                failures.append((trial, str(x), str(q), str(dec.x), str(dec.q)))
+        spec23 = build_csv(2, 3)
+        x = GenPoly.unit("L", 1, parse_poly("d^2"))
+        dec = decompose(spec23, ad(spec23, x, window=3), bound=5)
+        if dec.x != x or dec.q:
+            failures.append(("fixed", str(x), "0", str(dec.x), str(dec.q)))
+        rec.passed = not failures
+        rec.status = "round trips" if not failures else f"failures: {failures}"
     return out
 
 
 def criterion_6(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
-    out = []
-    for name, builder, ext_point, ext_family in (
-        ("csv", build_csv, (0, 0), "Y"),
-        ("chv", build_chv, (1, 0), "M"),
-    ):
-        t0 = time.perf_counter()
-        failures = []
-        for a, b in MODULE_GRID:
-            outcome = classify_rank1(name, a, b, degree_bound=6)
-            want_ext = (a, b) == ext_point
-            if outcome.has_extension != want_ext:
-                failures.append((a, b, "extension", outcome.families))
-                continue
-            if want_ext and outcome.families[ext_family] != "d*c^i":
-                failures.append((a, b, "family", outcome.families))
-            if not want_ext and any(
-                outcome.families[f] != "0" for f in outcome.families if f != "L"
-            ):
-                failures.append((a, b, "nonzero tail", outcome.families))
-            spec = builder(a, b)
-            module = materialize_rank1(outcome, spec)
-            rep = check_module_axioms(spec, module)
-            if not rep.all_zero:
-                failures.append((a, b, "round trip", sorted(rep.residuals)))
-        out.append(
-            _record(
-                f"c6-rank1-{name}",
-                f"rank-one classification over the grid finds the scalar "
-                f"extension exactly at {ext_point} and the rematerialized "
-                "family passes the module axioms with symbolic parameters",
-                t0,
-                not failures,
-                "classified" if not failures else f"failures: {failures}",
-            )
-        )
+    out: list[CheckRecord] = []
+    for name, builder in (("csv", build_csv), ("chv", build_chv)):
+        with timed_check(
+            out,
+            f"c6-rank1-{name}",
+            f"rank-one classification over the grid finds the scalar "
+            f"extension exactly at {EXTENSION_POINT[name]} and the "
+            "rematerialized family passes the module axioms with symbolic "
+            "parameters",
+        ) as rec:
+            failures = []
+            for a, b in MODULE_GRID:
+                spec = builder(a, b)
+                ext_family = extension_family(spec.families)
+                outcome = classify_rank1(name, a, b, degree_bound=6)
+                want_ext = extension_expected(name, a, b)
+                if outcome.has_extension != want_ext:
+                    failures.append((a, b, "extension", outcome.families))
+                    continue
+                if want_ext and outcome.families[ext_family] != "d*c^i":
+                    failures.append((a, b, "family", outcome.families))
+                if not want_ext and any(
+                    outcome.families[f] != "0" for f in outcome.families if f != "L"
+                ):
+                    failures.append((a, b, "nonzero tail", outcome.families))
+                module = materialize_rank1(outcome, spec)
+                rep = check_module_axioms(spec, module)
+                if not rep.all_zero:
+                    failures.append((a, b, "round trip", sorted(rep.residuals)))
+            rec.passed = not failures
+            rec.status = "classified" if not failures else f"failures: {failures}"
     return out
 
 
 def criterion_7(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
-    out = []
+    out: list[CheckRecord] = []
     rng = random.Random(seed)
     bitseqs = [BitSeq.random(rng, -9, 9) for _ in range(10)]
-    # The (L_i, Y_j) identity (L_i, M_j for chv) on v_m of the flat extension
-    # reads the case split at (m, i+m) and at (j+m, i+j+m), and holds only
-    # where the two patterns agree.  Over |m| <= n_basis, |i|, |j| <= k_gen
-    # the flat extension is a module iff the bits are constant on
-    # [-reach, reach].  The fixed sequences give both answers: all 0, all 1,
-    # constant on the window only, and non-constant only at its edge.
+    # The fixed sequences give both answers of extension_expected: all 0,
+    # all 1, constant on the window only, and non-constant only at its edge.
     n_basis, k_gen = 3, 2
-    reach = n_basis + 2 * k_gen
+    reach = window_reach(n_basis, k_gen)
     span = range(-9, 10)
     fixed = [
         BitSeq(-9, tuple(0 for _ in span)),
@@ -356,273 +364,245 @@ def criterion_7(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
     ]
     sequences = bitseqs + fixed
 
-    for name, builder, ext_point in (
-        ("csv", build_csv, (0, 0)),
-        ("chv", build_chv, (1, 0)),
-    ):
-        ext_family = "Y" if name == "csv" else "M"
-        t0 = time.perf_counter()
-        failures = []
-        for a, b in MODULE_GRID:
-            outcome = classify_graded(name, a, b, "vab", 6, 3, 2)
-            if name == "csv" and outcome.families["M"] != "0":
-                failures.append((a, b, "vab", "g nonzero"))
-            want_ext = (a, b) == ext_point
-            got = outcome.families[ext_family]
-            if want_ext and got != "d":
-                failures.append((a, b, "vab", f"extension {got}"))
-            if not want_ext and got != "0":
-                failures.append((a, b, "vab", f"unexpected extension {got}"))
-        out.append(
-            _record(
-                f"c7-graded-vab-{name}",
-                f"uniform-weights graded classification finds the scalar "
-                f"extension exactly at {ext_point} over the grid",
-                t0,
-                not failures,
-                "classified" if not failures else f"failures: {failures}",
-                inputs={"seed": seed},
-            )
-        )
-
-        t0 = time.perf_counter()
-        failures = []
-        found = 0
-        for a, b in MODULE_GRID:
-            at_point = (a, b) == ext_point
-            for k, bits in enumerate(sequences):
-                constant = len({bits.at(i) for i in range(-reach, reach + 1)}) == 1
-                where = "constant on window" if constant else "non-constant on window"
-                want = "d" if at_point and constant else "0"
-                outcome = classify_graded(
-                    name, a, b, "vAb", 6, n_basis, k_gen, bitseq=bits
-                )
+    for name, builder in (("csv", build_csv), ("chv", build_chv)):
+        ext_point = EXTENSION_POINT[name]
+        ext_family = extension_family(builder(*ext_point).families)
+        with timed_check(
+            out,
+            f"c7-graded-vab-{name}",
+            f"uniform-weights graded classification finds the scalar "
+            f"extension exactly at {ext_point} over the grid",
+            inputs={"seed": seed},
+        ) as rec:
+            failures = []
+            for a, b in MODULE_GRID:
+                outcome = classify_graded(name, a, b, "vab", 6, 3, 2)
                 if name == "csv" and outcome.families["M"] != "0":
-                    failures.append((a, b, k, where, "g nonzero"))
+                    failures.append((a, b, "vab", "g nonzero"))
+                want_ext = extension_expected(name, a, b)
                 got = outcome.families[ext_family]
-                if got != want:
-                    failures.append((a, b, k, where, f"extension '{got}'"))
-                if at_point:
-                    found += got == "d"
-                    # independent of the classifier's own sufficiency step,
-                    # which runs check_module_axioms
-                    module = build_graded(
-                        builder(a, b), "vAb", bits, "sym", "sym"
+                if want_ext and got != "d":
+                    failures.append((a, b, "vab", f"extension {got}"))
+                if not want_ext and got != "0":
+                    failures.append((a, b, "vab", f"unexpected extension {got}"))
+            rec.passed = not failures
+            rec.status = "classified" if not failures else f"failures: {failures}"
+
+        with timed_check(
+            out,
+            f"c7-graded-vAb-{name}",
+            f"case-split graded classification finds the flat scalar "
+            f"extension exactly at {ext_point} for the bit sequences "
+            f"constant on [-{reach}, {reach}], and reports the collapse, "
+            "confirmed by the relation oracle, for every other sequence "
+            f"({len(bitseqs)} seeded, {len(fixed)} fixed)",
+            inputs={
+                "seed": seed,
+                "window": [-reach, reach],
+                "fixed": [bits.to_string() for bits in fixed],
+            },
+        ) as rec:
+            failures = []
+            found = 0
+            for a, b in MODULE_GRID:
+                at_point = extension_expected(name, a, b)
+                for k, bits in enumerate(sequences):
+                    constant = constant_on_window(bits, n_basis, k_gen)
+                    where = "constant on window" if constant else "non-constant on window"
+                    want_ext = extension_expected(name, a, b, bits, n_basis, k_gen)
+                    want = "d" if want_ext else "0"
+                    outcome = classify_graded(
+                        name, a, b, "vAb", 6, n_basis, k_gen, bitseq=bits
                     )
-                    oracle = relations_oracle(module, a, b, n_basis, k_gen)
-                    if oracle.all_zero != (want == "d"):
-                        verdict = "zero" if oracle.all_zero else "nonzero"
-                        failures.append((a, b, k, where, f"oracle {verdict}"))
-        out.append(
-            _record(
-                f"c7-graded-vAb-{name}",
-                f"case-split graded classification finds the flat scalar "
-                f"extension exactly at {ext_point} for the bit sequences "
-                f"constant on [-{reach}, {reach}], and reports the collapse, "
-                "confirmed by the relation oracle, for every other sequence "
-                f"({len(bitseqs)} seeded, {len(fixed)} fixed)",
-                t0,
-                not failures,
+                    if name == "csv" and outcome.families["M"] != "0":
+                        failures.append((a, b, k, where, "g nonzero"))
+                    got = outcome.families[ext_family]
+                    if got != want:
+                        failures.append((a, b, k, where, f"extension '{got}'"))
+                    if at_point:
+                        found += got == "d"
+                        # independent of the classifier's own sufficiency step,
+                        # which runs check_module_axioms
+                        module = build_graded(
+                            builder(a, b), "vAb", bits, "sym", "sym"
+                        )
+                        oracle = relations_oracle(module, a, b, n_basis, k_gen)
+                        if oracle.all_zero != (want == "d"):
+                            verdict = "zero" if oracle.all_zero else "nonzero"
+                            failures.append((a, b, k, where, f"oracle {verdict}"))
+            rec.passed = not failures
+            rec.status = (
                 f"classified; flat extension for {found} of "
                 f"{len(sequences)} sequences at {ext_point}"
                 if not failures
-                else f"{len(failures)} failures, first: {failures[0]}",
-                inputs={
-                    "seed": seed,
-                    "window": [-reach, reach],
-                    "fixed": [bits.to_string() for bits in fixed],
-                },
+                else f"{len(failures)} failures, first: {failures[0]}"
             )
-        )
 
-    t0 = time.perf_counter()
-    mismatches = []
-    pool = list(MODULE_GRID) + [(1, 1), (0, 0)]
-    for k in range(50):
-        a, b = pool[rng.randrange(len(pool))]
-        kind = rng.choice(["vab", "vAb"])
-        d_val = rng.choice([0, 1, _rand_fraction(rng)])
-        beta = _rand_fraction(rng)
-        spec = build_csv(a, b)
-        if kind == "vab":
-            module = build_graded(spec, "vab", _rand_fraction(rng), beta, d_val)
-        else:
-            module = build_graded(spec, "vAb", BitSeq.random(rng, -9, 9), beta, d_val)
-        axioms = check_module_axioms(spec, module, n_basis=3, k_gen=2)
-        oracle = relations_oracle(module, a, b, n_basis=3, k_gen=2)
-        if axioms.all_zero != oracle.all_zero:
-            mismatches.append((k, a, b, kind, str(d_val)))
-    out.append(
-        _record(
-            "c7-oracle-equivalence",
-            "the generic axiom checker and the hand-coded relation oracle "
-            "agree (zero iff zero) on 50 seeded graded modules",
-            t0,
-            not mismatches,
-            "agree" if not mismatches else f"mismatches: {mismatches}",
-            inputs={"seed": seed, "samples": 50},
-        )
-    )
+    with timed_check(
+        out,
+        "c7-oracle-equivalence",
+        "the generic axiom checker and the hand-coded relation oracle "
+        "agree (zero iff zero) on 50 seeded graded modules",
+        inputs={"seed": seed, "samples": 50},
+    ) as rec:
+        mismatches = []
+        pool = list(MODULE_GRID) + [(1, 1), (0, 0)]
+        for k in range(50):
+            a, b = pool[rng.randrange(len(pool))]
+            kind = rng.choice(["vab", "vAb"])
+            d_val = rng.choice([0, 1, _rand_fraction(rng)])
+            beta = _rand_fraction(rng)
+            spec = build_csv(a, b)
+            if kind == "vab":
+                module = build_graded(spec, "vab", _rand_fraction(rng), beta, d_val)
+            else:
+                module = build_graded(spec, "vAb", BitSeq.random(rng, -9, 9), beta, d_val)
+            axioms = check_module_axioms(spec, module, n_basis=3, k_gen=2)
+            oracle = relations_oracle(module, a, b, n_basis=3, k_gen=2)
+            if axioms.all_zero != oracle.all_zero:
+                mismatches.append((k, a, b, kind, str(d_val)))
+        rec.passed = not mismatches
+        rec.status = "agree" if not mismatches else f"mismatches: {mismatches}"
     return out
 
 
 def criterion_8(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
-    out = []
+    out: list[CheckRecord] = []
     rng = random.Random(seed)
-    t0 = time.perf_counter()
-    failures = []
-    for beta in (Fraction(5), Fraction(-1, 2), Fraction(0)):
-        module = build_rank1(build_csv(0, 0), 0, beta, 1, 0)
-        res = reducibility_witness(module, max_degree=3)
-        expected = MPoly.var("d") + MPoly.const(beta)
-        if res.witness != expected or res.degree != 1:
-            failures.append((beta, str(res.witness)))
-    out.append(
-        _record(
-            "c8-witness-found",
-            "at alpha = 0 the witness d + beta is found at degree 1",
-            t0,
-            not failures,
-            "found" if not failures else f"failures: {failures}",
-        )
-    )
-    t0 = time.perf_counter()
-    failures = []
-    for k in range(10):
-        alpha = _rand_fraction(rng)
-        while alpha == 0:
+    with timed_check(
+        out, "c8-witness-found", "at alpha = 0 the witness d + beta is found at degree 1"
+    ) as rec:
+        failures = []
+        for beta in (Fraction(5), Fraction(-1, 2), Fraction(0)):
+            module = build_rank1(build_csv(0, 0), 0, beta, 1, 0)
+            res = reducibility_witness(module, max_degree=3)
+            expected = MPoly.var("d") + MPoly.const(beta)
+            if res.witness != expected or res.degree != 1:
+                failures.append((beta, str(res.witness)))
+        rec.passed = not failures
+        rec.status = "found" if not failures else f"failures: {failures}"
+    with timed_check(
+        out,
+        "c8-witness-absent",
+        "10 seeded modules with alpha, c nonzero admit no witness up to "
+        "degree 3",
+        inputs={"seed": seed},
+    ) as rec:
+        failures = []
+        for k in range(10):
             alpha = _rand_fraction(rng)
-        c = _rand_fraction(rng)
-        while c == 0:
+            while alpha == 0:
+                alpha = _rand_fraction(rng)
             c = _rand_fraction(rng)
-        module = build_rank1(build_csv(0, 0), alpha, _rand_fraction(rng), c, 0)
-        res = reducibility_witness(module, max_degree=3)
-        if res.witness is not None or res.undecided:
-            failures.append((k, str(alpha), str(c), str(res.witness)))
-    out.append(
-        _record(
-            "c8-witness-absent",
-            "10 seeded modules with alpha, c nonzero admit no witness up to "
-            "degree 3",
-            t0,
-            not failures,
-            "none found" if not failures else f"failures: {failures}",
-            inputs={"seed": seed},
-        )
-    )
+            while c == 0:
+                c = _rand_fraction(rng)
+            module = build_rank1(build_csv(0, 0), alpha, _rand_fraction(rng), c, 0)
+            res = reducibility_witness(module, max_degree=3)
+            if res.witness is not None or res.undecided:
+                failures.append((k, str(alpha), str(c), str(res.witness)))
+        rec.passed = not failures
+        rec.status = "none found" if not failures else f"failures: {failures}"
     return out
 
 
 def criterion_9(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
-    out = []
+    out: list[CheckRecord] = []
     rng = random.Random(seed)
     names = ("d", "l", "m", "a", "b")
 
-    t0 = time.perf_counter()
-    failures = 0
-    for _ in range(1000):
-        p = _rand_poly(rng, names, complex_share=0.15)
-        q = _rand_poly(rng, names, complex_share=0.15)
-        r = _rand_poly(rng, names, complex_share=0.15)
-        if (p + q) + r != p + (q + r) or p * (q + r) != p * q + p * r or p * q != q * p:
-            failures += 1
-        if not (p - p).is_zero():
-            failures += 1
-    out.append(
-        _record(
-            "c9-ring-laws",
-            "associativity, distributivity, commutativity and cancellation "
-            "on 1000 seeded random polynomials",
-            t0,
-            failures == 0,
-            f"{failures} failures",
-            inputs={"seed": seed, "cases": 1000},
-        )
-    )
-
-    t0 = time.perf_counter()
-    failures = 0
-    for _ in range(1000):
-        p = _rand_poly(rng, names)
-        q = _rand_poly(rng, names)
-        if q.is_zero():
-            q = MPoly.var("d") + 1
-        try:
-            if (p * q).divide_exact(q) != p:
+    with timed_check(
+        out,
+        "c9-ring-laws",
+        "associativity, distributivity, commutativity and cancellation "
+        "on 1000 seeded random polynomials",
+        inputs={"seed": seed, "cases": 1000},
+    ) as rec:
+        failures = 0
+        for _ in range(1000):
+            p = _rand_poly(rng, names, complex_share=0.15)
+            q = _rand_poly(rng, names, complex_share=0.15)
+            r = _rand_poly(rng, names, complex_share=0.15)
+            if (p + q) + r != p + (q + r) or p * (q + r) != p * q + p * r or p * q != q * p:
                 failures += 1
-        except NotDivisible:
-            failures += 1
-    out.append(
-        _record(
-            "c9-divide-roundtrip",
-            "divide_exact(p*q, q) == p on 1000 seeded random pairs",
-            t0,
-            failures == 0,
-            f"{failures} failures",
-            inputs={"seed": seed, "cases": 1000},
-        )
-    )
+            if not (p - p).is_zero():
+                failures += 1
+        rec.passed = failures == 0
+        rec.status = f"{failures} failures"
 
-    t0 = time.perf_counter()
-    failures = 0
-    for _ in range(1000):
-        p = _rand_poly(rng, names)
-        subset = tuple(n for n in names if rng.random() < 0.5) or ("d",)
-        total = MPoly.zero()
-        for mono, coeff_poly in p.split_by(subset).items():
-            total = total + coeff_poly * MPoly({mono: GaussianRational.of(1)})
-        if total != p:
-            failures += 1
-    out.append(
-        _record(
-            "c9-coeff-reconstruction",
-            "summing coefficient * monomial over any variable split "
-            "reconstructs the polynomial (1000 seeded cases)",
-            t0,
-            failures == 0,
-            f"{failures} failures",
-            inputs={"seed": seed, "cases": 1000},
-        )
-    )
+    with timed_check(
+        out,
+        "c9-divide-roundtrip",
+        "divide_exact(p*q, q) == p on 1000 seeded random pairs",
+        inputs={"seed": seed, "cases": 1000},
+    ) as rec:
+        failures = 0
+        for _ in range(1000):
+            p = _rand_poly(rng, names)
+            q = _rand_poly(rng, names)
+            if q.is_zero():
+                q = MPoly.var("d") + 1
+            try:
+                if (p * q).divide_exact(q) != p:
+                    failures += 1
+            except NotDivisible:
+                failures += 1
+        rec.passed = failures == 0
+        rec.status = f"{failures} failures"
 
-    t0 = time.perf_counter()
-    failures = 0
-    spec = build_csv("sym", "sym")
-    for _ in range(100):
-        fam_x = rng.choice(spec.families)
-        fam_y = rng.choice(spec.families)
-        i, j = rng.randint(-5, 5), rng.randint(-5, 5)
-        p = _rand_poly(rng, ("d",), max_degree=3, max_terms=3)
-        x = GenPoly.unit(fam_x, i, p)
-        y = GenPoly.unit(fam_y, j)
-        z = GenPoly.unit("L", rng.randint(-5, 5))
-        lhs = bracket(spec, x + z, y)
-        rhs = bracket(spec, x, y) + bracket(spec, z, y)
-        if lhs != rhs:
-            failures += 1
-        value = bracket(spec, x, y)
-        if not grading_project(value, i + j) == value:
-            failures += 1
-        base = bracket(spec, GenPoly.unit(fam_x, 0, p), GenPoly.unit(fam_y, 0))
-        shifted = GenPoly(
-            {
-                Generator(gen.family, gen.index + i + j): poly
-                for gen, poly in base.terms.items()
-            }
-        )
-        if shifted != value:
-            failures += 1
-    out.append(
-        _record(
-            "c9-bracket-invariants",
-            "bracket additivity, weight additivity and index-shift "
-            "uniformity on 100 seeded cases",
-            t0,
-            failures == 0,
-            f"{failures} failures",
-            inputs={"seed": seed, "cases": 100},
-        )
-    )
+    with timed_check(
+        out,
+        "c9-coeff-reconstruction",
+        "summing coefficient * monomial over any variable split "
+        "reconstructs the polynomial (1000 seeded cases)",
+        inputs={"seed": seed, "cases": 1000},
+    ) as rec:
+        failures = 0
+        for _ in range(1000):
+            p = _rand_poly(rng, names)
+            subset = tuple(n for n in names if rng.random() < 0.5) or ("d",)
+            total = MPoly.zero()
+            for mono, coeff_poly in p.split_by(subset).items():
+                total = total + coeff_poly * MPoly({mono: GaussianRational.of(1)})
+            if total != p:
+                failures += 1
+        rec.passed = failures == 0
+        rec.status = f"{failures} failures"
+
+    with timed_check(
+        out,
+        "c9-bracket-invariants",
+        "bracket additivity, weight additivity and index-shift "
+        "uniformity on 100 seeded cases",
+        inputs={"seed": seed, "cases": 100},
+    ) as rec:
+        failures = 0
+        spec = build_csv("sym", "sym")
+        for _ in range(100):
+            fam_x = rng.choice(spec.families)
+            fam_y = rng.choice(spec.families)
+            i, j = rng.randint(-5, 5), rng.randint(-5, 5)
+            p = _rand_poly(rng, ("d",), max_degree=3, max_terms=3)
+            x = GenPoly.unit(fam_x, i, p)
+            y = GenPoly.unit(fam_y, j)
+            z = GenPoly.unit("L", rng.randint(-5, 5))
+            lhs = bracket(spec, x + z, y)
+            rhs = bracket(spec, x, y) + bracket(spec, z, y)
+            if lhs != rhs:
+                failures += 1
+            value = bracket(spec, x, y)
+            if not grading_project(value, i + j) == value:
+                failures += 1
+            base = bracket(spec, GenPoly.unit(fam_x, 0, p), GenPoly.unit(fam_y, 0))
+            shifted = GenPoly(
+                {
+                    Generator(gen.family, gen.index + i + j): poly
+                    for gen, poly in base.terms.items()
+                }
+            )
+            if shifted != value:
+                failures += 1
+        rec.passed = failures == 0
+        rec.status = f"{failures} failures"
     return out
 
 

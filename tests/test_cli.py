@@ -78,6 +78,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "d*c^i" in out
 
+    @pytest.mark.parametrize("algebra, point, family", [("csv", "0,0", "Y"), ("chv", "1,0", "M")])
+    def test_classify_graded_case_split_at_extension_point(self, capsys, algebra, point, family):
+        # seeded bits are not constant on the probed window, so no flat extension
+        code = main(
+            [
+                "classify", "--kind", "graded", "--algebra", algebra, "--grid", point,
+                "--base", "both", "--bitseqs", "3",
+            ]
+        )
+        assert code == 0
+        vab_lines = [line for line in capsys.readouterr().out.splitlines() if "-vAb-" in line]
+        assert len(vab_lines) == 3
+        assert all(f"{family}: 0" in line for line in vab_lines)
+
     def test_derivations_solve(self, capsys):
         code = main(
             [
@@ -118,6 +132,10 @@ class TestConfigAndReports:
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("- just\n- a list\n")
         assert main(["verify-axioms", "--algebra", "csv", "--config", str(cfg)]) == 2
+
+    def test_classify_rejects_algebra_without_extension_point(self, capsys):
+        assert main(["classify", "--algebra", "cw", "--grid", "0,0"]) == 2
+        assert "classification targets csv or chv" in capsys.readouterr().err
 
     def test_json_report_written(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -128,6 +128,8 @@ class TestTextFormat:
     def test_gaussian_scalar(self):
         assert parse_scalar("1/2") == GaussianRational(Fraction(1, 2), Fraction(0))
         assert parse_scalar("(0+1*i)") == GaussianRational(Fraction(0), Fraction(1))
+        assert parse_scalar("2i") == GaussianRational(Fraction(0), Fraction(2))
+        assert parse_scalar("1/2+3/4i") == GaussianRational(Fraction(1, 2), Fraction(3, 4))
 
     def test_reserved_imaginary_name(self):
         with pytest.raises(ValueError):
@@ -138,6 +140,8 @@ class TestTextFormat:
             parse_poly("d +")
         with pytest.raises(ParseError):
             parse_poly("d / l")
+        with pytest.raises(ParseError):
+            parse_poly("2in")
 
     @given(polys())
     def test_round_trip_random(self, p):
