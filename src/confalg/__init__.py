@@ -55,5 +55,6 @@ from .modules import (
     relations_oracle,
     serialize_module,
 )
+from .classify import StepFailed
 
 __version__ = "0.1.0"

@@ -50,6 +50,10 @@ _L = MPoly.var(VAR_L)
 _M = MPoly.var(VAR_M)
 
 
+class StepFailed(ValueError):
+    """A guided classification step whose statement did not hold."""
+
+
 @dataclass
 class ClassifyStep:
     name: str
@@ -82,7 +86,7 @@ class ClassifyOutcome:
     def step(self, name: str, statement: str, ok: bool = True) -> None:
         self.steps.append(ClassifyStep(name, statement, ok))
         if not ok:
-            raise DegreeBoundExceeded(f"classification step failed: {name}: {statement}")
+            raise StepFailed(f"classification step failed: {name}: {statement}")
 
 
 # ---------------------------------------------------------------------------

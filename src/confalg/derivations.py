@@ -19,6 +19,12 @@ which the uniform structure of the bracket table makes exhaustive: the
 classification argument subtracts inner derivations and the M-valued family
 using those pairs alone.  A wider (all-pairs) equation set is available for
 cross-validation.
+
+The rows are built once per family pair and relabelled per index pair.
+Bracket templates do not depend on generator indices, so every polynomial
+of the linearized residual of (x_i, y_j) depends on (x, y) and the degree
+bound only; i, j and i + j (and nothing of the grading degree) pick the
+columns the coefficients land in.
 """
 
 from __future__ import annotations
@@ -251,63 +257,128 @@ def _make_coords(
     )
 
 
-def _pair_rows(
-    coords: _Coords,
+#: a column slot of the graded system, without its index: (source family,
+#: which index -- 0 for i + j, 1 for i, 2 for j --, target family, (p, q))
+_Slot = tuple[str, int, str, tuple[int, int]]
+#: the coefficients one unknown contributes to the rows of one pair, keyed
+#: by row (residual target family, monomial in d, l, m), signs applied
+_Contribution = tuple[_Slot, tuple[tuple[tuple[str, tuple], GaussianRational], ...]]
+
+
+def _family_pair_contributions(
+    spec: AlgebraSpec,
     fam_x: str,
-    i: int,
     fam_y: str,
-    j: int,
-) -> list[SparseRow]:
-    """Linear rows of the Leibniz residual of one generator pair.
+    factors: tuple[dict[tuple[int, int], MPoly], ...],
+) -> list[_Contribution]:
+    """Index-free linearization of the Leibniz residual of (x_i, y_j).
 
-    The residual is linear in the unknown image coefficients; rows are the
-    residual's (target family, monomial in d,l,m) coefficients.
+    The residual is linear in the unknown image coefficients.  Bracket
+    templates do not depend on generator indices, so every polynomial here
+    depends on the family pair and the bound only: the indices i, j enter
+    through the column each unknown sits in (slot 1 is x_i, 2 is y_j, 0 is
+    the image of x_i _m y_j at i + j).  ``factors`` map each (p, q) with
+    p + q <= bound to d^p l^q, (-(l+m))^p l^q and (d+m)^p l^q.
     """
-    spec = coords.spec
-    buckets: dict[tuple[str, tuple], SparseRow] = {}
+    d_l, neg_lm, d_m = factors
+    out: list[_Contribution] = []
 
-    def add(target_fam: str, col: int, poly: MPoly, sign: int) -> None:
-        for mono, coeff in poly.terms.items():
-            row = buckets.setdefault((target_fam, mono), {})
-            value = coeff if sign > 0 else -coeff
+    def add(target_fam: str, slot: _Slot, poly: MPoly, sign: int) -> None:
+        terms = tuple(
+            ((target_fam, mono), coeff if sign > 0 else -coeff)
+            for mono, coeff in poly.terms.items()
+        )
+        out.append((slot, terms))
+
+    # D([x _m y]): bracket templates at m, images shifted by l
+    for tgt_f, template in spec.templates(fam_x, fam_y):
+        t_shift = template.substitute(VAR_L, _M).shift(VAR_D, _L)
+        for tgt_g in spec.families:
+            for mono, factor in d_l.items():
+                add(tgt_g, (tgt_f, 0, tgt_g, mono), t_shift * factor, +1)
+    # [(D x)_{l+m} y]: first-argument coefficients evaluated at d -> -(l+m)
+    for fam_g in spec.families:
+        for tgt_h, template in spec.table.get((fam_g, fam_y)) or ():
+            t_at = template.substitute(VAR_L, _L + _M)
+            for mono, factor in neg_lm.items():
+                add(tgt_h, (fam_x, 1, fam_g, mono), factor * t_at, -1)
+    # [x _m (D y)]: second-argument coefficients shifted d -> d + m
+    for fam_g in spec.families:
+        for tgt_h, template in spec.table.get((fam_x, fam_g)) or ():
+            t_at = template.substitute(VAR_L, _M)
+            for mono, factor in d_m.items():
+                add(tgt_h, (fam_y, 2, fam_g, mono), factor * t_at, -1)
+    return out
+
+
+def _pair_rows(
+    coords: _Coords, contributions: list[_Contribution], i: int, j: int
+) -> list[SparseRow]:
+    """Rows of the Leibniz residual of (x_i, y_j): the family pair's
+    contributions relabelled to the columns of i, j and i + j.
+
+    Contributions are added in their build order, so unknowns that share a
+    column (e.g. x_i and the bracket image when j = 0) sum and cancel in a
+    fixed order; rows are the residual's (target family, monomial) buckets.
+    """
+    columns = coords.columns
+    index = (i + j, i, j)
+    buckets: dict[tuple[str, tuple], SparseRow] = {}
+    for (src_fam, which, tgt, mono), terms in contributions:
+        col = columns[(src_fam, index[which], tgt, mono)]
+        for key, value in terms:
+            row = buckets.setdefault(key, {})
             acc = row.get(col)
             s = value if acc is None else acc + value
             if s:
                 row[col] = s
             elif acc is not None:
                 del row[col]
-
-    # D([x _m y]): bracket templates at m, images shifted by l
-    for tgt_f, template in spec.templates(fam_x, fam_y):
-        t_shift = template.substitute(VAR_L, _M).shift(VAR_D, _L)
-        for tgt_g in spec.families:
-            for p, q in _degree_monos(coords.bound):
-                col = coords.columns[(tgt_f, i + j, tgt_g, (p, q))]
-                mono_poly = MPoly.var(VAR_D, p) * MPoly.var(VAR_L, q)
-                add(tgt_g, col, t_shift * mono_poly, +1)
-    # [(D x)_{l+m} y]: first-argument coefficients evaluated at d -> -(l+m)
-    for fam_g in spec.families:
-        entries = spec.table.get((fam_g, fam_y))
-        if not entries:
-            continue
-        for tgt_h, template in entries:
-            t_at = template.substitute(VAR_L, _L + _M)
-            for p, q in _degree_monos(coords.bound):
-                col = coords.columns[(fam_x, i, fam_g, (p, q))]
-                mono_poly = ((-(_L + _M)) ** p) * MPoly.var(VAR_L, q)
-                add(tgt_h, col, mono_poly * t_at, -1)
-    # [x _m (D y)]: second-argument coefficients shifted d -> d + m
-    for fam_g in spec.families:
-        entries = spec.table.get((fam_x, fam_g))
-        if not entries:
-            continue
-        for tgt_h, template in entries:
-            t_at = template.substitute(VAR_L, _M)
-            for p, q in _degree_monos(coords.bound):
-                col = coords.columns[(fam_y, j, fam_g, (p, q))]
-                mono_poly = (MPoly.var(VAR_D) + _M) ** p * MPoly.var(VAR_L, q)
-                add(tgt_h, col, mono_poly * t_at, -1)
     return [row for row in buckets.values() if row]
+
+
+def _leibniz_system(
+    spec: AlgebraSpec, degree: int, bound: int, window: int, pairs: str
+) -> tuple[_Coords, list[SparseRow]]:
+    """Column layout and rows of the graded Leibniz system.
+
+    Rows are built once per family pair and relabelled per index pair; the
+    contributions are dropped when the system is returned.
+    """
+    if pairs == "lzero":
+        src_window = window
+        pair_list = [("L", 0, fam, j) for fam in spec.families
+                     for j in range(-window, window + 1)]
+    elif pairs == "all":
+        src_window = 2 * window
+        pair_list = [
+            (fx, i, fy, j)
+            for fx in spec.families
+            for fy in spec.families
+            for i in range(-window, window + 1)
+            for j in range(-window, window + 1)
+        ]
+    else:
+        raise ValueError("pairs must be 'lzero' or 'all'")
+    coords = _make_coords(spec, degree, bound, src_window)
+    powers = (
+        [MPoly.var(VAR_D, p) for p in range(bound + 1)],
+        [(-(_L + _M)) ** p for p in range(bound + 1)],
+        [(MPoly.var(VAR_D) + _M) ** p for p in range(bound + 1)],
+    )
+    factors = tuple(
+        {(p, q): power[p] * MPoly.var(VAR_L, q) for p, q in _degree_monos(bound)}
+        for power in powers
+    )
+    by_family: dict[tuple[str, str], list[_Contribution]] = {}
+    rows: list[SparseRow] = []
+    for fam_x, i, fam_y, j in pair_list:
+        contributions = by_family.get((fam_x, fam_y))
+        if contributions is None:
+            contributions = _family_pair_contributions(spec, fam_x, fam_y, factors)
+            by_family[(fam_x, fam_y)] = contributions
+        rows.extend(_pair_rows(coords, contributions, i, j))
+    return coords, rows
 
 
 def inner_window_vectors(
@@ -354,25 +425,7 @@ def solve_graded_derivations(
     """
     if spec.parameters:
         raise ValueError("the solver needs numeric algebra parameters")
-    if pairs == "lzero":
-        src_window = window
-        pair_list = [("L", 0, fam, j) for fam in spec.families
-                     for j in range(-window, window + 1)]
-    elif pairs == "all":
-        src_window = 2 * window
-        pair_list = [
-            (fx, i, fy, j)
-            for fx in spec.families
-            for fy in spec.families
-            for i in range(-window, window + 1)
-            for j in range(-window, window + 1)
-        ]
-    else:
-        raise ValueError("pairs must be 'lzero' or 'all'")
-    coords = _make_coords(spec, degree, bound, src_window)
-    rows: list[SparseRow] = []
-    for fam_x, i, fam_y, j in pair_list:
-        rows.extend(_pair_rows(coords, fam_x, i, fam_y, j))
+    coords, rows = _leibniz_system(spec, degree, bound, window, pairs)
     ech = reduce_rows(rows, None, len(coords.columns))
     kernel = ech.kernel_basis()
 
@@ -382,7 +435,7 @@ def solve_graded_derivations(
     if combined != len(kernel):
         raise AssertionError("inner derivations escaped the solved kernel")
     note = (
-        f"certified at window |i| <= {src_window}, image degree <= {bound}; "
+        f"certified at window |i| <= {coords.src_window}, image degree <= {bound}; "
         "the infinite-rank statement is quantified over all indices and "
         "degrees and is not decided by this finite run"
     )

@@ -65,7 +65,11 @@ def check_var_name(name: str) -> str:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """An exact complex number p/q + (r/s)i with reduced rational parts."""
+    """An exact complex number p/q + (r/s)i with reduced rational parts.
+
+    Sums, negations and products of real values (zero imaginary parts, by
+    far the most common coefficients) compute the real part only.
+    """
 
     re: Fraction
     im: Fraction
@@ -79,12 +83,16 @@ class GaussianRational:
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other: "ScalarLike") -> "GaussianRational":
-        o = GaussianRational.of(other)
+        o = other if isinstance(other, GaussianRational) else GaussianRational.of(other)
+        if not (self.im or o.im):
+            return GaussianRational(self.re + o.re, self.im)
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
+        if not self.im:
+            return GaussianRational(-self.re, self.im)
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other: "ScalarLike") -> "GaussianRational":
@@ -94,7 +102,9 @@ class GaussianRational:
         return GaussianRational.of(other) + (-self)
 
     def __mul__(self, other: "ScalarLike") -> "GaussianRational":
-        o = GaussianRational.of(other)
+        o = other if isinstance(other, GaussianRational) else GaussianRational.of(other)
+        if not (self.im or o.im):
+            return GaussianRational(self.re * o.re, self.im)
         return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -124,11 +134,11 @@ class GaussianRational:
         return result
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re or self.im)
 
     @property
     def is_rational(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def __str__(self) -> str:
         if self.im == 0:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from confalg.catalog import build_csv
+import confalg
 from confalg.classify import (
+    StepFailed,
     certify_self_commuting_d_free,
     classify_graded,
     classify_rank1,
@@ -12,6 +14,7 @@ from confalg.classify import (
     materialize_rank1,
     weight_equation_kernel,
 )
+from confalg.lca import DegreeBoundExceeded
 from confalg.modules import BitSeq, check_module_axioms
 from confalg.poly import GaussianRational, MPoly
 
@@ -66,6 +69,16 @@ class TestRank1:
         names = [s.name for s in outcome.steps]
         assert "weight equation" in names
         assert all(s.ok for s in outcome.steps)
+
+    def test_failed_step_is_recorded_and_raises_step_failed(self):
+        outcome = classify_rank1("csv", 0, 0)
+        before = len(outcome.steps)
+        with pytest.raises(StepFailed) as info:
+            outcome.step("probe", "0 = 1", ok=False)
+        assert not isinstance(info.value, DegreeBoundExceeded)
+        assert len(outcome.steps) == before + 1
+        assert (outcome.steps[-1].name, outcome.steps[-1].ok) == ("probe", False)
+        assert confalg.StepFailed is StepFailed
 
     def test_needs_numeric_weights(self):
         with pytest.raises(ValueError):

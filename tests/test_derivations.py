@@ -6,6 +6,7 @@ import pytest
 from confalg.catalog import build_chv, build_csv
 from confalg.derivations import (
     DerivationSpec,
+    _leibniz_system,
     NotDecomposable,
     ad,
     apply_derivation,
@@ -18,6 +19,7 @@ from confalg.derivations import (
     solve_graded_derivations,
 )
 from confalg.lca import GenPoly, Generator
+from confalg.linsolve import reduce_rows
 from confalg.poly import GaussianRational, MPoly, parse_poly
 
 P = parse_poly
@@ -159,6 +161,31 @@ class TestSolver:
             lzero = solve_graded_derivations(spec, 0, 3, 1, pairs="lzero")
             full = solve_graded_derivations(spec, 0, 3, 1, pairs="all")
             assert lzero.extra_dimension == full.extra_dimension
+
+    @pytest.mark.parametrize("degree", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "builder, shape",
+        [(build_csv, (2245, 675, 4411, 662)), (build_chv, (983, 300, 1955, 291))],
+        ids=["csv", "chv"],
+    )
+    def test_leibniz_system_shape(self, builder, shape, degree):
+        # rows, columns, nonzeros and rank at bound 4, window 2; the rows do
+        # not depend on the grading degree
+        coords, rows = _leibniz_system(builder(1, 0), degree, 4, 2, "lzero")
+        rank = reduce_rows(rows, None, len(coords.columns)).rank
+        nnz = sum(len(row) for row in rows)
+        assert (len(rows), len(coords.columns), nnz, rank) == shape
+
+    @pytest.mark.parametrize("pairs", ["lzero", "all"])
+    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_non_real_weights(self, builder, pairs):
+        generic = builder(
+            GaussianRational(Fraction(1, 2), Fraction(1)),
+            GaussianRational(Fraction(2), Fraction(-1)),
+        )
+        loop = builder(1, GaussianRational(Fraction(0), Fraction(1)))
+        assert solve_graded_derivations(generic, 0, 3, 1, pairs).extra_dimension == 0
+        assert solve_graded_derivations(loop, 0, 3, 1, pairs).extra_dimension == 1
 
     def test_basis_elements_are_derivations(self):
         res = solve_graded_derivations(build_csv(1, 0), degree=0, bound=3, window=2)

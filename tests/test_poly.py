@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from confalg.poly import (
     GaussianRational,
@@ -12,7 +13,7 @@ from confalg.poly import (
     parse_scalar,
 )
 
-from conftest import polys
+from conftest import polys, scalars
 
 D = MPoly.var("d")
 L = MPoly.var("l")
@@ -37,6 +38,50 @@ class TestScalar:
     def test_negative_power_is_inverse(self):
         c = GaussianRational.of(Fraction(2, 3))
         assert c**-2 == GaussianRational.of(Fraction(9, 4))
+
+
+#: int, Fraction and GaussianRational operands; conftest's scalars have a
+#: zero imaginary part about half the time
+OPERANDS = st.one_of(
+    scalars(),
+    st.integers(-8, 8),
+    st.builds(Fraction, st.integers(-8, 8), st.integers(1, 5)),
+)
+
+
+def _parts(x) -> tuple[Fraction, Fraction]:
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+class TestScalarFastPath:
+    """Results must not depend on whether the real-only path was taken."""
+
+    @staticmethod
+    def check(result, re, im):
+        assert type(result.re) is Fraction and type(result.im) is Fraction
+        assert (result.re, result.im) == (re, im)
+        expected = GaussianRational(re, im)
+        assert result == expected
+        assert hash(result) == hash(expected)
+
+    @given(scalars(), OPERANDS)
+    def test_binary_ops_match_general_formula(self, x, y):
+        a, b = x.re, x.im
+        c, d = _parts(y)
+        self.check(x + y, a + c, b + d)
+        self.check(y + x, c + a, d + b)
+        self.check(x - y, a - c, b - d)
+        self.check(y - x, c - a, d - b)
+        self.check(x * y, a * c - b * d, a * d + b * c)
+        self.check(y * x, c * a - d * b, c * b + d * a)
+
+    @given(scalars())
+    def test_negation_and_truth(self, x):
+        self.check(-x, -x.re, -x.im)
+        assert bool(x) == (x.re != 0 or x.im != 0)
+        assert x.is_rational == (x.im == 0)
 
 
 class TestArithmetic:
