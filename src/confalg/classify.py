@@ -40,6 +40,7 @@ from .modules import (
     _as_bracket_var,
     build_graded,
     build_rank1,
+    check_module_axioms,
     extension_family,
     module_residual,
     two_action_difference,
@@ -638,8 +639,6 @@ def _flat_extension_is_module(
     survive); this materializes the flat family with a symbolic scalar and
     certifies it against the full identity on the same window.
     """
-    from .modules import check_module_axioms
-
     first = bitseq if base == "vAb" else "sym"
     module = build_graded(spec, base, first, "sym", "sym")
     return check_module_axioms(spec, module, n_basis, k_gen).all_zero

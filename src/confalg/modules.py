@@ -3,10 +3,18 @@ the module-axiom checker, the hand-coded relation oracle, and a bounded
 reducibility witness search.
 
 Every residual of the module identity ``x.(y.v) - y.(x.v) - [x_l y].v``
-comes from one kernel, ``module_residual``; its action side,
-``two_action_difference``, is shared with the guided classifier.
-``relations_oracle`` is the one deliberate second encoding, written out by
-hand and kept as an independent oracle.
+comes from one kernel, ``module_residual``: ``residual_inputs`` gathers the
+action polynomials it reads and ``residual_from_inputs`` does the
+arithmetic.  Its action side, ``two_action_difference``, is shared with the
+guided classifier.  ``relations_oracle`` is the one deliberate second
+encoding, written out by hand and kept as an independent oracle.
+
+The residual for (F_i, G_j) on v_m reads the actions only at (j, m),
+(i, j+m), (i, m), (j, i+m) and, for each bracket target H, (i+j, m); the
+bracket templates are index-free.  So it is a function of the family pair
+and those action polynomials alone, and ``check_module_axioms`` computes it
+once per distinct such input within a call and reuses it for every
+instance that shares the input.
 
 Graded actions ``F_i . v_m = T_F(i, m)(d, l) * v_{i+m}`` are checked on an
 explicit index window.  Rank-one actions have the form
@@ -277,6 +285,47 @@ def two_action_difference(
     ) * _as_bracket_var(w_j_im, VAR_M)
 
 
+def residual_inputs(
+    spec: AlgebraSpec,
+    act: ActionFn,
+    fam_f: str,
+    fam_g: str,
+    i: int,
+    j: int,
+    m: int,
+) -> tuple[MPoly, ...]:
+    """Every action polynomial the residual for ``(F_i, G_j)`` on ``v_m`` reads.
+
+    ``G_j`` on ``v_m``, ``F_i`` on ``v_(j+m)``, ``F_i`` on ``v_m``, ``G_j`` on
+    ``v_(i+m)``, then ``H_(i+j)`` on ``v_m`` for each bracket target ``H``
+    of ``spec.templates(F, G)``, in table order.
+    """
+    return (
+        act(fam_g, j, m),
+        act(fam_f, i, j + m),
+        act(fam_f, i, m),
+        act(fam_g, j, i + m),
+    ) + tuple(act(target, i + j, m) for target, _ in spec.templates(fam_f, fam_g))
+
+
+def residual_from_inputs(
+    spec: AlgebraSpec, fam_f: str, fam_g: str, inputs: tuple[MPoly, ...]
+) -> MPoly:
+    """The module-identity arithmetic on the tuple from ``residual_inputs``.
+
+    It reads no generator or basis index: the bracket templates are
+    index-free, so the residual is a function of the family pair and
+    ``inputs`` alone.
+    """
+    residual = two_action_difference(*inputs[:4])
+    for (_, template), t_h in zip(spec.templates(fam_f, fam_g), inputs[4:]):
+        if t_h.is_zero():
+            continue
+        head = template.substitute(VAR_D, -_L_PLUS_M)
+        residual = residual - head * _as_bracket_var(t_h, _L_PLUS_M)
+    return residual
+
+
 def module_residual(
     spec: AlgebraSpec,
     act: ActionFn,
@@ -291,16 +340,8 @@ def module_residual(
     The bracket side is read from ``spec``'s template table; ``act`` gives
     the action polynomials.
     """
-    residual = two_action_difference(
-        act(fam_g, j, m), act(fam_f, i, j + m), act(fam_f, i, m), act(fam_g, j, i + m)
-    )
-    for target, template in spec.templates(fam_f, fam_g):
-        t_h = act(target, i + j, m)
-        if t_h.is_zero():
-            continue
-        head = template.substitute(VAR_D, -_L_PLUS_M)
-        residual = residual - head * _as_bracket_var(t_h, _L_PLUS_M)
-    return residual
+    inputs = residual_inputs(spec, act, fam_f, fam_g, i, j, m)
+    return residual_from_inputs(spec, fam_f, fam_g, inputs)
 
 
 def check_module_axioms(
@@ -317,6 +358,11 @@ def check_module_axioms(
     residual keys ``(F, G)``.  Graded modules are checked per (family pair,
     generator indices, basis index) over the window ``|i|, |j| <= k_gen``,
     ``|m| <= n_basis``, with residual keys ``(F, G, i, j, m)``.
+
+    ``checked`` counts instances, but the arithmetic runs once per distinct
+    ``(F, G, residual_inputs(...))``: the residual reads nothing else (the
+    five action reads and the index-free bracket templates).  The inputs are
+    matched by polynomial value, and the reuse ends with the call.
     """
     index_free = isinstance(module, Rank1Module)
     report = ModuleReport(module_kind=module.kind)
@@ -341,12 +387,19 @@ def check_module_axioms(
         act = module.action
         gen_range = range(-k_gen, k_gen + 1)
         basis_range = range(-n_basis, n_basis + 1)
+    computed: dict[tuple, MPoly] = {}
     for fam_f in spec.families:
         for fam_g in spec.families:
             for i in gen_range:
                 for j in gen_range:
                     for m in basis_range:
-                        residual = module_residual(spec, act, fam_f, fam_g, i, j, m)
+                        inputs = residual_inputs(spec, act, fam_f, fam_g, i, j, m)
+                        shared = (fam_f, fam_g, inputs)
+                        residual = computed.get(shared)
+                        if residual is None:
+                            residual = computed[shared] = residual_from_inputs(
+                                spec, fam_f, fam_g, inputs
+                            )
                         report.checked += 1
                         if not residual.is_zero():
                             key = (fam_f, fam_g) if index_free else (fam_f, fam_g, i, j, m)

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from confalg import modules
 from confalg.catalog import build_chv, build_csv, build_cw
 from confalg.lca import GenPoly, WindowTooSmall
 from confalg.modules import (
@@ -12,6 +15,7 @@ from confalg.modules import (
     build_rank1,
     check_module_axioms,
     graded_from_tables,
+    module_residual,
     parse_module,
     reducibility_witness,
     relations_oracle,
@@ -175,6 +179,85 @@ class TestGradedAxioms:
         spec = build_chv(1, 0)
         module = build_graded(spec, "vab", "sym", "sym", "sym")
         assert check_module_axioms(spec, module, 3, 2).all_zero
+
+
+#: action polynomials the differential tables pick from; each call returns
+#: a fresh copy, so only value equality can match two residual inputs
+ACTION_POOL = tuple(
+    P(text) for text in ("0", "1", "d + beta", "d + beta + l", "(d + beta)*(d + beta + l)", "dd")
+)
+
+#: a table shape (a, b, c) acts by ``ACTION_POOL[(a*i + b*m + c) % len]``
+TABLE_SHAPES = st.tuples(
+    st.integers(0, 2), st.integers(0, 2), st.integers(0, len(ACTION_POOL) - 1)
+)
+
+
+def _pooled_table(a: int, b: int, c: int):
+    return lambda i, m: MPoly(ACTION_POOL[(a * i + b * m + c) % len(ACTION_POOL)].terms)
+
+
+class TestResidualReuse:
+    @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        grid=st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+        shapes=st.lists(TABLE_SHAPES, min_size=2, max_size=2),
+        picks=st.lists(st.integers(0, 1), min_size=3, max_size=3),
+    )
+    def test_matches_literal_loop(self, build, grid, shapes, picks):
+        # families share two table shapes, so distinct families (and
+        # distinct bracket targets) often see equal action inputs
+        spec = build(*grid)
+        tables = {
+            fam: _pooled_table(*shapes[pick]) for fam, pick in zip(spec.families, picks)
+        }
+        module = graded_from_tables(spec.families, tables)
+        n_basis, k_gen = 2, 1
+        literal = {}
+        checked = 0
+        for fam_f in spec.families:
+            for fam_g in spec.families:
+                for i in range(-k_gen, k_gen + 1):
+                    for j in range(-k_gen, k_gen + 1):
+                        for m in range(-n_basis, n_basis + 1):
+                            checked += 1
+                            residual = module_residual(
+                                spec, module.action, fam_f, fam_g, i, j, m
+                            )
+                            if not residual.is_zero():
+                                literal[(fam_f, fam_g, i, j, m)] = residual
+        report = check_module_axioms(spec, module, n_basis, k_gen)
+        assert report.checked == checked
+        assert list(report.residuals.items()) == list(literal.items())
+
+    @pytest.mark.parametrize(
+        "base, counts",
+        [
+            ("vab", {"csv": 9, "chv": 4}),
+            ("alternating", {"csv": 44, "chv": 25}),
+            ("all-zero", {"csv": 9, "chv": 4}),
+        ],
+    )
+    @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_each_distinct_input_computed_once(self, monkeypatch, build, base, counts):
+        calls = []
+        arithmetic = modules.residual_from_inputs
+
+        def counting(*args):
+            calls.append(args)
+            return arithmetic(*args)
+
+        monkeypatch.setattr(modules, "residual_from_inputs", counting)
+        spec = build(0, 0)
+        if base == "vab":
+            module = build_graded(spec, "vab", "sym", "sym", "sym")
+        else:
+            bits = [k % 2 if base == "alternating" else 0 for k in range(-9, 10)]
+            module = build_graded(spec, "vAb", BitSeq(-9, tuple(bits)), "sym", "sym")
+        report = check_module_axioms(spec, module, 3, 2)
+        assert report.checked == {"csv": 1575, "chv": 700}[spec.name]
+        assert len(calls) == counts[spec.name]
 
 
 class TestRelationsOracle:
