@@ -419,12 +419,18 @@ def classify_graded(
                 g_is_zero = True
                 out.collapsed = True
             elif has_y:
-                uniform = all(p == MPoly.const(1) for p in g_tables.values())
+                # only the index-0 tables enter; the others need not be 1
+                index0_flat = all(
+                    g_tables[(0, m)] == MPoly.const(1)
+                    for m in range(-n_basis, n_basis + 1)
+                )
                 out.step(
                     "MY/YY contradiction",
-                    "nonzero e makes h d-free and basis-independent via (M, Y), "
-                    "and then (Y, Y) reads 0 = (l - m) e, so e = 0",
-                    ok=uniform and _my_yy_contradiction(degree_bound),
+                    "g[0,m] = e, so with nonzero e the (M_0, Y_0) relation makes "
+                    "h[0,m] d-free, and then (Y_0, Y_0) reads 0 = (l - m) e, so e = 0",
+                    ok=index0_flat
+                    and not spec.templates("M", "Y")
+                    and _my_yy_contradiction(degree_bound),
                 )
                 g_is_zero = True
             else:
@@ -645,11 +651,12 @@ def _flat_extension_is_module(
 
 
 def _my_yy_contradiction(degree_bound: int) -> bool:
-    """Mechanical core of the nonzero-e contradiction for uniform tables.
+    """Mechanical core of the nonzero-e contradiction.
 
-    With G = 1 the (M, Y) relation forces h d-free and basis-independent;
-    for two independent generic such h the (Y, Y) left side is identically
-    zero, leaving 0 = (l - m) e.
+    With g[0,m] = e and [M _l Y] = 0, the (M_0, Y_0) relation on v_m reads
+    h[0,m](d+l, m') = h[0,m](d, m'), so h[0,m] is d-free; for generic d-free
+    h the (Y, Y) left side is identically zero, leaving 0 = (l - m) e.
+    This holds whatever the tables at nonzero index are.
     """
     hi, _ = _generic_box("ci", 0, degree_bound)
     hj, _ = _generic_box("cj", 0, degree_bound)

@@ -131,6 +131,17 @@ class TestGradedCaseSplitBase:
         assert outcome.families["M"] == "0"
         assert outcome.collapsed
 
+    @pytest.mark.parametrize("text", ["1011100000000101111", "1101000000000100010"])
+    def test_m_table_not_flat_off_index_zero(self, text):
+        # at csv(1, 0) the M weight equation admits constants; with these
+        # bits the (M, M) relation holds on the window but the propagated M
+        # table is not 1 at every nonzero index.  The (M_0, Y_0) and
+        # (Y_0, Y_0) relations alone still force e = 0.
+        bits = BitSeq.from_string(text, -9)
+        outcome = classify_graded("csv", 1, 0, "vAb", bitseq=bits)
+        assert outcome.families == {"L": "vAb", "M": "0", "Y": "0"}
+        assert any(step.name == "MY/YY contradiction" for step in outcome.steps)
+
     def test_off_extension_points_zero(self):
         rng = random.Random(23)
         bits = BitSeq.random(rng, -9, 9)
