@@ -29,6 +29,7 @@ so extensions need a = 1, b = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .catalog import ParamLike, as_param, build_chv, build_csv
 from .lca import VAR_D, VAR_L, VAR_M, AlgebraSpec, DegreeBoundExceeded
@@ -52,7 +53,14 @@ _M = MPoly.var(VAR_M)
 
 
 class StepFailed(ValueError):
-    """A guided classification step whose statement did not hold."""
+    """A guided classification step whose statement did not hold.
+
+    ``steps`` is the step trace of the run, ending with the failed step.
+    """
+
+    def __init__(self, message: str, steps: Sequence["ClassifyStep"] = ()):
+        super().__init__(message)
+        self.steps = list(steps)
 
 
 @dataclass
@@ -87,7 +95,9 @@ class ClassifyOutcome:
     def step(self, name: str, statement: str, ok: bool = True) -> None:
         self.steps.append(ClassifyStep(name, statement, ok))
         if not ok:
-            raise StepFailed(f"classification step failed: {name}: {statement}")
+            raise StepFailed(
+                f"classification step failed: {name}: {statement}", self.steps
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .catalog import (
     lie_jacobi_check,
     solve_construction,
 )
-from .classify import classify_graded, classify_rank1
+from .classify import StepFailed, classify_graded, classify_rank1
 from .derivations import (
     ad,
     check_derivation,
@@ -40,7 +40,7 @@ from .modules import (
     relations_oracle,
 )
 from .poly import GaussianRational, ParseError, parse_scalar
-from .report import Report, timed_check
+from .report import CheckRecord, Report, timed_check
 from .suite import (
     DEFAULT_SEED,
     EXTENSION_POINT,
@@ -289,7 +289,11 @@ def cmd_classify(opts: Options) -> Report:
             with timed_check(
                 report.checks, f"rank1-{a}-{b}", f"rank-one families over {algebra}({a},{b})"
             ) as rec:
-                outcome = classify_rank1(algebra, a, b, degree)
+                try:
+                    outcome = classify_rank1(algebra, a, b, degree)
+                except StepFailed as exc:
+                    _step_failed(rec, exc)
+                    continue
                 rec.status = _families_text(outcome)
                 rec.passed = outcome.has_extension == extension_expected(algebra, a, b)
                 rec.detail = (
@@ -318,9 +322,13 @@ def cmd_classify(opts: Options) -> Report:
                 f"graded-{a}-{b}-{tag}",
                 f"graded families over {algebra}({a},{b}), base {base_kind}",
             ) as rec:
-                outcome = classify_graded(
-                    algebra, a, b, base_kind, degree, n_basis, k_gen, bitseq=bits
-                )
+                try:
+                    outcome = classify_graded(
+                        algebra, a, b, base_kind, degree, n_basis, k_gen, bitseq=bits
+                    )
+                except StepFailed as exc:
+                    _step_failed(rec, exc)
+                    continue
                 want = extension_expected(algebra, a, b, bits, n_basis, k_gen)
                 got = outcome.families.get(ext_family, "0")
                 rec.status = _families_text(outcome)
@@ -331,6 +339,13 @@ def cmd_classify(opts: Options) -> Report:
                     "extension collapsed by case mixing" if outcome.collapsed else outcome.note
                 )
     return report
+
+
+def _step_failed(rec: CheckRecord, exc: StepFailed) -> None:
+    """Record a classifier run that stopped at a failed step, with its trace."""
+    rec.passed = False
+    rec.status = str(exc)
+    rec.detail = "; ".join(str(step) for step in exc.steps)
 
 
 def cmd_derivations(opts: Options) -> Report:

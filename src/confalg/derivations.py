@@ -25,12 +25,19 @@ Bracket templates do not depend on generator indices, so every polynomial
 of the linearized residual of (x_i, y_j) depends on (x, y) and the degree
 bound only; i, j and i + j (and nothing of the grading degree) pick the
 columns the coefficients land in.
+
+So the (L_0, y_j) system is solved block by block: the pairs with j = 0
+touch only index-0 columns, and for every j != 0 the pairs are one block,
+relabelled, over the index-0 L columns and the index-j columns.  Two small
+eliminations give the kernel for any window, as sparse vectors.  The same
+system eliminated whole (``_leibniz_system(..., "lzero")``) is kept as the
+oracle the block solve is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .lca import (
     VAR_D,
@@ -43,8 +50,8 @@ from .lca import (
     WindowTooSmall,
     conformal_bracket,
 )
-from .linsolve import SparseRow, linear_solve, reduce_rows, scalar_rank
-from .poly import GaussianRational, Inconsistent, MPoly, parse_poly
+from .linsolve import SparseRow, reduce_rows
+from .poly import ZERO, GaussianRational, Inconsistent, MPoly, parse_poly
 
 _L = MPoly.var(VAR_L)
 _M = MPoly.var(VAR_M)
@@ -198,9 +205,17 @@ class _Coords:
     degree: int
     bound: int
 
-    def vector_of(self, deriv: DerivationSpec) -> list[GaussianRational]:
-        zero = GaussianRational.of(0)
-        vec = [zero] * len(self.columns)
+    def index_columns(self, index: int, family: str | None = None) -> list[int]:
+        """Columns of the unknowns with this source index (and family).
+
+        They come in layout order, so position k holds the same (source
+        family, target family, monomial) at every index.
+        """
+        return [col for (fam, i, _, _), col in self.columns.items()
+                if i == index and family in (None, fam)]
+
+    def vector_of(self, deriv: DerivationSpec) -> SparseRow:
+        vec: SparseRow = {}
         for (fam, i), image in deriv.images.items():
             if abs(i) > self.src_window:
                 continue
@@ -223,21 +238,22 @@ class _Coords:
                     vec[self.columns[key]] = coeff
         return vec
 
-    def derivation_of(self, vec: Sequence[GaussianRational]) -> DerivationSpec:
-        images: dict[tuple[str, int], dict[Generator, MPoly]] = {}
-        for (fam, i, tgt, (p, q)), col in self.columns.items():
-            coeff = vec[col]
-            if not coeff:
-                continue
-            gen = Generator(tgt, i + self.degree)
-            mono_poly = MPoly.var(VAR_D, p) * MPoly.var(VAR_L, q)
+    def derivation_of(self, vec: SparseRow) -> DerivationSpec:
+        keys = list(self.columns)
+        monos = {
+            pq: next(iter((MPoly.var(VAR_D, pq[0]) * MPoly.var(VAR_L, pq[1])).terms))
+            for pq in _degree_monos(self.bound)
+        }
+        images: dict[tuple[str, int], dict[Generator, dict]] = {}
+        for col in sorted(vec):
+            fam, i, tgt, pq = keys[col]
             slot = images.setdefault((fam, i), {})
-            slot[gen] = slot.get(gen, MPoly.zero()) + mono_poly.scale(coeff)
+            slot.setdefault(Generator(tgt, i + self.degree), {})[monos[pq]] = vec[col]
         out = DerivationSpec(
             families=self.spec.families, window=self.src_window, degree=self.degree
         )
         for key, terms in images.items():
-            gp = GenPoly(terms)
+            gp = GenPoly({gen: MPoly(poly) for gen, poly in terms.items()})
             if not gp.is_zero():
                 out.images[key] = gp
         return out
@@ -337,13 +353,35 @@ def _pair_rows(
     return [row for row in buckets.values() if row]
 
 
+def _contribution_table(
+    spec: AlgebraSpec, bound: int, family_pairs: Iterable[tuple[str, str]]
+) -> dict[tuple[str, str], list[_Contribution]]:
+    """The contributions of each family pair, built once per pair."""
+    powers = (
+        [MPoly.var(VAR_D, p) for p in range(bound + 1)],
+        [(-(_L + _M)) ** p for p in range(bound + 1)],
+        [(MPoly.var(VAR_D) + _M) ** p for p in range(bound + 1)],
+    )
+    factors = tuple(
+        {(p, q): power[p] * MPoly.var(VAR_L, q) for p, q in _degree_monos(bound)}
+        for power in powers
+    )
+    table: dict[tuple[str, str], list[_Contribution]] = {}
+    for pair in family_pairs:
+        if pair not in table:
+            table[pair] = _family_pair_contributions(spec, *pair, factors)
+    return table
+
+
 def _leibniz_system(
     spec: AlgebraSpec, degree: int, bound: int, window: int, pairs: str
 ) -> tuple[_Coords, list[SparseRow]]:
     """Column layout and rows of the graded Leibniz system.
 
     Rows are built once per family pair and relabelled per index pair; the
-    contributions are dropped when the system is returned.
+    contributions are dropped when the system is returned.  The ``lzero``
+    system eliminated whole is the oracle for its block solve
+    (``_lzero_kernel``).
     """
     if pairs == "lzero":
         src_window = window
@@ -361,29 +399,52 @@ def _leibniz_system(
     else:
         raise ValueError("pairs must be 'lzero' or 'all'")
     coords = _make_coords(spec, degree, bound, src_window)
-    powers = (
-        [MPoly.var(VAR_D, p) for p in range(bound + 1)],
-        [(-(_L + _M)) ** p for p in range(bound + 1)],
-        [(MPoly.var(VAR_D) + _M) ** p for p in range(bound + 1)],
-    )
-    factors = tuple(
-        {(p, q): power[p] * MPoly.var(VAR_L, q) for p, q in _degree_monos(bound)}
-        for power in powers
-    )
-    by_family: dict[tuple[str, str], list[_Contribution]] = {}
+    table = _contribution_table(spec, bound, ((fx, fy) for fx, _, fy, _ in pair_list))
     rows: list[SparseRow] = []
     for fam_x, i, fam_y, j in pair_list:
-        contributions = by_family.get((fam_x, fam_y))
-        if contributions is None:
-            contributions = _family_pair_contributions(spec, fam_x, fam_y, factors)
-            by_family[(fam_x, fam_y)] = contributions
-        rows.extend(_pair_rows(coords, contributions, i, j))
+        rows.extend(_pair_rows(coords, table[(fam_x, fam_y)], i, j))
     return coords, rows
 
 
-def inner_window_vectors(
-    spec: AlgebraSpec, coords: _Coords
-) -> list[list[GaussianRational]]:
+def _lzero_kernel(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
+    """Kernel of the lzero Leibniz system, solved block by block.
+
+    For j != 0 the rows of the pairs (L_0, y_j) touch only the L-source
+    columns at index 0 (A) and the index-j columns (B), and they are the
+    same rows for every j, relabelled.  The rows of (L_0, y_0), block 0,
+    are that block read at j = 0: index-j columns fall onto index 0, the
+    L-source ones onto A.  So a solution x_0 of block 0, copied to index j,
+    solves block j, and the conditions "A x_0 in im B" hold already.  The
+    kernel is spanned by the block-0 kernel vectors copied to every index
+    and by ker B placed at each j != 0: dimension
+    dim ker(block 0) + 2 * window * dim ker B, from two eliminations.
+    """
+    window = coords.src_window
+    table = _contribution_table(spec, coords.bound, (("L", fam) for fam in spec.families))
+    at = {j: coords.index_columns(j) for j in range(-window, window + 1)}
+
+    def block_kernel(j: int) -> list[SparseRow]:
+        """Kernel of block j on its index-j columns (A dropped for j != 0)."""
+        local = {col: k for k, col in enumerate(at[j])}
+        rows = [
+            {local[col]: value for col, value in row.items() if col in local}
+            for fam in spec.families
+            for row in _pair_rows(coords, table[("L", fam)], 0, j)
+        ]
+        return list(reduce_rows(rows, None, len(local)).kernel_vectors().values())
+
+    basis = [
+        {cols[k]: v for cols in at.values() for k, v in x0.items()}
+        for x0 in block_kernel(0)
+    ]
+    ker_b = block_kernel(1) if window else []
+    for j, cols in at.items():
+        if j:
+            basis.extend({cols[k]: v for k, v in y.items()} for y in ker_b)
+    return basis
+
+
+def inner_window_vectors(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
     """Window restrictions of ad(d^k X_c) for k < bound, X over the families."""
     vectors = []
     for fam in spec.families:
@@ -419,20 +480,26 @@ def solve_graded_derivations(
 
     Unknowns are the image coefficients of the window generators (total
     degree <= ``bound``); equations are Leibniz residual coefficients.  The
-    default pair set {(L_0, y_j)} carries the whole classification argument;
-    ``pairs='all'`` uses every pair with |i|, |j| <= window (and a source
-    window twice as wide) as an independent cross-check.
+    default pair set {(L_0, y_j)} carries the whole classification argument
+    and is solved block by block (``_lzero_kernel``): two small eliminations
+    whatever the window.  ``pairs='all'`` eliminates every pair with |i|,
+    |j| <= window at once (over a source window twice as wide) as an
+    independent cross-check; the whole ``lzero`` system from
+    ``_leibniz_system`` is the oracle the tests hold the block solve to.
     """
     if spec.parameters:
         raise ValueError("the solver needs numeric algebra parameters")
-    coords, rows = _leibniz_system(spec, degree, bound, window, pairs)
-    ech = reduce_rows(rows, None, len(coords.columns))
-    kernel = ech.kernel_basis()
-
+    if pairs == "lzero":
+        coords = _make_coords(spec, degree, bound, window)
+        kernel = _lzero_kernel(spec, coords)
+    else:
+        coords, rows = _leibniz_system(spec, degree, bound, window, pairs)
+        ech = reduce_rows(rows, None, len(coords.columns))
+        kernel = list(ech.kernel_vectors().values())
+    ncols = len(coords.columns)
     inner = inner_window_vectors(spec, coords)
-    inner_rank = scalar_rank(inner)
-    combined = scalar_rank(inner + kernel)
-    if combined != len(kernel):
+    inner_rank = reduce_rows(inner, None, ncols).rank
+    if reduce_rows(kernel + inner, None, ncols).rank != len(kernel):
         raise AssertionError("inner derivations escaped the solved kernel")
     note = (
         f"certified at window |i| <= {coords.src_window}, image degree <= {bound}; "
@@ -496,7 +563,7 @@ def decompose(
     """
     weights = lm_weights(spec)
     c = derivation_degree(deriv)
-    columns: list[list[GaussianRational]] = []
+    columns: list[SparseRow] = []
     labels: list[tuple[str, int] | str] = []
     coords = _make_coords(spec, c, bound + 1, deriv.window)
     for fam in spec.families:
@@ -511,20 +578,27 @@ def decompose(
         )
         labels.append("q")
     rhs_vec = coords.vector_of(deriv)
-    matrix = [
-        [col[r] for col in columns] for r in range(len(coords.columns))
-    ]
+    # one row per coordinate that a column or the right-hand side touches
+    rows: dict[int, SparseRow] = {r: {} for r in rhs_vec}
+    for k, col in enumerate(columns):
+        for r, value in col.items():
+            rows.setdefault(r, {})[k] = value
+    order = sorted(rows)
     try:
-        solution = linear_solve(matrix, [MPoly.const(v) for v in rhs_vec])
+        ech = reduce_rows(
+            [rows[r] for r in order],
+            [MPoly.const(rhs_vec.get(r, ZERO)) for r in order],
+            len(columns),
+        )
     except Inconsistent as exc:
         raise NotDecomposable(
             "no inner + scalar decomposition at this degree bound"
         ) from exc
-    if solution.kernel:
+    if ech.free_columns():
         raise NotDecomposable("decomposition is not unique: ad has a window kernel")
     x = GenPoly.zero()
     q = GaussianRational.of(0)
-    for label, value in zip(labels, solution.solution):
+    for label, value in zip(labels, ech.particular_solution()):
         coeff = value.constant_value()
         if not coeff:
             continue

@@ -33,17 +33,27 @@ class Echelon:
     def free_columns(self) -> list[int]:
         return [c for c in range(self.ncols) if c not in self.pivots]
 
+    def kernel_vectors(self) -> dict[int, SparseRow]:
+        """Sparse kernel basis: free column -> the vector that is 1 there.
+
+        Pivot rows are fully reduced, so besides their pivot they hold free
+        columns only.
+        """
+        basis = {free: {free: ONE} for free in self.free_columns()}
+        for piv, row in self.pivots.items():
+            for col, coeff in row.items():
+                if col != piv:
+                    basis[col][piv] = -coeff
+        return basis
+
     def kernel_basis(self) -> list[list[GaussianRational]]:
         zero = GaussianRational.of(0)
         basis = []
-        for free in self.free_columns():
-            vec = [zero] * self.ncols
-            vec[free] = ONE
-            for piv, row in self.pivots.items():
-                coeff = row.get(free)
-                if coeff:
-                    vec[piv] = -coeff
-            basis.append(vec)
+        for vec in self.kernel_vectors().values():
+            dense = [zero] * self.ncols
+            for col, coeff in vec.items():
+                dense[col] = coeff
+            basis.append(dense)
         return basis
 
     def particular_solution(self) -> list[MPoly]:
@@ -147,17 +157,3 @@ def linear_solve(
     rhs_polys = [MPoly.of(b) for b in rhs]
     ech = reduce_rows(rows, rhs_polys, ncols)
     return LinearSolution(solution=ech.particular_solution(), kernel=ech.kernel_basis())
-
-
-def scalar_rank(vectors: Sequence[Sequence[ScalarLike]]) -> int:
-    """Rank of a family of scalar vectors."""
-    ncols = max((len(v) for v in vectors), default=0)
-    rows: list[SparseRow] = []
-    for v in vectors:
-        row: SparseRow = {}
-        for j, x in enumerate(v):
-            c = GaussianRational.of(x)
-            if c:
-                row[j] = c
-        rows.append(row)
-    return reduce_rows(rows, None, ncols).rank

@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+from confalg import cli
 from confalg.cli import ConfigError, main, parse_grid, parse_param
 from confalg.poly import GaussianRational
 from fractions import Fraction
@@ -91,6 +92,33 @@ class TestCommands:
         vab_lines = [line for line in capsys.readouterr().out.splitlines() if "-vAb-" in line]
         assert len(vab_lines) == 3
         assert all(f"{family}: 0" in line for line in vab_lines)
+
+    @pytest.mark.parametrize("kind", ["rank1", "graded"])
+    def test_classify_failed_step_is_a_fail_record(self, capsys, tmp_path, monkeypatch, kind):
+        real = getattr(cli, f"classify_{kind}")
+
+        def failing(*args, **kwargs):
+            outcome = real(*args, **kwargs)
+            outcome.step("forced", "0 = 1", ok=False)
+
+        monkeypatch.setattr(cli, f"classify_{kind}", failing)
+        path = tmp_path / "r.json"
+        code = main(
+            [
+                "classify", "--kind", kind, "--algebra", "chv", "--grid", "1,0",
+                "--base", "vab", "--report", str(path), "--format", "json",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "config error" not in captured.err
+        (check,) = json.loads(path.read_text())["checks"]
+        assert not check["passed"]
+        assert check["status"] == "classification step failed: forced: 0 = 1"
+        steps = check["detail"].split("; ")
+        assert len(steps) > 1
+        assert steps[-1] == "[FAILED] forced: 0 = 1"
+        assert all(step.startswith("[ok] ") for step in steps[:-1])
 
     def test_derivations_solve(self, capsys):
         code = main(

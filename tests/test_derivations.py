@@ -6,7 +6,11 @@ import pytest
 from confalg.catalog import build_chv, build_csv
 from confalg.derivations import (
     DerivationSpec,
+    _contribution_table,
     _leibniz_system,
+    _make_coords,
+    _pair_rows,
+    inner_window_vectors,
     NotDecomposable,
     ad,
     apply_derivation,
@@ -18,12 +22,35 @@ from confalg.derivations import (
     serialize_derivation,
     solve_graded_derivations,
 )
-from confalg.lca import GenPoly, Generator
+from confalg.lca import AlgebraSpec, GenPoly, Generator
 from confalg.linsolve import reduce_rows
 from confalg.poly import GaussianRational, MPoly, parse_poly
+from confalg.suite import DERIVATION_GRID_A, DERIVATION_GRID_B
 
 P = parse_poly
 ONE = GaussianRational.of(1)
+GAUSS_WEIGHTS = (
+    GaussianRational(Fraction(1, 2), Fraction(1)),
+    GaussianRational(Fraction(2), Fraction(-1)),
+)
+
+
+def full_lzero_solve(spec, degree, bound, window):
+    """The oracle: the whole lzero system in one elimination."""
+    coords, rows = _leibniz_system(spec, degree, bound, window, "lzero")
+    ncols = len(coords.columns)
+    kernel = list(reduce_rows(rows, None, ncols).kernel_vectors().values())
+    inner_rank = reduce_rows(inner_window_vectors(spec, coords), None, ncols).rank
+    return coords, kernel, inner_rank
+
+
+def assert_block_solve_matches_full(spec, degree, bound, window):
+    coords, kernel, inner_rank = full_lzero_solve(spec, degree, bound, window)
+    res = solve_graded_derivations(spec, degree, bound, window)
+    assert (res.dimension, res.inner_rank) == (len(kernel), inner_rank)
+    block = [coords.vector_of(deriv) for deriv in res.basis]
+    union = reduce_rows(block + kernel, None, len(coords.columns)).rank
+    assert union == res.dimension
 
 
 def combine(d1: DerivationSpec, d2: DerivationSpec, c1, c2) -> DerivationSpec:
@@ -175,6 +202,81 @@ class TestSolver:
         rank = reduce_rows(rows, None, len(coords.columns)).rank
         nnz = sum(len(row) for row in rows)
         assert (len(rows), len(coords.columns), nnz, rank) == shape
+
+    @pytest.mark.parametrize(
+        "builder, weights",
+        [(build_csv, (1, 0)), (build_chv, (1, 0)), (build_csv, GAUSS_WEIGHTS)],
+        ids=["csv", "chv", "csv-gauss"],
+    )
+    def test_lzero_blocks_are_relabelled_copies(self, builder, weights):
+        # the block solve rests on this: for j != 0 the rows of the pairs
+        # (L_0, y_j) are the j = 1 rows with the index-1 columns moved to
+        # index j, in the same order; they touch only the index-0 L-source
+        # columns and the index-j columns; and the j = 0 rows are the j = 1
+        # rows with the index-1 columns moved onto index 0
+        spec = builder(*weights)
+        coords = _make_coords(spec, 0, 4, 4)
+        table = _contribution_table(spec, 4, [("L", fam) for fam in spec.families])
+
+        def rows(j):
+            return [row for fam in spec.families
+                    for row in _pair_rows(coords, table[("L", fam)], 0, j)]
+
+        a_cols = set(coords.index_columns(0, "L"))
+        first = rows(1)
+        for j in (-4, -3, -2, -1, 2, 3, 4):
+            move = dict(zip(coords.index_columns(1), coords.index_columns(j)))
+            relabelled = [{move.get(col, col): v for col, v in row.items()} for row in first]
+            assert rows(j) == relabelled
+            allowed = a_cols | set(coords.index_columns(j))
+            assert all(set(row) <= allowed for row in rows(j))
+        to_zero = dict(zip(coords.index_columns(1), coords.index_columns(0)))
+        merged = []
+        for row in first:
+            out = {}
+            for col, v in row.items():
+                col = to_zero.get(col, col)
+                out[col] = out[col] + v if col in out else v
+            out = {col: v for col, v in out.items() if v}
+            if out:
+                merged.append(out)
+        assert rows(0) == merged
+
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_kernel_of_b_enters_once_per_index(self, bound):
+        # a central family Z (zero brackets) gives maps Z_j -> Z_j that no
+        # pair constrains, so ker B is nonzero and the dimension grows with
+        # the window by 2 * dim ker B per step
+        csv = build_csv(1, 0)
+        spec = AlgebraSpec("csv+Z", csv.families + ("Z",), dict(csv.table))
+        dims = []
+        for window in (0, 1, 2):
+            assert_block_solve_matches_full(spec, 0, bound, window)
+            dims.append(solve_graded_derivations(spec, 0, bound, window).dimension)
+        assert dims[2] - dims[1] == dims[1] - dims[0] > 0
+
+    @pytest.mark.parametrize("window", [0, 1])
+    @pytest.mark.parametrize(
+        "builder, weights",
+        [(build_csv, (1, 0)), (build_chv, (1, 0)), (build_csv, GAUSS_WEIGHTS)],
+        ids=["csv", "chv", "csv-gauss"],
+    )
+    def test_small_windows_match_full_solve(self, builder, weights, window):
+        # window 0 has no j != 0 block; window 1 has one pair of them
+        assert_block_solve_matches_full(builder(*weights), 0, 4, window)
+
+    @pytest.mark.parametrize("a", DERIVATION_GRID_A, ids=str)
+    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_block_solve_matches_full_solve_on_criterion_4(self, builder, a):
+        for b in DERIVATION_GRID_B:
+            for degree in (-1, 0, 1):
+                assert_block_solve_matches_full(builder(a, b), degree, 4, 2)
+
+    @pytest.mark.parametrize("degree", [-1, 0, 1])
+    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_block_solve_matches_full_solve_at_non_real_weights(self, builder, degree):
+        for weights in (GAUSS_WEIGHTS, (1, GaussianRational(Fraction(0), Fraction(1)))):
+            assert_block_solve_matches_full(builder(*weights), degree, 4, 2)
 
     @pytest.mark.parametrize("pairs", ["lzero", "all"])
     @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from confalg.linsolve import linear_solve, scalar_rank
+from confalg.linsolve import linear_solve, reduce_rows
 from confalg.poly import GaussianRational, Inconsistent, MPoly, parse_poly
 
 
@@ -62,6 +62,22 @@ def test_random_solutions_satisfy_system():
             assert acc == b
 
 
+def _row(values):
+    return {j: GaussianRational.of(v) for j, v in enumerate(values) if v}
+
+
 def test_scalar_rank():
-    assert scalar_rank([[1, 2], [2, 4], [0, 1]]) == 2
-    assert scalar_rank([[0, 0]]) == 0
+    assert reduce_rows([_row([1, 2]), _row([2, 4]), _row([0, 1])], None, 2).rank == 2
+    assert reduce_rows([_row([0, 0])], None, 2).rank == 0
+
+
+def test_kernel_vectors_are_sparse_kernel_basis():
+    rows = [_row([1, 0, 2, 0]), _row([0, 1, -1, 3])]
+    ech = reduce_rows(rows, None, 4)
+    vectors = ech.kernel_vectors()
+    assert vectors == {
+        2: {2: GaussianRational.of(1), 0: GaussianRational.of(-2), 1: GaussianRational.of(1)},
+        3: {3: GaussianRational.of(1), 1: GaussianRational.of(-3)},
+    }
+    dense = [[vec.get(j, GaussianRational.of(0)) for j in range(4)] for vec in vectors.values()]
+    assert ech.kernel_basis() == dense
