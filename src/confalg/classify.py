@@ -24,6 +24,17 @@ where it is the constants.  For the Y family of the Schroedinger-Virasoro
 type algebra ``(A, B) = (a/2, b/2)``, so extensions need a = b = 0; for the
 M family of the Heisenberg-Virasoro type algebra ``(A, B) = (a-1, b)``,
 so extensions need a = 1, b = 0.
+
+The graded classifier settles every coefficient table with one procedure
+(``_constant_extension``): the weight equation pins the index-0
+coefficients to zero or to constants, and the j = 0 relations propagate
+them across indices, leaving a scalar times a fixed table.  It runs for the
+M table of csv, which its necessity step then forces to 0 ((M, M) quadratic
+collapse, or the (M_0, Y_0)/(Y_0, Y_0) contradiction), and for the table of
+the extension family (``modules.extension_family``: Y on csv, M on chv).
+That table's necessity relations ((L, Y) linear then (Y, Y) quadratic on
+csv, (M, M) quadratic on chv) either collapse the scalar or leave the flat
+extension, which a full axiom check on the window then certifies.
 """
 
 from __future__ import annotations
@@ -61,6 +72,10 @@ class StepFailed(ValueError):
     def __init__(self, message: str, steps: Sequence["ClassifyStep"] = ()):
         super().__init__(message)
         self.steps = list(steps)
+
+    @property
+    def trace(self) -> str:
+        return "; ".join(str(step) for step in self.steps)
 
 
 @dataclass
@@ -148,6 +163,19 @@ def certify_self_commuting_d_free(degree_bound: int) -> None:
     _dfree_cache.add(degree_bound)
 
 
+def _dfree_yy_vanishes(degree_bound: int) -> bool:
+    """Whether the (Y, Y) left side vanishes for generic d-free coefficients.
+
+    With d-free h the self-commuting difference h_j(m) h_i(l) - h_i(l) h_j(m)
+    is identically zero, so the (Y, Y) identity reduces to
+    0 = (l - m) g(l + m) and forces the M-coefficient g to vanish.  This
+    holds whatever the coefficients at other indices are.
+    """
+    hi, _ = _generic_box("hi", 0, degree_bound)
+    hj, _ = _generic_box("hj", 0, degree_bound)
+    return two_action_difference(hj, hi, hi, hj).is_zero()
+
+
 def weight_equation_kernel(A: GaussianRational, B: GaussianRational, degree_bound: int) -> list[MPoly]:
     """Kernel of ``(A l - m + B) p(l+m) + m p(m) = 0`` for deg p <= bound.
 
@@ -155,14 +183,11 @@ def weight_equation_kernel(A: GaussianRational, B: GaussianRational, degree_boun
     """
     w = _L.scale(A) - _M + MPoly.const(B)
     cols = degree_bound + 1
-    col_polys = []
+    rows: dict[tuple, SparseRow] = {}
     for q in range(cols):
         contribution = w * (_L + _M) ** q + _M * _M**q
-        col_polys.append(contribution)
-    rows: dict[tuple, SparseRow] = {}
-    for col, contribution in enumerate(col_polys):
         for mono, coeff in contribution.terms.items():
-            rows.setdefault(mono, {})[col] = coeff
+            rows.setdefault(mono, {})[q] = coeff
     ech = reduce_rows(list(rows.values()), None, cols)
     basis = []
     for vec in ech.kernel_basis():
@@ -172,11 +197,6 @@ def weight_equation_kernel(A: GaussianRational, B: GaussianRational, degree_boun
                 p = p + MPoly.var(VAR_L, q).scale(coeff)
         basis.append(p)
     return basis
-
-
-# ---------------------------------------------------------------------------
-# rank-one classification
-# ---------------------------------------------------------------------------
 
 
 def _weight_of(spec: AlgebraSpec, source_fam: str) -> tuple[GaussianRational, GaussianRational]:
@@ -206,6 +226,38 @@ def _require_numeric(value: ParamLike, name: str) -> GaussianRational:
     return p.constant_value()
 
 
+def _open_outcome(
+    algebra: str, a: ParamLike, b: ParamLike, kind: str, l_family: str, degree_bound: int
+) -> tuple[AlgebraSpec, ClassifyOutcome]:
+    """The algebra at numeric (a, b) and an outcome opened by the d-free step.
+
+    Every family but L starts at "0"; a classifier that finds the scalar
+    extension writes it into the extension family.
+    """
+    av = _require_numeric(a, "a")
+    bv = _require_numeric(b, "b")
+    builders = {"csv": build_csv, "chv": build_chv}
+    if algebra not in builders:
+        raise ValueError(f"classification targets csv or chv, not {algebra!r}")
+    spec = builders[algebra](av, bv)
+    families = {fam: "0" for fam in spec.families}
+    families["L"] = l_family
+    out = ClassifyOutcome(
+        algebra=algebra, a=av, b=bv, kind=kind, extension_dim=0, families=families
+    )
+    certify_self_commuting_d_free(degree_bound)
+    out.step(
+        "d-free certificate",
+        f"self-commuting relations force d-free coefficients up to degree {degree_bound}",
+    )
+    return spec, out
+
+
+# ---------------------------------------------------------------------------
+# rank-one classification
+# ---------------------------------------------------------------------------
+
+
 def classify_rank1(
     algebra: str,
     a: ParamLike,
@@ -218,25 +270,9 @@ def classify_rank1(
     rank-one classification, taken as given); the classifier determines the
     remaining coefficient families exactly.
     """
-    av = _require_numeric(a, "a")
-    bv = _require_numeric(b, "b")
-    if algebra == "csv":
-        spec = build_csv(av, bv)
-    elif algebra == "chv":
-        spec = build_chv(av, bv)
-    else:
-        raise ValueError("rank-one classification targets csv or chv")
-    out = ClassifyOutcome(
-        algebra=algebra, a=av, b=bv, kind="rank1", extension_dim=0, families={}
+    spec, out = _open_outcome(
+        algebra, a, b, "rank1", "c^i*(d + alpha*l + beta)", degree_bound
     )
-    has_y = "Y" in spec.families
-
-    certify_self_commuting_d_free(degree_bound)
-    out.step(
-        "d-free certificate",
-        f"self-commuting relations force d-free coefficients up to degree {degree_bound}",
-    )
-
     # the M-on-M identity has zero bracket side, giving the self-commuting shape
     out.step(
         "M bracket vanishes",
@@ -245,7 +281,7 @@ def classify_rank1(
         ok=not spec.templates("M", "M"),
     )
 
-    if has_y:
+    if "Y" in spec.families:
         # Either g = 0, or (via the (M, Y) identity with [M _l Y] = 0) the
         # Y-coefficient h is shift-invariant, hence d-free; then the (Y, Y)
         # identity reads h_j(m) h_i(l) - h_i(l) h_j(m) = (l - m) g(l+m),
@@ -254,18 +290,12 @@ def classify_rank1(
             "[M _l Y] = 0, so nonzero g forces h(d+l, m) = h(d, m)",
             ok=not spec.templates("M", "Y"),
         )
-        hi, _ = _generic_box("hi", 0, degree_bound)
-        hj, _ = _generic_box("hj", 0, degree_bound)
-        yy_lhs = two_action_difference(hj, hi, hi, hj)
         out.step(
             "YY forces g = 0",
             "with d-free h the (Y, Y) left side vanishes identically, so "
             "(l - m) g(l + m) = 0 and g = 0 in both branches",
-            ok=yy_lhs.is_zero(),
+            ok=_dfree_yy_vanishes(degree_bound),
         )
-        out.families["M"] = "0"
-    elif "M" in spec.families:
-        pass  # the M-coefficient is settled by its weight equation below
     # the L-action difference that drives every weight equation
     f_template = build_rank1(spec).template("L")
     diff = f_template - f_template.shift(VAR_D, _M)
@@ -285,31 +315,23 @@ def classify_rank1(
             f"W(l,m) p(l+m) = -m p(m) with W = {w_text} has only the zero "
             f"solution, so the {ext_family}-coefficient vanishes",
         )
-        out.families[ext_family] = "0"
-        out.extension_dim = 0
-    else:
-        ok = len(kernel) == 1 and kernel[0].is_constant()
-        out.step(
-            "weight equation",
-            f"W(l,m) p(l+m) = -m p(m) with W = {w_text} has the constants as "
-            "solution space",
-            ok=ok,
-        )
-        # cross-index instance with general i: W d_{i+j} = -m c^i d_j and
-        # W = -m here, so d_{i+j} = c^i d_j; j = 0 gives d_i = c^i d_0.
-        out.step(
-            "index recursion",
-            "the general-index instance gives d_{i+j} = c^i d_j, so "
-            "d_i = d * c^i with d = d_0",
-            ok=(A == GaussianRational.of(0) and B == GaussianRational.of(0)),
-        )
-        out.families[ext_family] = "d*c^i"
-        out.extension_dim = 1
-    for fam in spec.families:
-        if fam == "L":
-            out.families[fam] = "c^i*(d + alpha*l + beta)"
-        else:
-            out.families.setdefault(fam, "0")
+        return out
+    out.step(
+        "weight equation",
+        f"W(l,m) p(l+m) = -m p(m) with W = {w_text} has the constants as "
+        "solution space",
+        ok=len(kernel) == 1 and kernel[0].is_constant(),
+    )
+    # cross-index instance with general i: W d_{i+j} = -m c^i d_j and
+    # W = -m here, so d_{i+j} = c^i d_j; j = 0 gives d_i = c^i d_0.
+    out.step(
+        "index recursion",
+        "the general-index instance gives d_{i+j} = c^i d_j, so "
+        "d_i = d * c^i with d = d_0",
+        ok=(A == GaussianRational.of(0) and B == GaussianRational.of(0)),
+    )
+    out.families[ext_family] = "d*c^i"
+    out.extension_dim = 1
     return out
 
 
@@ -339,96 +361,44 @@ def classify_graded(
     The L-coefficients are fixed by the loop-Virasoro classification (the
     ``vab`` uniform weights or the ``vAb`` case split over a bit sequence);
     the solver determines the M- and Y-coefficient tables on the window
-    ``|generator index| <= k_gen``, ``|basis index| <= n_basis``.
+    ``|generator index| <= k_gen``, ``|basis index| <= n_basis``.  Each
+    table is settled by ``_constant_extension``; on csv the M table is
+    forced to 0 before the Y table is settled.  Necessity relations, then a
+    full axiom check of the flat family (sufficiency), decide the extension
+    family's table.
     """
-    av = _require_numeric(a, "a")
-    bv = _require_numeric(b, "b")
-    if algebra == "csv":
-        spec = build_csv(av, bv)
-    elif algebra == "chv":
-        spec = build_chv(av, bv)
-    else:
-        raise ValueError("graded classification targets csv or chv")
     if base == "vAb" and bitseq is None:
         raise ValueError("vAb classification needs a bit sequence")
+    spec, out = _open_outcome(algebra, a, b, f"graded-{base}", base, degree_bound)
     base_module = build_graded(
         spec, base, bitseq if base == "vAb" else "sym", "sym", 0
     )
-    out = ClassifyOutcome(
-        algebra=algebra,
-        a=av,
-        b=bv,
-        kind=f"graded-{base}",
-        extension_dim=0,
-        families={"L": base},
-    )
-    has_y = "Y" in spec.families
 
     def f(i: int, m: int) -> MPoly:
         return base_module.action("L", i, m)
 
-    certify_self_commuting_d_free(degree_bound)
-    out.step(
-        "d-free certificate",
-        f"self-commuting relations force d-free coefficients up to degree {degree_bound}",
-    )
-    for m in range(-n_basis, n_basis + 1):
-        d0 = f(0, m) - f(0, m).shift(VAR_D, _M)
-        if d0 != -_M:
-            out.step(
-                "L-action shift difference",
-                f"f[0,{m}](d,l) - f[0,{m}](d+m,l) = -m",
-                ok=False,
-            )
     out.step(
         "L-action shift difference",
         "f[0,m](d,l) - f[0,m](d+m,l) = -m on the whole basis window",
+        ok=all(
+            f(0, m) - f(0, m).shift(VAR_D, _M) == -_M
+            for m in range(-n_basis, n_basis + 1)
+        ),
     )
 
-    # ---- M-coefficient table -------------------------------------------
-    A_g, B_g = _weight_of(spec, "M")
-    g_kernel = weight_equation_kernel(A_g, B_g, degree_bound)
-    g_is_zero = False
-    g_tables: dict[tuple[int, int], MPoly] = {}
-    scale_note = ""
-    if not g_kernel:
-        out.step(
-            "M weight equation",
-            f"W = ({A_g})*l - m + ({B_g}) has zero kernel, so g[0,m] = 0; the "
-            "j = 0 relations then force every g[i,m] = 0",
-        )
-        g_is_zero = True
-    else:
-        out.step(
-            "M weight equation",
-            f"W = ({A_g})*l - m + ({B_g}) admits constant solutions e_m",
-            ok=len(g_kernel) == 1 and g_kernel[0].is_constant(),
-        )
-        g_tables, dim = _propagate_constant_extension(
-            f, n_basis, k_gen, degree_bound
-        )
-        if dim == 0:
-            out.step(
-                "M cross-index propagation",
-                "the j = 0 relations admit only e = 0, so g = 0",
-            )
-            g_is_zero = True
-        else:
-            out.step(
-                "M cross-index propagation",
-                "the j = 0 relations pin g[i,m] = e * G[i,m] with e_m = e constant",
-                ok=dim == 1,
-            )
-            collapse = _quadratic_mm_collapse(g_tables, n_basis, k_gen)
+    family = extension_family(spec.families)
+    if family == "Y":
+        g_tables = _constant_extension(out, spec, "M", f, n_basis, k_gen, degree_bound)
+        if g_tables is not None:
+            collapse = _quadratic_collapse(g_tables, n_basis, k_gen)
             if collapse is not None:
                 out.step(
                     "MM quadratic consistency",
-                    f"the (M, M) relation evaluates to e^2 * P with nonzero P at "
-                    f"{collapse}, forcing e = 0",
+                    f"the (M, M) relation evaluates to e^2 * P with nonzero P "
+                    f"at {collapse}, forcing e = 0",
                 )
-                g_is_zero = True
                 out.collapsed = True
-            elif has_y:
+            else:
                 # only the index-0 tables enter; the others need not be 1
                 index0_flat = all(
                     g_tables[(0, m)] == MPoly.const(1)
@@ -437,117 +407,97 @@ def classify_graded(
                 out.step(
                     "MY/YY contradiction",
                     "g[0,m] = e, so with nonzero e the (M_0, Y_0) relation makes "
-                    "h[0,m] d-free, and then (Y_0, Y_0) reads 0 = (l - m) e, so e = 0",
+                    "h[0,m] d-free, and then (Y_0, Y_0) reads 0 = (l - m) e, "
+                    "so e = 0",
                     ok=index0_flat
                     and not spec.templates("M", "Y")
-                    and _my_yy_contradiction(degree_bound),
+                    and _dfree_yy_vanishes(degree_bound),
                 )
-                g_is_zero = True
-            else:
-                uniform = all(p == MPoly.const(1) for p in g_tables.values())
-                sufficient = uniform and _flat_extension_is_module(
-                    spec, base, bitseq, n_basis, k_gen
-                )
-                if sufficient:
-                    out.extension_dim = 1
-                    out.families["M"] = "d"
-                    out.step(
-                        "M sufficiency",
-                        "the flat M-extension passes the full module axiom "
-                        "check on the window",
-                    )
-                    scale_note = "M-extension survives all relations on the window"
-                else:
-                    out.step(
-                        "M sufficiency",
-                        "the propagated extension fails the full module axiom "
-                        "check on the window, so d = 0",
-                    )
-                    g_is_zero = True
-                    out.collapsed = True
-    if g_is_zero:
-        out.families["M"] = "0"
-
-    # ---- Y-coefficient table (csv only) --------------------------------
-    if has_y:
-        if not g_is_zero:
-            raise AssertionError("csv branch must have settled g = 0")
         out.step(
             "YY self-commuting",
             "with g = 0 the (Y, Y) relation is the self-commuting shape, so "
             "h[0,m] is d-free",
         )
-        A_h, B_h = _weight_of(spec, "Y")
-        h_kernel = weight_equation_kernel(A_h, B_h, degree_bound)
-        if not h_kernel:
-            out.step(
-                "Y weight equation",
-                f"W = ({A_h})*l - m + ({B_h}) has zero kernel, so h[0,m] = 0 "
-                "and the j = 0 relations force every h[i,m] = 0",
-            )
-            out.families["Y"] = "0"
-        else:
-            out.step(
-                "Y weight equation",
-                f"W = ({A_h})*l - m + ({B_h}) admits constant solutions d_m",
-                ok=len(h_kernel) == 1 and h_kernel[0].is_constant(),
-            )
-            h_tables, dim = _propagate_constant_extension(
-                f, n_basis, k_gen, degree_bound
-            )
-            if dim == 0:
-                out.step(
-                    "Y cross-index propagation",
-                    "the j = 0 relations admit only d = 0, so h = 0",
-                )
-                out.families["Y"] = "0"
-            else:
-                out.step(
-                    "Y cross-index propagation",
-                    "the j = 0 relations pin h[i,m] = d * H[i,m] with d_m = d constant",
-                    ok=dim == 1,
-                )
-                bad = _linear_ly_collapse(spec, f, h_tables, n_basis, k_gen)
-                if bad is None:
-                    bad = _quadratic_mm_collapse(h_tables, n_basis, k_gen)
-                    bad = ("YY", *bad) if bad is not None else None
-                if bad is not None:
-                    out.step(
-                        "Y consistency",
-                        f"a remaining relation is nonzero at {bad}, forcing d = 0 "
-                        "(the flat extension of a case-split base is not a module)",
-                    )
-                    out.families["Y"] = "0"
-                    out.collapsed = True
-                else:
-                    uniform = all(p == MPoly.const(1) for p in h_tables.values())
-                    sufficient = uniform and _flat_extension_is_module(
-                        spec, base, bitseq, n_basis, k_gen
-                    )
-                    if sufficient:
-                        out.families["Y"] = "d"
-                        out.extension_dim = 1
-                        out.step(
-                            "Y sufficiency",
-                            "the flat Y-extension passes the full module axiom "
-                            "check on the window",
-                        )
-                        scale_note = "Y-extension survives all relations on the window"
-                    else:
-                        out.step(
-                            "Y sufficiency",
-                            "the propagated extension fails the full module "
-                            "axiom check on the window, so d = 0",
-                        )
-                        out.families["Y"] = "0"
-                        out.collapsed = True
-    out.note = scale_note
+
+    tables = _constant_extension(out, spec, family, f, n_basis, k_gen, degree_bound)
+    if tables is None:
+        return out
+    bad = _linear_ly_collapse(spec, f, tables, n_basis, k_gen) if family == "Y" else None
+    if bad is None:
+        collapse = _quadratic_collapse(tables, n_basis, k_gen)
+        bad = (family * 2, *collapse) if collapse is not None else None
+    if bad is not None:
+        flat = False
+        out.step(
+            f"{family} consistency",
+            f"a remaining relation is nonzero at {bad}, forcing d = 0 "
+            "(the flat extension of a case-split base is not a module)",
+        )
+    else:
+        flat = all(p == MPoly.const(1) for p in tables.values())
+        flat = flat and _flat_extension_is_module(spec, base, bitseq, n_basis, k_gen)
+        out.step(
+            f"{family} sufficiency",
+            f"the flat {family}-extension passes the full module axiom check "
+            "on the window"
+            if flat
+            else "the propagated extension fails the full module axiom check "
+            "on the window, so d = 0",
+        )
+    if flat:
+        out.families[family] = "d"
+        out.extension_dim = 1
+        out.note = f"{family}-extension survives all relations on the window"
+    else:
+        out.collapsed = True
     return out
+
+
+def _constant_extension(
+    out: ClassifyOutcome,
+    spec: AlgebraSpec,
+    family: str,
+    f,
+    n_basis: int,
+    k_gen: int,
+    degree_bound: int,
+) -> dict[tuple[int, int], MPoly] | None:
+    """Settle one coefficient table up to a scalar: weight equation, then j = 0.
+
+    The weight equation of ``family`` decides the index-0 coefficients (zero
+    or constants); the j = 0 relations then propagate them across indices.
+    Records both steps and returns the table normalized to scalar 1, or
+    None when the table is forced to 0.
+    """
+    A, B = _weight_of(spec, family)
+    kernel = weight_equation_kernel(A, B, degree_bound)
+    w_text = f"W = ({A})*l - m + ({B})"
+    if not kernel:
+        out.step(
+            f"{family} weight equation",
+            f"{w_text} has zero kernel, so the index-0 {family}-coefficients "
+            "vanish and the j = 0 relations force the whole table to 0",
+        )
+        return None
+    out.step(
+        f"{family} weight equation",
+        f"{w_text} admits constant index-0 solutions",
+        ok=len(kernel) == 1 and kernel[0].is_constant(),
+    )
+    tables = _propagate_constant_extension(f, n_basis, k_gen, degree_bound)
+    out.step(
+        f"{family} cross-index propagation",
+        "the j = 0 relations admit only the zero scalar, so the table is 0"
+        if tables is None
+        else f"the j = 0 relations pin the {family} table to a scalar times "
+        "T[i,m], constant at index 0",
+    )
+    return tables
 
 
 def _propagate_constant_extension(
     f, n_basis: int, k_gen: int, degree_bound: int
-) -> tuple[dict[tuple[int, int], MPoly], int]:
+) -> dict[tuple[int, int], MPoly] | None:
     """Solve the j = 0 relations given constant index-0 coefficients e_m.
 
     The (i, m) relation reads
@@ -558,29 +508,29 @@ def _propagate_constant_extension(
     never zero), so e_m = e uniformly; dividing the rest by m' determines
     t[i,m] as e times the difference quotient, provided that quotient is
     expressible as a polynomial in (d, l+m') - otherwise only e = 0
-    survives.  Returns the tables normalized to e = 1 and the solution
-    dimension (0 or 1).
+    survives.  Returns the tables normalized to e = 1, or None when only
+    e = 0 survives.
     """
     tables: dict[tuple[int, int], MPoly] = {}
     for i in range(-k_gen, k_gen + 1):
         for m in range(-n_basis, n_basis + 1):
             fim = f(i, m)
             if fim.is_zero():
-                return {}, 0  # cannot tie e_m to e_{i+m}: not a base this solver handles
+                return None  # cannot tie e_m to e_{i+m}: not a base this solver handles
             quotient = (fim.shift(VAR_D, _M) - fim).divide_exact(_M)
             candidate = quotient.substitute(VAR_L, 0).substitute(VAR_M, _L)
             if _as_bracket_var(candidate, _L + _M) != quotient:
                 # t[i,m](d, l+m') = e * quotient has no polynomial solution
-                return {}, 0
+                return None
             if candidate.degree() > degree_bound:
                 raise DegreeBoundExceeded(
                     f"propagated table at ({i},{m}) needs degree {candidate.degree()}"
                 )
             tables[(i, m)] = candidate
-    return tables, 1
+    return tables
 
 
-def _quadratic_mm_collapse(
+def _quadratic_collapse(
     tables: dict[tuple[int, int], MPoly], n_basis: int, k_gen: int
 ) -> tuple | None:
     """First window instance where the pure quadratic relation is nonzero.
@@ -658,20 +608,6 @@ def _flat_extension_is_module(
     first = bitseq if base == "vAb" else "sym"
     module = build_graded(spec, base, first, "sym", "sym")
     return check_module_axioms(spec, module, n_basis, k_gen).all_zero
-
-
-def _my_yy_contradiction(degree_bound: int) -> bool:
-    """Mechanical core of the nonzero-e contradiction.
-
-    With g[0,m] = e and [M _l Y] = 0, the (M_0, Y_0) relation on v_m reads
-    h[0,m](d+l, m') = h[0,m](d, m'), so h[0,m] is d-free; for generic d-free
-    h the (Y, Y) left side is identically zero, leaving 0 = (l - m) e.
-    This holds whatever the tables at nonzero index are.
-    """
-    hi, _ = _generic_box("ci", 0, degree_bound)
-    hj, _ = _generic_box("cj", 0, degree_bound)
-    lhs = two_action_difference(hj, hi, hi, hj)
-    return lhs.is_zero()
 
 
 def materialize_graded(

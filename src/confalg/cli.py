@@ -36,7 +36,6 @@ from .modules import (
     build_graded,
     build_rank1,
     check_module_axioms,
-    extension_family,
     relations_oracle,
 )
 from .poly import GaussianRational, ParseError, parse_scalar
@@ -48,7 +47,8 @@ from .suite import (
     criterion_4,
     expected_extra_dimension,
     expected_weights,
-    extension_expected,
+    graded_faults,
+    rank1_faults,
     run_paper_suite,
     window_reach,
 )
@@ -282,7 +282,6 @@ def cmd_classify(opts: Options) -> Report:
     )
     if algebra not in EXTENSION_POINT:
         raise ConfigError(f"field 'algebra': classification targets csv or chv, not {algebra!r}")
-    ext_family = extension_family(build_algebra(algebra).families)
     points = [(_numeric(str(a), "grid"), _numeric(str(b), "grid")) for a, b in grid]
     if kind == "rank1":
         for a, b in points:
@@ -294,9 +293,10 @@ def cmd_classify(opts: Options) -> Report:
                 except StepFailed as exc:
                     _step_failed(rec, exc)
                     continue
+                faults = rank1_faults(outcome)
                 rec.status = _families_text(outcome)
-                rec.passed = outcome.has_extension == extension_expected(algebra, a, b)
-                rec.detail = (
+                rec.passed = not faults
+                rec.detail = "; ".join(faults) or (
                     "extension family" if outcome.has_extension else "trivial tails only"
                 )
         return report
@@ -329,13 +329,10 @@ def cmd_classify(opts: Options) -> Report:
                 except StepFailed as exc:
                     _step_failed(rec, exc)
                     continue
-                want = extension_expected(algebra, a, b, bits, n_basis, k_gen)
-                got = outcome.families.get(ext_family, "0")
+                faults = graded_faults(outcome, bits, n_basis, k_gen)
                 rec.status = _families_text(outcome)
-                rec.passed = (got == "d") == want and (
-                    algebra == "chv" or outcome.families["M"] == "0"
-                )
-                rec.detail = (
+                rec.passed = not faults
+                rec.detail = "; ".join(faults) or (
                     "extension collapsed by case mixing" if outcome.collapsed else outcome.note
                 )
     return report
@@ -345,7 +342,7 @@ def _step_failed(rec: CheckRecord, exc: StepFailed) -> None:
     """Record a classifier run that stopped at a failed step, with its trace."""
     rec.passed = False
     rec.status = str(exc)
-    rec.detail = "; ".join(str(step) for step in exc.steps)
+    rec.detail = exc.trace
 
 
 def cmd_derivations(opts: Options) -> Report:

@@ -17,8 +17,8 @@ index i + c with polynomial coefficients of bounded total degree.  Its
 equations are the Leibniz residual coefficients for the pairs (L_0, y_j),
 which the uniform structure of the bracket table makes exhaustive: the
 classification argument subtracts inner derivations and the M-valued family
-using those pairs alone.  A wider (all-pairs) equation set is available for
-cross-validation.
+using those pairs alone.  A wider (all-pairs) equation set is kept for
+cross-validation in the tests.
 
 The rows are built once per family pair and relabelled per index pair.
 Bracket templates do not depend on generator indices, so every polynomial
@@ -151,9 +151,7 @@ def leibniz_residual(
     inner = conformal_bracket(
         spec, GenPoly.unit(fam_x, i), GenPoly.unit(fam_y, j), VAR_M
     )
-    t1 = GenPoly.zero()
-    for gen, poly in inner.terms.items():
-        t1 = t1 + deriv.image(gen.family, gen.index).scale(poly.shift(VAR_D, _L))
+    t1 = apply_derivation(deriv, inner)
     t2 = conformal_bracket(
         spec, deriv.image(fam_x, i), GenPoly.unit(fam_y, j), _L + _M
     )
@@ -379,9 +377,10 @@ def _leibniz_system(
     """Column layout and rows of the graded Leibniz system.
 
     Rows are built once per family pair and relabelled per index pair; the
-    contributions are dropped when the system is returned.  The ``lzero``
-    system eliminated whole is the oracle for its block solve
-    (``_lzero_kernel``).
+    contributions are dropped when the system is returned.  Only the tests
+    eliminate it: the ``lzero`` system whole is the oracle for its block
+    solve (``_lzero_kernel``), the ``all`` system an independent
+    cross-check.
     """
     if pairs == "lzero":
         src_window = window
@@ -474,28 +473,28 @@ def solve_graded_derivations(
     degree: int = 0,
     bound: int = 4,
     window: int = 2,
-    pairs: str = "lzero",
 ) -> DerivationSolveResult:
     """Solve for all degree-``degree`` derivations on a finite window.
 
     Unknowns are the image coefficients of the window generators (total
     degree <= ``bound``); equations are Leibniz residual coefficients.  The
-    default pair set {(L_0, y_j)} carries the whole classification argument
-    and is solved block by block (``_lzero_kernel``): two small eliminations
-    whatever the window.  ``pairs='all'`` eliminates every pair with |i|,
-    |j| <= window at once (over a source window twice as wide) as an
-    independent cross-check; the whole ``lzero`` system from
-    ``_leibniz_system`` is the oracle the tests hold the block solve to.
+    pair set {(L_0, y_j)} carries the whole classification argument and is
+    solved block by block (``_lzero_kernel``): two small eliminations
+    whatever the window.  The tests hold it to ``_leibniz_system``: the
+    whole ``lzero`` system, and the ``all`` system of every pair with |i|,
+    |j| <= window (over a source window twice as wide), each eliminated at
+    once.  An algebra restricted to index 0 (``index0_only``) has only
+    window 0 at degree 0.
     """
     if spec.parameters:
         raise ValueError("the solver needs numeric algebra parameters")
-    if pairs == "lzero":
-        coords = _make_coords(spec, degree, bound, window)
-        kernel = _lzero_kernel(spec, coords)
-    else:
-        coords, rows = _leibniz_system(spec, degree, bound, window, pairs)
-        ech = reduce_rows(rows, None, len(coords.columns))
-        kernel = list(ech.kernel_vectors().values())
+    if spec.index0_only and (window or degree):
+        raise ValueError(
+            f"{spec.name} is restricted to index 0: the derivation solver needs "
+            f"window 0 and degree 0, got window {window} and degree {degree}"
+        )
+    coords = _make_coords(spec, degree, bound, window)
+    kernel = _lzero_kernel(spec, coords)
     ncols = len(coords.columns)
     inner = inner_window_vectors(spec, coords)
     inner_rank = reduce_rows(inner, None, ncols).rank
@@ -563,14 +562,11 @@ def decompose(
     """
     weights = lm_weights(spec)
     c = derivation_degree(deriv)
-    columns: list[SparseRow] = []
-    labels: list[tuple[str, int] | str] = []
     coords = _make_coords(spec, c, bound + 1, deriv.window)
-    for fam in spec.families:
-        for k in range(bound + 1):
-            x = GenPoly.unit(fam, c, MPoly.var(VAR_D, k))
-            columns.append(coords.vector_of(ad(spec, x, deriv.window)))
-            labels.append((fam, k))
+    columns = inner_window_vectors(spec, coords)
+    labels: list[tuple[str, int] | str] = [
+        (fam, k) for fam in spec.families for k in range(bound + 1)
+    ]
     include_q = weights is not None and weights[0] == GaussianRational.of(1)
     if include_q:
         columns.append(

@@ -24,7 +24,13 @@ from .catalog import (
     lie_jacobi_check,
     solve_construction,
 )
-from .classify import classify_graded, classify_rank1, materialize_rank1
+from .classify import (
+    ClassifyOutcome,
+    StepFailed,
+    classify_graded,
+    classify_rank1,
+    materialize_rank1,
+)
 from .derivations import (
     DerivationSpec,
     ad,
@@ -110,6 +116,50 @@ def extension_expected(
     if not (_equals(a, point_a) and _equals(b, point_b)):
         return False
     return bits is None or constant_on_window(bits, n_basis, k_gen)
+
+
+def rank1_faults(outcome: ClassifyOutcome) -> list[str]:
+    """What is wrong with a rank-one outcome; empty when it is the expected one."""
+    want = extension_expected(outcome.algebra, outcome.a, outcome.b)
+    return _outcome_faults(outcome, want, "d*c^i")
+
+
+def graded_faults(
+    outcome: ClassifyOutcome, bits: BitSeq | None = None, n_basis: int = 3, k_gen: int = 2
+) -> list[str]:
+    """What is wrong with a graded outcome; empty when it is the expected one."""
+    want = extension_expected(outcome.algebra, outcome.a, outcome.b, bits, n_basis, k_gen)
+    return _outcome_faults(outcome, want, "d")
+
+
+def _outcome_faults(outcome: ClassifyOutcome, want: bool, extension_text: str) -> list[str]:
+    """Faults of an outcome against the expected verdict ``want``.
+
+    The extension family reads ``extension_text`` exactly when ``want``;
+    every other family but L (on csv the M family) reads 0.
+    """
+    ext_family = extension_family(tuple(outcome.families))
+    faults = []
+    if outcome.has_extension != want:
+        faults.append(f"extension_dim {outcome.extension_dim}, expected {int(want)}")
+    for fam, got in outcome.families.items():
+        expected = extension_text if want and fam == ext_family else "0"
+        if fam != "L" and got != expected:
+            faults.append(f"{fam}: {got!r}, expected {expected!r}")
+    return faults
+
+
+def _classified(rec: CheckRecord, classify, *args, **kwargs):
+    """Run a classifier: (outcome, []), or (None, [fault]) after a failed step.
+
+    The fault names the failed step; the record's detail keeps the step
+    trace of the first run that failed.
+    """
+    try:
+        return classify(*args, **kwargs), []
+    except StepFailed as exc:
+        rec.detail = rec.detail or exc.trace
+        return None, [str(exc)]
 
 
 def _rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -325,23 +375,14 @@ def criterion_6(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
         ) as rec:
             failures = []
             for a, b in MODULE_GRID:
-                spec = builder(a, b)
-                ext_family = extension_family(spec.families)
-                outcome = classify_rank1(name, a, b, degree_bound=6)
-                want_ext = extension_expected(name, a, b)
-                if outcome.has_extension != want_ext:
-                    failures.append((a, b, "extension", outcome.families))
-                    continue
-                if want_ext and outcome.families[ext_family] != "d*c^i":
-                    failures.append((a, b, "family", outcome.families))
-                if not want_ext and any(
-                    outcome.families[f] != "0" for f in outcome.families if f != "L"
-                ):
-                    failures.append((a, b, "nonzero tail", outcome.families))
-                module = materialize_rank1(outcome, spec)
-                rep = check_module_axioms(spec, module)
-                if not rep.all_zero:
-                    failures.append((a, b, "round trip", sorted(rep.residuals)))
+                outcome, faults = _classified(rec, classify_rank1, name, a, b, degree_bound=6)
+                faults = faults or rank1_faults(outcome)
+                failures.extend((a, b, fault) for fault in faults)
+                if outcome is not None:
+                    spec = builder(a, b)
+                    rep = check_module_axioms(spec, materialize_rank1(outcome, spec))
+                    if not rep.all_zero:
+                        failures.append((a, b, "round trip", sorted(rep.residuals)))
             rec.passed = not failures
             rec.status = "classified" if not failures else f"failures: {failures}"
     return out
@@ -366,7 +407,6 @@ def criterion_7(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
 
     for name, builder in (("csv", build_csv), ("chv", build_chv)):
         ext_point = EXTENSION_POINT[name]
-        ext_family = extension_family(builder(*ext_point).families)
         with timed_check(
             out,
             f"c7-graded-vab-{name}",
@@ -376,15 +416,9 @@ def criterion_7(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
         ) as rec:
             failures = []
             for a, b in MODULE_GRID:
-                outcome = classify_graded(name, a, b, "vab", 6, 3, 2)
-                if name == "csv" and outcome.families["M"] != "0":
-                    failures.append((a, b, "vab", "g nonzero"))
-                want_ext = extension_expected(name, a, b)
-                got = outcome.families[ext_family]
-                if want_ext and got != "d":
-                    failures.append((a, b, "vab", f"extension {got}"))
-                if not want_ext and got != "0":
-                    failures.append((a, b, "vab", f"unexpected extension {got}"))
+                outcome, faults = _classified(rec, classify_graded, name, a, b, "vab", 6, 3, 2)
+                faults = faults or graded_faults(outcome)
+                failures.extend((a, b, "vab", fault) for fault in faults)
             rec.passed = not failures
             rec.status = "classified" if not failures else f"failures: {failures}"
 
@@ -410,24 +444,20 @@ def criterion_7(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
                     constant = constant_on_window(bits, n_basis, k_gen)
                     where = "constant on window" if constant else "non-constant on window"
                     want_ext = extension_expected(name, a, b, bits, n_basis, k_gen)
-                    want = "d" if want_ext else "0"
-                    outcome = classify_graded(
-                        name, a, b, "vAb", 6, n_basis, k_gen, bitseq=bits
+                    outcome, faults = _classified(
+                        rec, classify_graded, name, a, b, "vAb", 6, n_basis, k_gen, bitseq=bits
                     )
-                    if name == "csv" and outcome.families["M"] != "0":
-                        failures.append((a, b, k, where, "g nonzero"))
-                    got = outcome.families[ext_family]
-                    if got != want:
-                        failures.append((a, b, k, where, f"extension '{got}'"))
+                    faults = faults or graded_faults(outcome, bits, n_basis, k_gen)
+                    failures.extend((a, b, k, where, fault) for fault in faults)
                     if at_point:
-                        found += got == "d"
+                        found += outcome is not None and outcome.has_extension
                         # independent of the classifier's own sufficiency step,
                         # which runs check_module_axioms
                         module = build_graded(
                             builder(a, b), "vAb", bits, "sym", "sym"
                         )
                         oracle = relations_oracle(module, a, b, n_basis, k_gen)
-                        if oracle.all_zero != (want == "d"):
+                        if oracle.all_zero != want_ext:
                             verdict = "zero" if oracle.all_zero else "nonzero"
                             failures.append((a, b, k, where, f"oracle {verdict}"))
             rec.passed = not failures

@@ -15,6 +15,7 @@ from confalg.classify import (
     weight_equation_kernel,
 )
 from confalg.lca import DegreeBoundExceeded
+from confalg import suite
 from confalg.modules import BitSeq, check_module_axioms
 from confalg.poly import GaussianRational, MPoly
 
@@ -142,6 +143,33 @@ class TestGradedCaseSplitBase:
         assert outcome.families == {"L": "vAb", "M": "0", "Y": "0"}
         assert any(step.name == "MY/YY contradiction" for step in outcome.steps)
 
+    @pytest.mark.parametrize(
+        "algebra, point, base, text, fields",
+        [
+            ("csv", (1, 0), "vAb", "0110100010101100000",
+             ({"L": "vAb", "M": "0", "Y": "0"}, 0, True, "")),
+            ("csv", (1, 0), "vAb", "1011100000000101111",
+             ({"L": "vAb", "M": "0", "Y": "0"}, 0, False, "")),
+            ("csv", (0, 0), "vab", None,
+             ({"L": "vab", "M": "0", "Y": "d"}, 1, False,
+              "Y-extension survives all relations on the window")),
+            ("chv", (1, 0), "vAb", "0" * 19,
+             ({"L": "vAb", "M": "d"}, 1, False,
+              "M-extension survives all relations on the window")),
+            ("chv", (1, 0), "vAb", "1001011110000101010",
+             ({"L": "vAb", "M": "0"}, 0, True, "")),
+        ],
+        ids=["csv10-collapsed", "csv10-not-collapsed", "csv00-vab", "chv10-flat",
+             "chv10-collapsed"],
+    )
+    def test_outcome_fields(self, algebra, point, base, text, fields):
+        # the fields the CLI prints: families in the status, collapsed and
+        # note in the detail
+        bits = None if text is None else BitSeq.from_string(text, -9)
+        outcome = classify_graded(algebra, *point, base, bitseq=bits)
+        got = (outcome.families, outcome.extension_dim, outcome.collapsed, outcome.note)
+        assert got == fields
+
     def test_off_extension_points_zero(self):
         rng = random.Random(23)
         bits = BitSeq.random(rng, -9, 9)
@@ -163,3 +191,63 @@ class TestGradedCaseSplitBase:
             flat = build_graded(spec, "vAb", bits, "sym", "sym")
             flat_ok = check_module_axioms(spec, flat, 3, 2).all_zero
             assert flat_ok == (outcome.families["Y"] == "d")
+
+
+class TestOutcomeJudges:
+    def test_faults_name_the_wrong_family(self):
+        outcome = classify_graded("csv", 0, 0, "vab")
+        assert suite.graded_faults(outcome) == []
+        outcome.families["M"] = "d"
+        assert suite.graded_faults(outcome) == ["M: 'd', expected '0'"]
+        rank1 = classify_rank1("chv", 0, 0)
+        assert suite.rank1_faults(rank1) == []
+        rank1.families["M"] = "d*c^i"
+        rank1.extension_dim = 1
+        assert suite.rank1_faults(rank1) == [
+            "extension_dim 1, expected 0", "M: 'd*c^i', expected '0'"
+        ]
+
+    def test_case_split_judged_on_the_window(self):
+        bits = BitSeq.from_string("1001011110000101010", -9)
+        outcome = classify_graded("chv", 1, 0, "vAb", bitseq=bits)
+        assert suite.graded_faults(outcome, bits) == []
+        assert suite.graded_faults(outcome) == [
+            "extension_dim 0, expected 1", "M: '0', expected 'd'"
+        ]
+
+    def test_failed_step_in_the_suite_is_a_fail_record(self, monkeypatch):
+        # one grid point of each classifier stops at a failed step; its
+        # record fails, names the point and keeps the trace, and the run
+        # goes on to produce every other record
+        def failing(classify, algebra, point, base=None):
+            def run(name, a, b, *args, **kwargs):
+                outcome = classify(name, a, b, *args, **kwargs)
+                if (name, (a, b)) == (algebra, point) and (base is None or args[0] == base):
+                    outcome.step("forced", "0 = 1", ok=False)
+                return outcome
+            return run
+
+        monkeypatch.setattr(
+            suite, "classify_rank1", failing(classify_rank1, "csv", (2, 5))
+        )
+        monkeypatch.setattr(
+            suite, "classify_graded", failing(classify_graded, "chv", (1, 0), "vab")
+        )
+        records = suite.criterion_6() + suite.criterion_7()
+        failed = [r for r in records if not r.passed]
+        assert [r.check_id for r in failed] == ["c6-rank1-csv", "c7-graded-vab-chv"]
+        assert [r.check_id for r in records if r.passed] == [
+            "c6-rank1-chv", "c7-graded-vab-csv", "c7-graded-vAb-csv",
+            "c7-graded-vAb-chv", "c7-oracle-equivalence",
+        ]
+        rank1, graded = failed
+        assert rank1.status == (
+            "failures: [(2, 5, 'classification step failed: forced: 0 = 1')]"
+        )
+        assert graded.status == (
+            "failures: [(1, 0, 'vab', 'classification step failed: forced: 0 = 1')]"
+        )
+        for record in failed:
+            steps = record.detail.split("; ")
+            assert steps[0].startswith("[ok] d-free certificate")
+            assert steps[-1] == "[FAILED] forced: 0 = 1"

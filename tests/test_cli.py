@@ -131,6 +131,17 @@ class TestCommands:
         assert code == 0
         assert "extra 1" in capsys.readouterr().out
 
+    def test_derivations_solve_refuses_index0_window(self, capsys):
+        code = main(
+            [
+                "derivations", "--task", "solve", "--algebra", "sv",
+                "--a", "1", "--b", "0", "--window", "1",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "restricted to index 0" in err
+
     def test_derivations_dvec(self, capsys):
         code = main(
             [

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from confalg.catalog import build_chv, build_csv
+from confalg.catalog import build_chv, build_csv, build_hv, build_sv
 from confalg.derivations import (
     DerivationSpec,
     _contribution_table,
@@ -35,17 +35,22 @@ GAUSS_WEIGHTS = (
 )
 
 
-def full_lzero_solve(spec, degree, bound, window):
-    """The oracle: the whole lzero system in one elimination."""
-    coords, rows = _leibniz_system(spec, degree, bound, window, "lzero")
+def full_solve(spec, degree, bound, window, pairs="lzero"):
+    """The oracle: the whole ``pairs`` system in one elimination.
+
+    Returns the layout, the kernel and the inner rank, and checks that the
+    inner derivations lie in the kernel.
+    """
+    coords, rows = _leibniz_system(spec, degree, bound, window, pairs)
     ncols = len(coords.columns)
     kernel = list(reduce_rows(rows, None, ncols).kernel_vectors().values())
-    inner_rank = reduce_rows(inner_window_vectors(spec, coords), None, ncols).rank
-    return coords, kernel, inner_rank
+    inner = inner_window_vectors(spec, coords)
+    assert reduce_rows(kernel + inner, None, ncols).rank == len(kernel)
+    return coords, kernel, reduce_rows(inner, None, ncols).rank
 
 
 def assert_block_solve_matches_full(spec, degree, bound, window):
-    coords, kernel, inner_rank = full_lzero_solve(spec, degree, bound, window)
+    coords, kernel, inner_rank = full_solve(spec, degree, bound, window)
     res = solve_graded_derivations(spec, degree, bound, window)
     assert (res.dimension, res.inner_rank) == (len(kernel), inner_rank)
     block = [coords.vector_of(deriv) for deriv in res.basis]
@@ -185,9 +190,9 @@ class TestSolver:
     def test_pair_sets_agree(self):
         for builder, a in ((build_csv, 1), (build_csv, 2), (build_chv, 1)):
             spec = builder(a, 0)
-            lzero = solve_graded_derivations(spec, 0, 3, 1, pairs="lzero")
-            full = solve_graded_derivations(spec, 0, 3, 1, pairs="all")
-            assert lzero.extra_dimension == full.extra_dimension
+            lzero = solve_graded_derivations(spec, 0, 3, 1)
+            _, kernel, inner_rank = full_solve(spec, 0, 3, 1, "all")
+            assert lzero.extra_dimension == len(kernel) - inner_rank
 
     @pytest.mark.parametrize("degree", [-1, 0, 1])
     @pytest.mark.parametrize(
@@ -286,8 +291,15 @@ class TestSolver:
             GaussianRational(Fraction(2), Fraction(-1)),
         )
         loop = builder(1, GaussianRational(Fraction(0), Fraction(1)))
-        assert solve_graded_derivations(generic, 0, 3, 1, pairs).extra_dimension == 0
-        assert solve_graded_derivations(loop, 0, 3, 1, pairs).extra_dimension == 1
+
+        def extra_dimension(spec):
+            if pairs == "lzero":
+                return solve_graded_derivations(spec, 0, 3, 1).extra_dimension
+            _, kernel, inner_rank = full_solve(spec, 0, 3, 1, pairs)
+            return len(kernel) - inner_rank
+
+        assert extra_dimension(generic) == 0
+        assert extra_dimension(loop) == 1
 
     def test_basis_elements_are_derivations(self):
         res = solve_graded_derivations(build_csv(1, 0), degree=0, bound=3, window=2)
@@ -298,6 +310,18 @@ class TestSolver:
     def test_symbolic_parameters_rejected(self):
         with pytest.raises(ValueError):
             solve_graded_derivations(build_csv("sym", 0))
+
+    @pytest.mark.parametrize(
+        "builder, dims", [(build_sv, (7, 6)), (build_hv, (5, 4))], ids=["sv", "hv"]
+    )
+    def test_index0_algebra_solves_only_at_window_0_degree_0(self, builder, dims):
+        spec = builder(1, 0)
+        res = solve_graded_derivations(spec, 0, 2, 0)
+        assert (res.dimension, res.inner_rank) == dims
+        for degree, window in ((0, 1), (1, 0), (-1, 0)):
+            with pytest.raises(ValueError, match="restricted to index 0") as info:
+                solve_graded_derivations(spec, degree, 2, window)
+            assert not isinstance(info.value, KeyError)
 
 
 class TestDecompose:
