@@ -85,12 +85,22 @@ class DerivationSpec:
         return all(v.is_zero() for v in self.images.values())
 
 
+def _refuse_off_index0(spec: AlgebraSpec, what: str, window: int, degree: int) -> None:
+    """Refuse work on an index-0 algebra (``index0_only``) off index 0."""
+    if spec.index0_only and (window or degree):
+        raise ValueError(
+            f"{spec.name} is restricted to index 0: {what} needs window 0 and "
+            f"degree 0, got window {window} and degree {degree}"
+        )
+
+
 def ad(spec: AlgebraSpec, x: GenPoly, window: int = 3) -> DerivationSpec:
     """The inner derivation y -> [x _l y] on the generator window."""
     degree = None
     indices = {gen.index for gen in x.terms}
     if len(indices) == 1:
         degree = next(iter(indices))
+    _refuse_off_index0(spec, "ad", window, max(map(abs, indices), default=0))
     out = DerivationSpec(families=spec.families, window=window, degree=degree)
     for fam in spec.families:
         for i in range(-window, window + 1):
@@ -106,6 +116,7 @@ def d_vec(spec: AlgebraSpec, seq: SeqC, window: int = 3) -> DerivationSpec:
         raise ValueError("the M-valued family needs an M family")
     entries = {c: GaussianRational.of(v) for c, v in seq.items() if GaussianRational.of(v)}
     degree = next(iter(entries)) if len(entries) == 1 else None
+    _refuse_off_index0(spec, "the M-valued family", window, max(map(abs, entries), default=0))
     out = DerivationSpec(families=spec.families, window=window, degree=degree)
     for i in range(-window, window + 1):
         image = GenPoly(
@@ -170,6 +181,7 @@ def check_derivation(
         raise WindowTooSmall(
             f"derivation images cover |index| <= {deriv.window}, asked for {w}"
         )
+    _refuse_off_index0(spec, "the Leibniz check", w, deriv.degree or 0)
     report = DerivationReport(algebra=spec.name, window=w)
     for fam_x in spec.families:
         for fam_y in spec.families:
@@ -488,11 +500,7 @@ def solve_graded_derivations(
     """
     if spec.parameters:
         raise ValueError("the solver needs numeric algebra parameters")
-    if spec.index0_only and (window or degree):
-        raise ValueError(
-            f"{spec.name} is restricted to index 0: the derivation solver needs "
-            f"window 0 and degree 0, got window {window} and degree {degree}"
-        )
+    _refuse_off_index0(spec, "the derivation solver", window, degree)
     coords = _make_coords(spec, degree, bound, window)
     kernel = _lzero_kernel(spec, coords)
     ncols = len(coords.columns)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .poly import MPoly, PolyLike, parse_poly
@@ -57,16 +58,27 @@ class GenPoly:
 
     Used both for algebra members (coefficients in ``d`` and parameters)
     and for bracket values (coefficients also involving bracket variables).
+    Values are immutable: ``terms`` is a read-only view.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Generator, PolyLike] | None = None):
-        self.terms: dict[Generator, MPoly] = {}
+        out: dict[Generator, MPoly] = {}
         for gen, poly in (terms or {}).items():
             p = MPoly.of(poly)
             if not p.is_zero():
-                self.terms[gen] = p
+                out[gen] = p
+        object.__setattr__(self, "terms", MappingProxyType(out))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GenPoly is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("GenPoly is immutable")
+
+    def __reduce__(self):
+        return (GenPoly, (dict(self.terms),))
 
     @staticmethod
     def zero() -> "GenPoly":

@@ -3,10 +3,19 @@
 Every structure constant handled by this package is a polynomial with
 Gaussian-rational coefficients in the formal variables ``d`` (the module
 generator, printed as ``d``), ``l`` and ``m`` (the two bracket variables),
-``n`` (a spare bracket variable) and arbitrary named parameters.  Polynomials
-are stored sparsely as a map from monomials to coefficients, zero
-coefficients are never stored, and equality of the canonical forms is
-mathematical equality.
+``n`` (a spare bracket variable) and arbitrary named parameters.
+
+A coefficient, ``GaussianRational``, is the integer triple ``(a, b, c)`` of
+``(a + b*i) / c`` with ``c > 0`` and ``gcd(a, b, c) == 1``; its arithmetic
+runs on Python integers with one gcd per result.
+
+A polynomial, ``MPoly``, maps monomials (sorted ``(name, exponent)``
+tuples) to nonzero coefficients.  The public constructor ``MPoly(terms)``
+normalises any term map: it merges repeated names and colliding monomials,
+drops zero exponents and zero coefficients, and sorts the names.  Every
+operation builds its result through the private ``MPoly._new``, which wraps
+a map that is canonical by construction without checking it.  So equality
+of the canonical forms is mathematical equality.
 
 Variable order for display and division is graded lexicographic with
 ``d < l < m < n < (all other names alphabetically)``.
@@ -22,8 +31,9 @@ bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 
@@ -63,61 +73,118 @@ def check_var_name(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """An exact complex number p/q + (r/s)i with reduced rational parts.
+    """An exact complex number ``(a + b*i) / c`` over Python integers.
 
-    Sums, negations and products of real values (zero imaginary parts, by
-    far the most common coefficients) compute the real part only.
+    The triple is kept with ``c > 0`` and ``gcd(a, b, c) == 1``, so equal
+    numbers have equal fields and ``==`` and ``hash`` read the triple.
+    ``re`` and ``im`` give the parts as reduced ``Fraction`` values.
+    Values are immutable: the slots are written once, by the constructors.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_a", "_b", "_c")
+
+    def __init__(self, re: Rational, im: Rational):
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"parts must be int or Fraction, got {re!r} and {im!r}")
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators, gcd(a, b, c) is already 1
+        c = lcm(re.denominator, im.denominator)
+        _set_a(self, re.numerator * (c // re.denominator))
+        _set_b(self, im.numerator * (c // im.denominator))
+        _set_c(self, c)
 
     @staticmethod
     def of(value: "ScalarLike") -> "GaussianRational":
-        if isinstance(value, GaussianRational):
+        if type(value) is GaussianRational:
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value), Fraction(0))
+        if isinstance(value, int):
+            return _gauss(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _gauss(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._c)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._c)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GaussianRational is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
+
     def __add__(self, other: "ScalarLike") -> "GaussianRational":
-        o = other if isinstance(other, GaussianRational) else GaussianRational.of(other)
-        if not (self.im or o.im):
-            return GaussianRational(self.re + o.re, self.im)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        c = self._c
+        if c == o._c:
+            a = self._a + o._a
+            b = self._b + o._b
+            if c == 1:
+                return _gauss(a, b, 1)
+        else:
+            c2 = o._c
+            a = self._a * c2 + o._a * c
+            b = self._b * c2 + o._b * c
+            c *= c2
+        return _reduced(a, b, c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        if not self.im:
-            return GaussianRational(-self.re, self.im)
-        return GaussianRational(-self.re, -self.im)
+        return _gauss(-self._a, -self._b, self._c)
 
     def __sub__(self, other: "ScalarLike") -> "GaussianRational":
-        return self + (-GaussianRational.of(other))
+        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        c = self._c
+        if c == o._c:
+            a = self._a - o._a
+            b = self._b - o._b
+            if c == 1:
+                return _gauss(a, b, 1)
+        else:
+            c2 = o._c
+            a = self._a * c2 - o._a * c
+            b = self._b * c2 - o._b * c
+            c *= c2
+        return _reduced(a, b, c)
 
     def __rsub__(self, other: "ScalarLike") -> "GaussianRational":
-        return GaussianRational.of(other) + (-self)
+        return GaussianRational.of(other) - self
 
     def __mul__(self, other: "ScalarLike") -> "GaussianRational":
-        o = other if isinstance(other, GaussianRational) else GaussianRational.of(other)
-        if not (self.im or o.im):
-            return GaussianRational(self.re * o.re, self.im)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        b1, b2 = self._b, o._b
+        if not (b1 or b2):
+            a = self._a * o._a
+            c = self._c * o._c
+            g = gcd(a, c)
+            if g == 1:
+                return _gauss(a, 0, c)
+            return _gauss(a // g, 0, c // g)
+        a1, a2 = self._a, o._a
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._c * o._c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ScalarLike") -> "GaussianRational":
         o = GaussianRational.of(other)
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
+        a2, b2, c2 = o._a, o._b, o._c
+        # (a1 + b1 i) / c1 * c2 / (a2 + b2 i), over the norm of a2 + b2 i
+        norm = a2 * a2 + b2 * b2
+        if not norm:
             raise ZeroDivisionError("division by zero scalar")
-        return self * GaussianRational(o.re / norm, -o.im / norm)
+        a1, b1 = self._a, self._b
+        return _reduced(
+            (a1 * a2 + b1 * b2) * c2, (b1 * a2 - a1 * b2) * c2, self._c * norm
+        )
 
     def __pow__(self, power: int) -> "GaussianRational":
         if not isinstance(power, int):
@@ -134,26 +201,65 @@ class GaussianRational:
         return result
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return bool(self._a or self._b)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._c))
 
     @property
     def is_rational(self) -> bool:
-        return not self.im
+        return not self._b
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if not self._b:
             return str(self.re)
-        re = str(self.re)
-        if self.im < 0:
-            return f"({re}-{-self.im}*i)"
-        return f"({re}+{self.im}*i)"
+        re, im = str(self.re), self.im
+        if im < 0:
+            return f"({re}-{-im}*i)"
+        return f"({re}+{im}*i)"
 
 
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_c = GaussianRational._c.__set__
+_new_object = object.__new__
+
+
+def _gauss(a: int, b: int, c: int) -> GaussianRational:
+    """A scalar from a triple that already satisfies the invariants."""
+    x = _new_object(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_c(x, c)
+    return x
+
+
+def _reduced(a: int, b: int, c: int) -> GaussianRational:
+    """A scalar from any triple with ``c != 0``."""
+    g = gcd(a, b, c)
+    if c < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+    return _gauss(a, b, c)
+
+
+Rational = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, GaussianRational]
 
-ZERO = GaussianRational(Fraction(0), Fraction(0))
-ONE = GaussianRational(Fraction(1), Fraction(0))
-IMAG = GaussianRational(Fraction(0), Fraction(1))
+ZERO = GaussianRational(0, 0)
+ONE = GaussianRational(1, 0)
+IMAG = GaussianRational(0, 1)
 
 #: a monomial: variable names with positive exponents, sorted by var order.
 Mono = tuple[tuple[str, int], ...]
@@ -161,15 +267,29 @@ Mono = tuple[tuple[str, int], ...]
 EMPTY_MONO: Mono = ()
 
 
+def _item_key(item: tuple[str, int]) -> tuple[int, str]:
+    return var_sort_key(item[0])
+
+
+def _mono_from(exps: Mapping[str, int]) -> Mono:
+    """The monomial of an exponent map; zero exponents are dropped."""
+    return tuple(sorted(((name, e) for name, e in exps.items() if e), key=_item_key))
+
+
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
     if not b:
         return a
+    if len(a) == 1 and len(b) == 1:
+        (na, ea), (nb, eb) = a[0], b[0]
+        if na == nb:
+            return ((na, ea + eb),)
+        return a + b if var_sort_key(na) < var_sort_key(nb) else b + a
     exps: dict[str, int] = dict(a)
     for name, e in b:
         exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items(), key=lambda kv: var_sort_key(kv[0])))
+    return tuple(sorted(exps.items(), key=_item_key))
 
 
 def _mono_degree(mono: Mono) -> int:
@@ -182,16 +302,47 @@ def _mono_key(mono: Mono, varlist: Sequence[str]) -> tuple:
     return (_mono_degree(mono), tuple(exps.get(v, 0) for v in varlist))
 
 
+def _nonzero(terms: dict[Mono, GaussianRational]) -> dict[Mono, GaussianRational]:
+    return {mono: coeff for mono, coeff in terms.items() if coeff}
+
+
 class MPoly:
-    """A sparse polynomial in canonical form (no zero coefficients stored)."""
+    """A sparse polynomial in canonical form.
+
+    Canonical means: every monomial lists distinct names with positive
+    exponents in ``var_sort_key`` order, and no coefficient is zero.  The
+    public constructor brings any term map to that form; operations build
+    their results through ``MPoly._new``, which takes a map that already is
+    canonical and does not check it.
+    """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Mono, GaussianRational] | None = None):
-        self._terms: dict[Mono, GaussianRational] = {
-            mono: coeff for mono, coeff in (terms or {}).items() if coeff
-        }
+    def __init__(self, terms: Mapping[Iterable[tuple[str, int]], ScalarLike] | None = None):
+        out: dict[Mono, GaussianRational] = {}
+        for mono, coeff in (terms or {}).items():
+            exps: dict[str, int] = {}
+            for name, e in mono:
+                exps[name] = exps.get(name, 0) + e
+            if any(e < 0 for e in exps.values()):
+                raise ValueError(f"negative exponent in {mono!r}")
+            key = _mono_from(exps)
+            c = GaussianRational.of(coeff)
+            acc = out.get(key)
+            out[key] = c if acc is None else acc + c
+        self._terms = _nonzero(out)
         self._hash: int | None = None
+
+    @staticmethod
+    def _new(terms: dict[Mono, GaussianRational]) -> "MPoly":
+        """Wrap a canonical term map (owned by the result from now on)."""
+        p = _new_object(MPoly)
+        p._terms = terms
+        p._hash = None
+        return p
+
+    def __reduce__(self):
+        return (MPoly, (self._terms,))
 
     # -- constructors ------------------------------------------------------
 
@@ -201,7 +352,8 @@ class MPoly:
 
     @staticmethod
     def const(value: ScalarLike) -> "MPoly":
-        return MPoly({EMPTY_MONO: GaussianRational.of(value)})
+        c = GaussianRational.of(value)
+        return MPoly._new({EMPTY_MONO: c} if c else {})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "MPoly":
@@ -210,19 +362,19 @@ class MPoly:
             raise ValueError("negative exponent")
         if power == 0:
             return MPoly.const(1)
-        return MPoly({((name, power),): ONE})
+        return MPoly._new({((name, power),): ONE})
 
     @staticmethod
     def of(value: "PolyLike") -> "MPoly":
         if isinstance(value, MPoly):
             return value
-        return MPoly.const(GaussianRational.of(value))
+        return MPoly.const(value)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Mono, GaussianRational]:
-        return self._terms
+        return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -264,60 +416,75 @@ class MPoly:
         out = dict(self._terms)
         for mono, coeff in o._terms.items():
             acc = out.get(mono)
-            s = coeff if acc is None else acc + coeff
-            if s:
-                out[mono] = s
-            elif acc is not None:
-                del out[mono]
-        return MPoly(out)
+            if acc is None:
+                out[mono] = coeff
+            else:
+                s = acc + coeff
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+        return MPoly._new(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly({mono: -coeff for mono, coeff in self._terms.items()})
+        return MPoly._new({mono: -coeff for mono, coeff in self._terms.items()})
 
     def __sub__(self, other: "PolyLike") -> "MPoly":
-        return self + (-MPoly.of(other))
+        o = MPoly.of(other)
+        if not o._terms:
+            return self
+        out = dict(self._terms)
+        for mono, coeff in o._terms.items():
+            acc = out.get(mono)
+            if acc is None:
+                out[mono] = -coeff
+            else:
+                s = acc - coeff
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+        return MPoly._new(out)
 
     def __rsub__(self, other: "PolyLike") -> "MPoly":
-        return MPoly.of(other) + (-self)
+        return MPoly.of(other) - self
 
     def __mul__(self, other: "PolyLike") -> "MPoly":
         o = MPoly.of(other)
         if not self._terms or not o._terms:
             return _ZERO_POLY
         out: dict[Mono, GaussianRational] = {}
+        get = out.get
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
                 mono = _mono_mul(m1, m2)
                 prod = c1 * c2
-                acc = out.get(mono)
-                s = prod if acc is None else acc + prod
-                if s:
-                    out[mono] = s
-                elif acc is not None:
-                    del out[mono]
-        return MPoly(out)
+                acc = get(mono)
+                out[mono] = prod if acc is None else acc + prod
+        return MPoly._new(_nonzero(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "MPoly":
         if not isinstance(power, int) or power < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = MPoly.const(1)
+        result = None
         base = self
         while power:
             if power & 1:
-                result = result * base
-            base = base * base if power > 1 else base
+                result = base if result is None else result * base
             power >>= 1
-        return result
+            if power:
+                base = base * base
+        return MPoly.const(1) if result is None else result
 
     def scale(self, value: ScalarLike) -> "MPoly":
         c = GaussianRational.of(value)
         if not c:
             return _ZERO_POLY
-        return MPoly({mono: coeff * c for mono, coeff in self._terms.items()})
+        return MPoly._new({mono: coeff * c for mono, coeff in self._terms.items()})
 
     # -- substitution and extraction ----------------------------------------
 
@@ -329,19 +496,27 @@ class MPoly:
         simultaneous-substitution semantics.
         """
         repl = MPoly.of(value)
-        out = _ZERO_POLY
-        powers: dict[int, MPoly] = {}
+        out: dict[Mono, GaussianRational] = {}
+        get = out.get
+        powers: dict[int, dict[Mono, GaussianRational]] = {}
         for mono, coeff in self._terms.items():
-            exps = dict(mono)
-            e = exps.pop(name, 0)
-            rest = MPoly({tuple(sorted(exps.items(), key=lambda kv: var_sort_key(kv[0]))): coeff})
-            if e == 0:
-                out = out + rest
+            for k, (var_name, e) in enumerate(mono):
+                if var_name == name:
+                    break
+            else:
+                acc = get(mono)
+                out[mono] = coeff if acc is None else acc + coeff
                 continue
-            if e not in powers:
-                powers[e] = repl**e
-            out = out + rest * powers[e]
-        return out
+            rest = mono[:k] + mono[k + 1:]
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = (repl**e)._terms
+            for m2, c2 in power.items():
+                m = _mono_mul(rest, m2)
+                prod = coeff * c2
+                acc = get(m)
+                out[m] = prod if acc is None else acc + prod
+        return MPoly._new(_nonzero(out))
 
     def shift(self, name: str, delta: "PolyLike") -> "MPoly":
         """Substitute ``name -> name + delta`` (e.g. the d -> d+l shift)."""
@@ -356,22 +531,13 @@ class MPoly:
         names = frozenset(names)
         if any(name not in names for name in mono):
             raise ValueError("monomial involves a variable outside the given set")
-        want = tuple(
-            sorted(((nm, e) for nm, e in mono.items() if e), key=lambda kv: var_sort_key(kv[0]))
-        )
-        out: dict[Mono, GaussianRational] = {}
-        for term_mono, coeff in self._terms.items():
-            inside = tuple(kv for kv in term_mono if kv[0] in names)
-            if inside != want:
-                continue
-            outside = tuple(kv for kv in term_mono if kv[0] not in names)
-            acc = out.get(outside)
-            s = coeff if acc is None else acc + coeff
-            if s:
-                out[outside] = s
-            elif acc is not None:
-                del out[outside]
-        return MPoly(out)
+        want = _mono_from(mono)
+        # terms with the same part over names differ in their other part
+        return MPoly._new({
+            tuple(kv for kv in term_mono if kv[0] not in names): coeff
+            for term_mono, coeff in self._terms.items()
+            if tuple(kv for kv in term_mono if kv[0] in names) == want
+        })
 
     def split_by(self, names: Iterable[str]) -> dict[Mono, "MPoly"]:
         """Decompose into ``{monomial over names: coefficient polynomial}``."""
@@ -381,7 +547,7 @@ class MPoly:
             inside = tuple(kv for kv in term_mono if kv[0] in names)
             outside = tuple(kv for kv in term_mono if kv[0] not in names)
             groups.setdefault(inside, {})[outside] = coeff
-        return {mono: MPoly(parts) for mono, parts in groups.items()}
+        return {mono: MPoly._new(parts) for mono, parts in groups.items()}
 
     # -- division ------------------------------------------------------------
 
@@ -412,13 +578,9 @@ class MPoly:
             exps = dict(mono)
             if any(exps.get(name, 0) < e for name, e in lead_exps.items()):
                 raise NotDivisible(f"{div} does not divide {self}")
-            qm = {name: e for name, e in exps.items()}
             for name, e in lead_exps.items():
-                qm[name] -= e
-            qmono = tuple(
-                sorted(((nm, e) for nm, e in qm.items() if e), key=lambda kv: var_sort_key(kv[0]))
-            )
-            qterm = MPoly({qmono: coeff / lead_coeff})
+                exps[name] -= e
+            qterm = MPoly._new({_mono_from(exps): coeff / lead_coeff})
             quo = quo + qterm
             rem = rem - qterm * div
         return quo
@@ -448,7 +610,7 @@ class MPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MPoly.const(GaussianRational.of(other))
+            other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self._terms == other._terms
