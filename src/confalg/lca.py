@@ -91,11 +91,7 @@ class GenPoly:
     def __add__(self, other: "GenPoly") -> "GenPoly":
         out = dict(self.terms)
         for gen, poly in other.terms.items():
-            s = out.get(gen, MPoly.zero()) + poly
-            if s.is_zero():
-                out.pop(gen, None)
-            else:
-                out[gen] = s
+            out[gen] = out.get(gen, MPoly.zero()) + poly
         return GenPoly(out)
 
     def __neg__(self) -> "GenPoly":

@@ -592,9 +592,7 @@ def reducibility_witness(module: Rank1Module, max_degree: int = 3) -> WitnessRes
         equations: list[MPoly] = []
         for t in acting:
             _, rem = (q_shift * t).divmod_in(q, VAR_D)
-            for coeff in rem.split_by([VAR_D, VAR_L]).values():
-                if not coeff.is_zero():
-                    equations.append(coeff)
+            equations.extend(rem.split_by([VAR_D, VAR_L]).values())
         solution = _solve_witness_equations(equations, wnames)
         if solution == "undecided":
             return WitnessResult(

@@ -142,6 +142,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "restricted to index 0" in err
 
+    @pytest.mark.parametrize(
+        "task, algebra", [("decompose", "sv"), ("dvec-check", "hv")]
+    )
+    def test_derivations_refuse_index0_algebra(self, capsys, task, algebra):
+        code = main(
+            ["derivations", "--task", task, "--algebra", algebra, "--a", "1", "--b", "0"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "restricted to index 0" in err
+
     def test_derivations_dvec(self, capsys):
         code = main(
             [

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -178,3 +180,21 @@ class TestSerialization:
         sv = build_sv(1, 0)
         back = parse_algebra(serialize_algebra(sv))
         assert back.index0_only
+
+
+class TestGenPolyValue:
+    def test_immutable_with_a_stable_hash(self):
+        g = GenPoly({Generator("L", 1): P("d + 2*l"), Generator("M", 0): P("b")})
+        before = hash(g)
+        with pytest.raises(AttributeError):
+            g.terms.clear()
+        with pytest.raises(TypeError):
+            g.terms[Generator("Y", 0)] = P("d")
+        with pytest.raises(AttributeError):
+            g.terms = {}
+        assert hash(g) == before and len(g.terms) == 2
+
+    def test_copy_and_pickle_round_trip(self):
+        g = GenPoly({Generator("L", 1): P("(1/2+i)*d + l")})
+        for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert clone == g and hash(clone) == hash(g)

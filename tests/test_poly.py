@@ -1,19 +1,24 @@
+import copy
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confalg.poly import (
+    ONE,
     GaussianRational,
     MPoly,
     NotDivisible,
     ParseError,
     parse_poly,
     parse_scalar,
+    var_sort_key,
 )
 
-from conftest import polys, scalars
+from conftest import VAR_NAMES, polys, scalars
 
 D = MPoly.var("d")
 L = MPoly.var("l")
@@ -212,3 +217,198 @@ class TestRingLaws:
         for mono, coeff in p.split_by(["d", "l"]).items():
             total = total + coeff * MPoly({mono: GaussianRational.of(1)})
         assert total == p
+
+
+def _triple(x: GaussianRational) -> tuple[int, int, int]:
+    return (x._a, x._b, x._c)
+
+
+class TestScalarTriple:
+    """The integer triple is the value: reduced, immutable and copyable."""
+
+    @given(scalars(), OPERANDS)
+    def test_arithmetic_fields_equal_constructor_fields(self, x, y):
+        a, b = x.re, x.im
+        c, d = _parts(y)
+        expected = [
+            (x + y, a + c, b + d),
+            (x - y, a - c, b - d),
+            (y - x, c - a, d - b),
+            (x * y, a * c - b * d, a * d + b * c),
+            (-x, -a, -b),
+        ]
+        if c or d:
+            norm = c * c + d * d
+            expected.append((x / y, (a * c + b * d) / norm, (b * c - a * d) / norm))
+        for result, re, im in expected:
+            assert _triple(result) == _triple(GaussianRational(re, im))
+            assert result._c > 0 and gcd(*_triple(result)) == 1
+
+    def test_parts_are_reduced_fractions(self):
+        x = GaussianRational(Fraction(2, 4), 3)
+        assert _triple(x) == (1, 6, 2)
+        assert type(x.im) is Fraction and x.im == 3
+        assert _triple(ONE - ONE) == (0, 0, 1)
+
+    def test_constructor_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            GaussianRational(0.5, 0)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            parse_scalar("(1/2-3/4*i)"),
+            ONE,
+            parse_poly("(1/2+3/4*i)*d*l - 2*b + 3"),
+            MPoly.zero(),
+        ],
+        ids=["gaussian", "one", "poly", "zero-poly"],
+    )
+    def test_copy_deepcopy_pickle_round_trip(self, value):
+        hash(value)
+        for clone in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+            assert str(clone) == str(value)
+
+    def test_values_are_immutable(self):
+        x = parse_scalar("(1/2-3/4*i)")
+        with pytest.raises(AttributeError):
+            x._a = 3
+        with pytest.raises(AttributeError):
+            x.re = Fraction(1)
+        with pytest.raises(AttributeError):
+            del x._b
+        assert _triple(x) == (2, -3, 4)
+        p = parse_poly("d + 1")
+        with pytest.raises(TypeError):
+            p.terms[()] = ONE
+        assert p == parse_poly("d + 1")
+
+
+def _assert_canonical(p: MPoly) -> None:
+    assert type(p) is MPoly
+    for mono, coeff in p.terms.items():
+        names = [name for name, _ in mono]
+        assert names == sorted(set(names), key=var_sort_key), mono
+        assert all(type(e) is int and e > 0 for _, e in mono), mono
+        assert type(coeff) is GaussianRational and coeff, (mono, coeff)
+
+
+#: term maps as a caller might write them: names repeated or out of order,
+#: zero exponents and zero coefficients
+RAW_TERMS = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(VAR_NAMES), st.integers(0, 3)), max_size=4),
+        scalars(),
+    ),
+    max_size=5,
+)
+
+
+class TestCanonicalForm:
+    def test_roadmap_repros(self):
+        unsorted = MPoly({(("l", 1), ("d", 1)): ONE})
+        assert unsorted == parse_poly("d*l") and (unsorted - parse_poly("d*l")).is_zero()
+        assert MPoly({(("d", 0),): ONE}) == 1
+        for p in (unsorted, MPoly({(("d", 0),): ONE})):
+            _assert_canonical(p)
+
+    @given(RAW_TERMS)
+    def test_public_constructor_normalises(self, raw):
+        terms = {tuple(mono): coeff for mono, coeff in raw}
+        expected = MPoly.zero()
+        for mono, coeff in terms.items():
+            term = MPoly.const(coeff)
+            for name, e in mono:
+                term = term * MPoly.var(name, e)
+            expected = expected + term
+        got = MPoly(terms)
+        _assert_canonical(got)
+        assert got == expected and hash(got) == hash(expected)
+
+    def test_public_constructor_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            MPoly({(("d", -1),): ONE})
+
+    @given(polys(), polys(), scalars(), st.sampled_from(VAR_NAMES), st.integers(0, 3))
+    def test_every_operation_returns_canonical_terms(self, p, q, c, name, k):
+        divisor = q if not q.is_zero() else MPoly.var("d") + 1
+        results = [
+            p + q, p - q, -p, p * q, 1 - p, p.scale(c), p**k,
+            p.substitute(name, q), p.shift(name, q),
+            p.coeff_extract(["d", "l"], {"d": 1}),
+            (p * divisor).divide_exact(divisor),
+            MPoly(p.terms), MPoly.const(c), MPoly.var(name, k), parse_poly(str(p)),
+            *p.split_by(["d", "l"]).values(),
+            *p.divmod_in(MPoly.var("d") + q.substitute("d", 0), "d"),
+        ]
+        for result in results:
+            _assert_canonical(result)
+
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(p: MPoly):
+    sp = _sympy()
+    total = sp.Integer(0)
+    for mono, coeff in p.terms.items():
+        term = sp.Rational(coeff.re.numerator, coeff.re.denominator) + sp.I * sp.Rational(
+            coeff.im.numerator, coeff.im.denominator
+        )
+        for name, e in mono:
+            term *= sp.Symbol(name) ** e
+        total += term
+    return total
+
+
+def _same(p: MPoly, expr) -> bool:
+    return _sympy().expand(_to_sympy(p) - expr) == 0
+
+
+class TestAgainstSympy:
+    """Differential tests of the kernel against sympy's expansion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys(), polys())
+    def test_product(self, p, q):
+        assert _same(p * q, _to_sympy(p) * _to_sympy(q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys(), st.sampled_from(VAR_NAMES), polys())
+    def test_substitute(self, p, name, value):
+        sp = _sympy()
+        expected = _to_sympy(p).subs(sp.Symbol(name), _to_sympy(value))
+        assert _same(p.substitute(name, value), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys(), st.sampled_from(VAR_NAMES), polys())
+    def test_shift(self, p, name, delta):
+        sp = _sympy()
+        x = sp.Symbol(name)
+        expected = _to_sympy(p).subs(x, x + _to_sympy(delta))
+        assert _same(p.shift(name, delta), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys(), polys(), polys(), st.booleans())
+    def test_divide_exact(self, p, q, r, exact):
+        sp = _sympy()
+        if q.is_zero():
+            q = MPoly.var("d") + 1
+        dividend = p * q if exact else p * q + r
+        gens = [sp.Symbol(name) for name in VAR_NAMES]
+        quo, rem = sp.Poly(_to_sympy(dividend), *gens, domain=sp.QQ_I).div(
+            sp.Poly(_to_sympy(q), *gens, domain=sp.QQ_I)
+        )
+        # division by a single polynomial leaves remainder 0 exactly when it divides
+        if rem.is_zero:
+            assert _same(dividend.divide_exact(q), quo.as_expr())
+        else:
+            with pytest.raises(NotDivisible):
+                dividend.divide_exact(q)
