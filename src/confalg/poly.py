@@ -7,7 +7,7 @@ generator, printed as ``d``), ``l`` and ``m`` (the two bracket variables),
 
 A coefficient, ``GaussianRational``, is the integer triple ``(a, b, c)`` of
 ``(a + b*i) / c`` with ``c > 0`` and ``gcd(a, b, c) == 1``; its arithmetic
-runs on Python integers with one gcd per result.
+runs on Python integers with at most one gcd per result.
 
 A polynomial, ``MPoly``, maps monomials (sorted ``(name, exponent)``
 tuples) to nonzero coefficients.  The public constructor ``MPoly(terms)``
@@ -243,10 +243,8 @@ def _gauss(a: int, b: int, c: int) -> GaussianRational:
 
 
 def _reduced(a: int, b: int, c: int) -> GaussianRational:
-    """A scalar from any triple with ``c != 0``."""
+    """A scalar from any triple with ``c > 0``."""
     g = gcd(a, b, c)
-    if c < 0:
-        g = -g
     if g != 1:
         a //= g
         b //= g
