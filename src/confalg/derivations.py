@@ -20,11 +20,22 @@ classification argument subtracts inner derivations and the M-valued family
 using those pairs alone.  A wider (all-pairs) equation set is kept for
 cross-validation in the tests.
 
-The rows are built once per family pair and relabelled per index pair.
-Bracket templates do not depend on generator indices, so every polynomial
-of the linearized residual of (x_i, y_j) depends on (x, y) and the degree
-bound only; i, j and i + j (and nothing of the grading degree) pick the
-columns the coefficients land in.
+Bracket templates do not depend on generator indices, so a solve builds
+each index-free polynomial once and relabels it by index:
+
+- the rows of a pair (x_i, y_j) are built once per family pair and
+  relabelled per index pair: every polynomial of the linearized residual
+  depends on (x, y) and the degree bound only, and i, j and i + j (and
+  nothing of the grading degree) pick the columns the coefficients land
+  in.  Within a family pair, each instantiated template is multiplied by
+  each power of its term once; the l^q factor of an unknown only raises
+  l exponents;
+- the inner vectors take one bracket [d^k X_c _l F_0] per (X, k, F) and
+  place it at every index i of the window with its generator index raised
+  by i, instead of evaluating ``ad`` index by index.  ``ad`` stays the
+  literal evaluator the tests hold them to.
+
+Nothing built in a solve outlives it.
 
 So the (L_0, y_j) system is solved block by block: the pairs with j = 0
 touch only index-0 columns, and for every j != 0 the pairs are one block,
@@ -51,7 +62,7 @@ from .lca import (
     conformal_bracket,
 )
 from .linsolve import SparseRow, reduce_rows
-from .poly import ZERO, GaussianRational, Inconsistent, MPoly, parse_poly
+from .poly import ZERO, GaussianRational, Inconsistent, Mono, MPoly, parse_poly
 
 _L = MPoly.var(VAR_L)
 _M = MPoly.var(VAR_M)
@@ -249,23 +260,19 @@ class _Coords:
         return vec
 
     def derivation_of(self, vec: SparseRow) -> DerivationSpec:
+        """The derivation with coordinates ``vec`` (which holds no zeros)."""
         keys = list(self.columns)
-        monos = {
-            pq: next(iter((MPoly.var(VAR_D, pq[0]) * MPoly.var(VAR_L, pq[1])).terms))
-            for pq in _degree_monos(self.bound)
-        }
         images: dict[tuple[str, int], dict[Generator, dict]] = {}
         for col in sorted(vec):
-            fam, i, tgt, pq = keys[col]
+            fam, i, tgt, (p, q) = keys[col]
+            mono = tuple((name, e) for name, e in ((VAR_D, p), (VAR_L, q)) if e)
             slot = images.setdefault((fam, i), {})
-            slot.setdefault(Generator(tgt, i + self.degree), {})[monos[pq]] = vec[col]
+            slot.setdefault(Generator(tgt, i + self.degree), {})[mono] = vec[col]
         out = DerivationSpec(
             families=self.spec.families, window=self.src_window, degree=self.degree
         )
         for key, terms in images.items():
-            gp = GenPoly({gen: MPoly(poly) for gen, poly in terms.items()})
-            if not gp.is_zero():
-                out.images[key] = gp
+            out.images[key] = GenPoly({gen: MPoly._new(poly) for gen, poly in terms.items()})
         return out
 
 
@@ -288,14 +295,22 @@ def _make_coords(
 _Slot = tuple[str, int, str, tuple[int, int]]
 #: the coefficients one unknown contributes to the rows of one pair, keyed
 #: by row (residual target family, monomial in d, l, m), signs applied
-_Contribution = tuple[_Slot, tuple[tuple[tuple[str, tuple], GaussianRational], ...]]
+_Contribution = tuple[_Slot, tuple[tuple[tuple[str, Mono], GaussianRational], ...]]
+
+
+def _times_l(mono: Mono, q: int) -> Mono:
+    """``mono * l^q``: d is the one variable that sorts before l."""
+    k = 1 if mono and mono[0][0] == VAR_D else 0
+    if k < len(mono) and mono[k][0] == VAR_L:
+        return mono[:k] + ((VAR_L, mono[k][1] + q),) + mono[k + 1:]
+    return mono[:k] + ((VAR_L, q),) + mono[k:]
 
 
 def _family_pair_contributions(
     spec: AlgebraSpec,
     fam_x: str,
     fam_y: str,
-    factors: tuple[dict[tuple[int, int], MPoly], ...],
+    powers: tuple[list[MPoly], list[MPoly], list[MPoly]],
 ) -> list[_Contribution]:
     """Index-free linearization of the Leibniz residual of (x_i, y_j).
 
@@ -303,53 +318,62 @@ def _family_pair_contributions(
     templates do not depend on generator indices, so every polynomial here
     depends on the family pair and the bound only: the indices i, j enter
     through the column each unknown sits in (slot 1 is x_i, 2 is y_j, 0 is
-    the image of x_i _m y_j at i + j).  ``factors`` map each (p, q) with
-    p + q <= bound to d^p l^q, (-(l+m))^p l^q and (d+m)^p l^q.
+    the image of x_i _m y_j at i + j).  The unknown of d^p l^q enters its
+    term as power_p * l^q * T, T the term's instantiated template (sign
+    included) and ``powers`` holding d^p, (-(l+m))^p and (d+m)^p for the
+    three terms.  So each T is multiplied by each power_p once, and the
+    factor l^q only raises the l exponents of that product.
     """
-    d_l, neg_lm, d_m = factors
+    monos = _degree_monos(len(powers[0]) - 1)
     out: list[_Contribution] = []
 
-    def add(target_fam: str, slot: _Slot, poly: MPoly, sign: int) -> None:
-        terms = tuple(
-            ((target_fam, mono), coeff if sign > 0 else -coeff)
-            for mono, coeff in poly.terms.items()
-        )
-        out.append((slot, terms))
+    def raised(template: MPoly, power: list[MPoly]) -> list[tuple]:
+        """The terms of power_p * l^q * template, for each (p, q) in order."""
+        products = [tuple((factor * template).terms.items()) for factor in power]
+        return [
+            tuple((_times_l(mono, q), c) for mono, c in products[p]) if q else products[p]
+            for p, q in monos
+        ]
 
+    def keyed(target: str, terms: tuple) -> tuple:
+        return tuple(((target, mono), c) for mono, c in terms)
+
+    d_pow, neg_lm_pow, d_m_pow = powers
     # D([x _m y]): bracket templates at m, images shifted by l
     for tgt_f, template in spec.templates(fam_x, fam_y):
-        t_shift = template.substitute(VAR_L, _M).shift(VAR_D, _L)
+        terms = raised(template.substitute(VAR_L, _M).shift(VAR_D, _L), d_pow)
         for tgt_g in spec.families:
-            for mono, factor in d_l.items():
-                add(tgt_g, (tgt_f, 0, tgt_g, mono), t_shift * factor, +1)
+            for mono, t in zip(monos, terms):
+                out.append(((tgt_f, 0, tgt_g, mono), keyed(tgt_g, t)))
     # [(D x)_{l+m} y]: first-argument coefficients evaluated at d -> -(l+m)
     for fam_g in spec.families:
         for tgt_h, template in spec.table.get((fam_g, fam_y)) or ():
-            t_at = template.substitute(VAR_L, _L + _M)
-            for mono, factor in neg_lm.items():
-                add(tgt_h, (fam_x, 1, fam_g, mono), factor * t_at, -1)
+            terms = raised(-template.substitute(VAR_L, _L + _M), neg_lm_pow)
+            for mono, t in zip(monos, terms):
+                out.append(((fam_x, 1, fam_g, mono), keyed(tgt_h, t)))
     # [x _m (D y)]: second-argument coefficients shifted d -> d + m
     for fam_g in spec.families:
         for tgt_h, template in spec.table.get((fam_x, fam_g)) or ():
-            t_at = template.substitute(VAR_L, _M)
-            for mono, factor in d_m.items():
-                add(tgt_h, (fam_y, 2, fam_g, mono), factor * t_at, -1)
+            terms = raised(-template.substitute(VAR_L, _M), d_m_pow)
+            for mono, t in zip(monos, terms):
+                out.append(((fam_y, 2, fam_g, mono), keyed(tgt_h, t)))
     return out
 
 
 def _pair_rows(
     coords: _Coords, contributions: list[_Contribution], i: int, j: int
-) -> list[SparseRow]:
-    """Rows of the Leibniz residual of (x_i, y_j): the family pair's
-    contributions relabelled to the columns of i, j and i + j.
+) -> dict[tuple[str, Mono], SparseRow]:
+    """Rows of the Leibniz residual of (x_i, y_j), keyed by the residual's
+    (target family, monomial in d, l, m): the family pair's contributions
+    relabelled to the columns of i, j and i + j.
 
     Contributions are added in their build order, so unknowns that share a
     column (e.g. x_i and the bracket image when j = 0) sum and cancel in a
-    fixed order; rows are the residual's (target family, monomial) buckets.
+    fixed order; rows that cancel to nothing are dropped.
     """
     columns = coords.columns
     index = (i + j, i, j)
-    buckets: dict[tuple[str, tuple], SparseRow] = {}
+    buckets: dict[tuple[str, Mono], SparseRow] = {}
     for (src_fam, which, tgt, mono), terms in contributions:
         col = columns[(src_fam, index[which], tgt, mono)]
         for key, value in terms:
@@ -360,7 +384,7 @@ def _pair_rows(
                 row[col] = s
             elif acc is not None:
                 del row[col]
-    return [row for row in buckets.values() if row]
+    return {key: row for key, row in buckets.items() if row}
 
 
 def _contribution_table(
@@ -372,14 +396,10 @@ def _contribution_table(
         [(-(_L + _M)) ** p for p in range(bound + 1)],
         [(MPoly.var(VAR_D) + _M) ** p for p in range(bound + 1)],
     )
-    factors = tuple(
-        {(p, q): power[p] * MPoly.var(VAR_L, q) for p, q in _degree_monos(bound)}
-        for power in powers
-    )
     table: dict[tuple[str, str], list[_Contribution]] = {}
     for pair in family_pairs:
         if pair not in table:
-            table[pair] = _family_pair_contributions(spec, *pair, factors)
+            table[pair] = _family_pair_contributions(spec, *pair, powers)
     return table
 
 
@@ -413,7 +433,7 @@ def _leibniz_system(
     table = _contribution_table(spec, bound, ((fx, fy) for fx, _, fy, _ in pair_list))
     rows: list[SparseRow] = []
     for fam_x, i, fam_y, j in pair_list:
-        rows.extend(_pair_rows(coords, table[(fam_x, fam_y)], i, j))
+        rows.extend(_pair_rows(coords, table[(fam_x, fam_y)], i, j).values())
     return coords, rows
 
 
@@ -440,7 +460,7 @@ def _lzero_kernel(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
         rows = [
             {local[col]: value for col, value in row.items() if col in local}
             for fam in spec.families
-            for row in _pair_rows(coords, table[("L", fam)], 0, j)
+            for row in _pair_rows(coords, table[("L", fam)], 0, j).values()
         ]
         return list(reduce_rows(rows, None, len(local)).kernel_vectors().values())
 
@@ -456,12 +476,30 @@ def _lzero_kernel(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
 
 
 def inner_window_vectors(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
-    """Window restrictions of ad(d^k X_c) for k < bound, X over the families."""
+    """Window restrictions of ad(d^k X_c) for k < bound, X over the families.
+
+    The same vectors as ``coords.vector_of(ad(spec, d^k X_c, window))``, in
+    that order, from one bracket per (X, k, F): bracket templates do not
+    depend on indices, so [d^k X_c _l F_i] is [d^k X_c _l F_0] with every
+    generator index raised by i.
+    """
+    window, c = coords.src_window, coords.degree
+    _refuse_off_index0(spec, "ad", window, abs(c))
     vectors = []
     for fam in spec.families:
         for k in range(coords.bound):
-            x = GenPoly.unit(fam, coords.degree, MPoly.var(VAR_D, k))
-            vectors.append(coords.vector_of(ad(spec, x, coords.src_window)))
+            x = GenPoly.unit(fam, c, MPoly.var(VAR_D, k))
+            deriv = DerivationSpec(families=spec.families, window=window, degree=c)
+            for src in spec.families:
+                at0 = conformal_bracket(spec, x, GenPoly.unit(src, 0), VAR_L)
+                if at0.is_zero():
+                    continue
+                for i in range(-window, window + 1):
+                    deriv.images[(src, i)] = GenPoly(
+                        {Generator(gen.family, gen.index + i): poly
+                         for gen, poly in at0.terms.items()}
+                    )
+            vectors.append(coords.vector_of(deriv))
     return vectors
 
 

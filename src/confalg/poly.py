@@ -80,6 +80,9 @@ class GaussianRational:
     numbers have equal fields and ``==`` and ``hash`` read the triple.
     ``re`` and ``im`` give the parts as reduced ``Fraction`` values.
     Values are immutable: the slots are written once, by the constructors.
+    ``+``, ``-`` and ``*`` return ``NotImplemented`` for an operand that is
+    not an int, ``Fraction`` or ``GaussianRational``, so that ``ONE + p``
+    reaches ``MPoly``'s reflected operation.
     """
 
     __slots__ = ("_a", "_b", "_c")
@@ -122,7 +125,12 @@ class GaussianRational:
         return (GaussianRational, (self.re, self.im))
 
     def __add__(self, other: "ScalarLike") -> "GaussianRational":
-        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        if type(other) is GaussianRational:
+            o = other
+        elif isinstance(other, (int, Fraction)):
+            o = GaussianRational.of(other)
+        else:
+            return NotImplemented
         c = self._c
         if c == o._c:
             a = self._a + o._a
@@ -142,7 +150,12 @@ class GaussianRational:
         return _gauss(-self._a, -self._b, self._c)
 
     def __sub__(self, other: "ScalarLike") -> "GaussianRational":
-        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        if type(other) is GaussianRational:
+            o = other
+        elif isinstance(other, (int, Fraction)):
+            o = GaussianRational.of(other)
+        else:
+            return NotImplemented
         c = self._c
         if c == o._c:
             a = self._a - o._a
@@ -157,10 +170,17 @@ class GaussianRational:
         return _reduced(a, b, c)
 
     def __rsub__(self, other: "ScalarLike") -> "GaussianRational":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return GaussianRational.of(other) - self
 
     def __mul__(self, other: "ScalarLike") -> "GaussianRational":
-        o = other if type(other) is GaussianRational else GaussianRational.of(other)
+        if type(other) is GaussianRational:
+            o = other
+        elif isinstance(other, (int, Fraction)):
+            o = GaussianRational.of(other)
+        else:
+            return NotImplemented
         b1, b2 = self._b, o._b
         if not (b1 or b2):
             a = self._a * o._a

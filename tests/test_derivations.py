@@ -18,13 +18,14 @@ from confalg.derivations import (
     d_vec,
     decompose,
     derivation_degree,
+    leibniz_residual,
     parse_derivation,
     serialize_derivation,
     solve_graded_derivations,
 )
 from confalg.lca import AlgebraSpec, GenPoly, Generator
 from confalg.linsolve import reduce_rows
-from confalg.poly import GaussianRational, MPoly, parse_poly
+from confalg.poly import ZERO, GaussianRational, MPoly, parse_poly
 from confalg.suite import DERIVATION_GRID_A, DERIVATION_GRID_B
 
 P = parse_poly
@@ -72,6 +73,65 @@ def combine(d1: DerivationSpec, d2: DerivationSpec, c1, c2) -> DerivationSpec:
         if not image.is_zero():
             out.images[key] = image
     return out
+
+
+def random_vector(rng, ncols, size):
+    """A sparse vector of ``size`` random Gaussian-rational coordinates."""
+    return {
+        col: GaussianRational(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)),
+            rng.choice((0, 0, 1, -2)),
+        )
+        for col in rng.sample(range(ncols), size)
+    }
+
+
+def assert_rows_match_evaluator(spec, degree, sources=("L",), index=0, seed=0):
+    """Each row of the pair (x_index, y_j), x over ``sources``, times a random
+    vector x is the coefficient of the evaluated Leibniz residual of the
+    derivation with coordinates x at the row's (target generator, monomial)."""
+    window, bound = 2, 4
+    coords = _make_coords(spec, degree, bound, window)
+    table = _contribution_table(
+        spec, bound, [(fx, fy) for fx in sources for fy in spec.families]
+    )
+    rng = random.Random(seed)
+    nonzero = 0
+    for _ in range(2):
+        x = random_vector(rng, len(coords.columns), 80)
+        deriv = coords.derivation_of(x)
+        for fam_x in sources:
+            for fam_y in spec.families:
+                for j in range(-window, window + 1):
+                    if abs(index + j) > window:
+                        continue
+                    rows = _pair_rows(coords, table[(fam_x, fam_y)], index, j)
+                    predicted = {}
+                    for key, row in rows.items():
+                        value = sum((v * x[col] for col, v in row.items() if col in x), ZERO)
+                        if value:
+                            predicted[key] = value
+                    residual = leibniz_residual(spec, deriv, fam_x, index, fam_y, j)
+                    assert {gen.index for gen in residual.terms} <= {index + j + degree}
+                    evaluated = {
+                        (gen.family, mono): coeff
+                        for gen, poly in residual.terms.items()
+                        for mono, coeff in poly.terms.items()
+                    }
+                    assert evaluated == predicted, (fam_x, index, fam_y, j)
+                    nonzero += len(evaluated)
+    assert nonzero
+
+
+def literal_inner_vectors(spec, coords):
+    """The oracle of ``inner_window_vectors``: ``ad`` evaluated index by index."""
+    return [
+        coords.vector_of(
+            ad(spec, GenPoly.unit(fam, coords.degree, MPoly.var("d", k)), coords.src_window)
+        )
+        for fam in spec.families
+        for k in range(coords.bound)
+    ]
 
 
 class TestBuilders:
@@ -145,8 +205,6 @@ class TestLeibniz:
         d2 = ad(spec, GenPoly.unit("L", 0, P("d")), window=2)
         c1, c2 = GaussianRational.of(3), GaussianRational.of(Fraction(-1, 2))
         mix = combine(d1, d2, c1, c2)
-        from confalg.derivations import leibniz_residual
-
         for fam_x, i, fam_y, j in (("L", 0, "L", 1), ("L", -1, "M", 1), ("Y", 0, "Y", 0)):
             r1 = leibniz_residual(spec, d1, fam_x, i, fam_y, j)
             r2 = leibniz_residual(spec, d2, fam_x, i, fam_y, j)
@@ -225,7 +283,7 @@ class TestSolver:
 
         def rows(j):
             return [row for fam in spec.families
-                    for row in _pair_rows(coords, table[("L", fam)], 0, j)]
+                    for row in _pair_rows(coords, table[("L", fam)], 0, j).values()]
 
         a_cols = set(coords.index_columns(0, "L"))
         first = rows(1)
@@ -322,6 +380,70 @@ class TestSolver:
             with pytest.raises(ValueError, match="restricted to index 0") as info:
                 solve_graded_derivations(spec, degree, 2, window)
             assert not isinstance(info.value, KeyError)
+
+
+class TestGeneratedRows:
+    """The rows are built from factored, relabelled polynomials; these tests
+    hold them and the inner vectors to the literal evaluators."""
+
+    @pytest.mark.parametrize("degree", [-1, 0, 1])
+    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_lzero_rows_match_the_evaluated_residual(self, builder, degree):
+        for a, b in ((0, 0), (1, 0), (Fraction(1, 2), -3), (-2, 1)):
+            assert_rows_match_evaluator(builder(a, b), degree, seed=degree + 7)
+
+    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_rows_match_the_evaluated_residual_at_non_real_weights(self, builder):
+        for degree in (-1, 0, 1):
+            assert_rows_match_evaluator(builder(*GAUSS_WEIGHTS), degree, seed=degree)
+
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_all_family_pairs_match_the_evaluated_residual(self, index):
+        # the whole-system oracles use the contributions of every family pair
+        spec = build_csv(1, 0)
+        assert_rows_match_evaluator(spec, 1, spec.families, index, seed=index)
+
+    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_inner_vectors_match_literal_ad_on_criterion_4(self, builder):
+        for a in DERIVATION_GRID_A:
+            for b in DERIVATION_GRID_B:
+                spec = builder(a, b)
+                for degree in (-1, 0, 1):
+                    coords = _make_coords(spec, degree, 4, 2)
+                    assert inner_window_vectors(spec, coords) == literal_inner_vectors(
+                        spec, coords
+                    )
+
+    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_inner_vectors_match_literal_ad_at_non_real_weights(self, builder):
+        for weights in (GAUSS_WEIGHTS, (1, GaussianRational(Fraction(0), Fraction(1)))):
+            spec = builder(*weights)
+            for degree in (-1, 0, 1):
+                coords = _make_coords(spec, degree, 4, 2)
+                assert inner_window_vectors(spec, coords) == literal_inner_vectors(
+                    spec, coords
+                )
+
+    @pytest.mark.parametrize("degree", [-2, 0, 1])
+    def test_inner_vectors_match_literal_ad_on_decompose_coords(self, degree):
+        # decompose solves over d^k X_c for k <= bound, on the window of the
+        # derivation it is given
+        for spec in (build_csv(1, 0), build_chv(*GAUSS_WEIGHTS)):
+            coords = _make_coords(spec, degree, 6 + 1, 3)
+            assert inner_window_vectors(spec, coords) == literal_inner_vectors(spec, coords)
+
+    @pytest.mark.parametrize("builder", [build_sv, build_hv], ids=["sv", "hv"])
+    def test_inner_vectors_of_index0_algebra(self, builder):
+        spec = builder(1, 0)
+        coords = _make_coords(spec, 0, 2, 0)
+        assert inner_window_vectors(spec, coords) == literal_inner_vectors(spec, coords)
+        for degree, window in ((0, 1), (1, 0), (-1, 0)):
+            coords = _make_coords(spec, degree, 2, window)
+            with pytest.raises(ValueError, match="restricted to index 0") as literal:
+                literal_inner_vectors(spec, coords)
+            with pytest.raises(ValueError, match="restricted to index 0") as relabelled:
+                inner_window_vectors(spec, coords)
+            assert str(relabelled.value) == str(literal.value)
 
 
 class TestDecompose:

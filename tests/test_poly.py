@@ -254,6 +254,30 @@ class TestScalarTriple:
         with pytest.raises(TypeError):
             GaussianRational(0.5, 0)
 
+    @given(scalars(), polys())
+    def test_ops_with_a_poly_operand_in_both_orders(self, x, p):
+        # the scalar defers to MPoly's reflected operation
+        c = MPoly.const(x)
+        assert x + p == p + x == c + p
+        assert x - p == c - p and p - x == p - c
+        assert x * p == p * x == c * p
+        assert type(x + p) is type(x - p) is type(x * p) is MPoly
+
+    @pytest.mark.parametrize("other", ["1", 0.5, None], ids=["str", "float", "none"])
+    def test_ops_with_other_types_still_raise(self, other):
+        x = parse_scalar("(1/2-3/4*i)")
+        for op in (
+            lambda a, b: a + b,
+            lambda a, b: a - b,
+            lambda a, b: a * b,
+        ):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+        with pytest.raises(TypeError, match="cannot interpret"):
+            GaussianRational.of(parse_poly("d"))
+
     @pytest.mark.parametrize(
         "value",
         [
