@@ -387,15 +387,15 @@ class TestGeneratedRows:
     hold them and the inner vectors to the literal evaluators."""
 
     @pytest.mark.parametrize("degree", [-1, 0, 1])
-    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
-    def test_lzero_rows_match_the_evaluated_residual(self, builder, degree):
+    @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_lzero_rows_match_the_evaluated_residual(self, build, degree):
         for a, b in ((0, 0), (1, 0), (Fraction(1, 2), -3), (-2, 1)):
-            assert_rows_match_evaluator(builder(a, b), degree, seed=degree + 7)
+            assert_rows_match_evaluator(build(a, b), degree, seed=degree + 7)
 
-    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
-    def test_rows_match_the_evaluated_residual_at_non_real_weights(self, builder):
+    @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_rows_match_the_evaluated_residual_at_non_real_weights(self, build):
         for degree in (-1, 0, 1):
-            assert_rows_match_evaluator(builder(*GAUSS_WEIGHTS), degree, seed=degree)
+            assert_rows_match_evaluator(build(*GAUSS_WEIGHTS), degree, seed=degree)
 
     @pytest.mark.parametrize("index", [-1, 1])
     def test_all_family_pairs_match_the_evaluated_residual(self, index):
@@ -403,21 +403,21 @@ class TestGeneratedRows:
         spec = build_csv(1, 0)
         assert_rows_match_evaluator(spec, 1, spec.families, index, seed=index)
 
-    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
-    def test_inner_vectors_match_literal_ad_on_criterion_4(self, builder):
+    @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_inner_vectors_match_literal_ad_on_criterion_4(self, build):
         for a in DERIVATION_GRID_A:
             for b in DERIVATION_GRID_B:
-                spec = builder(a, b)
+                spec = build(a, b)
                 for degree in (-1, 0, 1):
                     coords = _make_coords(spec, degree, 4, 2)
                     assert inner_window_vectors(spec, coords) == literal_inner_vectors(
                         spec, coords
                     )
 
-    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
-    def test_inner_vectors_match_literal_ad_at_non_real_weights(self, builder):
+    @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_inner_vectors_match_literal_ad_at_non_real_weights(self, build):
         for weights in (GAUSS_WEIGHTS, (1, GaussianRational(Fraction(0), Fraction(1)))):
-            spec = builder(*weights)
+            spec = build(*weights)
             for degree in (-1, 0, 1):
                 coords = _make_coords(spec, degree, 4, 2)
                 assert inner_window_vectors(spec, coords) == literal_inner_vectors(
@@ -432,9 +432,9 @@ class TestGeneratedRows:
             coords = _make_coords(spec, degree, 6 + 1, 3)
             assert inner_window_vectors(spec, coords) == literal_inner_vectors(spec, coords)
 
-    @pytest.mark.parametrize("builder", [build_sv, build_hv], ids=["sv", "hv"])
-    def test_inner_vectors_of_index0_algebra(self, builder):
-        spec = builder(1, 0)
+    @pytest.mark.parametrize("build", [build_sv, build_hv], ids=["sv", "hv"])
+    def test_inner_vectors_of_index0_algebra(self, build):
+        spec = build(1, 0)
         coords = _make_coords(spec, 0, 2, 0)
         assert inner_window_vectors(spec, coords) == literal_inner_vectors(spec, coords)
         for degree, window in ((0, 1), (1, 0), (-1, 0)):
