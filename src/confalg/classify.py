@@ -10,8 +10,14 @@ checked certificates:
   leading profile (t, s) the coefficient of ``l^(t+s)`` in the difference
   equals (top-d slice in m) * (top-l slice in d); a product of two nonzero
   polynomials cannot vanish in an integral domain, so no solution has
-  d-degree t >= 1.  The factorization identity itself is verified with
-  generic symbolic coefficients.
+  d-degree t >= 1.  The factorization identity is proved from leading
+  terms, for the generic p over the box [0,t] x [0,s]: the factor
+  p(d+l, m) has l-degree <= t with l^t coefficient the top-d slice, p(d, l)
+  has l-degree <= s with l^s coefficient the top-l slice, and the l-degrees
+  of p(d+m, l) and p(d, m) sum to less than t + s.  These are exact
+  identities on the factors of the action side, and in any commutative
+  ring they fix the l^(t+s) coefficient of the difference without
+  forming the product.
 
 * quadratic collapse: once the linear steps pin a candidate family up to
   one scalar factor, the remaining relations evaluate to
@@ -56,11 +62,13 @@ from .modules import (
     extension_family,
     module_residual,
     two_action_difference,
+    two_action_factors,
 )
 from .poly import GaussianRational, MPoly
 
 _L = MPoly.var(VAR_L)
 _M = MPoly.var(VAR_M)
+_DFREE_STEP = "d-free certificate"
 
 
 class StepFailed(ValueError):
@@ -72,6 +80,12 @@ class StepFailed(ValueError):
     def __init__(self, message: str, steps: Sequence["ClassifyStep"] = ()):
         super().__init__(message)
         self.steps = list(steps)
+
+    @classmethod
+    def at(cls, steps: Sequence["ClassifyStep"]) -> "StepFailed":
+        """The failure of the last step of ``steps``."""
+        last = steps[-1]
+        return cls(f"classification step failed: {last.name}: {last.statement}", steps)
 
     @property
     def trace(self) -> str:
@@ -110,9 +124,7 @@ class ClassifyOutcome:
     def step(self, name: str, statement: str, ok: bool = True) -> None:
         self.steps.append(ClassifyStep(name, statement, ok))
         if not ok:
-            raise StepFailed(
-                f"classification step failed: {name}: {statement}", self.steps
-            )
+            raise StepFailed.at(self.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +134,52 @@ class ClassifyOutcome:
 
 def _generic_box(prefix: str, dmax: int, lmax: int) -> tuple[MPoly, dict[tuple[int, int], str]]:
     """Generic polynomial over the exponent box [0,dmax] x [0,lmax]."""
-    poly = MPoly.zero()
-    names: dict[tuple[int, int], str] = {}
-    for k in range(dmax + 1):
-        for q in range(lmax + 1):
-            name = f"{prefix}_{k}_{q}"
-            names[(k, q)] = name
-            poly = poly + MPoly.var(name) * MPoly.var(VAR_D, k) * MPoly.var(VAR_L, q)
+    names = {
+        (k, q): f"{prefix}_{k}_{q}" for k in range(dmax + 1) for q in range(lmax + 1)
+    }
+    poly = MPoly({((name, 1), (VAR_D, k), (VAR_L, q)): 1 for (k, q), name in names.items()})
     return poly, names
 
 
-_dfree_cache: set[int] = set()
+def _dfree_profile_failure(t: int, s: int) -> str | None:
+    """The first leading-term fact that fails at profile (t, s), or None.
+
+    The facts are read off the four factors that the action side
+    ``two_action_difference(p, p, p, p)`` multiplies, for the generic p over
+    the box [0,t] x [0,s].
+    """
+    p, names = _generic_box("u", t, s)
+    x, y, z, w = two_action_factors(p, p, p, p)
+    gamma = MPoly({((names[(t, q)], 1), (VAR_M, q)): 1 for q in range(s + 1)})
+    sigma = MPoly({((names[(k, s)], 1), (VAR_D, k)): 1 for k in range(t + 1)})
+    facts = (
+        ("degree bound", f"deg_l p(d+l,m) <= {t}", x.degree_in(VAR_L) <= t),
+        (
+            "leading factor",
+            f"the l^{t} coefficient of p(d+l,m) is sum_q u_{t}_q m^q",
+            x.coeff_extract([VAR_L], {VAR_L: t}) == gamma,
+        ),
+        ("degree bound", f"deg_l p(d,l) <= {s}", y.degree_in(VAR_L) <= s),
+        (
+            "leading factor",
+            f"the l^{s} coefficient of p(d,l) is sum_k u_k_{s} d^k",
+            y.coeff_extract([VAR_L], {VAR_L: s}) == sigma,
+        ),
+        (
+            "low-degree side",
+            f"deg_l p(d+m,l) + deg_l p(d,m) < {t + s}",
+            z.degree_in(VAR_L) + w.degree_in(VAR_L) < t + s,
+        ),
+    )
+    for fact, claim, holds in facts:
+        if not holds:
+            return f"profile ({t},{s}): {fact} fails: {claim} does not hold"
+    return None
+
+
+#: the largest degree bound certified so far; the profiles at a bound
+#: include those at every smaller bound
+_dfree_cache = 0
 
 
 def certify_self_commuting_d_free(degree_bound: int) -> None:
@@ -140,27 +187,32 @@ def certify_self_commuting_d_free(degree_bound: int) -> None:
 
     For every profile (t, s) with 1 <= t <= degree_bound, 0 <= s <=
     degree_bound, the coefficient of l^(t+s) in
-    ``p(d+l,m) p(d,l) - p(d+m,l) p(d,m)`` is checked to equal
-    ``(sum_q u[t,q] m^q) * (sum_k u[k,s] d^k)`` for a fully generic p.
+    ``p(d+l,m) p(d,l) - p(d+m,l) p(d,m)`` equals
+    ``gamma(m) * sigma(d) = (sum_q u[t,q] m^q) * (sum_k u[k,s] d^k)`` for
+    the generic p over the box [0,t] x [0,s].  The proof reads only the
+    factors x = p(d+l,m), y = p(d,l), z = p(d+m,l), w = p(d,m) and checks
+    five exact facts: deg_l x <= t, the l^t coefficient of x is gamma,
+    deg_l y <= s, the l^s coefficient of y is sigma, and
+    deg_l z + deg_l w < t + s.  In any commutative ring the first four give
+    that the l^(t+s) coefficient of x*y is gamma*sigma (every other pair of
+    l-degrees summing to t+s needs a coefficient of x above l^t or of y
+    above l^s), and the fifth gives that z*w has no l^(t+s) term.  So the
+    identity holds exactly, without forming either product.
+
+    A profile whose facts fail raises ``StepFailed`` with a failed
+    "d-free certificate" step that names the profile and the fact.
     """
-    if degree_bound in _dfree_cache:
+    global _dfree_cache
+    if degree_bound <= _dfree_cache:
         return
     for t in range(1, degree_bound + 1):
         for s in range(0, degree_bound + 1):
-            p, names = _generic_box("u", t, s)
-            diff = two_action_difference(p, p, p, p)
-            top = diff.coeff_extract([VAR_L], {VAR_L: t + s})
-            gamma = MPoly.zero()
-            for q in range(s + 1):
-                gamma = gamma + MPoly.var(names[(t, q)]) * MPoly.var(VAR_M, q)
-            sigma = MPoly.zero()
-            for k in range(t + 1):
-                sigma = sigma + MPoly.var(names[(k, s)]) * MPoly.var(VAR_D, k)
-            if top != gamma * sigma:
-                raise AssertionError(
-                    f"leading-factorization identity failed at profile ({t},{s})"
-                )
-    _dfree_cache.add(degree_bound)
+            if max(t, s) <= _dfree_cache:
+                continue
+            failure = _dfree_profile_failure(t, s)
+            if failure is not None:
+                raise StepFailed.at([ClassifyStep(_DFREE_STEP, failure, ok=False)])
+    _dfree_cache = degree_bound
 
 
 def _dfree_yy_vanishes(degree_bound: int) -> bool:
@@ -245,9 +297,11 @@ def _open_outcome(
     out = ClassifyOutcome(
         algebra=algebra, a=av, b=bv, kind=kind, extension_dim=0, families=families
     )
+    # the certificate is the first step, so a StepFailed it raises carries
+    # the whole trace
     certify_self_commuting_d_free(degree_bound)
     out.step(
-        "d-free certificate",
+        _DFREE_STEP,
         f"self-commuting relations force d-free coefficients up to degree {degree_bound}",
     )
     return spec, out

@@ -72,6 +72,10 @@ class NotDecomposable(ValueError):
     """A derivation that does not split as inner + scalar non-inner part."""
 
 
+class StrayVariable(ValueError):
+    """An image term in a variable other than d and l, which has no column."""
+
+
 #: finitely supported scalar sequence: position -> coefficient
 SeqC = Mapping[int, GaussianRational]
 
@@ -245,12 +249,12 @@ class _Coords:
                     raise ValueError("derivation is not homogeneous of this degree")
                 for mono, coeff in poly.terms.items():
                     exps = dict(mono)
-                    key = (
-                        fam,
-                        i,
-                        gen.family,
-                        (exps.get(VAR_D, 0), exps.get(VAR_L, 0)),
-                    )
+                    key = (fam, i, gen.family, (exps.pop(VAR_D, 0), exps.pop(VAR_L, 0)))
+                    if exps:
+                        raise StrayVariable(
+                            f"image of {fam}[{i}] has a term in "
+                            f"{', '.join(exps)} besides {VAR_D} and {VAR_L}"
+                        )
                     if key not in self.columns:
                         raise DegreeBoundExceeded(
                             f"image of {fam}[{i}] uses monomial {dict(mono)} beyond "

@@ -6,8 +6,10 @@ Every residual of the module identity ``x.(y.v) - y.(x.v) - [x_l y].v``
 comes from one kernel, ``module_residual``: ``residual_inputs`` gathers the
 action polynomials it reads and ``residual_from_inputs`` does the
 arithmetic.  Its action side, ``two_action_difference``, is shared with the
-guided classifier.  ``relations_oracle`` is the one deliberate second
-encoding, written out by hand and kept as an independent oracle.
+guided classifier, and the factors it multiplies, ``two_action_factors``,
+with the classifier's d-free certificate.  ``relations_oracle`` is the one
+deliberate second encoding, written out by hand and kept as an independent
+oracle.
 
 The residual for (F_i, G_j) on v_m reads the actions only at (j, m),
 (i, j+m), (i, m), (j, i+m) and, for each bracket target H, (i+j, m); the
@@ -271,6 +273,22 @@ class ModuleReport:
         return not self.residuals
 
 
+def two_action_factors(
+    x_jm: MPoly, y_i_jm: MPoly, z_im: MPoly, w_j_im: MPoly
+) -> tuple[MPoly, MPoly, MPoly, MPoly]:
+    """The four factors that ``two_action_difference`` multiplies.
+
+    ``(x(d+l, m), y(d, l), z(d+m, l), w(d, m))`` for action templates in
+    (d, l), with ``m`` the second bracket variable.
+    """
+    return (
+        _as_bracket_var(x_jm, VAR_M).shift(VAR_D, _L),
+        y_i_jm,
+        z_im.shift(VAR_D, _M),
+        _as_bracket_var(w_j_im, VAR_M),
+    )
+
+
 def two_action_difference(
     x_jm: MPoly, y_i_jm: MPoly, z_im: MPoly, w_j_im: MPoly
 ) -> MPoly:
@@ -280,9 +298,8 @@ def two_action_difference(
     variable: for x = G_j, y = F_i on v_(j+m), z = F_i, w = G_j on v_(i+m),
     it is ``F_i.(G_j.v_m) - G_j.(F_i.v_m)``.
     """
-    return _as_bracket_var(x_jm, VAR_M).shift(VAR_D, _L) * y_i_jm - z_im.shift(
-        VAR_D, _M
-    ) * _as_bracket_var(w_j_im, VAR_M)
+    x, y, z, w = two_action_factors(x_jm, y_i_jm, z_im, w_j_im)
+    return x * y - z * w
 
 
 def residual_inputs(

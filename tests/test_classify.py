@@ -5,6 +5,7 @@ import pytest
 
 from confalg.catalog import build_csv
 import confalg
+from confalg import classify
 from confalg.classify import (
     StepFailed,
     certify_self_commuting_d_free,
@@ -16,16 +17,107 @@ from confalg.classify import (
 )
 from confalg.lca import DegreeBoundExceeded
 from confalg import suite
-from confalg.modules import BitSeq, check_module_axioms
+from confalg.modules import BitSeq, check_module_axioms, two_action_difference
 from confalg.poly import GaussianRational, MPoly
 
 GRID = [(0, 0), (1, 0), (0, 1), (2, 5), (1, 1)]
 
 
+def generic_box(dmax, lmax):
+    """Generic p = sum u_k_q d^k l^q over [0,dmax] x [0,lmax]."""
+    return MPoly({
+        ((f"u_{k}_{q}", 1), ("d", k), ("l", q)): 1
+        for k in range(dmax + 1) for q in range(lmax + 1)
+    })
+
+
+def uncertified(monkeypatch):
+    """Forget every certified bound for the rest of the test."""
+    monkeypatch.setattr(classify, "_dfree_cache", 0)
+
+
 class TestCertificates:
-    def test_leading_factorization(self):
+    def test_leading_factorization(self, monkeypatch):
         # raises on failure; covers every profile up to the bound
+        uncertified(monkeypatch)
         certify_self_commuting_d_free(4)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_full_product_oracle(self, bound):
+        """The independent encoding of the certificate's identity.
+
+        It forms the whole difference ``two_action_difference(p, p, p, p)``
+        and reads its l^(t+s) coefficient, where the certificate proves the
+        same coefficient from the leading terms of the factors alone.
+        """
+        for t in range(1, bound + 1):
+            for s in range(bound + 1):
+                p = generic_box(t, s)
+                diff = two_action_difference(p, p, p, p)
+                top = diff.coeff_extract(["l"], {"l": t + s})
+                gamma = sum(
+                    (MPoly.var(f"u_{t}_{q}") * MPoly.var("m", q) for q in range(s + 1)),
+                    MPoly.zero(),
+                )
+                sigma = sum(
+                    (MPoly.var(f"u_{k}_{s}") * MPoly.var("d", k) for k in range(t + 1)),
+                    MPoly.zero(),
+                )
+                assert top == gamma * sigma, (t, s)
+
+    @pytest.mark.parametrize("fact,mutate", [
+        ("leading factor", lambda x, y, z, w: (x.scale(2), y, z, w)),
+        ("degree bound", lambda x, y, z, w: (x, y * MPoly.var("l"), z, w)),
+        ("low-degree side", lambda x, y, z, w: (x, y, z * MPoly.var("l"), w)),
+    ])
+    def test_mutated_factors_fail_the_certificate(self, monkeypatch, fact, mutate):
+        uncertified(monkeypatch)
+        factors = classify.two_action_factors
+        monkeypatch.setattr(
+            classify, "two_action_factors", lambda *args: mutate(*factors(*args))
+        )
+        with pytest.raises(StepFailed) as info:
+            certify_self_commuting_d_free(6)
+        (step,) = info.value.steps
+        assert (step.name, step.ok) == ("d-free certificate", False)
+        assert step.statement.startswith(f"profile (1,0): {fact} fails: ")
+        assert classify._dfree_cache == 0
+        # a classifier reports the failed certificate as its failed step
+        with pytest.raises(StepFailed) as info:
+            classify_rank1("csv", 0, 0)
+        assert info.value.trace == f"[FAILED] d-free certificate: {step.statement}"
+        # and a suite criterion turns it into FAIL records, not a crash
+        records = suite.criterion_6()
+        assert records and not any(record.passed for record in records)
+        assert all(step.statement in record.detail for record in records)
+
+    def test_passing_step_statement(self):
+        outcome = classify_rank1("csv", 0, 0)
+        assert str(outcome.steps[0]) == (
+            "[ok] d-free certificate: self-commuting relations force d-free "
+            "coefficients up to degree 6"
+        )
+
+    def test_certified_bound_is_cached(self, monkeypatch):
+        uncertified(monkeypatch)
+        checked = []
+        check = classify._dfree_profile_failure
+        monkeypatch.setattr(
+            classify,
+            "_dfree_profile_failure",
+            lambda t, s: checked.append((t, s)) or check(t, s),
+        )
+        certify_self_commuting_d_free(6)
+        assert len(checked) == 6 * 7 and classify._dfree_cache == 6
+        checked.clear()
+        certify_self_commuting_d_free(4)
+        certify_self_commuting_d_free(6)
+        assert checked == []
+        # a larger bound checks only the profiles it adds
+        certify_self_commuting_d_free(7)
+        assert sorted(checked) == sorted(
+            (t, s) for t in range(1, 8) for s in range(8) if max(t, s) == 7
+        )
 
     def test_weight_kernel_zero_off_origin(self):
         for A, B in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2)),

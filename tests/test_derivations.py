@@ -12,6 +12,7 @@ from confalg.derivations import (
     _pair_rows,
     inner_window_vectors,
     NotDecomposable,
+    StrayVariable,
     ad,
     apply_derivation,
     check_derivation,
@@ -466,6 +467,16 @@ class TestDecompose:
         spec = build_csv(1, 5)
         dec = decompose(spec, d_vec(spec, {2: ONE}, window=3), bound=4)
         assert dec.x.is_zero() and dec.q == ONE and dec.position == 2
+
+    def test_stray_variable_is_refused(self):
+        # a term in m has no d/l column; it must not land on the column of
+        # its d/l part and leave an inconsistent system
+        spec = build_csv(2, 3)
+        text = serialize_derivation(ad(spec, GenPoly.unit("L", 1), window=3))
+        edited = text.replace("L -3 -> L -2 : d + 2*l\n", "L -3 -> L -2 : d + 2*l + 7*m\n")
+        assert edited != text
+        with pytest.raises(StrayVariable, match=r"L\[-3\] has a term in m besides d and l"):
+            decompose(spec, parse_derivation(edited), bound=6)
 
     def test_family_not_decomposable_off_a1(self):
         spec = build_csv(0, 0)
