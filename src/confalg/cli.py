@@ -385,7 +385,11 @@ def cmd_derivations(opts: Options) -> Report:
                 f"dim {result.dimension} = inner {result.inner_rank} + "
                 f"extra {result.extra_dimension}"
             )
-            rec.detail = result.scope_note
+            ker_b = result.kernel_b_dimension
+            rec.detail = (
+                f"dim ker(block 0) {result.kernel0_dimension}, dim ker B "
+                f"{'none (index 0 only)' if ker_b is None else ker_b}; {result.scope_note}"
+            )
         return report
     if task == "dichotomy":
         for record in criterion_4():

@@ -37,12 +37,19 @@ each index-free polynomial once and relabels it by index:
 
 Nothing built in a solve outlives it.
 
-So the (L_0, y_j) system is solved block by block: the pairs with j = 0
-touch only index-0 columns, and for every j != 0 the pairs are one block,
-relabelled, over the index-0 L columns and the index-j columns.  Two small
-eliminations give the kernel for any window, as sparse vectors.  The same
-system eliminated whole (``_leibniz_system(..., "lzero")``) is kept as the
-oracle the block solve is tested against.
+So the (L_0, y_j) system is answered from its index-0 data.  The pairs
+with j != 0 are one block, relabelled: the index-0 L columns (A) and the
+index-j columns (B).  The pairs with j = 0, block 0, are the same rows with
+the index-j columns folded onto index 0.  The rows of (L_0, y_1) are built
+once, on a layout of the index-0 and index-1 columns alone, and two
+eliminations over the index-0 columns give ker(block 0) and ker B.  For a
+window w the kernel has dimension dim ker(block 0) + 2w dim ker B, and its
+basis is materialised by copying those kernels to the window's indices.
+Every inner vector is an index-0 pattern copied to every index, so the
+inner rank is read on the patterns.  When ker B = 0 the answer does not
+depend on the window, and the solve certifies it for every window.  The
+same system eliminated whole (``_leibniz_system(..., "lzero")``) and the
+all-pairs system are kept as the oracles the solve is tested against.
 """
 
 from __future__ import annotations
@@ -192,6 +199,7 @@ def check_derivation(
 ) -> DerivationReport:
     """Leibniz residuals for every pair whose data stays inside the window."""
     w = deriv.window if window is None else window
+    _refuse_negative(window=w)
     if w > deriv.window:
         raise WindowTooSmall(
             f"derivation images cover |index| <= {deriv.window}, asked for {w}"
@@ -441,8 +449,26 @@ def _leibniz_system(
     return coords, rows
 
 
-def _lzero_kernel(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
-    """Kernel of the lzero Leibniz system, solved block by block.
+def _block_coords(spec: AlgebraSpec, degree: int, bound: int) -> _Coords:
+    """Column layout of the two blocks: the n index-0 columns, then index 1.
+
+    The index-0 part is the window-0 layout, and the index-1 column of an
+    unknown is its index-0 column plus n.  Only ``_pair_rows`` reads the
+    index-1 columns; everything else (``vector_of``, the inner patterns)
+    sees window 0.
+    """
+    coords = _make_coords(spec, degree, bound, 0)
+    n = len(coords.columns)
+    coords.columns.update(
+        {(fam, 1, tgt, mono): col + n for (fam, _, tgt, mono), col in list(coords.columns.items())}
+    )
+    return coords
+
+
+def _lzero_kernel(
+    spec: AlgebraSpec, coords: _Coords
+) -> tuple[list[SparseRow], list[SparseRow] | None]:
+    """Kernels of block 0 and of B, the two blocks of the lzero Leibniz system.
 
     For j != 0 the rows of the pairs (L_0, y_j) touch only the L-source
     columns at index 0 (A) and the index-j columns (B), and they are the
@@ -450,33 +476,34 @@ def _lzero_kernel(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
     are that block read at j = 0: index-j columns fall onto index 0, the
     L-source ones onto A.  So a solution x_0 of block 0, copied to index j,
     solves block j, and the conditions "A x_0 in im B" hold already.  The
-    kernel is spanned by the block-0 kernel vectors copied to every index
-    and by ker B placed at each j != 0: dimension
-    dim ker(block 0) + 2 * window * dim ker B, from two eliminations.
+    kernel at window w is spanned by the block-0 kernel vectors copied to
+    every index and by ker B placed at each j != 0: dimension
+    dim ker(block 0) + 2w dim ker B.
+
+    ``coords`` is the ``_block_coords`` layout.  The rows of (L_0, y_1) are
+    built once: B is their index-1 part, block 0 the same rows with the
+    index-1 columns folded onto index 0.  Both kernels are on the n
+    index-0 columns.  An algebra restricted to index 0 has no index 1 and
+    so no B (None); the fold still gives its block 0, as an identity of
+    the rows' polynomials.
     """
-    window = coords.src_window
+    n = len(coords.columns) // 2
     table = _contribution_table(spec, coords.bound, (("L", fam) for fam in spec.families))
-    at = {j: coords.index_columns(j) for j in range(-window, window + 1)}
+    block_0: list[SparseRow] = []
+    block_b: list[SparseRow] = []
+    for fam in spec.families:
+        for row in _pair_rows(coords, table[("L", fam)], 0, 1).values():
+            folded: SparseRow = {}
+            for col, value in row.items():
+                k = col - n if col >= n else col
+                folded[k] = folded[k] + value if k in folded else value
+            block_0.append({k: v for k, v in folded.items() if v})
+            block_b.append({col - n: v for col, v in row.items() if col >= n})
 
-    def block_kernel(j: int) -> list[SparseRow]:
-        """Kernel of block j on its index-j columns (A dropped for j != 0)."""
-        local = {col: k for k, col in enumerate(at[j])}
-        rows = [
-            {local[col]: value for col, value in row.items() if col in local}
-            for fam in spec.families
-            for row in _pair_rows(coords, table[("L", fam)], 0, j).values()
-        ]
-        return list(reduce_rows(rows, None, len(local)).kernel_vectors().values())
+    def kernel(rows: list[SparseRow]) -> list[SparseRow]:
+        return list(reduce_rows([r for r in rows if r], None, n).kernel_vectors().values())
 
-    basis = [
-        {cols[k]: v for cols in at.values() for k, v in x0.items()}
-        for x0 in block_kernel(0)
-    ]
-    ker_b = block_kernel(1) if window else []
-    for j, cols in at.items():
-        if j:
-            basis.extend({cols[k]: v for k, v in y.items()} for y in ker_b)
-    return basis
+    return kernel(block_0), None if spec.index0_only else kernel(block_b)
 
 
 def inner_window_vectors(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
@@ -509,17 +536,36 @@ def inner_window_vectors(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
 
 @dataclass
 class DerivationSolveResult:
-    """Kernel of the graded Leibniz system with its inner comparison."""
+    """Kernel of the graded Leibniz system with its inner comparison.
+
+    ``kernel0_dimension`` and ``kernel_b_dimension`` are dim ker(block 0)
+    and dim ker B (None for an algebra restricted to index 0, which has no
+    B); ``inner_rank`` is the rank of the index-0 inner patterns, which is
+    the inner rank at every window.
+    """
 
     degree: int
     dimension: int
     inner_rank: int
+    kernel0_dimension: int
+    kernel_b_dimension: int | None
     basis: list[DerivationSpec]
     scope_note: str
 
     @property
     def extra_dimension(self) -> int:
         return self.dimension - self.inner_rank
+
+    @property
+    def every_window(self) -> bool:
+        """ker B = 0: dimension and inner rank are the same at every window."""
+        return self.kernel_b_dimension == 0
+
+
+def _refuse_negative(**values: int) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def solve_graded_derivations(
@@ -531,35 +577,64 @@ def solve_graded_derivations(
     """Solve for all degree-``degree`` derivations on a finite window.
 
     Unknowns are the image coefficients of the window generators (total
-    degree <= ``bound``); equations are Leibniz residual coefficients.  The
-    pair set {(L_0, y_j)} carries the whole classification argument and is
-    solved block by block (``_lzero_kernel``): two small eliminations
-    whatever the window.  The tests hold it to ``_leibniz_system``: the
-    whole ``lzero`` system, and the ``all`` system of every pair with |i|,
-    |j| <= window (over a source window twice as wide), each eliminated at
-    once.  An algebra restricted to index 0 (``index0_only``) has only
-    window 0 at degree 0.
+    degree <= ``bound``); equations are Leibniz residual coefficients of
+    the pairs {(L_0, y_j)}, which carry the whole classification argument.
+    The answer for any window comes from the index-0 data
+    (``_lzero_kernel``): the rows of (L_0, y_1), built once, give block 0
+    and B; the dimension is dim ker(block 0) + 2 * window * dim ker B, and
+    the basis is the block-0 kernel copied to every index plus ker B placed
+    at each j != 0.  Every inner vector is one index-0 pattern copied to
+    every index, and restriction to index 0 is injective on such copies and
+    zero on the ker-B placements: so the inner rank and the check "inner in
+    kernel" are read on the index-0 patterns.  When ker B = 0 neither the
+    dimension nor the inner rank depends on the window, and the scope note
+    says so.
+
+    The tests hold the answer to ``_leibniz_system``: the whole ``lzero``
+    system, and the ``all`` system of every pair with |i|, |j| <= window
+    (over a source window twice as wide), each eliminated at once, with
+    ``inner_window_vectors`` at that window.  An algebra restricted to
+    index 0 (``index0_only``) has only window 0 at degree 0.
     """
     if spec.parameters:
         raise ValueError("the solver needs numeric algebra parameters")
+    _refuse_negative(window=window, bound=bound)
     _refuse_off_index0(spec, "the derivation solver", window, degree)
-    coords = _make_coords(spec, degree, bound, window)
-    kernel = _lzero_kernel(spec, coords)
-    ncols = len(coords.columns)
-    inner = inner_window_vectors(spec, coords)
-    inner_rank = reduce_rows(inner, None, ncols).rank
-    if reduce_rows(kernel + inner, None, ncols).rank != len(kernel):
+    blocks = _block_coords(spec, degree, bound)
+    ker_0, ker_b = _lzero_kernel(spec, blocks)
+    n = len(blocks.columns) // 2
+    patterns = inner_window_vectors(spec, blocks)
+    inner_rank = reduce_rows(patterns, None, n).rank
+    if reduce_rows(ker_0 + patterns, None, n).rank != len(ker_0):
         raise AssertionError("inner derivations escaped the solved kernel")
-    note = (
-        f"certified at window |i| <= {coords.src_window}, image degree <= {bound}; "
-        "the infinite-rank statement is quantified over all indices and "
-        "degrees and is not decided by this finite run"
-    )
+    coords = _make_coords(spec, degree, bound, window)
+    at = {j: coords.index_columns(j) for j in range(-window, window + 1)}
+    basis = [{cols[k]: v for cols in at.values() for k, v in x0.items()} for x0 in ker_0]
+    for j, cols in at.items():
+        if j:
+            basis.extend({cols[k]: v for k, v in y.items()} for y in ker_b)
+    if ker_b == []:
+        note = (
+            "certified for every window (ker B = 0, so the dimension and the "
+            f"inner rank do not depend on it), image degree <= {bound}; the "
+            "infinite-rank statement is also quantified over all image degrees "
+            "and is not decided by this finite run"
+        )
+    else:
+        note = (
+            f"certified at window |i| <= {window}, image degree <= {bound}; "
+            "the infinite-rank statement is quantified over all indices and "
+            "degrees and is not decided by this finite run"
+        )
+        if ker_b:
+            note += f"; dim ker B = {len(ker_b)}, so the dimension grows with the window"
     return DerivationSolveResult(
         degree=degree,
-        dimension=len(kernel),
+        dimension=len(ker_0) + 2 * window * len(ker_b or ()),
         inner_rank=inner_rank,
-        basis=[coords.derivation_of(vec) for vec in kernel],
+        kernel0_dimension=len(ker_0),
+        kernel_b_dimension=None if ker_b is None else len(ker_b),
+        basis=[coords.derivation_of(vec) for vec in basis],
         scope_note=note,
     )
 

@@ -129,7 +129,21 @@ class TestCommands:
             ]
         )
         assert code == 0
-        assert "extra 1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "extra 1" in out
+        assert "dim ker(block 0) 13, dim ker B 0; certified for every window" in out
+
+    @pytest.mark.parametrize("flag, name", [("--window", "window"), ("--degree", "bound")])
+    def test_derivations_solve_refuses_negative_window_or_bound(self, capsys, flag, name):
+        code = main(
+            [
+                "derivations", "--task", "solve", "--algebra", "csv",
+                "--a", "1", "--b", "0", flag, "-1",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {name} must be >= 0, got -1\n"
 
     def test_derivations_solve_refuses_index0_window(self, capsys):
         code = main(

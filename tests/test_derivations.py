@@ -24,7 +24,7 @@ from confalg.derivations import (
     serialize_derivation,
     solve_graded_derivations,
 )
-from confalg.lca import AlgebraSpec, GenPoly, Generator
+from confalg.lca import AlgebraSpec, GenPoly, Generator, make_algebra
 from confalg.linsolve import reduce_rows
 from confalg.poly import ZERO, GaussianRational, MPoly, parse_poly
 from confalg.suite import DERIVATION_GRID_A, DERIVATION_GRID_B
@@ -360,6 +360,63 @@ class TestSolver:
         assert extra_dimension(generic) == 0
         assert extra_dimension(loop) == 1
 
+    @pytest.mark.parametrize(
+        "builder, a", [(build_csv, 1), (build_csv, 2), (build_chv, 1), (build_chv, 0)],
+        ids=["csv-a1", "csv-a2", "chv-a1", "chv-a0"],
+    )
+    def test_index0_answer_matches_the_whole_systems(self, builder, a):
+        # the answer read from the index-0 blocks agrees with the lzero
+        # system eliminated whole at windows 1-3 and degrees -1..1, and with
+        # the all-pairs system (source window 2w, compared with the solve at
+        # window 2w on the same layout) on dimension, inner rank and span
+        spec = builder(a, 0)
+        for window in (1, 2, 3):
+            for degree in (-1, 0, 1):
+                assert_block_solve_matches_full(spec, degree, 4, window)
+            degree = window - 2
+            coords, kernel, inner_rank = full_solve(spec, degree, 4, window, "all")
+            res = solve_graded_derivations(spec, degree, 4, 2 * window)
+            assert (res.dimension, res.inner_rank) == (len(kernel), inner_rank)
+            block = [coords.vector_of(deriv) for deriv in res.basis]
+            assert reduce_rows(block + kernel, None, len(coords.columns)).rank == res.dimension
+            assert res.every_window and "every window" in res.scope_note
+
+    def test_nonzero_kernel_of_b_grows_with_the_window(self):
+        # an abelian family: no pair constrains anything, so block 0 and B
+        # are both the 3 monomials of degree <= 1, and the dimension is
+        # 3 + 2w * 3 with no every-window claim
+        spec = make_algebra("ab", ["L"], {})
+        for window in range(4):
+            res = solve_graded_derivations(spec, 0, 1, window)
+            assert (res.kernel0_dimension, res.kernel_b_dimension) == (3, 3)
+            assert res.dimension == len(res.basis) == 3 + 2 * window * 3
+            assert res.inner_rank == 0
+            assert not res.every_window
+            assert "every window" not in res.scope_note
+            assert f"window |i| <= {window}, image degree <= 1" in res.scope_note
+            assert_block_solve_matches_full(spec, 0, 1, window)
+
+    def test_every_window_claim_at_window_0(self):
+        # the blocks have their own layout, so window 0 gets the claim too
+        res = solve_graded_derivations(build_csv(1, 0), 0, 4, 0)
+        assert (res.dimension, res.inner_rank, res.kernel_b_dimension) == (13, 12, 0)
+        assert res.every_window
+        assert res.scope_note.startswith("certified for every window")
+        assert "image degree <= 4" in res.scope_note
+
+    @pytest.mark.parametrize(
+        "window, bound, name", [(-1, 4, "window"), (1, -1, "bound"), (-2, -1, "window")]
+    )
+    def test_negative_window_or_bound_is_refused(self, window, bound, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            solve_graded_derivations(build_csv(1, 0), 0, bound, window)
+
+    def test_negative_check_window_is_refused(self):
+        spec = build_csv(1, 0)
+        deriv = d_vec(spec, {0: ONE}, window=2)
+        with pytest.raises(ValueError, match="^window must be >= 0, got -1"):
+            check_derivation(spec, deriv, window=-1)
+
     def test_basis_elements_are_derivations(self):
         res = solve_graded_derivations(build_csv(1, 0), degree=0, bound=3, window=2)
         spec = build_csv(1, 0)
@@ -377,6 +434,9 @@ class TestSolver:
         spec = builder(1, 0)
         res = solve_graded_derivations(spec, 0, 2, 0)
         assert (res.dimension, res.inner_rank) == dims
+        # no index 1, so no B and no every-window claim
+        assert res.kernel_b_dimension is None and not res.every_window
+        assert res.scope_note.startswith("certified at window |i| <= 0, image degree <= 2")
         for degree, window in ((0, 1), (1, 0), (-1, 0)):
             with pytest.raises(ValueError, match="restricted to index 0") as info:
                 solve_graded_derivations(spec, degree, 2, window)
