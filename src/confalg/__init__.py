@@ -40,6 +40,7 @@ from .catalog import (
     build_sv,
     build_tsv_lie,
     lie_jacobi_check,
+    lie_symbolic_check,
     solve_construction,
     subalgebra_check,
 )

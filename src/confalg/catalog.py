@@ -25,17 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .lca import VAR_D, VAR_L, AlgebraSpec, check_jacobi, make_algebra
 from .linsolve import linear_solve
 from .poly import GaussianRational, MPoly, PolyLike
 
 ParamLike = PolyLike | str
-
-#: default symbol names used when a parameter is passed as "sym"
-SYMBOL_FOR = {"a": "a", "b": "b", "ap": "ap", "bp": "bp"}
-
 
 def as_param(value: ParamLike, default_symbol: str) -> MPoly:
     """Coerce a parameter: scalars stay exact, 'sym' becomes a variable."""
@@ -179,16 +176,9 @@ def construction_jacobi_residual(
     b: ParamLike = "sym",
     bp: ParamLike = "sym",
 ) -> MPoly:
-    """The (L, Y, Y) Jacobi residual of the candidate table (Y-component)."""
-    spec = build_construction(a, ap, b, bp)
-    residual = check_jacobi(spec, "L", "Y", "Y")
-    polys = [p for gen, p in residual.terms.items()]
-    if not polys:
-        return MPoly.zero()
-    total = MPoly.zero()
-    for p in polys:
-        total = total + p
-    return total
+    """The (L, Y, Y) Jacobi residual of the candidate table (it lives on M[0])."""
+    residual = check_jacobi(build_construction(a, ap, b, bp), "L", "Y", "Y")
+    return sum(residual.terms.values(), MPoly.zero())
 
 
 def solve_construction(restrict_to: list[str] | None = None) -> ConstructionSolution:
@@ -227,71 +217,63 @@ def solve_construction(restrict_to: list[str] | None = None) -> ConstructionSolu
 # the motivating graded Lie algebra (plain, non-conformal)
 # ---------------------------------------------------------------------------
 
-IndexCoeff = Callable[[int, int], Fraction]
+#: index symbols: left p, right q, and r for the third element of a Jacobi
+#: triple (``i`` is the imaginary unit and d, l, m, n are structural)
+_P, _Q, _R = MPoly.var("p"), MPoly.var("q"), MPoly.var("r")
+
+Index = int | MPoly
 
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    """Integer-graded Lie algebra with index-polynomial structure constants."""
+    """Integer-graded Lie algebra: the read-only ``table[(A, B)] = (C, c)``
+    means [A_p, B_q] = c(p, q) C_{p+q}, with c an ``MPoly`` in p and q."""
 
     name: str
     families: tuple[str, ...]
-    table: Mapping[tuple[str, str], tuple[str, IndexCoeff]]
+    table: Mapping[tuple[str, str], tuple[str, MPoly]]
 
-    def bracket_basis(self, fam_a: str, i: int, fam_b: str, j: int) -> dict[tuple[str, int], Fraction]:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+
+    def bracket_basis(self, fam_a: str, i: Index, fam_b: str, j: Index) -> dict[tuple[str, Index], MPoly]:
+        """[fam_a_i, fam_b_j] at integer or symbolic (``MPoly``) indices."""
         entry = self.table.get((fam_a, fam_b))
         if entry is None:
             return {}
         target, coeff = entry
-        c = coeff(i, j)
-        if c == 0:
-            return {}
-        return {(target, i + j): c}
+        # simultaneous p -> i, q -> j: i may contain q, j may contain p
+        c = coeff.substitute("p", MPoly.var("p_")).substitute("q", j).substitute("p_", i)
+        return {(target, i + j): c} if c else {}
 
 
 def build_tsv_lie() -> LieAlgebraSpec:
-    """The twisted Schroedinger-Virasoro bracket relations at integer indices.
+    """The twisted Schroedinger-Virasoro bracket relations.
 
-        [L_m, L_n] = (n - m) L_{m+n}
-        [L_m, M_n] = n M_{m+n}
-        [L_m, Y_p] = (p - m/2) Y_{m+p}
+        [L_p, L_q] = (q - p) L_{p+q}
+        [L_p, M_q] = q M_{p+q}
+        [L_p, Y_q] = (q - p/2) Y_{p+q}
         [Y_p, Y_q] = (q - p) M_{p+q}
 
     Reverse orientations are stored explicitly with negated constants; the
     checker verifies anti-symmetry rather than assuming it.
     """
     half = Fraction(1, 2)
-    table: dict[tuple[str, str], tuple[str, IndexCoeff]] = {
-        ("L", "L"): ("L", lambda i, j: Fraction(j - i)),
-        ("L", "M"): ("M", lambda i, j: Fraction(j)),
-        ("M", "L"): ("M", lambda i, j: Fraction(-i)),
-        ("L", "Y"): ("Y", lambda i, j: j - half * i),
-        ("Y", "L"): ("Y", lambda i, j: -(i - half * j)),
-        ("Y", "Y"): ("M", lambda i, j: Fraction(j - i)),
+    table = {
+        ("L", "L"): ("L", _Q - _P),
+        ("L", "M"): ("M", _Q),
+        ("M", "L"): ("M", -_P),
+        ("L", "Y"): ("Y", _Q - _P.scale(half)),
+        ("Y", "L"): ("Y", _Q.scale(half) - _P),
+        ("Y", "Y"): ("M", _Q - _P),
     }
     return LieAlgebraSpec(name="tsv", families=("L", "M", "Y"), table=table)
-
-
-Vector = dict[tuple[str, int], Fraction]
-
-
-def _lie_bracket(spec: LieAlgebraSpec, x: Vector, y: Vector) -> Vector:
-    out: Vector = {}
-    for (fa, i), ca in x.items():
-        for (fb, j), cb in y.items():
-            for key, c in spec.bracket_basis(fa, i, fb, j).items():
-                s = out.get(key, Fraction(0)) + ca * cb * c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return out
 
 
 @dataclass
 class LieCheckReport:
     algebra: str
-    window: int
+    window: int | None  # None: every index
     antisymmetry_failures: list[tuple] = field(default_factory=list)
     jacobi_failures: list[tuple] = field(default_factory=list)
 
@@ -300,47 +282,57 @@ class LieCheckReport:
         return not self.antisymmetry_failures and not self.jacobi_failures
 
 
+def _lie_sum(terms: Iterable[tuple[tuple[str, Index], MPoly]]) -> dict[tuple[str, Index], MPoly]:
+    out: dict[tuple[str, Index], MPoly] = {}
+    for key, c in terms:
+        out[key] = out.get(key, MPoly.zero()) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _lie_check(spec: LieAlgebraSpec, window: int | None, pairs: list, triples: list) -> LieCheckReport:
+    """The bracket composition: nonzero residuals [x, y] + [y, x] of every
+    family pair at each index pair and [[x, y], z] + [[y, z], x] + [[z, x], y]
+    of every family triple at each index triple."""
+    report = LieCheckReport(spec.name, window)
+    for (fa, fb), (i, j) in product(product(spec.families, repeat=2), pairs):
+        x, y = (fa, i), (fb, j)
+        res = _lie_sum(kc for u, v in ((x, y), (y, x)) for kc in spec.bracket_basis(*u, *v).items())
+        if res:
+            report.antisymmetry_failures.append((fa, i, fb, j, res))
+    for (fa, fb, fc), (i, j, k) in product(product(spec.families, repeat=3), triples):
+        x, y, z = (fa, i), (fb, j), (fc, k)
+        res = _lie_sum(
+            (key, c1 * c2)
+            for u, v, w in ((x, y, z), (y, z, x), (z, x, y))
+            for inner, c1 in spec.bracket_basis(*u, *v).items()
+            for key, c2 in spec.bracket_basis(*inner, *w).items()
+        )
+        if res:
+            report.jacobi_failures.append((fa, i, fb, j, fc, k, res))
+    return report
+
+
+def lie_symbolic_check(spec: LieAlgebraSpec) -> LieCheckReport:
+    """Anti-symmetry and Jacobi at every index, as polynomial identities.
+
+    The composition runs at the index symbols p, q, r, so each residual is
+    a polynomial in the indices.  One that vanishes at every integer point
+    is the zero polynomial, so a residual is zero exactly when its identity
+    holds at every index."""
+    return _lie_check(spec, None, [(_P, _Q)], [(_P, _Q, _R)])
+
+
 def lie_jacobi_check(spec: LieAlgebraSpec, window: int) -> LieCheckReport:
-    """Anti-symmetry and Jacobi over all basis triples with |index| <= window."""
+    """Anti-symmetry and Jacobi over all basis triples with |index| <= window.
+
+    The window oracle: the same table and composition as
+    ``lie_symbolic_check``, evaluated at integer indices.  It cross-checks
+    the symbolic verdict and is not an independent encoding.
+    """
     if window < 1:
         raise ValueError("window must be at least 1")
-    report = LieCheckReport(algebra=spec.name, window=window)
     indices = range(-window, window + 1)
-    basis = [(fam, i) for fam in spec.families for i in indices]
-    for (fa, i) in basis:
-        for (fb, j) in basis:
-            x = {(fa, i): Fraction(1)}
-            y = {(fb, j): Fraction(1)}
-            fwd = _lie_bracket(spec, x, y)
-            rev = _lie_bracket(spec, y, x)
-            total = dict(fwd)
-            for key, c in rev.items():
-                s = total.get(key, Fraction(0)) + c
-                if s:
-                    total[key] = s
-                elif key in total:
-                    del total[key]
-            if total:
-                report.antisymmetry_failures.append((fa, i, fb, j, total))
-    for (fa, i) in basis:
-        for (fb, j) in basis:
-            for (fc, k) in basis:
-                x = {(fa, i): Fraction(1)}
-                y = {(fb, j): Fraction(1)}
-                z = {(fc, k): Fraction(1)}
-                acc: Vector = {}
-                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    inner = _lie_bracket(spec, u, v)
-                    outer = _lie_bracket(spec, inner, w)
-                    for key, c in outer.items():
-                        s = acc.get(key, Fraction(0)) + c
-                        if s:
-                            acc[key] = s
-                        elif key in acc:
-                            del acc[key]
-                if acc:
-                    report.jacobi_failures.append((fa, i, fb, j, fc, k, acc))
-    return report
+    return _lie_check(spec, window, list(product(indices, repeat=2)), list(product(indices, repeat=3)))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,7 @@ def _refuse_off_index0(spec: AlgebraSpec, what: str, window: int, degree: int) -
 
 def ad(spec: AlgebraSpec, x: GenPoly, window: int = 3) -> DerivationSpec:
     """The inner derivation y -> [x _l y] on the generator window."""
+    _refuse_negative(window=window)
     degree = None
     indices = {gen.index for gen in x.terms}
     if len(indices) == 1:
@@ -136,6 +137,7 @@ def d_vec(spec: AlgebraSpec, seq: SeqC, window: int = 3) -> DerivationSpec:
     """The derivation L_i -> sum_c a_c M_{i+c}, zero on the other families."""
     if "M" not in spec.families:
         raise ValueError("the M-valued family needs an M family")
+    _refuse_negative(window=window)
     entries = {c: GaussianRational.of(v) for c, v in seq.items() if GaussianRational.of(v)}
     degree = next(iter(entries)) if len(entries) == 1 else None
     _refuse_off_index0(spec, "the M-valued family", window, max(map(abs, entries), default=0))
@@ -685,6 +687,7 @@ def decompose(
     and, when the L-on-M weights are (1, b), a scalar q; uniqueness is
     certified by an empty kernel.
     """
+    _refuse_negative(bound=bound)
     weights = lm_weights(spec)
     c = derivation_degree(deriv)
     coords = _make_coords(spec, c, bound + 1, deriv.window)

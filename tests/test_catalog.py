@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,13 +14,15 @@ from confalg.catalog import (
     build_hv,
     build_sv,
     build_tsv_lie,
+    LieAlgebraSpec,
     lie_jacobi_check,
+    lie_symbolic_check,
     restrict_families,
     solve_construction,
     subalgebra_check,
 )
 from confalg.lca import check_all_axioms, check_jacobi
-from confalg.poly import parse_poly
+from confalg.poly import MPoly, parse_poly
 
 P = parse_poly
 
@@ -116,10 +119,43 @@ class TestConstructionSolver:
             assert not check_jacobi(spec, "L", "Y", "Y").is_zero()
 
 
+def _family_tuples(report):
+    return (
+        {f[0:4:2] for f in report.antisymmetry_failures},
+        {f[0:6:2] for f in report.jacobi_failures},
+    )
+
+
 class TestTsvLie:
     def test_small_window_zero(self):
-        report = lie_jacobi_check(build_tsv_lie(), 2)
-        assert report.all_zero
+        assert lie_symbolic_check(build_tsv_lie()).all_zero
+        assert lie_jacobi_check(build_tsv_lie(), 2).all_zero
+
+    def test_mutated_constant_is_flagged(self):
+        # [L_p, Y_q] = (q - p/3) Y_{p+q} in the forward orientation only
+        tsv = build_tsv_lie()
+        table = dict(tsv.table)
+        table[("L", "Y")] = ("Y", P("q - (1/3)*p"))
+        mutant = LieAlgebraSpec("mutant", tsv.families, table)
+        symbolic = lie_symbolic_check(mutant)
+        assert not symbolic.all_zero and symbolic.window is None
+        assert {f[1:4:2] for f in symbolic.antisymmetry_failures} == {(P("p"), P("q"))}
+        assert {f[1:6:2] for f in symbolic.jacobi_failures} == {(P("p"), P("q"), P("r"))}
+        antisymmetry, jacobi = _family_tuples(symbolic)
+        assert antisymmetry == {("L", "Y"), ("Y", "L")}
+        assert jacobi == {
+            t for t in product("LY", repeat=3) if sorted(t) in (list("LLY"), list("LYY"))
+        }
+        oracle = lie_jacobi_check(mutant, 2)
+        assert _family_tuples(oracle) == (antisymmetry, jacobi)
+        # [L_i, Y_j] + [Y_j, L_i] = (i/6) Y_{i+j}: nonzero for i in {-2, -1, 1, 2}
+        assert len(oracle.antisymmetry_failures) == 2 * 4 * 5
+
+    def test_table_is_read_only_and_polynomial(self):
+        tsv = build_tsv_lie()
+        assert all(isinstance(c, MPoly) for _, c in tsv.table.values())
+        with pytest.raises(TypeError):
+            tsv.table[("L", "L")] = ("L", P("q - p"))
 
     def test_l0_acts_by_index(self):
         tsv = build_tsv_lie()

@@ -43,6 +43,17 @@ class TestCommands:
 
     def test_verify_tsv(self, capsys):
         assert main(["verify-axioms", "--algebra", "tsv", "--window", "2"]) == 0
+        self._assert_tsv_records(capsys.readouterr().out, 2)
+
+    def test_verify_tsv_default_window(self, capsys):
+        assert main(["verify-axioms", "--algebra", "tsv"]) == 0
+        self._assert_tsv_records(capsys.readouterr().out, 3)
+
+    @staticmethod
+    def _assert_tsv_records(out, window):
+        assert "[PASS] tsv-lie: anti-symmetry and Jacobi at every index -> zero" in out
+        assert f"[PASS] tsv-lie-window: the same on |index| <= {window} (window oracle) -> zero" in out
+        assert "summary: 2/2 passed" in out
 
     def test_solve_construction(self, capsys):
         assert main(["solve-construction", "--seed", "5"]) == 0

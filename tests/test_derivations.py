@@ -171,6 +171,14 @@ class TestBuilders:
         csv = build_csv(1, 0)
         assert d_vec(csv, {}, window=2).is_zero()
 
+    def test_ad_refuses_negative_window(self):
+        with pytest.raises(ValueError, match="^window must be >= 0, got -1"):
+            ad(build_csv(1, 0), GenPoly.unit("M", 0), window=-1)
+
+    def test_dvec_refuses_negative_window(self):
+        with pytest.raises(ValueError, match="^window must be >= 0, got -1"):
+            d_vec(build_csv(1, 0), {0: ONE}, window=-1)
+
 
 class TestLeibniz:
     def test_dvec_is_derivation_at_a1(self):
@@ -537,6 +545,11 @@ class TestDecompose:
         assert edited != text
         with pytest.raises(StrayVariable, match=r"L\[-3\] has a term in m besides d and l"):
             decompose(spec, parse_derivation(edited), bound=6)
+
+    def test_negative_bound_is_refused(self):
+        spec = build_csv(1, 0)
+        with pytest.raises(ValueError, match="^bound must be >= 0, got -1"):
+            decompose(spec, ad(spec, GenPoly.unit("M", 0), window=3), bound=-1)
 
     def test_family_not_decomposable_off_a1(self):
         spec = build_csv(0, 0)
