@@ -12,6 +12,16 @@ certify the rule for the pair.  The compatibility D(d a) = (d + l) D(a)
 holds structurally because images extend C[d]-linearly with the d -> d + l
 shift.
 
+The residual of (x_i, y_j) reads the images of x_i, of y_j and of each
+bracket target z_{i+j} of the family pair; the bracket templates are
+index-free.  So it is the residual at (x_0, y_0) of those images
+relabelled to index 0, relabelled by i + j, and ``check_derivation``
+computes it once per distinct (family pair, relabelled images) within a
+call and reuses it for every pair that shares them.  When each family's
+images are one index-0 pattern relabelled (``ad`` and the M-valued family
+are), every family pair has one residual, and the verdict holds at every
+index pair (``DerivationReport.every_index``).
+
 The graded solver works at one grading degree c: image of X_i supported at
 index i + c with polynomial coefficients of bounded total degree.  Its
 equations are the Leibniz residual coefficients for the pairs (L_0, y_j),
@@ -151,6 +161,14 @@ def d_vec(spec: AlgebraSpec, seq: SeqC, window: int = 3) -> DerivationSpec:
     return out
 
 
+def _relabel(x: GenPoly, shift: int) -> GenPoly:
+    """``x`` with every generator index raised by ``shift``."""
+    if not shift or x.is_zero():
+        return x
+    return GenPoly({Generator(gen.family, gen.index + shift): poly
+                    for gen, poly in x.terms.items()})
+
+
 def apply_derivation(deriv: DerivationSpec, x: GenPoly) -> GenPoly:
     """Extend the generator images C[d]-linearly: D(p(d) u) = p(d+l) D(u)."""
     out = GenPoly.zero()
@@ -168,10 +186,18 @@ class DerivationReport:
     window: int
     checked: int = 0
     residuals: dict = field(default_factory=dict)
+    #: family -> number of distinct index-0 patterns of its images
+    patterns: dict[str, int] = field(default_factory=dict)
 
     @property
     def all_zero(self) -> bool:
         return not self.residuals
+
+    @property
+    def every_index(self) -> bool:
+        """Each family's images are one pattern relabelled, so the verdict
+        holds at every index pair of their uniform extension."""
+        return bool(self.patterns) and all(n == 1 for n in self.patterns.values())
 
 
 def leibniz_residual(
@@ -199,7 +225,24 @@ def leibniz_residual(
 def check_derivation(
     spec: AlgebraSpec, deriv: DerivationSpec, window: int | None = None
 ) -> DerivationReport:
-    """Leibniz residuals for every pair whose data stays inside the window."""
+    """Leibniz residuals for every pair whose data stays inside the window.
+
+    The pairs are (x_i, y_j) with |i|, |j| <= ``window`` (default: the
+    derivation's window) and |i + j| <= ``deriv.window``, with residual keys
+    ``(x, i, y, j)``.  ``checked`` counts pairs, but ``leibniz_residual``
+    runs once per distinct ``(x, y, D(x_i), D(y_j), D(z_{i+j}) for each
+    bracket target z of (x, y))``, each image relabelled to index 0: the
+    residual reads nothing else (those images and the index-free bracket
+    templates), and it is the residual at (x_0, y_0) of the relabelled
+    images, relabelled by i + j.  The images are matched by value, and the
+    reuse ends with the call.
+
+    ``patterns`` counts the distinct index-0 patterns of each family's
+    images on the derivation's window.  When every family has one,
+    ``every_index`` holds: each family pair has one residual, relabelled,
+    so the verdict holds at every index pair of the uniform extension
+    D(F_k) = (pattern of F) relabelled by k.
+    """
     w = deriv.window if window is None else window
     _refuse_negative(window=w)
     if w > deriv.window:
@@ -208,13 +251,38 @@ def check_derivation(
         )
     _refuse_off_index0(spec, "the Leibniz check", w, deriv.degree or 0)
     report = DerivationReport(algebra=spec.name, window=w)
+    pattern_names: dict[GenPoly, int] = {}
+    names: dict[tuple[str, int], int] = {}
+
+    def name(family: str, index: int) -> int:
+        """The small integer naming the image of family_index at index 0."""
+        key = (family, index)
+        if key not in names:
+            at0 = _relabel(deriv.image(family, index), -index)
+            names[key] = pattern_names.setdefault(at0, len(pattern_names))
+        return names[key]
+
+    for fam in spec.families:
+        report.patterns[fam] = len(
+            {name(fam, k) for k in range(-deriv.window, deriv.window + 1)}
+        )
+    computed: dict[tuple, GenPoly] = {}
     for fam_x in spec.families:
         for fam_y in spec.families:
+            targets = [tgt for tgt, _ in spec.templates(fam_x, fam_y)]
             for i in range(-w, w + 1):
                 for j in range(-w, w + 1):
-                    if abs(i + j) > deriv.window:
+                    k = i + j
+                    if abs(k) > deriv.window:
                         continue
-                    residual = leibniz_residual(spec, deriv, fam_x, i, fam_y, j)
+                    shared = (fam_x, fam_y, name(fam_x, i), name(fam_y, j),
+                              tuple(name(tgt, k) for tgt in targets))
+                    at0 = computed.get(shared)
+                    if at0 is None:
+                        residual = leibniz_residual(spec, deriv, fam_x, i, fam_y, j)
+                        computed[shared] = _relabel(residual, -k)
+                    else:
+                        residual = _relabel(at0, k)
                     report.checked += 1
                     if not residual.is_zero():
                         report.residuals[(fam_x, i, fam_y, j)] = residual
@@ -528,10 +596,7 @@ def inner_window_vectors(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
                 if at0.is_zero():
                     continue
                 for i in range(-window, window + 1):
-                    deriv.images[(src, i)] = GenPoly(
-                        {Generator(gen.family, gen.index + i): poly
-                         for gen, poly in at0.terms.items()}
-                    )
+                    deriv.images[(src, i)] = _relabel(at0, i)
             vectors.append(coords.vector_of(deriv))
     return vectors
 
@@ -767,6 +832,7 @@ def parse_derivation(text: str) -> DerivationSpec:
             families = tuple(rest.split())
         elif head == "window":
             window = int(rest)
+            _refuse_negative(window=window)
         elif head == "degree":
             degree = int(rest)
         elif head == "image":

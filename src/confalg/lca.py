@@ -27,7 +27,6 @@ from .poly import MPoly, PolyLike, parse_poly
 VAR_D = "d"  # the C[d]-module generator symbol
 VAR_L = "l"  # primary bracket variable
 VAR_M = "m"  # secondary bracket variable
-VAR_N = "n"  # spare bracket variable
 
 
 class UnknownFamily(KeyError):

@@ -315,12 +315,15 @@ def criterion_5(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
         "with symbolic b and seeded finite support",
         inputs={"seed": seed, "support": {k: str(v) for k, v in support.items()}},
     ) as rec:
-        detail = []
+        detail, scopes = [], []
         for name, builder in (("csv", build_csv), ("chv", build_chv)):
             spec = builder(1, "sym")
             rep = check_derivation(spec, d_vec(spec, support, window=3))
+            scopes.append(rep.every_index)
             if not rep.all_zero:
                 detail.append(f"{name}(1,b) residuals {sorted(rep.residuals)}")
+        if all(scopes):
+            rec.claim += ", at every index pair"
         rec.passed = not detail
         rec.status = "zero" if not detail else "; ".join(detail)
     with timed_check(

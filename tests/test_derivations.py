@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from confalg.catalog import build_chv, build_csv, build_hv, build_sv
+import confalg.derivations
 from confalg.derivations import (
+    DerivationReport,
     DerivationSpec,
     _contribution_table,
     _leibniz_system,
@@ -227,6 +229,119 @@ class TestLeibniz:
         x = GenPoly.unit("L", 1, P("d^2 + 3"))
         got = apply_derivation(deriv, x)
         assert got == deriv.image("L", 1).scale(P("(d + l)^2 + 3"))
+
+
+def literal_check(spec, deriv, window=None):
+    """The oracle of ``check_derivation``: ``leibniz_residual`` at every pair,
+    with no reuse."""
+    w = deriv.window if window is None else window
+    report = DerivationReport(algebra=spec.name, window=w)
+    for fam_x in spec.families:
+        for fam_y in spec.families:
+            for i in range(-w, w + 1):
+                for j in range(-w, w + 1):
+                    if abs(i + j) > deriv.window:
+                        continue
+                    residual = leibniz_residual(spec, deriv, fam_x, i, fam_y, j)
+                    report.checked += 1
+                    if not residual.is_zero():
+                        report.residuals[(fam_x, i, fam_y, j)] = residual
+    return report
+
+
+def gaussian_support(rng):
+    return {
+        rng.randint(-2, 2): GaussianRational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2)
+        )
+        for _ in range(3)
+    }
+
+
+def edited_dvec(spec, index):
+    """The M-valued family with the image of L_index replaced by d * M_index."""
+    deriv = d_vec(spec, {0: ONE, 1: GaussianRational(2, -1)}, window=3)
+    deriv.images[("L", index)] = GenPoly({Generator("M", index): P("d")})
+    return deriv
+
+
+def reuse_cases():
+    """A seeded set of (name, spec, derivation, check window), with nonzero
+    residuals and with images that are not one pattern relabelled."""
+    rng = random.Random(1414)
+    for build in (build_csv, build_chv):
+        for a in (1, GaussianRational(Fraction(1, 2), 1), 0):
+            spec = build(a, "sym")
+            yield f"dvec-{spec.name}-{a}", spec, d_vec(spec, gaussian_support(rng), window=3), None
+    spec = build_csv(Fraction(1, 2), -2)
+    for trial in range(3):
+        x = GenPoly.zero()
+        for fam in spec.families:
+            x = x + GenPoly.unit(fam, rng.randint(-1, 1), P(f"{rng.randint(1, 3)}*d + {trial}"))
+        yield f"ad-mixed-{trial}", spec, ad(spec, x, window=2), None
+    for build, a in ((build_csv, 1), (build_chv, 2), (build_csv, GaussianRational(1, 1))):
+        spec = build(a, 0)
+        coords = _make_coords(spec, rng.randint(-1, 1), 2, 2)
+        deriv = coords.derivation_of(random_vector(rng, len(coords.columns), 12))
+        yield f"coords-{spec.name}-{a}", spec, deriv, None
+        yield f"coords-{spec.name}-{a}-w1", spec, deriv, 1
+    for build in (build_csv, build_chv):
+        for index in (-2, 1):
+            spec = build(1, "sym")
+            yield f"edited-{spec.name}-{index}", spec, edited_dvec(spec, index), None
+
+
+class TestLeibnizReuse:
+    """``check_derivation`` reuses residuals by relabelled images; these tests
+    hold it to the literal loop."""
+
+    @pytest.mark.parametrize(
+        "spec, deriv, window",
+        [case[1:] for case in reuse_cases()],
+        ids=[case[0] for case in reuse_cases()],
+    )
+    def test_matches_literal_loop(self, spec, deriv, window):
+        report = check_derivation(spec, deriv, window)
+        oracle = literal_check(spec, deriv, window)
+        assert report.checked == oracle.checked
+        assert list(report.residuals.items()) == list(oracle.residuals.items())
+
+    def test_seeded_set_has_nonzero_and_non_uniform_cases(self):
+        reports = [check_derivation(spec, deriv, w) for _, spec, deriv, w in reuse_cases()]
+        assert sum(not rep.all_zero for rep in reports) >= 10
+        assert sum(not rep.every_index for rep in reports) >= 8
+
+    @pytest.mark.parametrize("build, calls", [(build_csv, 9), (build_chv, 4)], ids=["csv", "chv"])
+    def test_one_residual_per_family_pair_for_dvec(self, build, calls, monkeypatch):
+        evaluated = []
+        literal = confalg.derivations.leibniz_residual
+
+        def counted(*args):
+            evaluated.append(args[2:])
+            return literal(*args)
+
+        monkeypatch.setattr(confalg.derivations, "leibniz_residual", counted)
+        for a in (1, 0):
+            spec = build(a, "sym")
+            evaluated.clear()
+            report = check_derivation(spec, d_vec(spec, {0: ONE, -2: ONE}, window=3))
+            assert len(evaluated) == calls
+            assert report.every_index and set(report.patterns.values()) == {1}
+            assert report.checked == len(spec.families) ** 2 * 37
+
+    def test_edited_image_is_not_read_at_other_indices(self):
+        spec = build_csv(1, "sym")
+        report = check_derivation(spec, edited_dvec(spec, 1))
+        assert report.patterns == {"L": 2, "M": 1, "Y": 1} and not report.every_index
+        # every failing pair reads the edited image, as x, y or bracket target
+        assert report.residuals
+        for fam_x, i, fam_y, j in report.residuals:
+            targets = {tgt for tgt, _ in spec.templates(fam_x, fam_y)}
+            reads = {(fam_x, i), (fam_y, j)} | {(tgt, i + j) for tgt in targets}
+            assert ("L", 1) in reads
+
+    def test_default_report_has_no_every_index_claim(self):
+        assert not DerivationReport(algebra="csv", window=0).every_index
 
 
 class TestSolver:
@@ -544,6 +659,14 @@ class TestDecompose:
         edited = text.replace("L -3 -> L -2 : d + 2*l\n", "L -3 -> L -2 : d + 2*l + 7*m\n")
         assert edited != text
         with pytest.raises(StrayVariable, match=r"L\[-3\] has a term in m besides d and l"):
+            decompose(spec, parse_derivation(edited), bound=6)
+
+    def test_negative_window_line_is_refused(self):
+        spec = build_csv(2, 3)
+        text = serialize_derivation(ad(spec, GenPoly.unit("L", 0), window=3))
+        edited = text.replace("window 3\n", "window -1\n")
+        assert edited != text
+        with pytest.raises(ValueError, match="^window must be >= 0, got -1"):
             decompose(spec, parse_derivation(edited), bound=6)
 
     def test_negative_bound_is_refused(self):
