@@ -19,10 +19,12 @@ checked certificates:
   ring they fix the l^(t+s) coefficient of the difference without
   forming the product.
 
-* quadratic collapse: once the linear steps pin a candidate family up to
-  one scalar factor, the remaining relations evaluate to
-  ``scalar^2 * P`` or ``scalar * Q`` with P, Q computed exactly; a nonzero
-  P or Q forces the scalar to vanish.
+* homogeneity: once the weight equation and the j = 0 relations pin a
+  table up to one scalar factor, F acting by scalar * T and M by 0, every
+  term of the module identity for (F, G) carries the scalar once per
+  argument or bracket target in F.  So each residual is the scalar to a
+  fixed power times a residual free of it, and one nonzero instance forces
+  the scalar to vanish.
 
 The weight equation ``W(l, m) p(l+m) = -m p(m)`` with ``W = A l - m + B``
 decides where extensions live: its kernel is zero unless (A, B) = (0, 0),
@@ -34,24 +36,25 @@ so extensions need a = 1, b = 0.
 The graded classifier settles every coefficient table with one procedure
 (``_constant_extension``): the weight equation pins the index-0
 coefficients to zero or to constants, and the j = 0 relations propagate
-them across indices, leaving a scalar times a fixed table.  It runs for the
-M table of csv, which its necessity step then forces to 0 ((M, M) quadratic
-collapse, or the (M_0, Y_0)/(Y_0, Y_0) contradiction), and for the table of
+them across indices, leaving a scalar times a fixed table T.  It runs for
+the M table of csv, which its necessity step then forces to 0 (an (M, M)
+break, or the (M_0, Y_0)/(Y_0, Y_0) contradiction), and for the table of
 the extension family (``modules.extension_family``: Y on csv, M on chv).
-That table's necessity relations ((L, Y) linear then (Y, Y) quadratic on
-csv, (M, M) quadratic on chv) either collapse the scalar or leave the flat
-extension, which a full axiom check on the window then certifies.
+That table is decided from the module identity alone: ``_first_break``
+searches (L, F) and (F, F) on the window when T is not flat, and if that
+finds no break, one full axiom check of L = f, F = d * T does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .catalog import ParamLike, as_param, build_chv, build_csv
 from .lca import VAR_D, VAR_L, VAR_M, AlgebraSpec, DegreeBoundExceeded
 from .linsolve import SparseRow, reduce_rows
 from .modules import (
+    MODULE_SYMBOLS,
     BitSeq,
     GradedModule,
     Rank1Module,
@@ -60,7 +63,9 @@ from .modules import (
     build_rank1,
     check_module_axioms,
     extension_family,
-    module_residual,
+    graded_from_tables,
+    residual_from_inputs,
+    residual_inputs,
     two_action_difference,
     two_action_factors,
 )
@@ -68,6 +73,8 @@ from .poly import GaussianRational, MPoly
 
 _L = MPoly.var(VAR_L)
 _M = MPoly.var(VAR_M)
+_ZERO = MPoly.zero()
+_ONE = MPoly.const(1)
 _DFREE_STEP = "d-free certificate"
 
 
@@ -416,10 +423,12 @@ def classify_graded(
     ``vab`` uniform weights or the ``vAb`` case split over a bit sequence);
     the solver determines the M- and Y-coefficient tables on the window
     ``|generator index| <= k_gen``, ``|basis index| <= n_basis``.  Each
-    table is settled by ``_constant_extension``; on csv the M table is
-    forced to 0 before the Y table is settled.  Necessity relations, then a
-    full axiom check of the flat family (sufficiency), decide the extension
-    family's table.
+    table is pinned by ``_constant_extension`` to a scalar times a table T,
+    and csv's M table is forced to 0 before the Y table is settled.  With F
+    acting by scalar * T and M by 0, every term of the identity for (F, G)
+    carries the scalar once per argument or bracket target in F, so each
+    residual is homogeneous in the scalar and one nonzero residual forces it
+    to 0; every collapse step names its instance ``(F, G, i, j, m)``.
     """
     if base == "vAb" and bitseq is None:
         raise ValueError("vAb classification needs a bit sequence")
@@ -444,19 +453,18 @@ def classify_graded(
     if family == "Y":
         g_tables = _constant_extension(out, spec, "M", f, n_basis, k_gen, degree_bound)
         if g_tables is not None:
-            collapse = _quadratic_collapse(g_tables, n_basis, k_gen)
+            collapse = _first_break(spec, {"M": g_tables}, [("M", "M")], n_basis, k_gen)
             if collapse is not None:
                 out.step(
                     "MM quadratic consistency",
-                    f"the (M, M) relation evaluates to e^2 * P with nonzero P "
-                    f"at {collapse}, forcing e = 0",
+                    f"with M acting by e*T the (M, M) relation is e^2 times a "
+                    f"residual that is nonzero at {collapse}, forcing e = 0",
                 )
                 out.collapsed = True
             else:
                 # only the index-0 tables enter; the others need not be 1
                 index0_flat = all(
-                    g_tables[(0, m)] == MPoly.const(1)
-                    for m in range(-n_basis, n_basis + 1)
+                    g_tables[(0, m)] == _ONE for m in range(-n_basis, n_basis + 1)
                 )
                 out.step(
                     "MY/YY contradiction",
@@ -476,34 +484,36 @@ def classify_graded(
     tables = _constant_extension(out, spec, family, f, n_basis, k_gen, degree_bound)
     if tables is None:
         return out
-    bad = _linear_ly_collapse(spec, f, tables, n_basis, k_gen) if family == "Y" else None
+    flat = all(p == _ONE for p in tables.values())
+    bad = None
+    # a non-flat table usually breaks on the window, where a search costs
+    # less than the full check
+    if not flat:
+        on_window = {"L": {key: f(*key) for key in tables}, family: tables}
+        pairs = [("L", family), (family, family)]
+        bad = _first_break(spec, on_window, pairs, n_basis, k_gen)
     if bad is None:
-        collapse = _quadratic_collapse(tables, n_basis, k_gen)
-        bad = (family * 2, *collapse) if collapse is not None else None
+        extension = _quotient_extension(spec, family, f, base_module.bitseq)
+        report = check_module_axioms(spec, extension, n_basis, k_gen)
+        bad = next(iter(report.residuals), None)
     if bad is not None:
-        flat = False
         out.step(
             f"{family} consistency",
-            f"a remaining relation is nonzero at {bad}, forcing d = 0 "
-            "(the flat extension of a case-split base is not a module)",
+            f"with L acting by f, {family} by d*T and every other family by 0, "
+            f"the module identity is d^k times a residual that is nonzero at "
+            f"{bad}, forcing d = 0",
         )
-    else:
-        flat = all(p == MPoly.const(1) for p in tables.values())
-        flat = flat and _flat_extension_is_module(spec, base, bitseq, n_basis, k_gen)
-        out.step(
-            f"{family} sufficiency",
-            f"the flat {family}-extension passes the full module axiom check "
-            "on the window"
-            if flat
-            else "the propagated extension fails the full module axiom check "
-            "on the window, so d = 0",
-        )
-    if flat:
-        out.families[family] = "d"
-        out.extension_dim = 1
-        out.note = f"{family}-extension survives all relations on the window"
-    else:
         out.collapsed = True
+        return out
+    out.step(
+        f"{family} sufficiency",
+        f"the {family}-extension d*T is flat and passes the full module axiom "
+        "check on the window",
+        ok=flat,
+    )
+    out.families[family] = "d"
+    out.extension_dim = 1
+    out.note = f"{family}-extension survives all relations on the window"
     return out
 
 
@@ -549,6 +559,16 @@ def _constant_extension(
     return tables
 
 
+def _difference_quotient(fim: MPoly) -> MPoly | None:
+    """The T[i,m](d, l) with ``f(d+m',l) - f(d,l) = m' T(d, l+m')``, or None.
+
+    None when the quotient is not a polynomial in (d, l+m').
+    """
+    quotient = (fim.shift(VAR_D, _M) - fim).divide_exact(_M)
+    candidate = quotient.substitute(VAR_L, 0).substitute(VAR_M, _L)
+    return candidate if _as_bracket_var(candidate, _L + _M) == quotient else None
+
+
 def _propagate_constant_extension(
     f, n_basis: int, k_gen: int, degree_bound: int
 ) -> dict[tuple[int, int], MPoly] | None:
@@ -571,9 +591,8 @@ def _propagate_constant_extension(
             fim = f(i, m)
             if fim.is_zero():
                 return None  # cannot tie e_m to e_{i+m}: not a base this solver handles
-            quotient = (fim.shift(VAR_D, _M) - fim).divide_exact(_M)
-            candidate = quotient.substitute(VAR_L, 0).substitute(VAR_M, _L)
-            if _as_bracket_var(candidate, _L + _M) != quotient:
+            candidate = _difference_quotient(fim)
+            if candidate is None:
                 # t[i,m](d, l+m') = e * quotient has no polynomial solution
                 return None
             if candidate.degree() > degree_bound:
@@ -584,84 +603,57 @@ def _propagate_constant_extension(
     return tables
 
 
-def _quadratic_collapse(
-    tables: dict[tuple[int, int], MPoly], n_basis: int, k_gen: int
-) -> tuple | None:
-    """First window instance where the pure quadratic relation is nonzero.
-
-    For coefficient families t = scalar * T the (M, M) / (Y, Y with g = 0)
-    relation evaluates to scalar^2 times this commutator-style expression.
-    """
-    for i in range(-k_gen, k_gen + 1):
-        for j in range(-k_gen, k_gen + 1):
-            for m in range(-n_basis, n_basis + 1):
-                if abs(j + m) > n_basis or abs(i + m) > n_basis:
-                    continue
-                residual = two_action_difference(
-                    tables[(j, m)],
-                    tables[(i, j + m)],
-                    tables[(i, m)],
-                    tables[(j, i + m)],
-                )
-                if not residual.is_zero():
-                    return (i, j, m)
-    return None
-
-
-def _linear_ly_collapse(
+def _first_break(
     spec: AlgebraSpec,
-    f,
-    tables: dict[tuple[int, int], MPoly],
+    actions: Mapping[str, Mapping[tuple[int, int], MPoly]],
+    pairs: Sequence[tuple[str, str]],
     n_basis: int,
     k_gen: int,
 ) -> tuple | None:
-    """First instance where the general (L, Y) relation breaks for h = d*H.
+    """The first window instance ``(F, G, i, j, m)`` of ``pairs`` with a
+    nonzero module residual, or None.
 
-    The residual (divided by the scalar d) is the module identity for
-    (L_i, Y_j) on v_m with L acting by f, Y by H and every other family by
-    zero.  This step runs only where the Y weight equation has the
-    constants as kernel, so the bracket weight is W = -m' and the residual
-    reads
-        H[j,m](d+l,m') f[i,j+m](d,l) - f[i,m](d+m',l) H[j,i+m](d,m')
-            + m' H[i+j,m](d, l+m')
+    ``actions`` maps each acting family to its table on the window; other
+    families act by 0, and an instance that reads a table off it is skipped.
     """
 
-    def act(family: str, i: int, m: int) -> MPoly:
-        if family == "L":
-            return f(i, m)
-        if family == "Y":
-            return tables[(i, m)]
-        return MPoly.zero()
+    def act(family: str, i: int, m: int) -> MPoly | None:
+        table = actions.get(family)
+        return _ZERO if table is None else table.get((i, m))
 
-    for i in range(-k_gen, k_gen + 1):
-        for j in range(-k_gen, k_gen + 1):
-            if abs(i + j) > k_gen:
-                continue
-            for m in range(-n_basis, n_basis + 1):
-                if abs(j + m) > n_basis or abs(i + m) > n_basis:
-                    continue
-                residual = module_residual(spec, act, "L", "Y", i, j, m)
-                if not residual.is_zero():
-                    return ("LY", i, j, m)
+    gen_range = range(-k_gen, k_gen + 1)
+    for fam_f, fam_g in pairs:
+        for i in gen_range:
+            for j in gen_range:
+                for m in range(-n_basis, n_basis + 1):
+                    inputs = residual_inputs(spec, act, fam_f, fam_g, i, j, m)
+                    if any(p is None for p in inputs):
+                        continue
+                    if not residual_from_inputs(spec, fam_f, fam_g, inputs).is_zero():
+                        return (fam_f, fam_g, i, j, m)
     return None
 
 
-def _flat_extension_is_module(
-    spec: AlgebraSpec,
-    base: str,
-    bitseq: BitSeq | None,
-    n_basis: int,
-    k_gen: int,
-) -> bool:
-    """Sufficiency check: the flat scalar extension passes the axiom window.
-
-    The guided steps establish necessity (nothing but a flat multiple can
-    survive); this materializes the flat family with a symbolic scalar and
-    certifies it against the full identity on the same window.
+def _quotient_extension(
+    spec: AlgebraSpec, family: str, f, bitseq: BitSeq | None
+) -> GradedModule:
+    """L acting by f and ``family`` by d * T at every index, T the
+    difference quotient of f, memoised per distinct f[i,m] in this module.
     """
-    first = bitseq if base == "vAb" else "sym"
-    module = build_graded(spec, base, first, "sym", "sym")
-    return check_module_axioms(spec, module, n_basis, k_gen).all_zero
+    scalar = MPoly.var(MODULE_SYMBOLS["d"])
+    quotients: dict[MPoly, MPoly] = {}
+
+    def t(i: int, m: int) -> MPoly:
+        fim = f(i, m)
+        tim = quotients.get(fim)
+        if tim is None:
+            quotient = _difference_quotient(fim)
+            if quotient is None:
+                raise ValueError(f"f[{i},{m}] = {fim} has no polynomial difference quotient")
+            tim = quotients[fim] = scalar * quotient
+        return tim
+
+    return graded_from_tables(spec.families, {"L": f, family: t}, bitseq)
 
 
 def materialize_graded(

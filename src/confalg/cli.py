@@ -214,8 +214,10 @@ def _build_module(opts: Options, spec):
             if not bits_text:
                 raise ConfigError("field 'bitseq': required for the vAb base")
             lo = _int(opts.get("bitseq_lo"), "bitseq_lo")
-            bits = BitSeq.from_string(str(bits_text), lo)
-            first = bits
+            try:
+                first = BitSeq.from_string(str(bits_text), lo)
+            except ValueError as exc:
+                raise ConfigError(f"field 'bitseq': {bits_text!r}: {exc}") from exc
         else:
             first = parse_param(str(opts.get("alpha")), "alpha")
         return build_graded(

@@ -847,8 +847,10 @@ def parse_derivation(text: str) -> DerivationSpec:
         else:
             raise ValueError(f"unknown directive {head!r} in derivation text")
     out = DerivationSpec(families=families, window=window, degree=degree)
-    for key, terms in images.items():
+    for (fam, idx), terms in images.items():
+        if abs(idx) > window:
+            raise ValueError(f"image line of {fam}[{idx}] lies outside the window {window}")
         gp = GenPoly(terms)
         if not gp.is_zero():
-            out.images[key] = gp
+            out.images[(fam, idx)] = gp
     return out

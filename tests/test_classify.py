@@ -1,9 +1,11 @@
+import ast
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from confalg.catalog import build_csv
+from confalg.catalog import build_chv, build_csv
 import confalg
 from confalg import classify
 from confalg.classify import (
@@ -15,12 +17,36 @@ from confalg.classify import (
     materialize_rank1,
     weight_equation_kernel,
 )
-from confalg.lca import DegreeBoundExceeded
+from confalg.lca import DegreeBoundExceeded, WindowTooSmall
 from confalg import suite
-from confalg.modules import BitSeq, check_module_axioms, two_action_difference
+from confalg.modules import (
+    BitSeq,
+    ModuleReport,
+    build_graded,
+    check_module_axioms,
+    module_residual,
+    two_action_difference,
+)
 from confalg.poly import GaussianRational, MPoly
 
 GRID = [(0, 0), (1, 0), (0, 1), (2, 5), (1, 1)]
+
+
+def quotient_action(f, family):
+    """L acting by f, ``family`` by dd*T and every other family by 0, with
+    T[i,m](d, l + m) = (f[i,m](d + m, l) - f[i,m](d, l)) / m."""
+    dd, l, m = MPoly.var("dd"), MPoly.var("l"), MPoly.var("m")
+
+    def act(fam, i, k):
+        fik = f(i, k)
+        if fam != family:
+            return fik if fam == "L" else MPoly.zero()
+        quotient = (fik.shift("d", m) - fik).divide_exact(m)
+        t = quotient.substitute("l", 0).substitute("m", l)
+        assert t.substitute("l", l + m) == quotient
+        return dd * t
+
+    return act
 
 
 def generic_box(dmax, lmax):
@@ -250,9 +276,15 @@ class TestGradedCaseSplitBase:
               "M-extension survives all relations on the window")),
             ("chv", (1, 0), "vAb", "1001011110000101010",
              ({"L": "vAb", "M": "0"}, 0, True, "")),
+            ("csv", (0, 0), "vAb", "0000000000000010000",
+             ({"L": "vAb", "M": "0", "Y": "0"}, 0, True, "")),
+            ("chv", (1, 0), "vAb", "0000000000000100000",
+             ({"L": "vAb", "M": "0"}, 0, True, "")),
+            ("chv", (1, 0), "vAb", "1111100000000011111",
+             ({"L": "vAb", "M": "0"}, 0, True, "")),
         ],
         ids=["csv10-collapsed", "csv10-not-collapsed", "csv00-vab", "chv10-flat",
-             "chv10-collapsed"],
+             "chv10-collapsed", "csv00-edge", "chv10-edge", "chv10-edges"],
     )
     def test_outcome_fields(self, algebra, point, base, text, fields):
         # the fields the CLI prints: families in the status, collapsed and
@@ -261,6 +293,86 @@ class TestGradedCaseSplitBase:
         outcome = classify_graded(algebra, *point, base, bitseq=bits)
         got = (outcome.families, outcome.extension_dim, outcome.collapsed, outcome.note)
         assert got == fields
+
+    # the first three break inside the window the tables are propagated on;
+    # most edge sequences break only past it, where the full check names
+    # the break
+    COLLAPSES = [
+        ("csv", (0, 0), "0110100010101100000"),
+        ("csv", (1, 0), "0110100010101100000"),
+        ("chv", (1, 0), "1001011110000101010"),
+        ("csv", (0, 0), "0000000000000010000"),
+        ("csv", (0, 0), "0000000000000001000"),
+        ("chv", (1, 0), "0000000000000100000"),
+        ("chv", (1, 0), "1111100000000011111"),
+    ]
+
+    @pytest.mark.parametrize(
+        "algebra, point, text", COLLAPSES, ids=[f"{a}{p[0]}{p[1]}-{t}" for a, p, t in COLLAPSES]
+    )
+    def test_collapse_steps_name_a_nonzero_instance(self, algebra, point, text):
+        # each collapse step names (F, G, i, j, m); with L acting by the base
+        # f, F by dd*T (T the difference quotient of f) and every other family
+        # by 0, the module residual there is nonzero
+        bits = BitSeq.from_string(text, -9)
+        outcome = classify_graded(algebra, *point, "vAb", bitseq=bits)
+        spec = (build_csv if algebra == "csv" else build_chv)(*point)
+        f = build_graded(spec, "vAb", bits, "sym", 0).coeffs["L"]
+        collapses = [s for s in outcome.steps if s.name.endswith("consistency")]
+        assert outcome.collapsed and collapses
+        for step in collapses:
+            match = re.search(r"\('\w', '\w', -?\d+, -?\d+, -?\d+\)", step.statement)
+            assert match, step.statement
+            instance = ast.literal_eval(match.group())
+            (family,) = set(instance[:2]) - {"L"}
+            residual = module_residual(spec, quotient_action(f, family), *instance)
+            assert not residual.is_zero(), step
+
+    @pytest.mark.parametrize("algebra, point, text, instance", [
+        ("csv", (0, 0), "0110100010101100000", ("L", "Y", -2, 1, -1)),
+        ("csv", (1, 0), "0110100010101100000", ("M", "M", -2, -2, 1)),
+        ("chv", (1, 0), "1001011110000101010", ("L", "M", -2, 1, -1)),
+    ], ids=["csv00-LY", "csv10-MM", "chv10-LM"])
+    def test_window_search_names_the_first_break(self, algebra, point, text, instance):
+        # (L, F) is searched before (F, F), in (i, j, m) order
+        bits = BitSeq.from_string(text, -9)
+        outcome = classify_graded(algebra, *point, "vAb", bitseq=bits)
+        (step,) = [s for s in outcome.steps if s.name.endswith("consistency")]
+        assert f"nonzero at {instance}," in step.statement
+
+    @pytest.mark.parametrize("text, calls", [
+        ("0110100010101100000", 0),  # the window search breaks
+        ("0000000000000010000", 1),  # not flat, no break on the window
+        ("0000000000000001000", 1),  # flat on the window
+    ])
+    def test_full_check_runs_once_unless_the_search_breaks(self, monkeypatch, text, calls):
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return check_module_axioms(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "check_module_axioms", counted)
+        classify_graded("csv", 0, 0, "vAb", bitseq=BitSeq.from_string(text, -9))
+        assert len(seen) == calls
+
+    def test_non_flat_pass_is_a_failed_step(self, monkeypatch):
+        # a table that is not flat yet passes the check contradicts the
+        # classification, so the sufficiency step must fail
+        monkeypatch.setattr(
+            classify, "check_module_axioms", lambda *args, **kwargs: ModuleReport("custom")
+        )
+        bits = BitSeq.from_string("0000000000000010000", -9)
+        with pytest.raises(StepFailed) as info:
+            classify_graded("csv", 0, 0, "vAb", bitseq=bits)
+        assert (info.value.steps[-1].name, info.value.steps[-1].ok) == ("Y sufficiency", False)
+
+    def test_short_sequence_raises_window_too_small(self):
+        # covers the propagation window [-5, 5] but not the check's [-7, 7];
+        # the check refuses it before reading any action
+        bits = BitSeq.from_string("0" * 11, -5)
+        with pytest.raises(WindowTooSmall, match=r"must cover \[-7, 7\]"):
+            classify_graded("csv", 0, 0, "vAb", bitseq=bits)
 
     def test_off_extension_points_zero(self):
         rng = random.Random(23)

@@ -79,6 +79,20 @@ class TestCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("bits, cause", [
+        ("01x0000000000000000", "invalid literal for int() with base 10: 'x'"),
+        ("0120000000000000000", "bits must be 0 or 1"),
+    ])
+    def test_check_module_malformed_bitseq_names_the_field(self, capsys, bits, cause):
+        code = main(
+            [
+                "check-module", "--algebra", "csv", "--a", "0", "--b", "0",
+                "--kind", "graded", "--base", "vAb", "--bitseq", bits,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: field 'bitseq': {bits!r}: {cause}\n"
+
     def test_classify_rank1(self, capsys):
         code = main(
             [

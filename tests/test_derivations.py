@@ -669,6 +669,16 @@ class TestDecompose:
         with pytest.raises(ValueError, match="^window must be >= 0, got -1"):
             decompose(spec, parse_derivation(edited), bound=6)
 
+    def test_image_line_outside_the_window_is_refused(self):
+        # the images at |i| > 1 would be unreachable through image() and
+        # skipped by every reader
+        spec = build_csv(2, 3)
+        text = serialize_derivation(ad(spec, GenPoly.unit("L", 0), window=3))
+        edited = text.replace("window 3\n", "window 1\n")
+        assert edited != text
+        with pytest.raises(ValueError, match=r"^image line of L\[-3\] lies outside the window 1$"):
+            parse_derivation(edited)
+
     def test_negative_bound_is_refused(self):
         spec = build_csv(1, 0)
         with pytest.raises(ValueError, match="^bound must be >= 0, got -1"):
