@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .catalog import ParamLike, as_param, build_chv, build_csv
-from .lca import VAR_D, VAR_L, VAR_M, AlgebraSpec, DegreeBoundExceeded
+from .lca import VAR_D, VAR_L, VAR_M, AlgebraSpec, DegreeBoundExceeded, weight_of
 from .linsolve import SparseRow, reduce_rows
 from .modules import (
     MODULE_SYMBOLS,
@@ -258,26 +258,6 @@ def weight_equation_kernel(A: GaussianRational, B: GaussianRational, degree_boun
     return basis
 
 
-def _weight_of(spec: AlgebraSpec, source_fam: str) -> tuple[GaussianRational, GaussianRational]:
-    """Weights (A, B) of the equation governing the ``source_fam`` action.
-
-    Derived from the bracket template of [L _l F] = T F: the acted identity
-    carries the factor W(l, m) = T at d -> -(l+m), which must have the affine
-    form A l - m + B.
-    """
-    entries = dict(spec.templates("L", source_fam))
-    template = entries[source_fam]
-    w = template.substitute(VAR_D, -(_L + _M))
-    A = w.coeff_extract([VAR_L, VAR_M], {VAR_L: 1}).constant_value()
-    mu_coeff = w.coeff_extract([VAR_L, VAR_M], {VAR_M: 1}).constant_value()
-    B = w.coeff_extract([VAR_L, VAR_M], {}).constant_value()
-    if mu_coeff != GaussianRational.of(-1):
-        raise ValueError(f"unexpected weight shape {w} for family {source_fam}")
-    if w != _L.scale(A) - _M + MPoly.const(B):
-        raise ValueError(f"weight {w} is not affine in (l, m)")
-    return A, B
-
-
 def _require_numeric(value: ParamLike, name: str) -> GaussianRational:
     p = as_param(value, name)
     if not p.is_constant():
@@ -367,7 +347,7 @@ def classify_rank1(
     )
 
     ext_family = extension_family(spec.families)
-    A, B = _weight_of(spec, ext_family)
+    A, B = weight_of(spec, ext_family)
     kernel = weight_equation_kernel(A, B, degree_bound)
     w_text = f"({A})*l - m + ({B})"
     if not kernel:
@@ -533,7 +513,7 @@ def _constant_extension(
     Records both steps and returns the table normalized to scalar 1, or
     None when the table is forced to 0.
     """
-    A, B = _weight_of(spec, family)
+    A, B = weight_of(spec, family)
     kernel = weight_equation_kernel(A, B, degree_bound)
     w_text = f"W = ({A})*l - m + ({B})"
     if not kernel:

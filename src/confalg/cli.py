@@ -38,6 +38,7 @@ from .modules import (
     build_rank1,
     check_module_axioms,
     relations_oracle,
+    window_reach,
 )
 from .poly import GaussianRational, ParseError, parse_scalar
 from .report import CheckRecord, Report, timed_check
@@ -51,7 +52,6 @@ from .suite import (
     graded_faults,
     rank1_faults,
     run_paper_suite,
-    window_reach,
 )
 
 

@@ -30,41 +30,40 @@ classification argument subtracts inner derivations and the M-valued family
 using those pairs alone.  A wider (all-pairs) equation set is kept for
 cross-validation in the tests.
 
-Bracket templates do not depend on generator indices, so a solve builds
-each index-free polynomial once and relabels it by index:
-
-- the rows of a pair (x_i, y_j) are built once per family pair and
-  relabelled per index pair: every polynomial of the linearized residual
-  depends on (x, y) and the degree bound only, and i, j and i + j (and
-  nothing of the grading degree) pick the columns the coefficients land
-  in.  Within a family pair, each instantiated template is multiplied by
-  each power of its term once; the l^q factor of an unknown only raises
-  l exponents;
-- the inner vectors take one bracket [d^k X_c _l F_0] per (X, k, F) and
-  place it at every index i of the window with its generator index raised
-  by i, instead of evaluating ``ad`` index by index.  ``ad`` stays the
-  literal evaluator the tests hold them to.
-
-Nothing built in a solve outlives it.
+Bracket templates do not depend on generator indices, so a uniform
+derivation is one index-0 pattern relabelled to every index (``_uniform``
+builds ``d_vec``, the inner vectors and the solved basis so), and the
+graded system has one column layout, computed by index arithmetic: the
+unknowns of source index i are the n columns from (i + w) * n on, w the
+source window, in the same (source family, target family, monomial) order
+at every index.  The rows of a pair (x_i, y_j) are built once per family
+pair, each unknown carrying its position in an index block, and relabelled
+per index pair by adding the start of the block of i, j or i + j; nothing
+of the grading degree enters them.  Within a family pair, each
+instantiated template is multiplied by each power of its term once; the
+l^q factor of an unknown only raises l exponents.  The inner vectors take
+one bracket [d^k X_c _l F_0] per (X, k, F); ``ad`` stays the literal
+evaluator the tests hold them to.  Nothing built in a solve outlives it.
 
 So the (L_0, y_j) system is answered from its index-0 data.  The pairs
 with j != 0 are one block, relabelled: the index-0 L columns (A) and the
 index-j columns (B).  The pairs with j = 0, block 0, are the same rows with
 the index-j columns folded onto index 0.  The rows of (L_0, y_1) are built
-once, on a layout of the index-0 and index-1 columns alone, and two
-eliminations over the index-0 columns give ker(block 0) and ker B.  For a
-window w the kernel has dimension dim ker(block 0) + 2w dim ker B, and its
-basis is materialised by copying those kernels to the window's indices.
-Every inner vector is an index-0 pattern copied to every index, so the
-inner rank is read on the patterns.  When ker B = 0 the answer does not
-depend on the window, and the solve certifies it for every window.  The
-same system eliminated whole (``_leibniz_system(..., "lzero")``) and the
-all-pairs system are kept as the oracles the solve is tested against.
+once, on the window-0 layout, whose index-1 columns are its next n, and
+two eliminations over the index-0 columns give ker(block 0) and ker B.  For
+a window w the kernel has dimension dim ker(block 0) + 2w dim ker B; its
+basis is each block-0 kernel vector relabelled to every index and each
+ker-B vector placed at each j != 0.  The inner rank is read on the index-0
+patterns.  When ker B = 0 the answer does not depend on the window, and
+the solve certifies it for every window.  The same system eliminated whole
+(``_leibniz_system(..., "lzero")``) and the all-pairs system are kept as
+the oracles the solve is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Mapping
 
 from .lca import (
@@ -77,6 +76,7 @@ from .lca import (
     GenPoly,
     WindowTooSmall,
     conformal_bracket,
+    weight_of,
 )
 from .linsolve import SparseRow, reduce_rows
 from .poly import ZERO, GaussianRational, Inconsistent, Mono, MPoly, parse_poly
@@ -151,14 +151,8 @@ def d_vec(spec: AlgebraSpec, seq: SeqC, window: int = 3) -> DerivationSpec:
     entries = {c: GaussianRational.of(v) for c, v in seq.items() if GaussianRational.of(v)}
     degree = next(iter(entries)) if len(entries) == 1 else None
     _refuse_off_index0(spec, "the M-valued family", window, max(map(abs, entries), default=0))
-    out = DerivationSpec(families=spec.families, window=window, degree=degree)
-    for i in range(-window, window + 1):
-        image = GenPoly(
-            {Generator("M", i + c): MPoly.const(v) for c, v in entries.items()}
-        )
-        if not image.is_zero():
-            out.images[("L", i)] = image
-    return out
+    at0 = GenPoly({Generator("M", c): MPoly.const(v) for c, v in entries.items()})
+    return _uniform(spec, {"L": at0}, window, degree)
 
 
 def _relabel(x: GenPoly, shift: int) -> GenPoly:
@@ -167,6 +161,20 @@ def _relabel(x: GenPoly, shift: int) -> GenPoly:
         return x
     return GenPoly({Generator(gen.family, gen.index + shift): poly
                     for gen, poly in x.terms.items()})
+
+
+def _uniform(spec: AlgebraSpec, pattern: Mapping[str, GenPoly], window: int,
+             degree: int | None, indices: Iterable[int] | None = None) -> DerivationSpec:
+    """The derivation F_i -> ``pattern[F]`` relabelled by i, for every index
+    i of the window (or each of ``indices``); families with no or a zero
+    pattern map to 0."""
+    indices = range(-window, window + 1) if indices is None else indices
+    out = DerivationSpec(families=spec.families, window=window, degree=degree)
+    for fam, at0 in pattern.items():
+        if not at0.is_zero():
+            for i in indices:
+                out.images[(fam, i)] = _relabel(at0, i)
+    return out
 
 
 def apply_derivation(deriv: DerivationSpec, x: GenPoly) -> GenPoly:
@@ -298,55 +306,78 @@ def _degree_monos(bound: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(bound + 1) for q in range(bound + 1 - p)]
 
 
+#: an unknown of one source index: (source family, target family, (p, q))
+_Slot = tuple[str, str, tuple[int, int]]
+#: what one unknown contributes to the rows of one pair: its index (0 for
+#: i + j, 1 for i, 2 for j), its position in that index's block, and its
+#: coefficients keyed by row (target family, monomial in d, l, m), signed
+_Contribution = tuple[int, int, tuple[tuple[tuple[str, Mono], GaussianRational], ...]]
+
+
+def _index_slots(families: tuple[str, ...], bound: int) -> dict[_Slot, int]:
+    """Position of each (source family, target family, monomial) unknown in
+    the block of columns of one source index."""
+    return {slot: k for k, slot in enumerate(product(families, families, _degree_monos(bound)))}
+
+
 @dataclass
 class _Coords:
-    """Column layout: (source family, source index, target family, mono)."""
+    """Column layout of the graded system over a source window.
 
-    columns: dict[tuple[str, int, str, tuple[int, int]], int]
+    The unknowns of source index i are the n columns from (i + src_window) * n
+    on, in the same (source family, target family, monomial) order at every
+    index (``local``).  So an index-0 pattern sits at index i by adding i * n
+    to its columns.
+    """
+
     spec: AlgebraSpec
     src_window: int
     degree: int
     bound: int
+    local: dict[_Slot, int]
 
-    def index_columns(self, index: int, family: str | None = None) -> list[int]:
-        """Columns of the unknowns with this source index (and family).
+    @property
+    def n(self) -> int:
+        """Number of unknowns per source index."""
+        return len(self.local)
 
-        They come in layout order, so position k holds the same (source
-        family, target family, monomial) at every index.
-        """
-        return [col for (fam, i, _, _), col in self.columns.items()
-                if i == index and family in (None, fam)]
+    @property
+    def ncols(self) -> int:
+        return (2 * self.src_window + 1) * self.n
 
     def vector_of(self, deriv: DerivationSpec) -> SparseRow:
         vec: SparseRow = {}
         for (fam, i), image in deriv.images.items():
             if abs(i) > self.src_window:
                 continue
+            base = (i + self.src_window) * self.n
             for gen, poly in image.terms.items():
                 if gen.index != i + self.degree:
                     raise ValueError("derivation is not homogeneous of this degree")
                 for mono, coeff in poly.terms.items():
                     exps = dict(mono)
-                    key = (fam, i, gen.family, (exps.pop(VAR_D, 0), exps.pop(VAR_L, 0)))
+                    slot = (fam, gen.family, (exps.pop(VAR_D, 0), exps.pop(VAR_L, 0)))
                     if exps:
                         raise StrayVariable(
                             f"image of {fam}[{i}] has a term in "
                             f"{', '.join(exps)} besides {VAR_D} and {VAR_L}"
                         )
-                    if key not in self.columns:
+                    if slot not in self.local:
                         raise DegreeBoundExceeded(
                             f"image of {fam}[{i}] uses monomial {dict(mono)} beyond "
                             f"degree {self.bound}"
                         )
-                    vec[self.columns[key]] = coeff
+                    vec[base + self.local[slot]] = coeff
         return vec
 
     def derivation_of(self, vec: SparseRow) -> DerivationSpec:
         """The derivation with coordinates ``vec`` (which holds no zeros)."""
-        keys = list(self.columns)
+        slots = list(self.local)
         images: dict[tuple[str, int], dict[Generator, dict]] = {}
         for col in sorted(vec):
-            fam, i, tgt, (p, q) = keys[col]
+            block, k = divmod(col, self.n)
+            i = block - self.src_window
+            fam, tgt, (p, q) = slots[k]
             mono = tuple((name, e) for name, e in ((VAR_D, p), (VAR_L, q)) if e)
             slot = images.setdefault((fam, i), {})
             slot.setdefault(Generator(tgt, i + self.degree), {})[mono] = vec[col]
@@ -361,23 +392,8 @@ class _Coords:
 def _make_coords(
     spec: AlgebraSpec, degree: int, bound: int, src_window: int
 ) -> _Coords:
-    columns: dict[tuple[str, int, str, tuple[int, int]], int] = {}
-    for fam in spec.families:
-        for i in range(-src_window, src_window + 1):
-            for tgt in spec.families:
-                for mono in _degree_monos(bound):
-                    columns[(fam, i, tgt, mono)] = len(columns)
-    return _Coords(
-        columns=columns, spec=spec, src_window=src_window, degree=degree, bound=bound
-    )
-
-
-#: a column slot of the graded system, without its index: (source family,
-#: which index -- 0 for i + j, 1 for i, 2 for j --, target family, (p, q))
-_Slot = tuple[str, int, str, tuple[int, int]]
-#: the coefficients one unknown contributes to the rows of one pair, keyed
-#: by row (residual target family, monomial in d, l, m), signs applied
-_Contribution = tuple[_Slot, tuple[tuple[tuple[str, Mono], GaussianRational], ...]]
+    return _Coords(spec=spec, src_window=src_window, degree=degree, bound=bound,
+                   local=_index_slots(spec.families, bound))
 
 
 def _times_l(mono: Mono, q: int) -> Mono:
@@ -393,14 +409,16 @@ def _family_pair_contributions(
     fam_x: str,
     fam_y: str,
     powers: tuple[list[MPoly], list[MPoly], list[MPoly]],
+    local: dict[_Slot, int],
 ) -> list[_Contribution]:
     """Index-free linearization of the Leibniz residual of (x_i, y_j).
 
     The residual is linear in the unknown image coefficients.  Bracket
     templates do not depend on generator indices, so every polynomial here
     depends on the family pair and the bound only: the indices i, j enter
-    through the column each unknown sits in (slot 1 is x_i, 2 is y_j, 0 is
-    the image of x_i _m y_j at i + j).  The unknown of d^p l^q enters its
+    through the index block each unknown sits in (1 for x_i, 2 for y_j, 0
+    for the image of x_i _m y_j at i + j), and within it the unknown's
+    column is its position in ``local``.  The unknown of d^p l^q enters its
     term as power_p * l^q * T, T the term's instantiated template (sign
     included) and ``powers`` holding d^p, (-(l+m))^p and (d+m)^p for the
     three terms.  So each T is multiplied by each power_p once, and the
@@ -426,19 +444,19 @@ def _family_pair_contributions(
         terms = raised(template.substitute(VAR_L, _M).shift(VAR_D, _L), d_pow)
         for tgt_g in spec.families:
             for mono, t in zip(monos, terms):
-                out.append(((tgt_f, 0, tgt_g, mono), keyed(tgt_g, t)))
+                out.append((0, local[(tgt_f, tgt_g, mono)], keyed(tgt_g, t)))
     # [(D x)_{l+m} y]: first-argument coefficients evaluated at d -> -(l+m)
     for fam_g in spec.families:
         for tgt_h, template in spec.table.get((fam_g, fam_y)) or ():
             terms = raised(-template.substitute(VAR_L, _L + _M), neg_lm_pow)
             for mono, t in zip(monos, terms):
-                out.append(((fam_x, 1, fam_g, mono), keyed(tgt_h, t)))
+                out.append((1, local[(fam_x, fam_g, mono)], keyed(tgt_h, t)))
     # [x _m (D y)]: second-argument coefficients shifted d -> d + m
     for fam_g in spec.families:
         for tgt_h, template in spec.table.get((fam_x, fam_g)) or ():
             terms = raised(-template.substitute(VAR_L, _M), d_m_pow)
             for mono, t in zip(monos, terms):
-                out.append(((fam_y, 2, fam_g, mono), keyed(tgt_h, t)))
+                out.append((2, local[(fam_y, fam_g, mono)], keyed(tgt_h, t)))
     return out
 
 
@@ -446,18 +464,19 @@ def _pair_rows(
     coords: _Coords, contributions: list[_Contribution], i: int, j: int
 ) -> dict[tuple[str, Mono], SparseRow]:
     """Rows of the Leibniz residual of (x_i, y_j), keyed by the residual's
-    (target family, monomial in d, l, m): the family pair's contributions
-    relabelled to the columns of i, j and i + j.
+    (target family, monomial in d, l, m): each contribution's position
+    plus the first column of i, j or i + j.  An index past the window lands
+    on the next block (``_lzero_kernel`` reads index 1 of window 0 so).
 
     Contributions are added in their build order, so unknowns that share a
     column (e.g. x_i and the bracket image when j = 0) sum and cancel in a
     fixed order; rows that cancel to nothing are dropped.
     """
-    columns = coords.columns
-    index = (i + j, i, j)
+    n, w = coords.n, coords.src_window
+    offsets = ((i + j + w) * n, (i + w) * n, (j + w) * n)
     buckets: dict[tuple[str, Mono], SparseRow] = {}
-    for (src_fam, which, tgt, mono), terms in contributions:
-        col = columns[(src_fam, index[which], tgt, mono)]
+    for which, position, terms in contributions:
+        col = offsets[which] + position
         for key, value in terms:
             row = buckets.setdefault(key, {})
             acc = row.get(col)
@@ -478,10 +497,11 @@ def _contribution_table(
         [(-(_L + _M)) ** p for p in range(bound + 1)],
         [(MPoly.var(VAR_D) + _M) ** p for p in range(bound + 1)],
     )
+    local = _index_slots(spec.families, bound)
     table: dict[tuple[str, str], list[_Contribution]] = {}
     for pair in family_pairs:
         if pair not in table:
-            table[pair] = _family_pair_contributions(spec, *pair, powers)
+            table[pair] = _family_pair_contributions(spec, *pair, powers, local)
     return table
 
 
@@ -519,22 +539,6 @@ def _leibniz_system(
     return coords, rows
 
 
-def _block_coords(spec: AlgebraSpec, degree: int, bound: int) -> _Coords:
-    """Column layout of the two blocks: the n index-0 columns, then index 1.
-
-    The index-0 part is the window-0 layout, and the index-1 column of an
-    unknown is its index-0 column plus n.  Only ``_pair_rows`` reads the
-    index-1 columns; everything else (``vector_of``, the inner patterns)
-    sees window 0.
-    """
-    coords = _make_coords(spec, degree, bound, 0)
-    n = len(coords.columns)
-    coords.columns.update(
-        {(fam, 1, tgt, mono): col + n for (fam, _, tgt, mono), col in list(coords.columns.items())}
-    )
-    return coords
-
-
 def _lzero_kernel(
     spec: AlgebraSpec, coords: _Coords
 ) -> tuple[list[SparseRow], list[SparseRow] | None]:
@@ -550,14 +554,14 @@ def _lzero_kernel(
     every index and by ker B placed at each j != 0: dimension
     dim ker(block 0) + 2w dim ker B.
 
-    ``coords`` is the ``_block_coords`` layout.  The rows of (L_0, y_1) are
-    built once: B is their index-1 part, block 0 the same rows with the
-    index-1 columns folded onto index 0.  Both kernels are on the n
-    index-0 columns.  An algebra restricted to index 0 has no index 1 and
-    so no B (None); the fold still gives its block 0, as an identity of
-    the rows' polynomials.
+    ``coords`` is the window-0 layout.  The rows of (L_0, y_1) are built
+    once on it, their index-1 columns being the next n: B is their index-1
+    part, block 0 the same rows with the index-1 columns folded onto index
+    0.  Both kernels are on the n index-0 columns.  An algebra restricted
+    to index 0 has no index 1 and so no B (None); the fold still gives its
+    block 0, as an identity of the rows' polynomials.
     """
-    n = len(coords.columns) // 2
+    n = coords.n
     table = _contribution_table(spec, coords.bound, (("L", fam) for fam in spec.families))
     block_0: list[SparseRow] = []
     block_b: list[SparseRow] = []
@@ -565,7 +569,7 @@ def _lzero_kernel(
         for row in _pair_rows(coords, table[("L", fam)], 0, 1).values():
             folded: SparseRow = {}
             for col, value in row.items():
-                k = col - n if col >= n else col
+                k = col % n
                 folded[k] = folded[k] + value if k in folded else value
             block_0.append({k: v for k, v in folded.items() if v})
             block_b.append({col - n: v for col, v in row.items() if col >= n})
@@ -590,14 +594,9 @@ def inner_window_vectors(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
     for fam in spec.families:
         for k in range(coords.bound):
             x = GenPoly.unit(fam, c, MPoly.var(VAR_D, k))
-            deriv = DerivationSpec(families=spec.families, window=window, degree=c)
-            for src in spec.families:
-                at0 = conformal_bracket(spec, x, GenPoly.unit(src, 0), VAR_L)
-                if at0.is_zero():
-                    continue
-                for i in range(-window, window + 1):
-                    deriv.images[(src, i)] = _relabel(at0, i)
-            vectors.append(coords.vector_of(deriv))
+            pattern = {src: conformal_bracket(spec, x, GenPoly.unit(src, 0), VAR_L)
+                       for src in spec.families}
+            vectors.append(coords.vector_of(_uniform(spec, pattern, window, c)))
     return vectors
 
 
@@ -649,8 +648,9 @@ def solve_graded_derivations(
     The answer for any window comes from the index-0 data
     (``_lzero_kernel``): the rows of (L_0, y_1), built once, give block 0
     and B; the dimension is dim ker(block 0) + 2 * window * dim ker B, and
-    the basis is the block-0 kernel copied to every index plus ker B placed
-    at each j != 0.  Every inner vector is one index-0 pattern copied to
+    the basis is the block-0 kernel vectors, read as index-0 patterns and
+    relabelled to every index (``_uniform``), plus ker B placed at each
+    j != 0.  Every inner vector is one index-0 pattern copied to
     every index, and restriction to index 0 is injective on such copies and
     zero on the ker-B placements: so the inner rank and the check "inner in
     kernel" are read on the index-0 patterns.  When ker B = 0 neither the
@@ -667,19 +667,19 @@ def solve_graded_derivations(
         raise ValueError("the solver needs numeric algebra parameters")
     _refuse_negative(window=window, bound=bound)
     _refuse_off_index0(spec, "the derivation solver", window, degree)
-    blocks = _block_coords(spec, degree, bound)
-    ker_0, ker_b = _lzero_kernel(spec, blocks)
-    n = len(blocks.columns) // 2
-    patterns = inner_window_vectors(spec, blocks)
-    inner_rank = reduce_rows(patterns, None, n).rank
-    if reduce_rows(ker_0 + patterns, None, n).rank != len(ker_0):
+    coords = _make_coords(spec, degree, bound, 0)
+    ker_0, ker_b = _lzero_kernel(spec, coords)
+    patterns = inner_window_vectors(spec, coords)
+    inner_rank = reduce_rows(patterns, None, coords.n).rank
+    if reduce_rows(ker_0 + patterns, None, coords.n).rank != len(ker_0):
         raise AssertionError("inner derivations escaped the solved kernel")
-    coords = _make_coords(spec, degree, bound, window)
-    at = {j: coords.index_columns(j) for j in range(-window, window + 1)}
-    basis = [{cols[k]: v for cols in at.values() for k, v in x0.items()} for x0 in ker_0]
-    for j, cols in at.items():
-        if j:
-            basis.extend({cols[k]: v for k, v in y.items()} for y in ker_b)
+
+    def at0(vec: SparseRow) -> dict[str, GenPoly]:
+        return {fam: image for (fam, _), image in coords.derivation_of(vec).images.items()}
+
+    basis = [_uniform(spec, at0(x0), window, degree) for x0 in ker_0]
+    basis.extend(_uniform(spec, at0(y), window, degree, (j,))
+                 for j in range(-window, window + 1) if j for y in ker_b or ())
     if ker_b == []:
         note = (
             "certified for every window (ker B = 0, so the dimension and the "
@@ -701,7 +701,7 @@ def solve_graded_derivations(
         inner_rank=inner_rank,
         kernel0_dimension=len(ker_0),
         kernel_b_dimension=None if ker_b is None else len(ker_b),
-        basis=[coords.derivation_of(vec) for vec in basis],
+        basis=basis,
         scope_note=note,
     )
 
@@ -709,17 +709,6 @@ def solve_graded_derivations(
 # ---------------------------------------------------------------------------
 # decomposition into inner + scalar non-inner part
 # ---------------------------------------------------------------------------
-
-
-def lm_weights(spec: AlgebraSpec) -> tuple[GaussianRational, GaussianRational] | None:
-    """The (a, b) weights of the L-on-M bracket, None without an M family."""
-    if "M" not in spec.families:
-        return None
-    entries = dict(spec.templates("L", "M"))
-    template = entries["M"]
-    a = template.coeff_extract([VAR_D, VAR_L], {VAR_L: 1}).constant_value()
-    b = template.coeff_extract([VAR_D, VAR_L], {}).constant_value()
-    return a, b
 
 
 @dataclass
@@ -749,18 +738,18 @@ def decompose(
     """Write a graded derivation as ad(x) + q * (M-valued family at c).
 
     Solves linearly for x = f(d) L_c + g(d) M_c + h(d) Y_c with deg <= bound
-    and, when the L-on-M weights are (1, b), a scalar q; uniqueness is
-    certified by an empty kernel.
+    and, when the algebra has M and the weight A of its L-action is 0
+    (``weight_of``; a = 1), a scalar q; uniqueness is certified by an empty
+    kernel.
     """
     _refuse_negative(bound=bound)
-    weights = lm_weights(spec)
+    include_q = "M" in spec.families and not weight_of(spec, "M")[0]
     c = derivation_degree(deriv)
     coords = _make_coords(spec, c, bound + 1, deriv.window)
     columns = inner_window_vectors(spec, coords)
     labels: list[tuple[str, int] | str] = [
         (fam, k) for fam in spec.families for k in range(bound + 1)
     ]
-    include_q = weights is not None and weights[0] == GaussianRational.of(1)
     if include_q:
         columns.append(
             coords.vector_of(d_vec(spec, {c: GaussianRational.of(1)}, deriv.window))
@@ -816,6 +805,13 @@ def serialize_derivation(deriv: DerivationSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_int(text: str, directive: str, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad {directive} line: {line!r}") from None
+
+
 def parse_derivation(text: str) -> DerivationSpec:
     families: tuple[str, ...] = ()
     window = 0
@@ -831,18 +827,18 @@ def parse_derivation(text: str) -> DerivationSpec:
         if head == "families":
             families = tuple(rest.split())
         elif head == "window":
-            window = int(rest)
+            window = _line_int(rest, head, line)
             _refuse_negative(window=window)
         elif head == "degree":
-            degree = int(rest)
+            degree = _line_int(rest, head, line)
         elif head == "image":
             src_part, _, poly_part = rest.partition(":")
             words = src_part.split()
             if len(words) != 5 or words[2] != "->":
                 raise ValueError(f"bad image line: {line!r}")
             fam, idx, _, tgt_fam, tgt_idx = words
-            gen = Generator(tgt_fam, int(tgt_idx))
-            slot = images.setdefault((fam, int(idx)), {})
+            gen = Generator(tgt_fam, _line_int(tgt_idx, head, line))
+            slot = images.setdefault((fam, _line_int(idx, head, line)), {})
             slot[gen] = slot.get(gen, MPoly.zero()) + parse_poly(poly_part)
         else:
             raise ValueError(f"unknown directive {head!r} in derivation text")

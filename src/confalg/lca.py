@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .poly import MPoly, PolyLike, parse_poly
+from .poly import GaussianRational, MPoly, PolyLike, parse_poly
 
 VAR_D = "d"  # the C[d]-module generator symbol
 VAR_L = "l"  # primary bracket variable
@@ -162,6 +162,22 @@ def skew_image(template: MPoly, bracket_var: str = VAR_L) -> MPoly:
     For ``[a _l b] = T(d, l) c`` the reverse is ``[b _l a] = -T(d, -d-l) c``.
     """
     return -template.substitute(bracket_var, -(MPoly.var(VAR_D) + MPoly.var(bracket_var)))
+
+
+def weight_of(spec: AlgebraSpec, source_fam: str) -> tuple[GaussianRational, GaussianRational]:
+    """Weights (A, B) of the equation governing the ``source_fam`` action.
+
+    Derived from the bracket template of [L _l F] = T F: the acted identity
+    carries the factor W(l, m) = T at d -> -(l+m), which must have the affine
+    form A l - m + B.
+    """
+    lam, mu = MPoly.var(VAR_L), MPoly.var(VAR_M)
+    w = dict(spec.templates("L", source_fam))[source_fam].substitute(VAR_D, -(lam + mu))
+    A = w.coeff_extract([VAR_L, VAR_M], {VAR_L: 1}).constant_value()
+    B = w.coeff_extract([VAR_L, VAR_M], {}).constant_value()
+    if w != lam.scale(A) - mu + MPoly.const(B):
+        raise ValueError(f"weight {w} of family {source_fam} is not A*l - m + B")
+    return A, B
 
 
 def make_algebra(

@@ -361,6 +361,16 @@ def module_residual(
     return residual_from_inputs(spec, fam_f, fam_g, inputs)
 
 
+def window_reach(n_basis: int, k_gen: int) -> int:
+    """Half-width of the basis window that the graded module identity reads.
+
+    The identity on v_m for generators of index i and j reads the module at
+    m, i+m, j+m and i+j+m, so over |m| <= n_basis, |i|, |j| <= k_gen it
+    reaches [-(n_basis + 2*k_gen), n_basis + 2*k_gen].
+    """
+    return n_basis + 2 * k_gen
+
+
 def check_module_axioms(
     spec: AlgebraSpec,
     module: Rank1Module | GradedModule,
@@ -395,7 +405,7 @@ def check_module_axioms(
         gen_range = basis_range = range(1)
     else:
         if module.bitseq is not None:
-            need = n_basis + 2 * k_gen
+            need = window_reach(n_basis, k_gen)
             if module.bitseq.lo > -need or module.bitseq.hi < need:
                 raise WindowTooSmall(
                     f"bit sequence must cover [-{need}, {need}] for n_basis={n_basis}, "
@@ -720,7 +730,10 @@ def parse_module(text: str, spec: AlgebraSpec) -> Rank1Module | GradedModule:
             params[key.strip()] = parse_poly(value)
         elif head == "bitseq":
             lo_txt, _, value = rest.partition(":")
-            bits = BitSeq.from_string(value, int(lo_txt))
+            try:
+                bits = BitSeq.from_string(value, int(lo_txt))
+            except ValueError as exc:
+                raise ValueError(f"bad bitseq line: {line!r}: {exc}") from exc
         else:
             raise ValueError(f"unknown directive {head!r} in module text")
     if families and set(families) != set(spec.families):

@@ -55,6 +55,7 @@ from .modules import (
     extension_family,
     reducibility_witness,
     relations_oracle,
+    window_reach,
 )
 from .poly import GaussianRational, MPoly, NotDivisible, parse_poly
 from .report import CheckRecord, Report, timed_check
@@ -84,16 +85,6 @@ def expected_weights(a=MPoly.var("a"), b=MPoly.var("b")):
 def expected_extra_dimension(a) -> int:
     """The non-inner derivation dimension: 1 exactly at a = 1, else 0."""
     return 1 if _equals(a, 1) else 0
-
-
-def window_reach(n_basis: int, k_gen: int) -> int:
-    """Half-width of the basis window that the graded module identity reads.
-
-    The identity on v_m for generators of index i and j reads the module at
-    m, i+m, j+m and i+j+m, so over |m| <= n_basis, |i|, |j| <= k_gen it
-    reaches [-(n_basis + 2*k_gen), n_basis + 2*k_gen].
-    """
-    return n_basis + 2 * k_gen
 
 
 def constant_on_window(bits: BitSeq, n_basis: int, k_gen: int) -> bool:

@@ -46,7 +46,7 @@ def full_solve(spec, degree, bound, window, pairs="lzero"):
     inner derivations lie in the kernel.
     """
     coords, rows = _leibniz_system(spec, degree, bound, window, pairs)
-    ncols = len(coords.columns)
+    ncols = coords.ncols
     kernel = list(reduce_rows(rows, None, ncols).kernel_vectors().values())
     inner = inner_window_vectors(spec, coords)
     assert reduce_rows(kernel + inner, None, ncols).rank == len(kernel)
@@ -58,7 +58,8 @@ def assert_block_solve_matches_full(spec, degree, bound, window):
     res = solve_graded_derivations(spec, degree, bound, window)
     assert (res.dimension, res.inner_rank) == (len(kernel), inner_rank)
     block = [coords.vector_of(deriv) for deriv in res.basis]
-    union = reduce_rows(block + kernel, None, len(coords.columns)).rank
+    assert reduce_rows(block, None, coords.ncols).rank == len(block) == res.dimension
+    union = reduce_rows(block + kernel, None, coords.ncols).rank
     assert union == res.dimension
 
 
@@ -101,7 +102,7 @@ def assert_rows_match_evaluator(spec, degree, sources=("L",), index=0, seed=0):
     rng = random.Random(seed)
     nonzero = 0
     for _ in range(2):
-        x = random_vector(rng, len(coords.columns), 80)
+        x = random_vector(rng, coords.ncols, 80)
         deriv = coords.derivation_of(x)
         for fam_x in sources:
             for fam_y in spec.families:
@@ -282,7 +283,7 @@ def reuse_cases():
     for build, a in ((build_csv, 1), (build_chv, 2), (build_csv, GaussianRational(1, 1))):
         spec = build(a, 0)
         coords = _make_coords(spec, rng.randint(-1, 1), 2, 2)
-        deriv = coords.derivation_of(random_vector(rng, len(coords.columns), 12))
+        deriv = coords.derivation_of(random_vector(rng, coords.ncols, 12))
         yield f"coords-{spec.name}-{a}", spec, deriv, None
         yield f"coords-{spec.name}-{a}-w1", spec, deriv, 1
     for build in (build_csv, build_chv):
@@ -386,9 +387,9 @@ class TestSolver:
         # rows, columns, nonzeros and rank at bound 4, window 2; the rows do
         # not depend on the grading degree
         coords, rows = _leibniz_system(builder(1, 0), degree, 4, 2, "lzero")
-        rank = reduce_rows(rows, None, len(coords.columns)).rank
+        rank = reduce_rows(rows, None, coords.ncols).rank
         nnz = sum(len(row) for row in rows)
-        assert (len(rows), len(coords.columns), nnz, rank) == shape
+        assert (len(rows), coords.ncols, nnz, rank) == shape
 
     @pytest.mark.parametrize(
         "builder, weights",
@@ -409,15 +410,20 @@ class TestSolver:
             return [row for fam in spec.families
                     for row in _pair_rows(coords, table[("L", fam)], 0, j).values()]
 
-        a_cols = set(coords.index_columns(0, "L"))
+        def block(index):
+            # the columns of source index ``index``, in layout order
+            start = (index + coords.src_window) * coords.n
+            return list(range(start, start + coords.n))
+
+        a_cols = {block(0)[k] for (fam, _, _), k in coords.local.items() if fam == "L"}
         first = rows(1)
         for j in (-4, -3, -2, -1, 2, 3, 4):
-            move = dict(zip(coords.index_columns(1), coords.index_columns(j)))
+            move = dict(zip(block(1), block(j)))
             relabelled = [{move.get(col, col): v for col, v in row.items()} for row in first]
             assert rows(j) == relabelled
-            allowed = a_cols | set(coords.index_columns(j))
+            allowed = a_cols | set(block(j))
             assert all(set(row) <= allowed for row in rows(j))
-        to_zero = dict(zip(coords.index_columns(1), coords.index_columns(0)))
+        to_zero = dict(zip(block(1), block(0)))
         merged = []
         for row in first:
             out = {}
@@ -458,6 +464,30 @@ class TestSolver:
         for b in DERIVATION_GRID_B:
             for degree in (-1, 0, 1):
                 assert_block_solve_matches_full(builder(a, b), degree, 4, 2)
+
+    @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_degree_c_solve_is_the_degree_0_solve_relabelled(self, builder):
+        # the bracket templates are index-free, so tau: x_i -> x_(i+1) maps
+        # the degree-0 derivations onto the degree-c ones by D -> tau^c D
+        def relabelled(deriv, c):
+            out = DerivationSpec(families=deriv.families, window=deriv.window,
+                                 degree=deriv.degree + c)
+            for key, image in deriv.images.items():
+                out.images[key] = GenPoly({Generator(gen.family, gen.index + c): poly
+                                           for gen, poly in image.terms.items()})
+            return out
+
+        for a in DERIVATION_GRID_A:
+            for b in DERIVATION_GRID_B:
+                spec = builder(a, b)
+                res0 = solve_graded_derivations(spec, 0, 4, 2)
+                for c in (-1, 1):
+                    res = solve_graded_derivations(spec, c, 4, 2)
+                    assert (res.dimension, res.inner_rank, res.kernel0_dimension,
+                            res.kernel_b_dimension) == (
+                        res0.dimension, res0.inner_rank, res0.kernel0_dimension,
+                        res0.kernel_b_dimension)
+                    assert res.basis == [relabelled(deriv, c) for deriv in res0.basis]
 
     @pytest.mark.parametrize("degree", [-1, 0, 1])
     @pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
@@ -501,7 +531,7 @@ class TestSolver:
             res = solve_graded_derivations(spec, degree, 4, 2 * window)
             assert (res.dimension, res.inner_rank) == (len(kernel), inner_rank)
             block = [coords.vector_of(deriv) for deriv in res.basis]
-            assert reduce_rows(block + kernel, None, len(coords.columns)).rank == res.dimension
+            assert reduce_rows(block + kernel, None, coords.ncols).rank == res.dimension
             assert res.every_window and "every window" in res.scope_note
 
     def test_nonzero_kernel_of_b_grows_with_the_window(self):
@@ -710,3 +740,10 @@ class TestSerialization:
         back = parse_derivation(text)
         assert back.images == deriv.images
         assert serialize_derivation(back) == text
+
+    @pytest.mark.parametrize("line", ["window two", "image L x -> M 0 : 1"])
+    def test_malformed_integer_names_the_line(self, line):
+        text = f"derivation\nfamilies L M\n{line}\n"
+        with pytest.raises(ValueError) as err:
+            parse_derivation(text)
+        assert str(err.value) == f"bad {line.split()[0]} line: {line!r}"

@@ -399,3 +399,13 @@ class TestSerialization:
         back = parse_module(text, spec)
         assert back.bitseq == bits
         assert serialize_module(back) == text
+
+    @pytest.mark.parametrize("line, cause", [
+        ("bitseq -9 : 01x0000000000000000", "invalid literal for int() with base 10: 'x'"),
+        ("bitseq x : 0100000000000000000", "invalid literal for int() with base 10: 'x '"),
+    ])
+    def test_malformed_bitseq_line_names_the_line(self, line, cause):
+        text = f"module graded-vAb\nfamilies L M Y\n{line}\n"
+        with pytest.raises(ValueError) as err:
+            parse_module(text, build_csv(0, 0))
+        assert str(err.value) == f"bad bitseq line: {line!r}: {cause}"
