@@ -58,7 +58,11 @@ from .modules import (
     BitSeq,
     GradedModule,
     Rank1Module,
+    _L,
+    _L_PLUS_M,
+    _M,
     _as_bracket_var,
+    bracket_heads,
     build_graded,
     build_rank1,
     check_module_axioms,
@@ -71,8 +75,6 @@ from .modules import (
 )
 from .poly import GaussianRational, MPoly
 
-_L = MPoly.var(VAR_L)
-_M = MPoly.var(VAR_M)
 _ZERO = MPoly.zero()
 _ONE = MPoly.const(1)
 _DFREE_STEP = "d-free certificate"
@@ -244,7 +246,7 @@ def weight_equation_kernel(A: GaussianRational, B: GaussianRational, degree_boun
     cols = degree_bound + 1
     rows: dict[tuple, SparseRow] = {}
     for q in range(cols):
-        contribution = w * (_L + _M) ** q + _M * _M**q
+        contribution = w * _L_PLUS_M**q + _M * _M**q
         for mono, coeff in contribution.terms.items():
             rows.setdefault(mono, {})[q] = coeff
     ech = reduce_rows(list(rows.values()), None, cols)
@@ -546,7 +548,7 @@ def _difference_quotient(fim: MPoly) -> MPoly | None:
     """
     quotient = (fim.shift(VAR_D, _M) - fim).divide_exact(_M)
     candidate = quotient.substitute(VAR_L, 0).substitute(VAR_M, _L)
-    return candidate if _as_bracket_var(candidate, _L + _M) == quotient else None
+    return candidate if _as_bracket_var(candidate, _L_PLUS_M) == quotient else None
 
 
 def _propagate_constant_extension(
@@ -603,13 +605,14 @@ def _first_break(
 
     gen_range = range(-k_gen, k_gen + 1)
     for fam_f, fam_g in pairs:
+        heads = bracket_heads(spec, fam_f, fam_g)
         for i in gen_range:
             for j in gen_range:
                 for m in range(-n_basis, n_basis + 1):
                     inputs = residual_inputs(spec, act, fam_f, fam_g, i, j, m)
                     if any(p is None for p in inputs):
                         continue
-                    if not residual_from_inputs(spec, fam_f, fam_g, inputs).is_zero():
+                    if not residual_from_inputs(heads, inputs).is_zero():
                         return (fam_f, fam_g, i, j, m)
     return None
 

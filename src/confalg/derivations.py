@@ -76,10 +76,11 @@ from .lca import (
     GenPoly,
     WindowTooSmall,
     conformal_bracket,
+    line_poly,
     weight_of,
 )
 from .linsolve import SparseRow, reduce_rows
-from .poly import ZERO, GaussianRational, Inconsistent, Mono, MPoly, parse_poly
+from .poly import ZERO, GaussianRational, Inconsistent, Mono, MPoly
 
 _L = MPoly.var(VAR_L)
 _M = MPoly.var(VAR_M)
@@ -838,8 +839,16 @@ def parse_derivation(text: str) -> DerivationSpec:
                 raise ValueError(f"bad image line: {line!r}")
             fam, idx, _, tgt_fam, tgt_idx = words
             gen = Generator(tgt_fam, _line_int(tgt_idx, head, line))
-            slot = images.setdefault((fam, _line_int(idx, head, line)), {})
-            slot[gen] = slot.get(gen, MPoly.zero()) + parse_poly(poly_part)
+            idx = _line_int(idx, head, line)
+            poly = line_poly(poly_part, head, line)
+            stray = [name for name in poly.variables() if name not in (VAR_D, VAR_L)]
+            if stray:
+                raise StrayVariable(
+                    f"bad {head} line: {line!r}: image of {fam}[{idx}] has a term "
+                    f"in {', '.join(stray)} besides {VAR_D} and {VAR_L}"
+                )
+            slot = images.setdefault((fam, idx), {})
+            slot[gen] = slot.get(gen, MPoly.zero()) + poly
         else:
             raise ValueError(f"unknown directive {head!r} in derivation text")
     out = DerivationSpec(families=families, window=window, degree=degree)

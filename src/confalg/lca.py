@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .poly import GaussianRational, MPoly, PolyLike, parse_poly
+from .poly import GaussianRational, MPoly, ParseError, PolyLike, parse_poly
 
 VAR_D = "d"  # the C[d]-module generator symbol
 VAR_L = "l"  # primary bracket variable
@@ -352,6 +352,16 @@ def serialize_algebra(spec: AlgebraSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def line_poly(text: str, directive: str, line: str) -> MPoly:
+    """``parse_poly`` on the polynomial field of a text-format line; a
+    malformed field is a ``ValueError`` that names the directive and quotes
+    the line."""
+    try:
+        return parse_poly(text)
+    except ParseError as exc:
+        raise ValueError(f"bad {directive} line: {line!r}: {exc}") from exc
+
+
 def parse_algebra(text: str) -> AlgebraSpec:
     name = ""
     families: tuple[str, ...] = ()
@@ -377,7 +387,7 @@ def parse_algebra(text: str) -> AlgebraSpec:
             if len(words) != 4 or words[2] != "->":
                 raise ValueError(f"bad bracket line: {line!r}")
             fa, fb, _, target = words
-            table.setdefault((fa, fb), []).append((target, parse_poly(poly_part)))
+            table.setdefault((fa, fb), []).append((target, line_poly(poly_part, head, line)))
         else:
             raise ValueError(f"unknown directive {head!r} in algebra text")
     if not name or not families:

@@ -4,19 +4,22 @@ reducibility witness search.
 
 Every residual of the module identity ``x.(y.v) - y.(x.v) - [x_l y].v``
 comes from one kernel, ``module_residual``: ``residual_inputs`` gathers the
-action polynomials it reads and ``residual_from_inputs`` does the
-arithmetic.  Its action side, ``two_action_difference``, is shared with the
-guided classifier, and the factors it multiplies, ``two_action_factors``,
-with the classifier's d-free certificate.  ``relations_oracle`` is the one
-deliberate second encoding, written out by hand and kept as an independent
-oracle.
+action polynomials it reads, ``bracket_heads`` the bracket templates at
+d = -l-m, and ``residual_from_inputs`` does the arithmetic.  Its action
+side, ``two_action_difference``, is shared with the guided classifier, and
+the factors it multiplies, ``two_action_factors``, with the classifier's
+d-free certificate.  ``relations_oracle`` is the one deliberate second
+encoding, written out by hand and kept as an independent oracle.
 
 The residual for (F_i, G_j) on v_m reads the actions only at (j, m),
 (i, j+m), (i, m), (j, i+m) and, for each bracket target H, (i+j, m); the
 bracket templates are index-free.  So it is a function of the family pair
 and those action polynomials alone, and ``check_module_axioms`` computes it
 once per distinct such input within a call and reuses it for every
-instance that shares the input.
+instance that shares the input.  Within a call it also reads each action
+once and forms the bracket heads once per family pair, and the oracle
+computes each variable change of a table value once.  Every such memo ends
+with its call.
 
 Graded actions ``F_i . v_m = T_F(i, m)(d, l) * v_{i+m}`` are checked on an
 explicit index window.  Rank-one actions have the form
@@ -35,9 +38,9 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .catalog import ParamLike, as_param
-from .lca import VAR_D, VAR_L, VAR_M, AlgebraSpec, GenPoly, WindowTooSmall
+from .lca import VAR_D, VAR_L, VAR_M, AlgebraSpec, GenPoly, WindowTooSmall, line_poly
 from .linsolve import linear_solve
-from .poly import GaussianRational, Inconsistent, MPoly, parse_poly
+from .poly import GaussianRational, Inconsistent, MPoly
 
 #: default symbol names for module parameters passed as "sym".  The module
 #: generator symbol already occupies the name "d", so the scalar extension
@@ -151,7 +154,7 @@ def build_rank1(
     pd = as_param(d, MODULE_SYMBOLS["d"])
     templates: dict[str, MPoly] = {}
     if "L" in spec.families:
-        templates["L"] = MPoly.var(VAR_D) + pa * MPoly.var(VAR_L) + pb
+        templates["L"] = MPoly.var(VAR_D) + pa * _L + pb
     ext_family = extension_family(spec.families)
     for fam in spec.families:
         if fam == "L":
@@ -192,13 +195,12 @@ def build_graded(
     pb = as_param(beta, MODULE_SYMBOLS["beta"])
     pd = as_param(d, MODULE_SYMBOLS["d"])
     dvar = MPoly.var(VAR_D)
-    lvar = MPoly.var(VAR_L)
     params: dict[str, MPoly] = {"beta": pb, "d": pd}
     bits: BitSeq | None = None
     if kind == "vab":
         pa = as_param(alpha_or_bits, MODULE_SYMBOLS["alpha"])
         params["alpha"] = pa
-        base = dvar + pa * lvar + pb
+        base = dvar + pa * _L + pb
 
         def f_action(i: int, m: int, _t: MPoly = base) -> MPoly:
             return _t
@@ -208,7 +210,7 @@ def build_graded(
             raise TypeError("vAb modules need a BitSeq")
         bits = alpha_or_bits
         low = dvar + pb
-        high = dvar + pb + lvar
+        high = dvar + pb + _L
         cases = {
             (0, 0): low,
             (1, 1): high,
@@ -255,7 +257,7 @@ def _as_bracket_var(template: MPoly, var: str | MPoly) -> MPoly:
     if isinstance(var, str):
         if var == VAR_L:
             return template
-        return template.substitute(VAR_L, MPoly.var(var))
+        var = _M if var == VAR_M else MPoly.var(var)
     return template.substitute(VAR_L, var)
 
 
@@ -325,20 +327,31 @@ def residual_inputs(
     ) + tuple(act(target, i + j, m) for target, _ in spec.templates(fam_f, fam_g))
 
 
-def residual_from_inputs(
-    spec: AlgebraSpec, fam_f: str, fam_g: str, inputs: tuple[MPoly, ...]
-) -> MPoly:
-    """The module-identity arithmetic on the tuple from ``residual_inputs``.
+def bracket_heads(spec: AlgebraSpec, fam_f: str, fam_g: str) -> tuple[MPoly, ...]:
+    """``T_H(-l-m, l)`` for each bracket target ``H`` of
+    ``spec.templates(F, G)``, in table order: the factor of ``H_(i+j)``'s
+    action in the bracket side ``[F_i _l G_j].v_m``.
+
+    The templates are index-free, so one tuple serves every index of the
+    family pair.
+    """
+    return tuple(
+        template.substitute(VAR_D, -_L_PLUS_M) for _, template in spec.templates(fam_f, fam_g)
+    )
+
+
+def residual_from_inputs(heads: tuple[MPoly, ...], inputs: tuple[MPoly, ...]) -> MPoly:
+    """The module-identity arithmetic on the tuples from ``bracket_heads``
+    and ``residual_inputs``.
 
     It reads no generator or basis index: the bracket templates are
-    index-free, so the residual is a function of the family pair and
-    ``inputs`` alone.
+    index-free, so the residual is a function of the family pair (through
+    ``heads``) and ``inputs`` alone.
     """
     residual = two_action_difference(*inputs[:4])
-    for (_, template), t_h in zip(spec.templates(fam_f, fam_g), inputs[4:]):
+    for head, t_h in zip(heads, inputs[4:]):
         if t_h.is_zero():
             continue
-        head = template.substitute(VAR_D, -_L_PLUS_M)
         residual = residual - head * _as_bracket_var(t_h, _L_PLUS_M)
     return residual
 
@@ -358,7 +371,7 @@ def module_residual(
     the action polynomials.
     """
     inputs = residual_inputs(spec, act, fam_f, fam_g, i, j, m)
-    return residual_from_inputs(spec, fam_f, fam_g, inputs)
+    return residual_from_inputs(bracket_heads(spec, fam_f, fam_g), inputs)
 
 
 def window_reach(n_basis: int, k_gen: int) -> int:
@@ -389,7 +402,9 @@ def check_module_axioms(
     ``checked`` counts instances, but the arithmetic runs once per distinct
     ``(F, G, residual_inputs(...))``: the residual reads nothing else (the
     five action reads and the index-free bracket templates).  The inputs are
-    matched by polynomial value, and the reuse ends with the call.
+    matched by polynomial value.  Each (family, i, m) action is read once,
+    and the bracket heads are formed once per family pair; all this reuse
+    ends with the call.
     """
     index_free = isinstance(module, Rank1Module)
     report = ModuleReport(module_kind=module.kind)
@@ -414,18 +429,28 @@ def check_module_axioms(
         act = module.action
         gen_range = range(-k_gen, k_gen + 1)
         basis_range = range(-n_basis, n_basis + 1)
+    reads: dict[tuple[str, int, int], MPoly] = {}
+
+    def read(family: str, i: int, m: int) -> MPoly:
+        key = (family, i, m)
+        value = reads.get(key)
+        if value is None:
+            value = reads[key] = act(family, i, m)
+        return value
+
     computed: dict[tuple, MPoly] = {}
     for fam_f in spec.families:
         for fam_g in spec.families:
+            heads = bracket_heads(spec, fam_f, fam_g)
             for i in gen_range:
                 for j in gen_range:
                     for m in basis_range:
-                        inputs = residual_inputs(spec, act, fam_f, fam_g, i, j, m)
+                        inputs = residual_inputs(spec, read, fam_f, fam_g, i, j, m)
                         shared = (fam_f, fam_g, inputs)
                         residual = computed.get(shared)
                         if residual is None:
                             residual = computed[shared] = residual_from_inputs(
-                                spec, fam_f, fam_g, inputs
+                                heads, inputs
                             )
                         report.checked += 1
                         if not residual.is_zero():
@@ -464,11 +489,13 @@ def relations_oracle(
     relations out by hand, never touches the bracket table and does not call
     ``module_residual`` or ``two_action_difference``, so it is an
     independent cross-check of the generic axiom checker.
+
+    It evaluates and counts every (relation, i, j, m) sample.  The tables
+    take few distinct values, so each of the four variable changes below is
+    computed once per call for each distinct table value it meets.
     """
     pa = as_param(a, "a")
     pb = as_param(b, "b")
-    lvar = MPoly.var(VAR_L)
-    mvar = MPoly.var(VAR_M)
     half = Fraction(1, 2)
 
     def f(i: int, m: int) -> MPoly:
@@ -480,17 +507,32 @@ def relations_oracle(
     def h(i: int, m: int) -> MPoly:
         return module.action("Y", i, m)
 
-    def at_mu_shift(table, i, m):
-        return _as_bracket_var(table(i, m), VAR_M).shift(VAR_D, lvar)
+    def at_mu_shift(p: MPoly) -> MPoly:     # p(d+l, m')
+        return _as_bracket_var(p, VAR_M).shift(VAR_D, _L)
 
-    def at_mu(table, i, m):
-        return _as_bracket_var(table(i, m), VAR_M)
+    def at_mu(p: MPoly) -> MPoly:           # p(d, m')
+        return _as_bracket_var(p, VAR_M)
 
-    def at_sum(table, i, m):
-        return _as_bracket_var(table(i, m), lvar + mvar)
+    def at_sum(p: MPoly) -> MPoly:          # p(d, l+m')
+        return _as_bracket_var(p, _L_PLUS_M)
 
-    w_lm = (pa - 1) * lvar - mvar + pb
-    w_ly = pa.scale(half) * lvar - mvar + pb.scale(half)
+    def d_plus_mu(p: MPoly) -> MPoly:       # p(d+m', l)
+        return p.shift(VAR_D, _M)
+
+    changed: dict[tuple[Callable[[MPoly], MPoly], MPoly], MPoly] = {}
+
+    def at(change: Callable[[MPoly], MPoly], table: CoeffFn, i: int, m: int) -> MPoly:
+        """``change`` applied to ``table(i, m)``, memoised by the change and
+        the table value for the rest of this call."""
+        value = table(i, m)
+        key = (change, value)
+        out = changed.get(key)
+        if out is None:
+            out = changed[key] = change(value)
+        return out
+
+    w_lm = (pa - 1) * _L - _M + pb
+    w_ly = pa.scale(half) * _L - _M + pb.scale(half)
     has_y = "Y" in module.families
 
     report = ModuleReport(module_kind=f"oracle:{module.kind}")
@@ -499,30 +541,30 @@ def relations_oracle(
     for i in gen_range:
         for j in gen_range:
             for m in basis_range:
-                fm_shift = f(i, m).shift(VAR_D, mvar)
+                fm_shift = at(d_plus_mu, f, i, m)
                 rel: dict[str, MPoly] = {}
                 rel["LM"] = (
-                    at_mu_shift(g, j, m) * f(i, j + m)
-                    - fm_shift * at_mu(g, j, i + m)
-                    - w_lm * at_sum(g, i + j, m)
+                    at(at_mu_shift, g, j, m) * f(i, j + m)
+                    - fm_shift * at(at_mu, g, j, i + m)
+                    - w_lm * at(at_sum, g, i + j, m)
                 )
-                rel["MM"] = at_mu_shift(g, j, m) * g(i, j + m) - g(i, m).shift(
-                    VAR_D, mvar
-                ) * at_mu(g, j, i + m)
+                rel["MM"] = at(at_mu_shift, g, j, m) * g(i, j + m) - at(
+                    d_plus_mu, g, i, m
+                ) * at(at_mu, g, j, i + m)
                 if has_y:
                     rel["LY"] = (
-                        at_mu_shift(h, j, m) * f(i, j + m)
-                        - fm_shift * at_mu(h, j, i + m)
-                        - w_ly * at_sum(h, i + j, m)
+                        at(at_mu_shift, h, j, m) * f(i, j + m)
+                        - fm_shift * at(at_mu, h, j, i + m)
+                        - w_ly * at(at_sum, h, i + j, m)
                     )
                     rel["YY"] = (
-                        at_mu_shift(h, j, m) * h(i, j + m)
-                        - h(i, m).shift(VAR_D, mvar) * at_mu(h, j, i + m)
-                        - (lvar - mvar) * at_sum(g, i + j, m)
+                        at(at_mu_shift, h, j, m) * h(i, j + m)
+                        - at(d_plus_mu, h, i, m) * at(at_mu, h, j, i + m)
+                        - (_L - _M) * at(at_sum, g, i + j, m)
                     )
-                    rel["MY"] = at_mu_shift(h, j, m) * g(i, j + m) - g(i, m).shift(
-                        VAR_D, mvar
-                    ) * at_mu(h, j, i + m)
+                    rel["MY"] = at(at_mu_shift, h, j, m) * g(i, j + m) - at(
+                        d_plus_mu, g, i, m
+                    ) * at(at_mu, h, j, i + m)
                 for name, residual in rel.items():
                     report.checked += 1
                     if not residual.is_zero():
@@ -609,13 +651,12 @@ def reducibility_witness(module: Rank1Module, max_degree: int = 3) -> WitnessRes
             "flagged as trivial, no witness search performed",
         )
     acting = [t for t in module.templates.values() if not t.is_zero()]
-    lvar = MPoly.var(VAR_L)
     for degree in range(1, max_degree + 1):
         wnames = [f"w{k}" for k in range(degree)]
         q = MPoly.var(VAR_D, degree)
         for k, name in enumerate(wnames):
             q = q + MPoly.var(name) * MPoly.var(VAR_D, k)
-        q_shift = q.shift(VAR_D, lvar)
+        q_shift = q.shift(VAR_D, _L)
         equations: list[MPoly] = []
         for t in acting:
             _, rem = (q_shift * t).divmod_in(q, VAR_D)
@@ -632,7 +673,7 @@ def reducibility_witness(module: Rank1Module, max_degree: int = 3) -> WitnessRes
         for k, name in enumerate(wnames):
             witness = witness + MPoly.var(VAR_D, k).scale(solution[name])
         for t in acting:
-            (witness.shift(VAR_D, lvar) * t).divide_exact(witness)
+            (witness.shift(VAR_D, _L) * t).divide_exact(witness)
         return WitnessResult(witness=witness, degree=degree)
     return WitnessResult(note=f"no witness up to degree {max_degree}")
 
@@ -727,7 +768,7 @@ def parse_module(text: str, spec: AlgebraSpec) -> Rank1Module | GradedModule:
             families = tuple(rest.split())
         elif head == "param":
             key, _, value = rest.partition(":")
-            params[key.strip()] = parse_poly(value)
+            params[key.strip()] = line_poly(value, head, line)
         elif head == "bitseq":
             lo_txt, _, value = rest.partition(":")
             try:

@@ -691,6 +691,16 @@ class TestDecompose:
         with pytest.raises(StrayVariable, match=r"L\[-3\] has a term in m besides d and l"):
             decompose(spec, parse_derivation(edited), bound=6)
 
+    def test_stray_variable_in_a_built_derivation_is_refused(self):
+        # the parser refuses such a term at its line; a derivation built in
+        # code reaches decompose's own check
+        spec = build_csv(2, 3)
+        deriv = ad(spec, GenPoly.unit("L", 1), window=3)
+        image = deriv.images[("L", -3)]
+        deriv.images[("L", -3)] = image + GenPoly.unit("L", -2, P("7*m"))
+        with pytest.raises(StrayVariable, match=r"^image of L\[-3\] has a term in m besides d and l$"):
+            decompose(spec, deriv, bound=6)
+
     def test_negative_window_line_is_refused(self):
         spec = build_csv(2, 3)
         text = serialize_derivation(ad(spec, GenPoly.unit("L", 0), window=3))
@@ -747,3 +757,18 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             parse_derivation(text)
         assert str(err.value) == f"bad {line.split()[0]} line: {line!r}"
+
+    def test_malformed_polynomial_names_the_line(self):
+        line = "image L 0 -> M 0 : 1 +"
+        with pytest.raises(ValueError) as err:
+            parse_derivation(f"derivation\nfamilies L M\n{line}\n")
+        assert str(err.value) == f"bad image line: {line!r}: unexpected end of polynomial text"
+
+    @pytest.mark.parametrize("poly, stray", [("m", "m"), ("d + a*l", "a"), ("m*n", "m, n")])
+    def test_image_term_in_a_stray_variable_is_refused_at_its_line(self, poly, stray):
+        line = f"image L 0 -> M 0 : {poly}"
+        with pytest.raises(StrayVariable) as err:
+            parse_derivation(f"derivation\nfamilies L M\n{line}\n")
+        assert str(err.value) == (
+            f"bad image line: {line!r}: image of L[0] has a term in {stray} besides d and l"
+        )

@@ -181,6 +181,12 @@ class TestSerialization:
         back = parse_algebra(serialize_algebra(sv))
         assert back.index0_only
 
+    def test_malformed_polynomial_names_the_line(self):
+        line = "bracket L L -> L : d +"
+        with pytest.raises(ValueError) as err:
+            parse_algebra(f"algebra x\nfamilies L\n{line}\n")
+        assert str(err.value) == f"bad bracket line: {line!r}: unexpected end of polynomial text"
+
 
 class TestGenPolyValue:
     def test_immutable_with_a_stable_hash(self):

@@ -260,7 +260,132 @@ class TestResidualReuse:
         assert len(calls) == counts[spec.name]
 
 
+def _literal_oracle(module, a, b, n_basis, k_gen):
+    """``relations_oracle`` with no memo: every variable change is made
+    afresh at every sample (the reference the memoised oracle must match)."""
+    from confalg.catalog import as_param
+
+    pa, pb = as_param(a, "a"), as_param(b, "b")
+    lvar, mvar = MPoly.var("l"), MPoly.var("m")
+
+    def f(i, m):
+        return module.action("L", i, m)
+
+    def g(i, m):
+        return module.action("M", i, m)
+
+    def h(i, m):
+        return module.action("Y", i, m)
+
+    def at_mu_shift(table, i, m):
+        return table(i, m).substitute("l", mvar).shift("d", lvar)
+
+    def at_mu(table, i, m):
+        return table(i, m).substitute("l", mvar)
+
+    def at_sum(table, i, m):
+        return table(i, m).substitute("l", lvar + mvar)
+
+    w_lm = (pa - 1) * lvar - mvar + pb
+    w_ly = pa.scale(Fraction(1, 2)) * lvar - mvar + pb.scale(Fraction(1, 2))
+    checked, residuals = 0, {}
+    for i in range(-k_gen, k_gen + 1):
+        for j in range(-k_gen, k_gen + 1):
+            for m in range(-n_basis, n_basis + 1):
+                fm_shift = f(i, m).shift("d", mvar)
+                rel = {}
+                rel["LM"] = (
+                    at_mu_shift(g, j, m) * f(i, j + m)
+                    - fm_shift * at_mu(g, j, i + m)
+                    - w_lm * at_sum(g, i + j, m)
+                )
+                rel["MM"] = at_mu_shift(g, j, m) * g(i, j + m) - g(i, m).shift(
+                    "d", mvar
+                ) * at_mu(g, j, i + m)
+                if "Y" in module.families:
+                    rel["LY"] = (
+                        at_mu_shift(h, j, m) * f(i, j + m)
+                        - fm_shift * at_mu(h, j, i + m)
+                        - w_ly * at_sum(h, i + j, m)
+                    )
+                    rel["YY"] = (
+                        at_mu_shift(h, j, m) * h(i, j + m)
+                        - h(i, m).shift("d", mvar) * at_mu(h, j, i + m)
+                        - (lvar - mvar) * at_sum(g, i + j, m)
+                    )
+                    rel["MY"] = at_mu_shift(h, j, m) * g(i, j + m) - g(i, m).shift(
+                        "d", mvar
+                    ) * at_mu(h, j, i + m)
+                for name, residual in rel.items():
+                    checked += 1
+                    if not residual.is_zero():
+                        residuals[(name, i, j, m)] = residual
+    return checked, residuals
+
+
+def _oracle_cases():
+    """Seeded (module, a, b) cases: vab and vAb on csv and chv, symbolic a
+    and b, and index-dependent tables on which the memo rarely hits."""
+    rng = random.Random(17)
+    cases = []
+    for build in (build_csv, build_chv):
+        for a, b in ((0, 0), (1, 0), (0, 1), (rng.randint(-2, 2), Fraction(rng.randint(-3, 3), 2))):
+            spec = build(a, b)
+            d_val = rng.choice([0, 1, Fraction(rng.randint(-3, 3), 2)])
+            module = build_graded(spec, "vab", rng.randint(-2, 2), "sym", d_val)
+            cases.append(pytest.param(module, a, b, id=f"{spec.name}-vab-{a},{b}"))
+            bits = BitSeq.random(rng, -9, 9)
+            module = build_graded(spec, "vAb", bits, rng.randint(-2, 2), d_val)
+            cases.append(pytest.param(module, a, b, id=f"{spec.name}-vAb-{a},{b}"))
+    for build in (build_csv, build_chv):
+        spec = build("sym", "sym")
+        module = build_graded(spec, "vab", "sym", "sym", "sym")
+        cases.append(pytest.param(module, "sym", "sym", id=f"{spec.name}-vab-sym"))
+        bits = BitSeq.from_string("0" * 9 + "1" + "0" * 9, -9)
+        module = build_graded(spec, "vAb", bits, "sym", "sym")
+        cases.append(pytest.param(module, "sym", "sym", id=f"{spec.name}-vAb-sym"))
+    tables = {
+        "L": lambda i, m: P(f"d + ({i} + {m})*l"),
+        "M": lambda i, m: P(f"{i}*d + {m}*l + 1"),
+        "Y": lambda i, m: P(f"d^2 + {i - m}*l"),
+    }
+    module = graded_from_tables(("L", "M", "Y"), tables)
+    cases.append(pytest.param(module, 1, 0, id="indexed-LMY-1,0"))
+    cases.append(pytest.param(module, "sym", "sym", id="indexed-LMY-sym"))
+    module = graded_from_tables(("L", "M"), {k: tables[k] for k in "LM"})
+    cases.append(pytest.param(module, 0, 1, id="indexed-LM-0,1"))
+    return cases
+
+
 class TestRelationsOracle:
+    @pytest.mark.parametrize("module, a, b", _oracle_cases())
+    def test_matches_literal_oracle(self, module, a, b):
+        checked, residuals = _literal_oracle(module, a, b, 3, 2)
+        report = relations_oracle(module, a, b, 3, 2)
+        assert report.checked == checked
+        assert list(report.residuals.items()) == list(residuals.items())
+
+    def test_no_memo_outlives_a_call(self, monkeypatch):
+        # each distinct (change, table value) pays its shift once per call,
+        # and a second call on the same module pays it again.  Here f takes
+        # its four case values, g is 0 and h the constant dd: the d -> d+m
+        # shift meets 4 + 1 + 1 values and p(d+l, m) meets 1 + 1
+        calls = []
+        shift = MPoly.shift
+
+        def counting(self, name, delta):
+            calls.append(name)
+            return shift(self, name, delta)
+
+        monkeypatch.setattr(MPoly, "shift", counting)
+        bits = BitSeq.from_string("01" * 9 + "0", -9)
+        module = build_graded(build_csv(0, 0), "vAb", bits, "sym", "sym")
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            relations_oracle(module, 0, 0, 3, 2)
+            counts.append(len(calls))
+        assert counts == [8, 8]
     def test_matches_axioms_on_valid_module(self):
         spec = build_csv(0, 0)
         module = build_graded(spec, "vab", "sym", "sym", "sym")
@@ -409,3 +534,9 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             parse_module(text, build_csv(0, 0))
         assert str(err.value) == f"bad bitseq line: {line!r}: {cause}"
+
+    def test_malformed_param_polynomial_names_the_line(self):
+        line = "param alpha : 1 +"
+        with pytest.raises(ValueError) as err:
+            parse_module(f"module rank1\nfamilies L M Y\n{line}\n", build_csv(0, 0))
+        assert str(err.value) == f"bad param line: {line!r}: unexpected end of polynomial text"
