@@ -36,46 +36,53 @@ so extensions need a = 1, b = 0.
 The graded classifier settles every coefficient table with one procedure
 (``_constant_extension``): the weight equation pins the index-0
 coefficients to zero or to constants, and the j = 0 relations propagate
-them across indices, leaving a scalar times a fixed table T.  It runs for
-the M table of csv, which its necessity step then forces to 0 (an (M, M)
-break, or the (M_0, Y_0)/(Y_0, Y_0) contradiction), and for the table of
-the extension family (``modules.extension_family``: Y on csv, M on chv).
-That table is decided from the module identity alone: ``_first_break``
-searches (L, F) and (F, F) on the window when T is not flat, and if that
-finds no break, one full axiom check of L = f, F = d * T does.
+them across indices, leaving a scalar times a fixed table T, the difference
+quotient of the L-action (``_quotient_table``, defined at every index).  It
+runs for the M table of csv, which its necessity step then forces to 0, and
+for the table of the extension family (``modules.extension_family``: Y on
+csv, M on chv).  Each table that survives is decided by one
+``check_module_axioms`` call, whose first residual key names the break:
+csv's M table on the M family alone, which checks exactly the (M, M)
+relation (without a break, the (M_0, Y_0)/(Y_0, Y_0) contradiction forces
+the scalar to 0), and the extension table with L acting by f and the family
+by d * T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .catalog import ParamLike, as_param, build_chv, build_csv
-from .lca import VAR_D, VAR_L, VAR_M, AlgebraSpec, DegreeBoundExceeded, weight_of
+from .catalog import ParamLike, as_param, build_algebra, restrict_families
+from .lca import (
+    POLY_L,
+    POLY_L_PLUS_M,
+    POLY_M,
+    VAR_D,
+    VAR_L,
+    VAR_M,
+    AlgebraSpec,
+    DegreeBoundExceeded,
+    weight_of,
+)
 from .linsolve import SparseRow, reduce_rows
 from .modules import (
     MODULE_SYMBOLS,
     BitSeq,
+    CoeffFn,
     GradedModule,
     Rank1Module,
-    _L,
-    _L_PLUS_M,
-    _M,
     _as_bracket_var,
-    bracket_heads,
     build_graded,
     build_rank1,
     check_module_axioms,
     extension_family,
     graded_from_tables,
-    residual_from_inputs,
-    residual_inputs,
     two_action_difference,
     two_action_factors,
 )
 from .poly import GaussianRational, MPoly
 
-_ZERO = MPoly.zero()
 _ONE = MPoly.const(1)
 _DFREE_STEP = "d-free certificate"
 
@@ -242,11 +249,11 @@ def weight_equation_kernel(A: GaussianRational, B: GaussianRational, degree_boun
 
     Returns a basis of solutions as polynomials in ``l``.
     """
-    w = _L.scale(A) - _M + MPoly.const(B)
+    w = POLY_L.scale(A) - POLY_M + MPoly.const(B)
     cols = degree_bound + 1
     rows: dict[tuple, SparseRow] = {}
     for q in range(cols):
-        contribution = w * _L_PLUS_M**q + _M * _M**q
+        contribution = w * POLY_L_PLUS_M**q + POLY_M * POLY_M**q
         for mono, coeff in contribution.terms.items():
             rows.setdefault(mono, {})[q] = coeff
     ech = reduce_rows(list(rows.values()), None, cols)
@@ -277,10 +284,9 @@ def _open_outcome(
     """
     av = _require_numeric(a, "a")
     bv = _require_numeric(b, "b")
-    builders = {"csv": build_csv, "chv": build_chv}
-    if algebra not in builders:
+    if algebra not in ("csv", "chv"):
         raise ValueError(f"classification targets csv or chv, not {algebra!r}")
-    spec = builders[algebra](av, bv)
+    spec = build_algebra(algebra, a=av, b=bv)
     families = {fam: "0" for fam in spec.families}
     families["L"] = l_family
     out = ClassifyOutcome(
@@ -341,11 +347,11 @@ def classify_rank1(
         )
     # the L-action difference that drives every weight equation
     f_template = build_rank1(spec).template("L")
-    diff = f_template - f_template.shift(VAR_D, _M)
+    diff = f_template - f_template.shift(VAR_D, POLY_M)
     out.step(
         "L-action shift difference",
         "f(d, l) - f(d+m, l) = -m for the fixed rank-one L-action",
-        ok=diff == -_M,
+        ok=diff == -POLY_M,
     )
 
     ext_family = extension_family(spec.families)
@@ -426,16 +432,20 @@ def classify_graded(
         "L-action shift difference",
         "f[0,m](d,l) - f[0,m](d+m,l) = -m on the whole basis window",
         ok=all(
-            f(0, m) - f(0, m).shift(VAR_D, _M) == -_M
+            f(0, m) - f(0, m).shift(VAR_D, POLY_M) == -POLY_M
             for m in range(-n_basis, n_basis + 1)
         ),
     )
 
     family = extension_family(spec.families)
     if family == "Y":
-        g_tables = _constant_extension(out, spec, "M", f, n_basis, k_gen, degree_bound)
-        if g_tables is not None:
-            collapse = _first_break(spec, {"M": g_tables}, [("M", "M")], n_basis, k_gen)
+        g_table = _constant_extension(out, spec, "M", f, n_basis, k_gen, degree_bound)
+        if g_table is not None:
+            # M alone: the (M, M) relation, with L acting by 0 as the step states
+            m_only = restrict_families(spec, ["M"], spec.name)
+            m_module = graded_from_tables(("M",), {"M": g_table}, base_module.bitseq)
+            report = check_module_axioms(m_only, m_module, n_basis, k_gen)
+            collapse = next(iter(report.residuals), None)
             if collapse is not None:
                 out.step(
                     "MM quadratic consistency",
@@ -446,7 +456,7 @@ def classify_graded(
             else:
                 # only the index-0 tables enter; the others need not be 1
                 index0_flat = all(
-                    g_tables[(0, m)] == _ONE for m in range(-n_basis, n_basis + 1)
+                    g_table(0, m) == _ONE for m in range(-n_basis, n_basis + 1)
                 )
                 out.step(
                     "MY/YY contradiction",
@@ -463,21 +473,20 @@ def classify_graded(
             "h[0,m] is d-free",
         )
 
-    tables = _constant_extension(out, spec, family, f, n_basis, k_gen, degree_bound)
-    if tables is None:
+    table = _constant_extension(out, spec, family, f, n_basis, k_gen, degree_bound)
+    if table is None:
         return out
-    flat = all(p == _ONE for p in tables.values())
-    bad = None
-    # a non-flat table usually breaks on the window, where a search costs
-    # less than the full check
-    if not flat:
-        on_window = {"L": {key: f(*key) for key in tables}, family: tables}
-        pairs = [("L", family), (family, family)]
-        bad = _first_break(spec, on_window, pairs, n_basis, k_gen)
-    if bad is None:
-        extension = _quotient_extension(spec, family, f, base_module.bitseq)
-        report = check_module_axioms(spec, extension, n_basis, k_gen)
-        bad = next(iter(report.residuals), None)
+    flat = all(
+        table(i, m) == _ONE
+        for i in range(-k_gen, k_gen + 1)
+        for m in range(-n_basis, n_basis + 1)
+    )
+    scalar = MPoly.var(MODULE_SYMBOLS["d"])
+    extension = graded_from_tables(
+        spec.families, {"L": f, family: lambda i, m: scalar * table(i, m)}, base_module.bitseq
+    )
+    report = check_module_axioms(spec, extension, n_basis, k_gen)
+    bad = next(iter(report.residuals), None)
     if bad is not None:
         out.step(
             f"{family} consistency",
@@ -503,11 +512,11 @@ def _constant_extension(
     out: ClassifyOutcome,
     spec: AlgebraSpec,
     family: str,
-    f,
+    f: CoeffFn,
     n_basis: int,
     k_gen: int,
     degree_bound: int,
-) -> dict[tuple[int, int], MPoly] | None:
+) -> CoeffFn | None:
     """Settle one coefficient table up to a scalar: weight equation, then j = 0.
 
     The weight equation of ``family`` decides the index-0 coefficients (zero
@@ -530,30 +539,18 @@ def _constant_extension(
         f"{w_text} admits constant index-0 solutions",
         ok=len(kernel) == 1 and kernel[0].is_constant(),
     )
-    tables = _propagate_constant_extension(f, n_basis, k_gen, degree_bound)
+    table = _quotient_table(f, n_basis, k_gen, degree_bound)
     out.step(
         f"{family} cross-index propagation",
         "the j = 0 relations admit only the zero scalar, so the table is 0"
-        if tables is None
+        if table is None
         else f"the j = 0 relations pin the {family} table to a scalar times "
         "T[i,m], constant at index 0",
     )
-    return tables
+    return table
 
 
-def _difference_quotient(fim: MPoly) -> MPoly | None:
-    """The T[i,m](d, l) with ``f(d+m',l) - f(d,l) = m' T(d, l+m')``, or None.
-
-    None when the quotient is not a polynomial in (d, l+m').
-    """
-    quotient = (fim.shift(VAR_D, _M) - fim).divide_exact(_M)
-    candidate = quotient.substitute(VAR_L, 0).substitute(VAR_M, _L)
-    return candidate if _as_bracket_var(candidate, _L_PLUS_M) == quotient else None
-
-
-def _propagate_constant_extension(
-    f, n_basis: int, k_gen: int, degree_bound: int
-) -> dict[tuple[int, int], MPoly] | None:
+def _quotient_table(f: CoeffFn, n_basis: int, k_gen: int, degree_bound: int) -> CoeffFn | None:
     """Solve the j = 0 relations given constant index-0 coefficients e_m.
 
     The (i, m) relation reads
@@ -562,81 +559,45 @@ def _propagate_constant_extension(
 
     Its m'-free part forces every reachable e_{i+m} = e_m (the L-action is
     never zero), so e_m = e uniformly; dividing the rest by m' determines
-    t[i,m] as e times the difference quotient, provided that quotient is
-    expressible as a polynomial in (d, l+m') - otherwise only e = 0
-    survives.  Returns the tables normalized to e = 1, or None when only
-    e = 0 survives.
+    t[i,m] as e times the difference quotient T[i,m](d, l) with
+    ``f(d+m',l) - f(d,l) = m' T(d, l+m')``, provided it is a polynomial in
+    (d, l+m') - otherwise only e = 0 survives.  The relations are solved on
+    the window ``|i| <= k_gen``, ``|m| <= n_basis``: None when only e = 0
+    survives there, ``DegreeBoundExceeded`` when T needs a degree above the
+    bound, and otherwise T (e = 1) as a table defined at every index.  T is
+    memoised per distinct f[i,m] for as long as the table lives; off the
+    window, an f[i,m] without a polynomial quotient is a ``ValueError``.
     """
-    tables: dict[tuple[int, int], MPoly] = {}
+    quotients: dict[MPoly, MPoly | None] = {}
+
+    def quotient(fim: MPoly) -> MPoly | None:
+        if fim not in quotients:
+            diff = (fim.shift(VAR_D, POLY_M) - fim).divide_exact(POLY_M)
+            candidate = diff.substitute(VAR_L, 0).substitute(VAR_M, POLY_L)
+            polynomial = _as_bracket_var(candidate, POLY_L_PLUS_M) == diff
+            quotients[fim] = candidate if polynomial else None
+        return quotients[fim]
+
     for i in range(-k_gen, k_gen + 1):
         for m in range(-n_basis, n_basis + 1):
             fim = f(i, m)
-            if fim.is_zero():
-                return None  # cannot tie e_m to e_{i+m}: not a base this solver handles
-            candidate = _difference_quotient(fim)
-            if candidate is None:
-                # t[i,m](d, l+m') = e * quotient has no polynomial solution
+            # a zero f cannot tie e_m to e_{i+m}: not a base this solver handles
+            tim = None if fim.is_zero() else quotient(fim)
+            if tim is None:
                 return None
-            if candidate.degree() > degree_bound:
+            if tim.degree() > degree_bound:
                 raise DegreeBoundExceeded(
-                    f"propagated table at ({i},{m}) needs degree {candidate.degree()}"
+                    f"propagated table at ({i},{m}) needs degree {tim.degree()}"
                 )
-            tables[(i, m)] = candidate
-    return tables
 
-
-def _first_break(
-    spec: AlgebraSpec,
-    actions: Mapping[str, Mapping[tuple[int, int], MPoly]],
-    pairs: Sequence[tuple[str, str]],
-    n_basis: int,
-    k_gen: int,
-) -> tuple | None:
-    """The first window instance ``(F, G, i, j, m)`` of ``pairs`` with a
-    nonzero module residual, or None.
-
-    ``actions`` maps each acting family to its table on the window; other
-    families act by 0, and an instance that reads a table off it is skipped.
-    """
-
-    def act(family: str, i: int, m: int) -> MPoly | None:
-        table = actions.get(family)
-        return _ZERO if table is None else table.get((i, m))
-
-    gen_range = range(-k_gen, k_gen + 1)
-    for fam_f, fam_g in pairs:
-        heads = bracket_heads(spec, fam_f, fam_g)
-        for i in gen_range:
-            for j in gen_range:
-                for m in range(-n_basis, n_basis + 1):
-                    inputs = residual_inputs(spec, act, fam_f, fam_g, i, j, m)
-                    if any(p is None for p in inputs):
-                        continue
-                    if not residual_from_inputs(heads, inputs).is_zero():
-                        return (fam_f, fam_g, i, j, m)
-    return None
-
-
-def _quotient_extension(
-    spec: AlgebraSpec, family: str, f, bitseq: BitSeq | None
-) -> GradedModule:
-    """L acting by f and ``family`` by d * T at every index, T the
-    difference quotient of f, memoised per distinct f[i,m] in this module.
-    """
-    scalar = MPoly.var(MODULE_SYMBOLS["d"])
-    quotients: dict[MPoly, MPoly] = {}
-
-    def t(i: int, m: int) -> MPoly:
+    def table(i: int, m: int) -> MPoly:
         fim = f(i, m)
-        tim = quotients.get(fim)
+        tim = quotient(fim)
         if tim is None:
-            quotient = _difference_quotient(fim)
-            if quotient is None:
-                raise ValueError(f"f[{i},{m}] = {fim} has no polynomial difference quotient")
-            tim = quotients[fim] = scalar * quotient
+            raise ValueError(f"f[{i},{m}] = {fim} has no polynomial difference quotient")
         return tim
 
-    return graded_from_tables(spec.families, {"L": f, family: t}, bitseq)
+    return table
 
 
 def materialize_graded(

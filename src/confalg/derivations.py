@@ -67,6 +67,9 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .lca import (
+    POLY_L,
+    POLY_L_PLUS_M,
+    POLY_M,
     VAR_D,
     VAR_L,
     VAR_M,
@@ -81,9 +84,6 @@ from .lca import (
 )
 from .linsolve import SparseRow, reduce_rows
 from .poly import ZERO, GaussianRational, Inconsistent, Mono, MPoly
-
-_L = MPoly.var(VAR_L)
-_M = MPoly.var(VAR_M)
 
 
 class NotDecomposable(ValueError):
@@ -125,6 +125,15 @@ def _refuse_off_index0(spec: AlgebraSpec, what: str, window: int, degree: int) -
             f"{spec.name} is restricted to index 0: {what} needs window 0 and "
             f"degree 0, got window {window} and degree {degree}"
         )
+
+
+def _refuse_unknown_families(spec: AlgebraSpec, deriv: DerivationSpec) -> None:
+    """Raise ``UnknownFamily`` for an image source or target family that the
+    algebra lacks; no check reads such an image."""
+    for (fam, _), image in deriv.images.items():
+        spec.check_family(fam)
+        for gen in image.terms:
+            spec.check_family(gen.family)
 
 
 def ad(spec: AlgebraSpec, x: GenPoly, window: int = 3) -> DerivationSpec:
@@ -183,7 +192,7 @@ def apply_derivation(deriv: DerivationSpec, x: GenPoly) -> GenPoly:
     out = GenPoly.zero()
     for gen, poly in x.terms.items():
         img = deriv.image(gen.family, gen.index)
-        out = out + img.scale(poly.shift(VAR_D, _L))
+        out = out + img.scale(poly.shift(VAR_D, POLY_L))
     return out
 
 
@@ -223,7 +232,7 @@ def leibniz_residual(
     )
     t1 = apply_derivation(deriv, inner)
     t2 = conformal_bracket(
-        spec, deriv.image(fam_x, i), GenPoly.unit(fam_y, j), _L + _M
+        spec, deriv.image(fam_x, i), GenPoly.unit(fam_y, j), POLY_L_PLUS_M
     )
     t3 = conformal_bracket(
         spec, GenPoly.unit(fam_x, i), deriv.image(fam_y, j), VAR_M
@@ -259,6 +268,7 @@ def check_derivation(
             f"derivation images cover |index| <= {deriv.window}, asked for {w}"
         )
     _refuse_off_index0(spec, "the Leibniz check", w, deriv.degree or 0)
+    _refuse_unknown_families(spec, deriv)
     report = DerivationReport(algebra=spec.name, window=w)
     pattern_names: dict[GenPoly, int] = {}
     names: dict[tuple[str, int], int] = {}
@@ -442,20 +452,20 @@ def _family_pair_contributions(
     d_pow, neg_lm_pow, d_m_pow = powers
     # D([x _m y]): bracket templates at m, images shifted by l
     for tgt_f, template in spec.templates(fam_x, fam_y):
-        terms = raised(template.substitute(VAR_L, _M).shift(VAR_D, _L), d_pow)
+        terms = raised(template.substitute(VAR_L, POLY_M).shift(VAR_D, POLY_L), d_pow)
         for tgt_g in spec.families:
             for mono, t in zip(monos, terms):
                 out.append((0, local[(tgt_f, tgt_g, mono)], keyed(tgt_g, t)))
     # [(D x)_{l+m} y]: first-argument coefficients evaluated at d -> -(l+m)
     for fam_g in spec.families:
         for tgt_h, template in spec.table.get((fam_g, fam_y)) or ():
-            terms = raised(-template.substitute(VAR_L, _L + _M), neg_lm_pow)
+            terms = raised(-template.substitute(VAR_L, POLY_L_PLUS_M), neg_lm_pow)
             for mono, t in zip(monos, terms):
                 out.append((1, local[(fam_x, fam_g, mono)], keyed(tgt_h, t)))
     # [x _m (D y)]: second-argument coefficients shifted d -> d + m
     for fam_g in spec.families:
         for tgt_h, template in spec.table.get((fam_x, fam_g)) or ():
-            terms = raised(-template.substitute(VAR_L, _M), d_m_pow)
+            terms = raised(-template.substitute(VAR_L, POLY_M), d_m_pow)
             for mono, t in zip(monos, terms):
                 out.append((2, local[(fam_y, fam_g, mono)], keyed(tgt_h, t)))
     return out
@@ -495,8 +505,8 @@ def _contribution_table(
     """The contributions of each family pair, built once per pair."""
     powers = (
         [MPoly.var(VAR_D, p) for p in range(bound + 1)],
-        [(-(_L + _M)) ** p for p in range(bound + 1)],
-        [(MPoly.var(VAR_D) + _M) ** p for p in range(bound + 1)],
+        [(-POLY_L_PLUS_M) ** p for p in range(bound + 1)],
+        [(MPoly.var(VAR_D) + POLY_M) ** p for p in range(bound + 1)],
     )
     local = _index_slots(spec.families, bound)
     table: dict[tuple[str, str], list[_Contribution]] = {}
@@ -744,6 +754,7 @@ def decompose(
     kernel.
     """
     _refuse_negative(bound=bound)
+    _refuse_unknown_families(spec, deriv)
     include_q = "M" in spec.families and not weight_of(spec, "M")[0]
     c = derivation_degree(deriv)
     coords = _make_coords(spec, c, bound + 1, deriv.window)
@@ -838,6 +849,12 @@ def parse_derivation(text: str) -> DerivationSpec:
             if len(words) != 5 or words[2] != "->":
                 raise ValueError(f"bad image line: {line!r}")
             fam, idx, _, tgt_fam, tgt_idx = words
+            for named in (fam, tgt_fam):
+                if named not in families:
+                    raise ValueError(
+                        f"bad {head} line: {line!r}: family {named} is not on the "
+                        "families line"
+                    )
             gen = Generator(tgt_fam, _line_int(tgt_idx, head, line))
             idx = _line_int(idx, head, line)
             poly = line_poly(poly_part, head, line)

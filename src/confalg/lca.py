@@ -28,6 +28,11 @@ VAR_D = "d"  # the C[d]-module generator symbol
 VAR_L = "l"  # primary bracket variable
 VAR_M = "m"  # secondary bracket variable
 
+#: the bracket variables l, m and their sum l + m as polynomials, built once
+POLY_L = MPoly.var(VAR_L)
+POLY_M = MPoly.var(VAR_M)
+POLY_L_PLUS_M = POLY_L + POLY_M
+
 
 class UnknownFamily(KeyError):
     """A generator family that the algebra does not declare."""
@@ -156,12 +161,12 @@ class AlgebraSpec:
         return self.table.get((fam_a, fam_b), ())
 
 
-def skew_image(template: MPoly, bracket_var: str = VAR_L) -> MPoly:
+def skew_image(template: MPoly) -> MPoly:
     """The template of the reversed bracket forced by skew-symmetry.
 
     For ``[a _l b] = T(d, l) c`` the reverse is ``[b _l a] = -T(d, -d-l) c``.
     """
-    return -template.substitute(bracket_var, -(MPoly.var(VAR_D) + MPoly.var(bracket_var)))
+    return -template.substitute(VAR_L, -(MPoly.var(VAR_D) + POLY_L))
 
 
 def weight_of(spec: AlgebraSpec, source_fam: str) -> tuple[GaussianRational, GaussianRational]:
@@ -171,11 +176,10 @@ def weight_of(spec: AlgebraSpec, source_fam: str) -> tuple[GaussianRational, Gau
     carries the factor W(l, m) = T at d -> -(l+m), which must have the affine
     form A l - m + B.
     """
-    lam, mu = MPoly.var(VAR_L), MPoly.var(VAR_M)
-    w = dict(spec.templates("L", source_fam))[source_fam].substitute(VAR_D, -(lam + mu))
+    w = dict(spec.templates("L", source_fam))[source_fam].substitute(VAR_D, -POLY_L_PLUS_M)
     A = w.coeff_extract([VAR_L, VAR_M], {VAR_L: 1}).constant_value()
     B = w.coeff_extract([VAR_L, VAR_M], {}).constant_value()
-    if w != lam.scale(A) - mu + MPoly.const(B):
+    if w != POLY_L.scale(A) - POLY_M + MPoly.const(B):
         raise ValueError(f"weight {w} of family {source_fam} is not A*l - m + B")
     return A, B
 
@@ -279,7 +283,7 @@ def check_skew(spec: AlgebraSpec, fam_a: str, fam_b: str) -> GenPoly:
     lhs = conformal_bracket(spec, GenPoly.unit(fam_a, 0), GenPoly.unit(fam_b, 0), VAR_L)
     rev = conformal_bracket(spec, GenPoly.unit(fam_b, 0), GenPoly.unit(fam_a, 0), VAR_M)
     swap = rev.map_polys(
-        lambda p: p.substitute(VAR_M, -(MPoly.var(VAR_D) + MPoly.var(VAR_L)))
+        lambda p: p.substitute(VAR_M, -(MPoly.var(VAR_D) + POLY_L))
     )
     return lhs + swap
 
@@ -289,9 +293,8 @@ def check_jacobi(spec: AlgebraSpec, fam_a: str, fam_b: str, fam_c: str) -> GenPo
     a = GenPoly.unit(fam_a, 0)
     b = GenPoly.unit(fam_b, 0)
     c = GenPoly.unit(fam_c, 0)
-    lam_plus_mu = MPoly.var(VAR_L) + MPoly.var(VAR_M)
     t1 = conformal_bracket(spec, a, conformal_bracket(spec, b, c, VAR_M), VAR_L)
-    t2 = conformal_bracket(spec, conformal_bracket(spec, a, b, VAR_L), c, lam_plus_mu)
+    t2 = conformal_bracket(spec, conformal_bracket(spec, a, b, VAR_L), c, POLY_L_PLUS_M)
     t3 = conformal_bracket(spec, b, conformal_bracket(spec, a, c, VAR_L), VAR_M)
     return t1 - t2 - t3
 

@@ -3,13 +3,14 @@ the module-axiom checker, the hand-coded relation oracle, and a bounded
 reducibility witness search.
 
 Every residual of the module identity ``x.(y.v) - y.(x.v) - [x_l y].v``
-comes from one kernel, ``module_residual``: ``residual_inputs`` gathers the
-action polynomials it reads, ``bracket_heads`` the bracket templates at
-d = -l-m, and ``residual_from_inputs`` does the arithmetic.  Its action
-side, ``two_action_difference``, is shared with the guided classifier, and
-the factors it multiplies, ``two_action_factors``, with the classifier's
-d-free certificate.  ``relations_oracle`` is the one deliberate second
-encoding, written out by hand and kept as an independent oracle.
+comes from one kernel, ``module_residual``: ``bracket_heads`` gives the
+bracket targets and their templates at d = -l-m, ``residual_inputs`` gathers
+the action polynomials the residual reads, and ``residual_from_inputs`` does
+the arithmetic.  Its action side, ``two_action_difference``, is shared with
+the guided classifier, and the factors it multiplies,
+``two_action_factors``, with the classifier's d-free certificate.
+``relations_oracle`` is the one deliberate second encoding, written out by
+hand and kept as an independent oracle.
 
 The residual for (F_i, G_j) on v_m reads the actions only at (j, m),
 (i, j+m), (i, m), (j, i+m) and, for each bracket target H, (i+j, m); the
@@ -38,7 +39,18 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .catalog import ParamLike, as_param
-from .lca import VAR_D, VAR_L, VAR_M, AlgebraSpec, GenPoly, WindowTooSmall, line_poly
+from .lca import (
+    POLY_L,
+    POLY_L_PLUS_M,
+    POLY_M,
+    VAR_D,
+    VAR_L,
+    VAR_M,
+    AlgebraSpec,
+    GenPoly,
+    WindowTooSmall,
+    line_poly,
+)
 from .linsolve import linear_solve
 from .poly import GaussianRational, Inconsistent, MPoly
 
@@ -50,11 +62,10 @@ MODULE_SYMBOLS = {"alpha": "alpha", "beta": "beta", "c": "c", "d": "dd"}
 CoeffFn = Callable[[int, int], MPoly]
 #: ``act(family, gen_index, basis_index)``: the action polynomial of F_i on v_m
 ActionFn = Callable[[str, int, int], MPoly]
+#: ``(target family H, T_H(-l-m, l))`` per bracket target of a family pair
+Heads = tuple[tuple[str, MPoly], ...]
 
 _ZERO = MPoly.zero()
-_L = MPoly.var(VAR_L)
-_M = MPoly.var(VAR_M)
-_L_PLUS_M = _L + _M
 
 
 @dataclass(frozen=True)
@@ -154,7 +165,7 @@ def build_rank1(
     pd = as_param(d, MODULE_SYMBOLS["d"])
     templates: dict[str, MPoly] = {}
     if "L" in spec.families:
-        templates["L"] = MPoly.var(VAR_D) + pa * _L + pb
+        templates["L"] = MPoly.var(VAR_D) + pa * POLY_L + pb
     ext_family = extension_family(spec.families)
     for fam in spec.families:
         if fam == "L":
@@ -200,7 +211,7 @@ def build_graded(
     if kind == "vab":
         pa = as_param(alpha_or_bits, MODULE_SYMBOLS["alpha"])
         params["alpha"] = pa
-        base = dvar + pa * _L + pb
+        base = dvar + pa * POLY_L + pb
 
         def f_action(i: int, m: int, _t: MPoly = base) -> MPoly:
             return _t
@@ -210,7 +221,7 @@ def build_graded(
             raise TypeError("vAb modules need a BitSeq")
         bits = alpha_or_bits
         low = dvar + pb
-        high = dvar + pb + _L
+        high = dvar + pb + POLY_L
         cases = {
             (0, 0): low,
             (1, 1): high,
@@ -257,7 +268,7 @@ def _as_bracket_var(template: MPoly, var: str | MPoly) -> MPoly:
     if isinstance(var, str):
         if var == VAR_L:
             return template
-        var = _M if var == VAR_M else MPoly.var(var)
+        var = POLY_M if var == VAR_M else MPoly.var(var)
     return template.substitute(VAR_L, var)
 
 
@@ -284,9 +295,9 @@ def two_action_factors(
     (d, l), with ``m`` the second bracket variable.
     """
     return (
-        _as_bracket_var(x_jm, VAR_M).shift(VAR_D, _L),
+        _as_bracket_var(x_jm, VAR_M).shift(VAR_D, POLY_L),
         y_i_jm,
-        z_im.shift(VAR_D, _M),
+        z_im.shift(VAR_D, POLY_M),
         _as_bracket_var(w_j_im, VAR_M),
     )
 
@@ -305,10 +316,10 @@ def two_action_difference(
 
 
 def residual_inputs(
-    spec: AlgebraSpec,
     act: ActionFn,
     fam_f: str,
     fam_g: str,
+    heads: Heads,
     i: int,
     j: int,
     m: int,
@@ -317,30 +328,31 @@ def residual_inputs(
 
     ``G_j`` on ``v_m``, ``F_i`` on ``v_(j+m)``, ``F_i`` on ``v_m``, ``G_j`` on
     ``v_(i+m)``, then ``H_(i+j)`` on ``v_m`` for each bracket target ``H``
-    of ``spec.templates(F, G)``, in table order.
+    of the family pair's ``bracket_heads``, in table order.
     """
     return (
         act(fam_g, j, m),
         act(fam_f, i, j + m),
         act(fam_f, i, m),
         act(fam_g, j, i + m),
-    ) + tuple(act(target, i + j, m) for target, _ in spec.templates(fam_f, fam_g))
+    ) + tuple(act(target, i + j, m) for target, _ in heads)
 
 
-def bracket_heads(spec: AlgebraSpec, fam_f: str, fam_g: str) -> tuple[MPoly, ...]:
-    """``T_H(-l-m, l)`` for each bracket target ``H`` of
-    ``spec.templates(F, G)``, in table order: the factor of ``H_(i+j)``'s
-    action in the bracket side ``[F_i _l G_j].v_m``.
+def bracket_heads(spec: AlgebraSpec, fam_f: str, fam_g: str) -> Heads:
+    """``(H, T_H(-l-m, l))`` for each bracket target ``H`` of
+    ``spec.templates(F, G)``, in table order: the target and the factor of
+    ``H_(i+j)``'s action in the bracket side ``[F_i _l G_j].v_m``.
 
     The templates are index-free, so one tuple serves every index of the
     family pair.
     """
     return tuple(
-        template.substitute(VAR_D, -_L_PLUS_M) for _, template in spec.templates(fam_f, fam_g)
+        (target, template.substitute(VAR_D, -POLY_L_PLUS_M))
+        for target, template in spec.templates(fam_f, fam_g)
     )
 
 
-def residual_from_inputs(heads: tuple[MPoly, ...], inputs: tuple[MPoly, ...]) -> MPoly:
+def residual_from_inputs(heads: Heads, inputs: tuple[MPoly, ...]) -> MPoly:
     """The module-identity arithmetic on the tuples from ``bracket_heads``
     and ``residual_inputs``.
 
@@ -349,10 +361,10 @@ def residual_from_inputs(heads: tuple[MPoly, ...], inputs: tuple[MPoly, ...]) ->
     ``heads``) and ``inputs`` alone.
     """
     residual = two_action_difference(*inputs[:4])
-    for head, t_h in zip(heads, inputs[4:]):
+    for (_, head), t_h in zip(heads, inputs[4:]):
         if t_h.is_zero():
             continue
-        residual = residual - head * _as_bracket_var(t_h, _L_PLUS_M)
+        residual = residual - head * _as_bracket_var(t_h, POLY_L_PLUS_M)
     return residual
 
 
@@ -370,8 +382,8 @@ def module_residual(
     The bracket side is read from ``spec``'s template table; ``act`` gives
     the action polynomials.
     """
-    inputs = residual_inputs(spec, act, fam_f, fam_g, i, j, m)
-    return residual_from_inputs(bracket_heads(spec, fam_f, fam_g), inputs)
+    heads = bracket_heads(spec, fam_f, fam_g)
+    return residual_from_inputs(heads, residual_inputs(act, fam_f, fam_g, heads, i, j, m))
 
 
 def window_reach(n_basis: int, k_gen: int) -> int:
@@ -403,8 +415,8 @@ def check_module_axioms(
     ``(F, G, residual_inputs(...))``: the residual reads nothing else (the
     five action reads and the index-free bracket templates).  The inputs are
     matched by polynomial value.  Each (family, i, m) action is read once,
-    and the bracket heads are formed once per family pair; all this reuse
-    ends with the call.
+    and the bracket targets and heads are formed once per family pair; all
+    this reuse ends with the call.
     """
     index_free = isinstance(module, Rank1Module)
     report = ModuleReport(module_kind=module.kind)
@@ -445,7 +457,7 @@ def check_module_axioms(
             for i in gen_range:
                 for j in gen_range:
                     for m in basis_range:
-                        inputs = residual_inputs(spec, read, fam_f, fam_g, i, j, m)
+                        inputs = residual_inputs(read, fam_f, fam_g, heads, i, j, m)
                         shared = (fam_f, fam_g, inputs)
                         residual = computed.get(shared)
                         if residual is None:
@@ -508,16 +520,16 @@ def relations_oracle(
         return module.action("Y", i, m)
 
     def at_mu_shift(p: MPoly) -> MPoly:     # p(d+l, m')
-        return _as_bracket_var(p, VAR_M).shift(VAR_D, _L)
+        return _as_bracket_var(p, VAR_M).shift(VAR_D, POLY_L)
 
     def at_mu(p: MPoly) -> MPoly:           # p(d, m')
         return _as_bracket_var(p, VAR_M)
 
     def at_sum(p: MPoly) -> MPoly:          # p(d, l+m')
-        return _as_bracket_var(p, _L_PLUS_M)
+        return _as_bracket_var(p, POLY_L_PLUS_M)
 
     def d_plus_mu(p: MPoly) -> MPoly:       # p(d+m', l)
-        return p.shift(VAR_D, _M)
+        return p.shift(VAR_D, POLY_M)
 
     changed: dict[tuple[Callable[[MPoly], MPoly], MPoly], MPoly] = {}
 
@@ -531,8 +543,8 @@ def relations_oracle(
             out = changed[key] = change(value)
         return out
 
-    w_lm = (pa - 1) * _L - _M + pb
-    w_ly = pa.scale(half) * _L - _M + pb.scale(half)
+    w_lm = (pa - 1) * POLY_L - POLY_M + pb
+    w_ly = pa.scale(half) * POLY_L - POLY_M + pb.scale(half)
     has_y = "Y" in module.families
 
     report = ModuleReport(module_kind=f"oracle:{module.kind}")
@@ -560,7 +572,7 @@ def relations_oracle(
                     rel["YY"] = (
                         at(at_mu_shift, h, j, m) * h(i, j + m)
                         - at(d_plus_mu, h, i, m) * at(at_mu, h, j, i + m)
-                        - (_L - _M) * at(at_sum, g, i + j, m)
+                        - (POLY_L - POLY_M) * at(at_sum, g, i + j, m)
                     )
                     rel["MY"] = at(at_mu_shift, h, j, m) * g(i, j + m) - at(
                         d_plus_mu, g, i, m
@@ -656,7 +668,7 @@ def reducibility_witness(module: Rank1Module, max_degree: int = 3) -> WitnessRes
         q = MPoly.var(VAR_D, degree)
         for k, name in enumerate(wnames):
             q = q + MPoly.var(name) * MPoly.var(VAR_D, k)
-        q_shift = q.shift(VAR_D, _L)
+        q_shift = q.shift(VAR_D, POLY_L)
         equations: list[MPoly] = []
         for t in acting:
             _, rem = (q_shift * t).divmod_in(q, VAR_D)
@@ -673,7 +685,7 @@ def reducibility_witness(module: Rank1Module, max_degree: int = 3) -> WitnessRes
         for k, name in enumerate(wnames):
             witness = witness + MPoly.var(VAR_D, k).scale(solution[name])
         for t in acting:
-            (witness.shift(VAR_D, _L) * t).divide_exact(witness)
+            (witness.shift(VAR_D, POLY_L) * t).divide_exact(witness)
         return WitnessResult(witness=witness, degree=degree)
     return WitnessResult(note=f"no witness up to degree {max_degree}")
 

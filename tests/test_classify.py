@@ -26,6 +26,7 @@ from confalg.modules import (
     check_module_axioms,
     module_residual,
     two_action_difference,
+    window_reach,
 )
 from confalg.poly import GaussianRational, MPoly
 
@@ -250,13 +251,23 @@ class TestGradedCaseSplitBase:
         assert outcome.families["M"] == "0"
         assert outcome.collapsed
 
-    @pytest.mark.parametrize("text", ["1011100000000101111", "1101000000000100010"])
+    @pytest.mark.parametrize(
+        "text", ["0010000000000000000", "1011111111111111101"], ids=["one-flip", "two-flips"]
+    )
     def test_m_table_not_flat_off_index_zero(self, text):
         # at csv(1, 0) the M weight equation admits constants; with these
         # bits the (M, M) relation holds on the window but the propagated M
-        # table is not 1 at every nonzero index.  The (M_0, Y_0) and
-        # (Y_0, Y_0) relations alone still force e = 0.
+        # table is not 1 at some nonzero index the check reads.  The
+        # (M_0, Y_0) and (Y_0, Y_0) relations alone still force e = 0.
         bits = BitSeq.from_string(text, -9)
+        spec = build_csv(1, 0)
+        act = quotient_action(build_graded(spec, "vAb", bits, "sym", 0).coeffs["L"], "M")
+        reach = window_reach(3, 2)
+        assert any(
+            act("M", i, m) != MPoly.var("dd")
+            for i in (-2, -1, 1, 2)
+            for m in range(-reach, reach + 1)
+        )
         outcome = classify_graded("csv", 1, 0, "vAb", bitseq=bits)
         assert outcome.families == {"L": "vAb", "M": "0", "Y": "0"}
         assert any(step.name == "MY/YY contradiction" for step in outcome.steps)
@@ -266,7 +277,7 @@ class TestGradedCaseSplitBase:
         [
             ("csv", (1, 0), "vAb", "0110100010101100000",
              ({"L": "vAb", "M": "0", "Y": "0"}, 0, True, "")),
-            ("csv", (1, 0), "vAb", "1011100000000101111",
+            ("csv", (1, 0), "vAb", "0000000000000001000",
              ({"L": "vAb", "M": "0", "Y": "0"}, 0, False, "")),
             ("csv", (0, 0), "vab", None,
              ({"L": "vab", "M": "0", "Y": "d"}, 1, False,
@@ -295,8 +306,7 @@ class TestGradedCaseSplitBase:
         assert got == fields
 
     # the first three break inside the window the tables are propagated on;
-    # most edge sequences break only past it, where the full check names
-    # the break
+    # most edge sequences break only past it
     COLLAPSES = [
         ("csv", (0, 0), "0110100010101100000"),
         ("csv", (1, 0), "0110100010101100000"),
@@ -305,6 +315,8 @@ class TestGradedCaseSplitBase:
         ("csv", (0, 0), "0000000000000001000"),
         ("chv", (1, 0), "0000000000000100000"),
         ("chv", (1, 0), "1111100000000011111"),
+        ("csv", (1, 0), "1000100000000110000"),
+        ("csv", (1, 0), "1101111111111111111"),
     ]
 
     @pytest.mark.parametrize(
@@ -329,32 +341,57 @@ class TestGradedCaseSplitBase:
             assert not residual.is_zero(), step
 
     @pytest.mark.parametrize("algebra, point, text, instance", [
-        ("csv", (0, 0), "0110100010101100000", ("L", "Y", -2, 1, -1)),
+        ("csv", (0, 0), "0110100010101100000", ("L", "Y", -2, -2, -3)),
         ("csv", (1, 0), "0110100010101100000", ("M", "M", -2, -2, 1)),
-        ("chv", (1, 0), "1001011110000101010", ("L", "M", -2, 1, -1)),
+        ("chv", (1, 0), "1001011110000101010", ("L", "M", -2, -2, -3)),
     ], ids=["csv00-LY", "csv10-MM", "chv10-LM"])
     def test_window_search_names_the_first_break(self, algebra, point, text, instance):
-        # (L, F) is searched before (F, F), in (i, j, m) order
+        # the step names the check's first residual key: family pairs in
+        # family order, then (i, j, m) in order over the window
         bits = BitSeq.from_string(text, -9)
         outcome = classify_graded(algebra, *point, "vAb", bitseq=bits)
         (step,) = [s for s in outcome.steps if s.name.endswith("consistency")]
         assert f"nonzero at {instance}," in step.statement
 
-    @pytest.mark.parametrize("text, calls", [
-        ("0110100010101100000", 0),  # the window search breaks
-        ("0000000000000010000", 1),  # not flat, no break on the window
-        ("0000000000000001000", 1),  # flat on the window
-    ])
-    def test_full_check_runs_once_unless_the_search_breaks(self, monkeypatch, text, calls):
+    @pytest.mark.parametrize("algebra, point, text, checked", [
+        # T not flat on the window the tables are propagated on
+        ("csv", (0, 0), "0110100010101100000", [("L", "M", "Y")]),
+        # flat on that window, not on the window the check reads
+        ("csv", (0, 0), "0000000000000001000", [("L", "M", "Y")]),
+        # flat on both
+        ("csv", (0, 0), "0000000000000000000", [("L", "M", "Y")]),
+        ("chv", (1, 0), "1001011110000101010", [("L", "M")]),
+        # the M table is checked alone; the weight equation forces Y to 0
+        ("csv", (1, 0), "0110100010101100000", [("M",)]),
+        ("csv", (1, 0), "0010000000000000000", [("M",)]),
+        # the weight equation forces every table to 0
+        ("csv", (2, 5), "0110100010101100000", []),
+    ], ids=["csv00-inside", "csv00-past", "csv00-flat", "chv10", "csv10-break",
+            "csv10-pass", "csv25"])
+    def test_one_check_per_settled_table(self, monkeypatch, algebra, point, text, checked):
         seen = []
 
-        def counted(*args, **kwargs):
-            seen.append(args)
-            return check_module_axioms(*args, **kwargs)
+        def counted(spec, *args, **kwargs):
+            seen.append(spec.families)
+            return check_module_axioms(spec, *args, **kwargs)
 
         monkeypatch.setattr(classify, "check_module_axioms", counted)
-        classify_graded("csv", 0, 0, "vAb", bitseq=BitSeq.from_string(text, -9))
-        assert len(seen) == calls
+        classify_graded(algebra, *point, "vAb", bitseq=BitSeq.from_string(text, -9))
+        assert seen == checked
+
+    def test_mixed_only_past_the_propagation_window(self):
+        # bits constant on [-5, 5] and mixed only on [-7, 7] \ [-5, 5]: the
+        # window the tables are propagated on sees no mixed pattern, the
+        # window the check reads does
+        rng = random.Random(47)
+        outer = (-7, -6, 6, 7)
+        for _ in range(6):
+            bit = rng.randint(0, 1)
+            flips = set(rng.sample(outer, rng.randint(1, len(outer))))
+            bits = BitSeq(-9, tuple(1 - bit if k in flips else bit for k in range(-9, 10)))
+            for algebra, point in (("csv", (0, 0)), ("csv", (1, 0)), ("chv", (1, 0))):
+                outcome = classify_graded(algebra, *point, "vAb", bitseq=bits)
+                assert suite.graded_faults(outcome, bits) == [], (algebra, bits)
 
     def test_non_flat_pass_is_a_failed_step(self, monkeypatch):
         # a table that is not flat yet passes the check contradicts the

@@ -26,7 +26,7 @@ from confalg.derivations import (
     serialize_derivation,
     solve_graded_derivations,
 )
-from confalg.lca import AlgebraSpec, GenPoly, Generator, make_algebra
+from confalg.lca import AlgebraSpec, GenPoly, Generator, UnknownFamily, make_algebra
 from confalg.linsolve import reduce_rows
 from confalg.poly import ZERO, GaussianRational, MPoly, parse_poly
 from confalg.suite import DERIVATION_GRID_A, DERIVATION_GRID_B
@@ -719,6 +719,17 @@ class TestDecompose:
         with pytest.raises(ValueError, match=r"^image line of L\[-3\] lies outside the window 1$"):
             parse_derivation(edited)
 
+    @pytest.mark.parametrize("run", [check_derivation, decompose])
+    def test_image_of_an_unknown_family_is_refused(self, run):
+        # the image the text "image Q 0 -> Z 0 : 1" declares, built in code
+        # since the parser refuses it; no check would ever read it
+        deriv = DerivationSpec(("L", "M"), 1, {("Q", 0): GenPoly.unit("Z", 0)})
+        with pytest.raises(UnknownFamily, match="'Q' is not a family of csv"):
+            run(build_csv(1, 0), deriv)
+        deriv = DerivationSpec(("L", "M"), 1, {("L", 0): GenPoly.unit("Z", 0)})
+        with pytest.raises(UnknownFamily, match="'Z' is not a family of csv"):
+            run(build_csv(1, 0), deriv)
+
     def test_negative_bound_is_refused(self):
         spec = build_csv(1, 0)
         with pytest.raises(ValueError, match="^bound must be >= 0, got -1"):
@@ -763,6 +774,16 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             parse_derivation(f"derivation\nfamilies L M\n{line}\n")
         assert str(err.value) == f"bad image line: {line!r}: unexpected end of polynomial text"
+
+    @pytest.mark.parametrize("line, family", [
+        ("image Q 0 -> Z 0 : 1", "Q"), ("image L 0 -> Z 0 : 1", "Z")
+    ])
+    def test_image_family_off_the_families_line_is_refused(self, line, family):
+        with pytest.raises(ValueError) as err:
+            parse_derivation(f"families L M\nwindow 1\n{line}\n")
+        assert str(err.value) == (
+            f"bad image line: {line!r}: family {family} is not on the families line"
+        )
 
     @pytest.mark.parametrize("poly, stray", [("m", "m"), ("d + a*l", "a"), ("m*n", "m, n")])
     def test_image_term_in_a_stray_variable_is_refused_at_its_line(self, poly, stray):
