@@ -188,7 +188,8 @@ def solve_construction(restrict_to: list[str] | None = None) -> ConstructionSolu
     weights ap and bp with rational coefficients, so the whole system fits a
     scalar linear solve with polynomial right-hand sides.  ``restrict_to``
     optionally keeps only the equations for the named monomials
-    (e.g. ["d*l", "d"]), which already determine the solution.
+    (e.g. ["d*l", "d"]), which already determine the solution; a name that
+    matches no equation is a ``ValueError``.
     """
     residual = construction_jacobi_residual()
     groups = residual.split_by([VAR_D, VAR_L, "m"])
@@ -205,6 +206,12 @@ def solve_construction(restrict_to: list[str] | None = None) -> ConstructionSolu
         rows.append([cap.constant_value(), cbp.constant_value()])
         rhs.append(-rest)
         equations.append((mono_txt, coeff_poly))
+    unmatched = sorted(set(restrict_to or ()) - {mono_txt for mono_txt, _ in equations})
+    if unmatched or not rows:
+        raise ValueError(
+            f"restrict_to: monomials {unmatched} match no equation of the (L, Y, Y) "
+            "Jacobi residual"
+        )
     solution = linear_solve(rows, rhs)
     if solution.kernel:
         raise ValueError("construction system is underdetermined")

@@ -40,9 +40,9 @@ them across indices, leaving a scalar times a fixed table T, the difference
 quotient of the L-action (``_quotient_table``, defined at every index).  It
 runs for the M table of csv, which its necessity step then forces to 0, and
 for the table of the extension family (``modules.extension_family``: Y on
-csv, M on chv).  Each table that survives is decided by one
-``check_module_axioms`` call, whose first residual key names the break:
-csv's M table on the M family alone, which checks exactly the (M, M)
+csv, M on chv).  Each table that survives is decided by reading
+``module_residuals`` up to its first nonzero residual, whose key names the
+break: csv's M table on the M family alone, which checks exactly the (M, M)
 relation (without a break, the (M_0, Y_0)/(Y_0, Y_0) contradiction forces
 the scalar to 0), and the extension table with L acting by f and the family
 by d * T.
@@ -75,9 +75,9 @@ from .modules import (
     _as_bracket_var,
     build_graded,
     build_rank1,
-    check_module_axioms,
     extension_family,
     graded_from_tables,
+    module_residuals,
     two_action_difference,
     two_action_factors,
 )
@@ -416,7 +416,9 @@ def classify_graded(
     acting by scalar * T and M by 0, every term of the identity for (F, G)
     carries the scalar once per argument or bracket target in F, so each
     residual is homogeneous in the scalar and one nonzero residual forces it
-    to 0; every collapse step names its instance ``(F, G, i, j, m)``.
+    to 0.  Each table is decided by reading ``module_residuals`` up to its
+    first nonzero residual; every collapse step names that instance
+    ``(F, G, i, j, m)``.
     """
     if base == "vAb" and bitseq is None:
         raise ValueError("vAb classification needs a bit sequence")
@@ -444,8 +446,10 @@ def classify_graded(
             # M alone: the (M, M) relation, with L acting by 0 as the step states
             m_only = restrict_families(spec, ["M"], spec.name)
             m_module = graded_from_tables(("M",), {"M": g_table}, base_module.bitseq)
-            report = check_module_axioms(m_only, m_module, n_basis, k_gen)
-            collapse = next(iter(report.residuals), None)
+            collapse = next(
+                (key for key, r in module_residuals(m_only, m_module, n_basis, k_gen) if r),
+                None,
+            )
             if collapse is not None:
                 out.step(
                     "MM quadratic consistency",
@@ -485,8 +489,9 @@ def classify_graded(
     extension = graded_from_tables(
         spec.families, {"L": f, family: lambda i, m: scalar * table(i, m)}, base_module.bitseq
     )
-    report = check_module_axioms(spec, extension, n_basis, k_gen)
-    bad = next(iter(report.residuals), None)
+    bad = next(
+        (key for key, r in module_residuals(spec, extension, n_basis, k_gen) if r), None
+    )
     if bad is not None:
         out.step(
             f"{family} consistency",

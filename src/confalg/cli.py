@@ -43,6 +43,7 @@ from .modules import (
 from .poly import GaussianRational, ParseError, parse_scalar
 from .report import CheckRecord, Report, timed_check
 from .suite import (
+    CRITERIA,
     DEFAULT_SEED,
     EXTENSION_POINT,
     criterion_2,
@@ -313,6 +314,9 @@ def cmd_classify(opts: Options) -> Report:
     base = str(opts.get("base"))
     rng = random.Random(seed)
     n_seqs = _int(opts.get("bitseqs"), "bitseqs")
+    least = 1 if base == "vAb" else 0
+    if n_seqs < least:
+        raise ConfigError(f"field 'bitseqs' must be >= {least} for base {base}, got {n_seqs}")
     reach = window_reach(n_basis, k_gen)
     bitseqs = [BitSeq.random(rng, -reach, reach) for _ in range(n_seqs)]
     bases: list[tuple[str, BitSeq | None]] = []
@@ -427,6 +431,12 @@ def cmd_paper_suite(opts: Options) -> Report:
             only = [int(x) for x in str(only_text).split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"field 'only': {only_text!r}") from exc
+        unknown = [n for n in only if n not in CRITERIA]
+        if unknown:
+            raise ConfigError(
+                f"field 'only': unknown criteria {unknown}; the known criteria are "
+                f"{', '.join(map(str, CRITERIA))}"
+            )
     return run_paper_suite(seed=seed, only=only)
 
 

@@ -371,6 +371,7 @@ def parse_algebra(text: str) -> AlgebraSpec:
     parameters: tuple[str, ...] = ()
     index0_only = False
     table: dict[tuple[str, str], list[tuple[str, MPoly]]] = {}
+    bracket_lines: list[tuple[str, tuple[str, ...]]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -383,7 +384,9 @@ def parse_algebra(text: str) -> AlgebraSpec:
         elif head == "parameters":
             parameters = tuple(rest.split())
         elif head == "grading":
-            index0_only = rest.strip() == "index0"
+            if rest.strip() != "index0":
+                raise ValueError(f"bad grading line: {line!r}: the only grading is index0")
+            index0_only = True
         elif head == "bracket":
             pair_part, _, poly_part = rest.partition(":")
             words = pair_part.split()
@@ -391,10 +394,18 @@ def parse_algebra(text: str) -> AlgebraSpec:
                 raise ValueError(f"bad bracket line: {line!r}")
             fa, fb, _, target = words
             table.setdefault((fa, fb), []).append((target, line_poly(poly_part, head, line)))
+            bracket_lines.append((line, (fa, fb, target)))
         else:
             raise ValueError(f"unknown directive {head!r} in algebra text")
     if not name or not families:
         raise ValueError("algebra text needs a name and a families line")
+    for line, named in bracket_lines:
+        for family in named:
+            if family not in families:
+                raise ValueError(
+                    f"bad bracket line: {line!r}: family {family} is not on the "
+                    "families line"
+                )
     return AlgebraSpec(
         name=name,
         families=families,

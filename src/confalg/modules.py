@@ -3,30 +3,29 @@ the module-axiom checker, the hand-coded relation oracle, and a bounded
 reducibility witness search.
 
 Every residual of the module identity ``x.(y.v) - y.(x.v) - [x_l y].v``
-comes from one kernel, ``module_residual``: ``bracket_heads`` gives the
-bracket targets and their templates at d = -l-m, ``residual_inputs`` gathers
-the action polynomials the residual reads, and ``residual_from_inputs`` does
-the arithmetic.  Its action side, ``two_action_difference``, is shared with
-the guided classifier, and the factors it multiplies,
-``two_action_factors``, with the classifier's d-free certificate.
-``relations_oracle`` is the one deliberate second encoding, written out by
-hand and kept as an independent oracle.
+comes from one stream, ``module_residuals``, which yields ``(key,
+residual)`` per instance in a fixed order.  ``check_module_axioms``
+collects the whole stream; the guided classifier reads it only up to the
+first nonzero residual.  The action side of the identity,
+``two_action_difference``, is shared with the classifier, and the factors
+it multiplies, ``two_action_factors``, with the classifier's d-free
+certificate.  ``relations_oracle`` is the one deliberate second encoding,
+written out by hand and kept as an independent oracle.
 
 The residual for (F_i, G_j) on v_m reads the actions only at (j, m),
 (i, j+m), (i, m), (j, i+m) and, for each bracket target H, (i+j, m); the
 bracket templates are index-free.  So it is a function of the family pair
-and those action polynomials alone, and ``check_module_axioms`` computes it
-once per distinct such input within a call and reuses it for every
-instance that shares the input.  Within a call it also reads each action
-once and forms the bracket heads once per family pair, and the oracle
-computes each variable change of a table value once.  Every such memo ends
-with its call.
+and those action polynomials alone, and the stream computes it once per
+distinct such input and reuses it for every instance that shares the
+input.  The stream also reads each action once and forms the bracket heads
+once per family pair, and the oracle computes each variable change of a
+table value once per call.  Every such memo ends with its stream or call.
 
 Graded actions ``F_i . v_m = T_F(i, m)(d, l) * v_{i+m}`` are checked on an
 explicit index window.  Rank-one actions have the form
 ``F_i . v = c^i * T_F(d, l) * v``.  Because every term of the module
 identity for a pair (F_i, G_j) carries the same factor ``c^(i+j)``, the
-checker runs the kernel once per family pair at ``(i, j, m) = (0, 0, 0)``
+stream has one instance per family pair, at ``(i, j, m) = (0, 0, 0)``
 on the index-free templates; a zero template residual certifies the
 identity for every index pair (and for every nonzero value of ``c``).
 """
@@ -36,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .catalog import ParamLike, as_param
 from .lca import (
@@ -60,10 +59,6 @@ from .poly import GaussianRational, Inconsistent, MPoly
 MODULE_SYMBOLS = {"alpha": "alpha", "beta": "beta", "c": "c", "d": "dd"}
 
 CoeffFn = Callable[[int, int], MPoly]
-#: ``act(family, gen_index, basis_index)``: the action polynomial of F_i on v_m
-ActionFn = Callable[[str, int, int], MPoly]
-#: ``(target family H, T_H(-l-m, l))`` per bracket target of a family pair
-Heads = tuple[tuple[str, MPoly], ...]
 
 _ZERO = MPoly.zero()
 
@@ -315,77 +310,6 @@ def two_action_difference(
     return x * y - z * w
 
 
-def residual_inputs(
-    act: ActionFn,
-    fam_f: str,
-    fam_g: str,
-    heads: Heads,
-    i: int,
-    j: int,
-    m: int,
-) -> tuple[MPoly, ...]:
-    """Every action polynomial the residual for ``(F_i, G_j)`` on ``v_m`` reads.
-
-    ``G_j`` on ``v_m``, ``F_i`` on ``v_(j+m)``, ``F_i`` on ``v_m``, ``G_j`` on
-    ``v_(i+m)``, then ``H_(i+j)`` on ``v_m`` for each bracket target ``H``
-    of the family pair's ``bracket_heads``, in table order.
-    """
-    return (
-        act(fam_g, j, m),
-        act(fam_f, i, j + m),
-        act(fam_f, i, m),
-        act(fam_g, j, i + m),
-    ) + tuple(act(target, i + j, m) for target, _ in heads)
-
-
-def bracket_heads(spec: AlgebraSpec, fam_f: str, fam_g: str) -> Heads:
-    """``(H, T_H(-l-m, l))`` for each bracket target ``H`` of
-    ``spec.templates(F, G)``, in table order: the target and the factor of
-    ``H_(i+j)``'s action in the bracket side ``[F_i _l G_j].v_m``.
-
-    The templates are index-free, so one tuple serves every index of the
-    family pair.
-    """
-    return tuple(
-        (target, template.substitute(VAR_D, -POLY_L_PLUS_M))
-        for target, template in spec.templates(fam_f, fam_g)
-    )
-
-
-def residual_from_inputs(heads: Heads, inputs: tuple[MPoly, ...]) -> MPoly:
-    """The module-identity arithmetic on the tuples from ``bracket_heads``
-    and ``residual_inputs``.
-
-    It reads no generator or basis index: the bracket templates are
-    index-free, so the residual is a function of the family pair (through
-    ``heads``) and ``inputs`` alone.
-    """
-    residual = two_action_difference(*inputs[:4])
-    for (_, head), t_h in zip(heads, inputs[4:]):
-        if t_h.is_zero():
-            continue
-        residual = residual - head * _as_bracket_var(t_h, POLY_L_PLUS_M)
-    return residual
-
-
-def module_residual(
-    spec: AlgebraSpec,
-    act: ActionFn,
-    fam_f: str,
-    fam_g: str,
-    i: int,
-    j: int,
-    m: int,
-) -> MPoly:
-    """Residual of ``F_i.(G_j.v_m) - G_j.(F_i.v_m) - [F_i _l G_j].v_m``.
-
-    The bracket side is read from ``spec``'s template table; ``act`` gives
-    the action polynomials.
-    """
-    heads = bracket_heads(spec, fam_f, fam_g)
-    return residual_from_inputs(heads, residual_inputs(act, fam_f, fam_g, heads, i, j, m))
-
-
 def window_reach(n_basis: int, k_gen: int) -> int:
     """Half-width of the basis window that the graded module identity reads.
 
@@ -396,35 +320,32 @@ def window_reach(n_basis: int, k_gen: int) -> int:
     return n_basis + 2 * k_gen
 
 
-def check_module_axioms(
+def module_residuals(
     spec: AlgebraSpec,
     module: Rank1Module | GradedModule,
     n_basis: int = 3,
     k_gen: int = 2,
-) -> ModuleReport:
-    """Residuals of ``x.(y.v) - y.(x.v) - [x_l y].v`` over the module.
+) -> Iterator[tuple[tuple, MPoly]]:
+    """``(key, residual)`` of ``x.(y.v) - y.(x.v) - [x_l y].v`` per instance.
 
-    Rank-one modules are checked once per ordered family pair on the
-    index-free templates (exhaustive for all indices; valid for every
-    nonzero scale base, and literal when the scale base is symbolic), with
-    residual keys ``(F, G)``.  Graded modules are checked per (family pair,
-    generator indices, basis index) over the window ``|i|, |j| <= k_gen``,
-    ``|m| <= n_basis``, with residual keys ``(F, G, i, j, m)``.
+    Rank-one modules give one instance per ordered family pair, on the
+    index-free templates, keyed ``(F, G)``.  Graded modules give one per
+    (family pair, generator indices, basis index) over the window
+    ``|i|, |j| <= k_gen``, ``|m| <= n_basis``, keyed ``(F, G, i, j, m)``.
+    Family pairs come in family order, then (i, j, m) in order.  A bit
+    sequence that does not cover the window the identity reads raises
+    ``WindowTooSmall`` before the first instance.
 
-    ``checked`` counts instances, but the arithmetic runs once per distinct
-    ``(F, G, residual_inputs(...))``: the residual reads nothing else (the
-    five action reads and the index-free bracket templates).  The inputs are
-    matched by polynomial value.  Each (family, i, m) action is read once,
-    and the bracket targets and heads are formed once per family pair; all
-    this reuse ends with the call.
+    The residual for (F_i, G_j) on v_m reads G_j on v_m, F_i on v_(j+m),
+    F_i on v_m, G_j on v_(i+m) and, for each bracket target H, H_(i+j) on
+    v_m; the bracket templates are index-free.  So the arithmetic runs once
+    per distinct (F, G, those action polynomials), matched by value, and is
+    reused for every instance that shares them.  Each (family, i, m) action
+    is read once, and the bracket heads T_H(-l-m, l) are formed once per
+    family pair.  All this reuse ends with the stream.
     """
     index_free = isinstance(module, Rank1Module)
-    report = ModuleReport(module_kind=module.kind)
     if index_free:
-        report.notes.append(
-            "rank-one residuals are index-free: the scale-base power of every "
-            "term of the identity for (F_i, G_j) is c^(i+j)"
-        )
 
         def act(family: str, _i: int, _m: int) -> MPoly:
             return module.template(family)
@@ -453,21 +374,56 @@ def check_module_axioms(
     computed: dict[tuple, MPoly] = {}
     for fam_f in spec.families:
         for fam_g in spec.families:
-            heads = bracket_heads(spec, fam_f, fam_g)
+            heads = tuple(
+                (target, template.substitute(VAR_D, -POLY_L_PLUS_M))
+                for target, template in spec.templates(fam_f, fam_g)
+            )
             for i in gen_range:
                 for j in gen_range:
                     for m in basis_range:
-                        inputs = residual_inputs(read, fam_f, fam_g, heads, i, j, m)
+                        inputs = (
+                            read(fam_g, j, m),
+                            read(fam_f, i, j + m),
+                            read(fam_f, i, m),
+                            read(fam_g, j, i + m),
+                        ) + tuple(read(target, i + j, m) for target, _ in heads)
                         shared = (fam_f, fam_g, inputs)
                         residual = computed.get(shared)
                         if residual is None:
-                            residual = computed[shared] = residual_from_inputs(
-                                heads, inputs
-                            )
-                        report.checked += 1
-                        if not residual.is_zero():
-                            key = (fam_f, fam_g) if index_free else (fam_f, fam_g, i, j, m)
-                            report.residuals[key] = residual
+                            residual = two_action_difference(*inputs[:4])
+                            for (_, head), t_h in zip(heads, inputs[4:]):
+                                if not t_h.is_zero():
+                                    residual = residual - head * _as_bracket_var(
+                                        t_h, POLY_L_PLUS_M
+                                    )
+                            computed[shared] = residual
+                        key = (fam_f, fam_g) if index_free else (fam_f, fam_g, i, j, m)
+                        yield key, residual
+
+
+def check_module_axioms(
+    spec: AlgebraSpec,
+    module: Rank1Module | GradedModule,
+    n_basis: int = 3,
+    k_gen: int = 2,
+) -> ModuleReport:
+    """Every instance of ``module_residuals``, collected.
+
+    ``checked`` counts the instances and ``residuals`` holds the nonzero
+    ones in stream order.  A zero rank-one template residual certifies the
+    identity for every index pair and every nonzero scale base (and is
+    literal when the scale base is symbolic).
+    """
+    report = ModuleReport(module_kind=module.kind)
+    if isinstance(module, Rank1Module):
+        report.notes.append(
+            "rank-one residuals are index-free: the scale-base power of every "
+            "term of the identity for (F_i, G_j) is c^(i+j)"
+        )
+    for key, residual in module_residuals(spec, module, n_basis, k_gen):
+        report.checked += 1
+        if residual:
+            report.residuals[key] = residual
     return report
 
 
@@ -499,7 +455,7 @@ def relations_oracle(
     (``m'`` denotes the second bracket variable.)  This is the deliberate
     second encoding of the module identity, kept as an oracle: it writes the
     relations out by hand, never touches the bracket table and does not call
-    ``module_residual`` or ``two_action_difference``, so it is an
+    ``module_residuals`` or ``two_action_difference``, so it is an
     independent cross-check of the generic axiom checker.
 
     It evaluates and counts every (relation, i, j, m) sample.  The tables
@@ -764,10 +720,19 @@ def serialize_module(module: Rank1Module | GradedModule) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: the ``param`` keys each module kind reads, in its builder's argument order
+_KIND_PARAMS = {
+    "rank1": ("alpha", "beta", "c", "d"),
+    "graded-vab": ("alpha", "beta", "d"),
+    "graded-vAb": ("beta", "d"),
+}
+_PARAM_DEFAULTS: dict[str, ParamLike] = {"alpha": "sym", "beta": "sym", "c": "sym", "d": 0}
+
+
 def parse_module(text: str, spec: AlgebraSpec) -> Rank1Module | GradedModule:
     kind = ""
     families: tuple[str, ...] = ()
-    params: dict[str, MPoly] = {}
+    params: dict[str, tuple[MPoly, str]] = {}
     bits: BitSeq | None = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -780,7 +745,7 @@ def parse_module(text: str, spec: AlgebraSpec) -> Rank1Module | GradedModule:
             families = tuple(rest.split())
         elif head == "param":
             key, _, value = rest.partition(":")
-            params[key.strip()] = line_poly(value, head, line)
+            params[key.strip()] = (line_poly(value, head, line), line)
         elif head == "bitseq":
             lo_txt, _, value = rest.partition(":")
             try:
@@ -791,26 +756,20 @@ def parse_module(text: str, spec: AlgebraSpec) -> Rank1Module | GradedModule:
             raise ValueError(f"unknown directive {head!r} in module text")
     if families and set(families) != set(spec.families):
         raise ValueError("module families do not match the algebra")
+    readable = _KIND_PARAMS.get(kind)
+    if readable is None:
+        raise ValueError(f"unknown module kind {kind!r}")
+    for key, (_, line) in params.items():
+        if key not in readable:
+            raise ValueError(
+                f"bad param line: {line!r}: module {kind} has no param {key}; "
+                f"it reads {', '.join(readable)}"
+            )
+    args = [params[key][0] if key in params else _PARAM_DEFAULTS[key] for key in readable]
     if kind == "rank1":
-        return build_rank1(
-            spec,
-            params.get("alpha", "sym"),
-            params.get("beta", "sym"),
-            params.get("c", "sym"),
-            params.get("d", 0),
-        )
+        return build_rank1(spec, *args)
     if kind == "graded-vab":
-        return build_graded(
-            spec,
-            "vab",
-            params.get("alpha", "sym"),
-            params.get("beta", "sym"),
-            params.get("d", 0),
-        )
-    if kind == "graded-vAb":
-        if bits is None:
-            raise ValueError("graded-vAb module text needs a bitseq line")
-        return build_graded(
-            spec, "vAb", bits, params.get("beta", "sym"), params.get("d", 0)
-        )
-    raise ValueError(f"unknown module kind {kind!r}")
+        return build_graded(spec, "vab", *args)
+    if bits is None:
+        raise ValueError("graded-vAb module text needs a bitseq line")
+    return build_graded(spec, "vAb", bits, *args)

@@ -32,3 +32,18 @@ def polys(draw, allow_imaginary: bool = True):
             term = term * MPoly.var(name, e)
         acc = acc + term
     return acc
+
+
+def literal_module_residual(spec, act, fam_f, fam_g, i, j, m):
+    """``F_i.(G_j.v_m) - G_j.(F_i.v_m) - [F_i _l G_j].v_m``, formed afresh
+    for one instance with no memo: the reference ``module_residuals`` must
+    match.  ``act(family, i, m)`` is the action polynomial of F_i on v_m."""
+    d, l, mu = MPoly.var("d"), MPoly.var("l"), MPoly.var("m")
+    residual = act(fam_g, j, m).substitute("l", mu).shift("d", l) * act(
+        fam_f, i, j + m
+    ) - act(fam_f, i, m).shift("d", mu) * act(fam_g, j, i + m).substitute("l", mu)
+    for target, template in spec.templates(fam_f, fam_g):
+        residual = residual - template.substitute("d", -(l + mu)) * act(
+            target, i + j, m
+        ).substitute("l", l + mu)
+    return residual

@@ -101,6 +101,19 @@ class TestConstructionSolver:
         assert sol.ap == P("(1/2)*a + 1")
         assert sol.bp == P("(1/2)*b")
 
+    @pytest.mark.parametrize("names, unmatched", [
+        (["d^9"], "['d^9']"),
+        (["d*l", "x", "d"], "['x']"),
+        ([], "[]"),
+    ], ids=["none-match", "one-unmatched", "empty"])
+    def test_unmatched_monomials_are_refused(self, names, unmatched):
+        with pytest.raises(ValueError) as err:
+            solve_construction(restrict_to=names)
+        assert str(err.value) == (
+            f"restrict_to: monomials {unmatched} match no equation of the (L, Y, Y) "
+            "Jacobi residual"
+        )
+
     def test_solution_passes_all_axioms(self):
         sol = solve_construction()
         spec = build_construction("sym", sol.ap, "sym", sol.bp)

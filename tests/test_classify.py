@@ -21,14 +21,14 @@ from confalg.lca import DegreeBoundExceeded, WindowTooSmall
 from confalg import suite
 from confalg.modules import (
     BitSeq,
-    ModuleReport,
     build_graded,
     check_module_axioms,
-    module_residual,
+    module_residuals,
     two_action_difference,
     window_reach,
 )
 from confalg.poly import GaussianRational, MPoly
+from conftest import literal_module_residual
 
 GRID = [(0, 0), (1, 0), (0, 1), (2, 5), (1, 1)]
 
@@ -337,7 +337,7 @@ class TestGradedCaseSplitBase:
             assert match, step.statement
             instance = ast.literal_eval(match.group())
             (family,) = set(instance[:2]) - {"L"}
-            residual = module_residual(spec, quotient_action(f, family), *instance)
+            residual = literal_module_residual(spec, quotient_action(f, family), *instance)
             assert not residual.is_zero(), step
 
     @pytest.mark.parametrize("algebra, point, text, instance", [
@@ -373,11 +373,29 @@ class TestGradedCaseSplitBase:
 
         def counted(spec, *args, **kwargs):
             seen.append(spec.families)
-            return check_module_axioms(spec, *args, **kwargs)
+            return module_residuals(spec, *args, **kwargs)
 
-        monkeypatch.setattr(classify, "check_module_axioms", counted)
+        monkeypatch.setattr(classify, "module_residuals", counted)
         classify_graded(algebra, *point, "vAb", bitseq=BitSeq.from_string(text, -9))
         assert seen == checked
+
+    def test_stream_is_read_up_to_the_first_break(self, monkeypatch):
+        # the classifier stops at the first nonzero residual: (L, L) and
+        # (L, M) are read in full and zero, then (L, Y) breaks at once
+        taken = []
+
+        def counted(*args, **kwargs):
+            for key, residual in module_residuals(*args, **kwargs):
+                taken.append((key, residual))
+                yield key, residual
+
+        monkeypatch.setattr(classify, "module_residuals", counted)
+        bits = BitSeq.from_string("0110100010101100000", -9)
+        classify_graded("csv", 0, 0, "vAb", bitseq=bits)
+        per_pair = 5 * 5 * 7
+        assert [key for key, _ in taken[-1:]] == [("L", "Y", -2, -2, -3)]
+        assert len(taken) == 2 * per_pair + 1 < 9 * per_pair == 1575
+        assert not any(residual for _, residual in taken[:-1])
 
     def test_mixed_only_past_the_propagation_window(self):
         # bits constant on [-5, 5] and mixed only on [-7, 7] \ [-5, 5]: the
@@ -396,9 +414,7 @@ class TestGradedCaseSplitBase:
     def test_non_flat_pass_is_a_failed_step(self, monkeypatch):
         # a table that is not flat yet passes the check contradicts the
         # classification, so the sufficiency step must fail
-        monkeypatch.setattr(
-            classify, "check_module_axioms", lambda *args, **kwargs: ModuleReport("custom")
-        )
+        monkeypatch.setattr(classify, "module_residuals", lambda *args, **kwargs: iter(()))
         bits = BitSeq.from_string("0000000000000010000", -9)
         with pytest.raises(StepFailed) as info:
             classify_graded("csv", 0, 0, "vAb", bitseq=bits)

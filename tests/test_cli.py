@@ -201,6 +201,27 @@ class TestCommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("only, unknown", [("10", "[10]"), ("-1", "[-1]"), ("1,0,9", "[0]")])
+    def test_paper_suite_unknown_criterion_is_a_config_error(self, capsys, only, unknown):
+        assert main(["paper-suite", "--only", only]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: field 'only': unknown criteria {unknown}; the known "
+            "criteria are 1, 2, 3, 4, 5, 6, 7, 8, 9\n"
+        )
+
+    @pytest.mark.parametrize(
+        "base, n, least", [("vAb", "0", 1), ("vAb", "-2", 1), ("both", "-1", 0)]
+    )
+    def test_classify_refuses_a_bitseq_count_that_checks_nothing(self, capsys, base, n, least):
+        code = main([
+            "classify", "--kind", "graded", "--algebra", "csv", "--grid", "0,0",
+            "--base", base, "--bitseqs", n,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: field 'bitseqs' must be >= {least} for base {base}, got {n}\n"
+        )
+
     def test_paper_suite_subset(self, capsys):
         code = main(["paper-suite", "--only", "1,2,8"])
         assert code == 0

@@ -187,6 +187,28 @@ class TestSerialization:
             parse_algebra(f"algebra x\nfamilies L\n{line}\n")
         assert str(err.value) == f"bad bracket line: {line!r}: unexpected end of polynomial text"
 
+    @pytest.mark.parametrize("line, family", [
+        ("bracket L Q -> Q : 5*d", "Q"),
+        ("bracket Q L -> L : 5*d", "Q"),
+        ("bracket L L -> Z : 5*d", "Z"),
+    ], ids=["partner", "source", "target"])
+    @pytest.mark.parametrize("families_first", [True, False], ids=["before", "after"])
+    def test_bracket_family_off_the_families_line_is_refused(self, line, family, families_first):
+        # the check runs once the whole text is read, so the families line
+        # may come before or after the bracket lines
+        lines = ["bracket L L -> L : d + 2*l", line]
+        lines = ["families L", *lines] if families_first else [*lines, "families L"]
+        with pytest.raises(ValueError) as err:
+            parse_algebra("algebra t\n" + "\n".join(lines) + "\n")
+        assert str(err.value) == (
+            f"bad bracket line: {line!r}: family {family} is not on the families line"
+        )
+
+    def test_unknown_grading_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            parse_algebra("algebra t\nfamilies L\ngrading index1\n")
+        assert str(err.value) == "bad grading line: 'grading index1': the only grading is index0"
+
 
 class TestGenPolyValue:
     def test_immutable_with_a_stable_hash(self):

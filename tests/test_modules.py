@@ -15,13 +15,14 @@ from confalg.modules import (
     build_rank1,
     check_module_axioms,
     graded_from_tables,
-    module_residual,
+    module_residuals,
     parse_module,
     reducibility_witness,
     relations_oracle,
     serialize_module,
 )
 from confalg.poly import MPoly, parse_poly
+from conftest import literal_module_residual
 
 P = parse_poly
 
@@ -222,7 +223,7 @@ class TestResidualReuse:
                     for j in range(-k_gen, k_gen + 1):
                         for m in range(-n_basis, n_basis + 1):
                             checked += 1
-                            residual = module_residual(
+                            residual = literal_module_residual(
                                 spec, module.action, fam_f, fam_g, i, j, m
                             )
                             if not residual.is_zero():
@@ -242,13 +243,13 @@ class TestResidualReuse:
     @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
     def test_each_distinct_input_computed_once(self, monkeypatch, build, base, counts):
         calls = []
-        arithmetic = modules.residual_from_inputs
+        arithmetic = modules.two_action_difference
 
         def counting(*args):
             calls.append(args)
             return arithmetic(*args)
 
-        monkeypatch.setattr(modules, "residual_from_inputs", counting)
+        monkeypatch.setattr(modules, "two_action_difference", counting)
         spec = build(0, 0)
         if base == "vab":
             module = build_graded(spec, "vab", "sym", "sym", "sym")
@@ -540,3 +541,23 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             parse_module(f"module rank1\nfamilies L M Y\n{line}\n", build_csv(0, 0))
         assert str(err.value) == f"bad param line: {line!r}: unexpected end of polynomial text"
+
+    @pytest.mark.parametrize("kind, line, readable", [
+        ("rank1", "param aplha : 2", "alpha, beta, c, d"),
+        ("graded-vab", "param c : 2", "alpha, beta, d"),
+        ("graded-vAb", "param alpha : 2", "beta, d"),
+    ], ids=["rank1-typo", "vab-c", "vAb-alpha"])
+    def test_param_the_kind_does_not_read_is_refused(self, kind, line, readable):
+        text = f"module {kind}\nfamilies L M Y\n{line}\nbitseq -9 : {'0' * 19}\n"
+        with pytest.raises(ValueError) as err:
+            parse_module(text, build_csv(0, 0))
+        key = line.split()[1]
+        assert str(err.value) == (
+            f"bad param line: {line!r}: module {kind} has no param {key}; it reads {readable}"
+        )
+
+    def test_vab_round_trip(self):
+        spec = build_csv(0, 0)
+        module = build_graded(spec, "vab", Fraction(1, 3), "sym", 2)
+        text = serialize_module(module)
+        assert serialize_module(parse_module(text, spec)) == text
