@@ -74,6 +74,7 @@ from .modules import (
     Rank1Module,
     _as_bracket_var,
     build_graded,
+    build_module,
     build_rank1,
     extension_family,
     graded_from_tables,
@@ -384,12 +385,6 @@ def classify_rank1(
     return out
 
 
-def materialize_rank1(outcome: ClassifyOutcome, spec: AlgebraSpec) -> Rank1Module:
-    """Build the classified family with fully symbolic module parameters."""
-    d_param: ParamLike = "sym" if outcome.extension_dim else 0
-    return build_rank1(spec, "sym", "sym", "sym", d_param)
-
-
 # ---------------------------------------------------------------------------
 # graded classification
 # ---------------------------------------------------------------------------
@@ -605,13 +600,14 @@ def _quotient_table(f: CoeffFn, n_basis: int, k_gen: int, degree_bound: int) -> 
     return table
 
 
-def materialize_graded(
+def materialize(
     outcome: ClassifyOutcome,
     spec: AlgebraSpec,
     bitseq: BitSeq | None = None,
-) -> GradedModule:
-    """Build the classified graded family with symbolic beta (and alpha, d)."""
-    base = outcome.kind.removeprefix("graded-")
-    d_param: ParamLike = "sym" if outcome.extension_dim else 0
-    alpha_or_bits: ParamLike | BitSeq = bitseq if base == "vAb" else "sym"
-    return build_graded(spec, base, alpha_or_bits, "sym", d_param)
+) -> Rank1Module | GradedModule:
+    """Build the classified family with symbolic module parameters; the
+    extension scalar ``d`` is symbolic when the family has the extension and
+    0 otherwise.  A ``graded-vAb`` outcome needs its ``bitseq``."""
+    return build_module(
+        spec, outcome.kind, {"d": "sym"} if outcome.extension_dim else {}, bitseq
+    )

@@ -2,8 +2,10 @@
 
 Subcommands: verify-axioms, solve-construction, check-module, classify,
 derivations, paper-suite.  Options may come from a YAML config file
-(``--config``); command-line flags override file values, which override
-defaults.  Reports print as text and can be written to a file as text or
+(``--config``) whose keys are the subcommand's flag names; its entries are
+parsed as flags, placed before the command line's own, so they are checked
+as flags are and command-line flags override them.  Defaults are the
+parser's.  Reports print as text and can be written to a file as text or
 JSON; the exit code is 0 exactly when every check in the report passed.
 """
 
@@ -33,9 +35,9 @@ from .derivations import (
 )
 from .lca import GenPoly, check_all_axioms
 from .modules import (
+    MODULE_PARAMS,
     BitSeq,
-    build_graded,
-    build_rank1,
+    build_module,
     check_module_axioms,
     relations_oracle,
     window_reach,
@@ -87,50 +89,16 @@ def parse_grid(text: str, field: str) -> list[tuple]:
     return points
 
 
-class Options:
-    """Merged view of CLI flags, config-file values, and defaults."""
-
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        self.cli = vars(args)
-        self.defaults = defaults
-        self.file: dict = {}
-        path = self.cli.get("config")
-        if path:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    loaded = yaml.safe_load(fh) or {}
-            except OSError as exc:
-                raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"config file {path!r}: {exc}") from exc
-            if not isinstance(loaded, dict):
-                raise ConfigError(f"config file {path!r} must hold a key-value map")
-            self.file = {str(k).replace("-", "_"): v for k, v in loaded.items()}
-
-    def get(self, key: str):
-        value = self.cli.get(key)
-        if value is not None:
-            return value
-        if key in self.file:
-            return self.file[key]
-        return self.defaults.get(key)
-
-    def snapshot(self, keys) -> dict:
-        return {k: str(self.get(k)) for k in keys if self.get(k) is not None}
+def _snapshot(args: argparse.Namespace, *keys: str) -> dict:
+    """The report's ``config``: each of ``keys`` that has a value, as text."""
+    return {key: str(value) for key in keys if (value := getattr(args, key)) is not None}
 
 
-def _numeric(value, field: str) -> GaussianRational:
-    parsed = parse_param(str(value), field)
+def _numeric(value: str, field: str) -> GaussianRational:
+    parsed = parse_param(value, field)
     if parsed == "sym":
         raise ConfigError(f"field {field!r} must be numeric here")
     return parsed
-
-
-def _int(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {field!r} must be an integer, got {value!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +106,14 @@ def _int(value, field: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_axioms(opts: Options) -> Report:
-    algebra = str(opts.get("algebra"))
+def cmd_verify_axioms(args: argparse.Namespace) -> Report:
+    algebra = str(args.algebra)
     report = Report(
         command="verify-axioms",
-        config=opts.snapshot(("algebra", "a", "b", "ap", "bp", "window", "seed")),
+        config=_snapshot(args, "algebra", "a", "b", "ap", "bp", "window", "seed"),
     )
     if algebra == "tsv":
-        window = _int(opts.get("window"), "window")
+        window = args.window
         for check_id, claim, check in (
             ("tsv-lie", "anti-symmetry and Jacobi at every index", lie_symbolic_check),
             ("tsv-lie-window", f"the same on |index| <= {window} (window oracle)",
@@ -157,9 +125,9 @@ def cmd_verify_axioms(opts: Options) -> Report:
                 rec.status = "zero" if lie.all_zero else "nonzero"
         return report
     params = {
-        key: parse_param(str(opts.get(key)), key)
+        key: parse_param(value, key)
         for key in ("a", "b", "ap", "bp")
-        if opts.get(key) is not None
+        if (value := getattr(args, key)) is not None
     }
     spec = build_algebra(algebra, **params)
     with timed_check(
@@ -181,8 +149,8 @@ def cmd_verify_axioms(opts: Options) -> Report:
     return report
 
 
-def cmd_solve_construction(opts: Options) -> Report:
-    report = Report(command="solve-construction", config=opts.snapshot(("seed",)))
+def cmd_solve_construction(args: argparse.Namespace) -> Report:
+    report = Report(command="solve-construction", config=_snapshot(args, "seed"))
     with timed_check(
         report.checks,
         "construction-weights",
@@ -192,62 +160,38 @@ def cmd_solve_construction(opts: Options) -> Report:
         rec.passed = (sol.ap, sol.bp) == expected_weights()
         rec.status = f"ap = {sol.ap}; bp = {sol.bp}"
         rec.detail = "; ".join(f"[{mono}] {poly}" for mono, poly in sol.equations[:6])
-    seed = _int(opts.get("seed"), "seed")
-    for record in criterion_2(seed)[2:]:
+    for record in criterion_2(args.seed)[2:]:
         report.add(record)
     return report
 
 
-def _build_module(opts: Options, spec):
-    kind = str(opts.get("kind"))
-    if kind == "rank1":
-        return build_rank1(
-            spec,
-            parse_param(str(opts.get("alpha")), "alpha"),
-            parse_param(str(opts.get("beta")), "beta"),
-            parse_param(str(opts.get("c")), "c"),
-            parse_param(str(opts.get("d")), "d"),
-        )
-    if kind == "graded":
-        base = str(opts.get("base"))
-        if base == "vAb":
-            bits_text = opts.get("bitseq")
-            if not bits_text:
-                raise ConfigError("field 'bitseq': required for the vAb base")
-            lo = _int(opts.get("bitseq_lo"), "bitseq_lo")
-            try:
-                first = BitSeq.from_string(str(bits_text), lo)
-            except ValueError as exc:
-                raise ConfigError(f"field 'bitseq': {bits_text!r}: {exc}") from exc
-        else:
-            first = parse_param(str(opts.get("alpha")), "alpha")
-        return build_graded(
-            spec,
-            base if base == "vAb" else "vab",
-            first,
-            parse_param(str(opts.get("beta")), "beta"),
-            parse_param(str(opts.get("d")), "d"),
-        )
-    raise ConfigError(f"field 'kind': unknown module kind {kind!r}")
+def _build_module(args: argparse.Namespace, spec):
+    kind = "rank1" if args.kind == "rank1" else f"graded-{args.base}"
+    bits = None
+    if kind == "graded-vAb":
+        if not args.bitseq:
+            raise ConfigError("field 'bitseq': required for the vAb base")
+        try:
+            bits = BitSeq.from_string(args.bitseq, args.bitseq_lo)
+        except ValueError as exc:
+            raise ConfigError(f"field 'bitseq': {args.bitseq!r}: {exc}") from exc
+    params = {key: parse_param(getattr(args, key), key) for key in MODULE_PARAMS[kind]}
+    return build_module(spec, kind, params, bits)
 
 
-def cmd_check_module(opts: Options) -> Report:
-    algebra = str(opts.get("algebra"))
+def cmd_check_module(args: argparse.Namespace) -> Report:
+    algebra = str(args.algebra)
     report = Report(
         command="check-module",
-        config=opts.snapshot(
-            ("algebra", "a", "b", "kind", "base", "alpha", "beta", "c", "d",
-             "bitseq", "bitseq_lo", "window", "gen_bound")
-        ),
+        config=_snapshot(args, "algebra", "a", "b", "kind", "base", "alpha", "beta", "c",
+                         "d", "bitseq", "bitseq_lo", "window", "gen_bound"),
     )
-    a = parse_param(str(opts.get("a")), "a")
-    b = parse_param(str(opts.get("b")), "b")
+    a = parse_param(args.a, "a")
+    b = parse_param(args.b, "b")
     spec = build_algebra(algebra, a=a, b=b)
-    module = _build_module(opts, spec)
-    n_basis = _int(opts.get("window"), "window")
-    k_gen = _int(opts.get("gen_bound"), "gen_bound")
+    module = _build_module(args, spec)
     with timed_check(report.checks, "module-axioms") as rec:
-        axioms = check_module_axioms(spec, module, n_basis, k_gen)
+        axioms = check_module_axioms(spec, module, args.window, args.gen_bound)
         rec.claim = f"module identity residuals over {algebra} ({axioms.checked} instances)"
         rec.passed = axioms.all_zero
         rec.status = "zero" if axioms.all_zero else "nonzero"
@@ -256,7 +200,7 @@ def cmd_check_module(opts: Options) -> Report:
         ]
     if module.kind != "rank1" and "Y" in spec.families and a != "sym" and b != "sym":
         with timed_check(report.checks, "relation-oracle") as rec:
-            oracle = relations_oracle(module, a, b, n_basis, k_gen)
+            oracle = relations_oracle(module, a, b, args.window, args.gen_bound)
             rec.claim = (
                 f"hand-coded structure-coefficient relations ({oracle.checked} instances)"
             )
@@ -274,29 +218,24 @@ def _families_text(outcome) -> str:
     return "; ".join(f"{fam}: {desc}" for fam, desc in sorted(outcome.families.items()))
 
 
-def cmd_classify(opts: Options) -> Report:
-    kind = str(opts.get("kind"))
-    algebra = str(opts.get("algebra"))
-    grid = parse_grid(str(opts.get("grid")), "grid")
-    degree = _int(opts.get("degree"), "degree")
-    seed = _int(opts.get("seed"), "seed")
+def cmd_classify(args: argparse.Namespace) -> Report:
+    algebra = str(args.algebra)
+    grid = parse_grid(args.grid, "grid")
     report = Report(
         command="classify",
-        config=opts.snapshot(
-            ("algebra", "kind", "grid", "base", "degree", "window", "gen_bound",
-             "seed", "bitseqs")
-        ),
+        config=_snapshot(args, "algebra", "kind", "grid", "base", "degree", "window",
+                         "gen_bound", "seed", "bitseqs"),
     )
     if algebra not in EXTENSION_POINT:
         raise ConfigError(f"field 'algebra': classification targets csv or chv, not {algebra!r}")
     points = [(_numeric(str(a), "grid"), _numeric(str(b), "grid")) for a, b in grid]
-    if kind == "rank1":
+    if args.kind == "rank1":
         for a, b in points:
             with timed_check(
                 report.checks, f"rank1-{a}-{b}", f"rank-one families over {algebra}({a},{b})"
             ) as rec:
                 try:
-                    outcome = classify_rank1(algebra, a, b, degree)
+                    outcome = classify_rank1(algebra, a, b, args.degree)
                 except StepFailed as exc:
                     _step_failed(rec, exc)
                     continue
@@ -307,17 +246,13 @@ def cmd_classify(opts: Options) -> Report:
                     "extension family" if outcome.has_extension else "trivial tails only"
                 )
         return report
-    if kind != "graded":
-        raise ConfigError(f"field 'kind': unknown classification kind {kind!r}")
-    n_basis = _int(opts.get("window"), "window")
-    k_gen = _int(opts.get("gen_bound"), "gen_bound")
-    base = str(opts.get("base"))
-    rng = random.Random(seed)
-    n_seqs = _int(opts.get("bitseqs"), "bitseqs")
+    base = args.base
+    rng = random.Random(args.seed)
+    n_seqs = args.bitseqs
     least = 1 if base == "vAb" else 0
     if n_seqs < least:
         raise ConfigError(f"field 'bitseqs' must be >= {least} for base {base}, got {n_seqs}")
-    reach = window_reach(n_basis, k_gen)
+    reach = window_reach(args.window, args.gen_bound)
     bitseqs = [BitSeq.random(rng, -reach, reach) for _ in range(n_seqs)]
     bases: list[tuple[str, BitSeq | None]] = []
     if base in ("vab", "both"):
@@ -334,12 +269,13 @@ def cmd_classify(opts: Options) -> Report:
             ) as rec:
                 try:
                     outcome = classify_graded(
-                        algebra, a, b, base_kind, degree, n_basis, k_gen, bitseq=bits
+                        algebra, a, b, base_kind, args.degree, args.window, args.gen_bound,
+                        bitseq=bits,
                     )
                 except StepFailed as exc:
                     _step_failed(rec, exc)
                     continue
-                faults = graded_faults(outcome, bits, n_basis, k_gen)
+                faults = graded_faults(outcome, bits, args.window, args.gen_bound)
                 rec.status = _families_text(outcome)
                 rec.passed = not faults
                 rec.detail = "; ".join(faults) or (
@@ -355,22 +291,22 @@ def _step_failed(rec: CheckRecord, exc: StepFailed) -> None:
     rec.detail = exc.trace
 
 
-def cmd_derivations(opts: Options) -> Report:
-    task = str(opts.get("task"))
-    algebra = str(opts.get("algebra"))
+def cmd_derivations(args: argparse.Namespace) -> Report:
+    algebra = str(args.algebra)
+    grading = args.grading
     report = Report(
         command="derivations",
-        config=opts.snapshot(
-            ("algebra", "task", "a", "b", "grading", "degree", "window", "seed")
-        ),
+        config=_snapshot(args, "algebra", "task", "a", "b", "grading", "degree", "window",
+                         "seed"),
     )
-    degree_bound = _int(opts.get("degree"), "degree")
-    window = _int(opts.get("window"), "window")
-    grading = _int(opts.get("grading"), "grading")
-    if task == "dvec-check":
-        a = parse_param(str(opts.get("a")), "a")
-        b = parse_param(str(opts.get("b")), "b")
-        spec = build_algebra(algebra, a=a, b=b)
+    if args.task == "dichotomy":
+        for record in criterion_4():
+            report.add(record)
+        return report
+    parse = parse_param if args.task == "dvec-check" else _numeric
+    a, b = parse(args.a, "a"), parse(args.b, "b")
+    spec = build_algebra(algebra, a=a, b=b)
+    if args.task == "dvec-check":
         with timed_check(
             report.checks,
             "dvec-leibniz",
@@ -382,14 +318,11 @@ def cmd_derivations(opts: Options) -> Report:
             rec.passed = leibniz.all_zero == (expected_extra_dimension(a) == 1)
             rec.status = "zero" if leibniz.all_zero else "nonzero"
         return report
-    if task == "solve":
-        a = _numeric(opts.get("a"), "a")
-        b = _numeric(opts.get("b"), "b")
-        spec = build_algebra(algebra, a=a, b=b)
+    if args.task == "solve":
         with timed_check(
             report.checks, "graded-solve", f"degree-{grading} derivations of {algebra}({a},{b})"
         ) as rec:
-            result = solve_graded_derivations(spec, grading, degree_bound, window)
+            result = solve_graded_derivations(spec, grading, args.degree, args.window)
             rec.passed = result.extra_dimension == expected_extra_dimension(a)
             rec.status = (
                 f"dim {result.dimension} = inner {result.inner_rank} + "
@@ -401,43 +334,33 @@ def cmd_derivations(opts: Options) -> Report:
                 f"{'none (index 0 only)' if ker_b is None else ker_b}; {result.scope_note}"
             )
         return report
-    if task == "dichotomy":
-        for record in criterion_4():
-            report.add(record)
-        return report
-    if task == "decompose":
-        a = _numeric(opts.get("a"), "a")
-        b = _numeric(opts.get("b"), "b")
-        spec = build_algebra(algebra, a=a, b=b)
-        with timed_check(
-            report.checks,
-            "decompose-roundtrip",
-            f"decompose(ad(M_{grading})) over {algebra}({a},{b})",
-        ) as rec:
-            x = GenPoly.unit("M", grading)
-            dec = decompose(spec, ad(spec, x, window=window + 1), bound=degree_bound)
-            rec.passed = dec.x == x and not dec.q
-            rec.status = f"x = {dec.x}; q = {dec.q}"
-        return report
-    raise ConfigError(f"field 'task': unknown derivations task {task!r}")
+    # the --task choices leave decompose
+    with timed_check(
+        report.checks,
+        "decompose-roundtrip",
+        f"decompose(ad(M_{grading})) over {algebra}({a},{b})",
+    ) as rec:
+        x = GenPoly.unit("M", grading)
+        dec = decompose(spec, ad(spec, x, window=args.window + 1), bound=args.degree)
+        rec.passed = dec.x == x and not dec.q
+        rec.status = f"x = {dec.x}; q = {dec.q}"
+    return report
 
 
-def cmd_paper_suite(opts: Options) -> Report:
-    seed = _int(opts.get("seed"), "seed")
-    only_text = opts.get("only")
+def cmd_paper_suite(args: argparse.Namespace) -> Report:
     only = None
-    if only_text:
+    if args.only:
         try:
-            only = [int(x) for x in str(only_text).split(",") if x.strip()]
+            only = [int(x) for x in args.only.split(",") if x.strip()]
         except ValueError as exc:
-            raise ConfigError(f"field 'only': {only_text!r}") from exc
+            raise ConfigError(f"field 'only': {args.only!r}") from exc
         unknown = [n for n in only if n not in CRITERIA]
         if unknown:
             raise ConfigError(
                 f"field 'only': unknown criteria {unknown}; the known criteria are "
                 f"{', '.join(map(str, CRITERIA))}"
             )
-    return run_paper_suite(seed=seed, only=only)
+    return run_paper_suite(seed=args.seed, only=only)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +399,7 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    common.set_defaults(**DEFAULTS)
     common.add_argument("--config", help="YAML config file (CLI flags override it)")
     common.add_argument("--algebra", choices=ALGEBRA_IDS)
     common.add_argument("--a", help="rational p/q, Gaussian p/q+r/si, or 'sym'")
@@ -483,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ap")
     common.add_argument("--bp")
     common.add_argument("--window", type=int, help="basis index window")
-    common.add_argument("--gen-bound", dest="gen_bound", type=int)
+    common.add_argument("--gen-bound", type=int)
     common.add_argument("--degree", type=int, help="polynomial degree bound")
     common.add_argument("--seed", type=int)
     common.add_argument("--report", help="write the report to this path")
@@ -500,12 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     cm = sub.add_parser("check-module", parents=[common])
     cm.add_argument("--kind", choices=("rank1", "graded"))
     cm.add_argument("--base", choices=("vab", "vAb"))
-    cm.add_argument("--alpha")
-    cm.add_argument("--beta")
-    cm.add_argument("--c")
-    cm.add_argument("--d")
+    for key in MODULE_PARAMS["rank1"]:     # rank1 reads every module param
+        cm.add_argument(f"--{key}")
     cm.add_argument("--bitseq")
-    cm.add_argument("--bitseq-lo", dest="bitseq_lo", type=int)
+    cm.add_argument("--bitseq-lo", type=int)
     cl = sub.add_parser("classify", parents=[common])
     cl.add_argument("--kind", choices=("rank1", "graded"))
     cl.add_argument("--base", choices=("vab", "vAb", "both"))
@@ -519,21 +441,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_args(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """The YAML map at ``path`` as ``--flag=value`` arguments of ``command``.
+
+    A key is the full name of one of the subcommand's flags, with ``_`` or
+    ``-`` between words; any other key, ``config`` among them, is a
+    ``ConfigError``.  The ``=`` form keeps a value such as ``-9`` from
+    reading as a flag.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {path!r} must hold a key-value map")
+    # argparse has no public view of a subcommand's flags
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = set(subparsers.choices[command]._option_string_actions) - {"--config", "--help"}
+    out = []
+    for key, value in loaded.items():
+        flag = "--" + str(key).replace("_", "-")
+        if flag not in flags:
+            raise ConfigError(f"config file {path!r}: key {key!r} is not a flag of {command}")
+        out.append(f"{flag}={value}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        opts = Options(args, DEFAULTS)
-        report = COMMANDS[args.command](opts)
+        if args.config:
+            # file entries go before the command line's own flags, which win
+            args = parser.parse_args(
+                argv[:1] + _file_args(parser, args.command, args.config) + argv[1:]
+            )
+        report = COMMANDS[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.to_text())
-    path = opts.get("report")
-    if path:
-        fmt = str(opts.get("format"))
-        payload = report.to_json() if fmt == "json" else report.to_text()
-        with open(path, "w", encoding="utf-8") as fh:
+    if args.report:
+        payload = report.to_json() if args.format == "json" else report.to_text()
+        with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(payload)
     return 0 if report.passed else 1
 

@@ -80,6 +80,7 @@ from .lca import (
     WindowTooSmall,
     conformal_bracket,
     line_poly,
+    text_lines,
     weight_of,
 )
 from .linsolve import SparseRow, reduce_rows
@@ -125,6 +126,13 @@ def _refuse_off_index0(spec: AlgebraSpec, what: str, window: int, degree: int) -
             f"{spec.name} is restricted to index 0: {what} needs window 0 and "
             f"degree 0, got window {window} and degree {degree}"
         )
+
+
+def _refuse_symbolic(spec: AlgebraSpec, what: str) -> None:
+    """Refuse a solve on an algebra with symbolic parameters."""
+    if spec.parameters:
+        raise ValueError(f"{what} needs numeric algebra parameters; {spec.name} has "
+                         f"symbolic {', '.join(spec.parameters)}")
 
 
 def _refuse_unknown_families(spec: AlgebraSpec, deriv: DerivationSpec) -> None:
@@ -674,8 +682,7 @@ def solve_graded_derivations(
     ``inner_window_vectors`` at that window.  An algebra restricted to
     index 0 (``index0_only``) has only window 0 at degree 0.
     """
-    if spec.parameters:
-        raise ValueError("the solver needs numeric algebra parameters")
+    _refuse_symbolic(spec, "solve_graded_derivations")
     _refuse_negative(window=window, bound=bound)
     _refuse_off_index0(spec, "the derivation solver", window, degree)
     coords = _make_coords(spec, degree, bound, 0)
@@ -753,6 +760,7 @@ def decompose(
     (``weight_of``; a = 1), a scalar q; uniqueness is certified by an empty
     kernel.
     """
+    _refuse_symbolic(spec, "decompose")
     _refuse_negative(bound=bound)
     _refuse_unknown_families(spec, deriv)
     include_q = "M" in spec.families and not weight_of(spec, "M")[0]
@@ -829,11 +837,8 @@ def parse_derivation(text: str) -> DerivationSpec:
     window = 0
     degree: int | None = None
     images: dict[tuple[str, int], dict[Generator, MPoly]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(" ")
+    image_lines: list[tuple[str, tuple[str, str]]] = []
+    for head, rest, line in text_lines(text, ("families", "window", "degree")):
         if head == "derivation":
             continue
         if head == "families":
@@ -849,12 +854,7 @@ def parse_derivation(text: str) -> DerivationSpec:
             if len(words) != 5 or words[2] != "->":
                 raise ValueError(f"bad image line: {line!r}")
             fam, idx, _, tgt_fam, tgt_idx = words
-            for named in (fam, tgt_fam):
-                if named not in families:
-                    raise ValueError(
-                        f"bad {head} line: {line!r}: family {named} is not on the "
-                        "families line"
-                    )
+            image_lines.append((line, (fam, tgt_fam)))
             gen = Generator(tgt_fam, _line_int(tgt_idx, head, line))
             idx = _line_int(idx, head, line)
             poly = line_poly(poly_part, head, line)
@@ -868,6 +868,13 @@ def parse_derivation(text: str) -> DerivationSpec:
             slot[gen] = slot.get(gen, MPoly.zero()) + poly
         else:
             raise ValueError(f"unknown directive {head!r} in derivation text")
+    for line, named in image_lines:
+        for family in named:
+            if family not in families:
+                raise ValueError(
+                    f"bad image line: {line!r}: family {family} is not on the "
+                    "families line"
+                )
     out = DerivationSpec(families=families, window=window, degree=degree)
     for (fam, idx), terms in images.items():
         if abs(idx) > window:

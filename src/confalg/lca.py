@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .poly import GaussianRational, MPoly, ParseError, PolyLike, parse_poly
 
@@ -365,18 +365,30 @@ def line_poly(text: str, directive: str, line: str) -> MPoly:
         raise ValueError(f"bad {directive} line: {line!r}: {exc}") from exc
 
 
+def text_lines(text: str, once: tuple[str, ...] = ()) -> Iterator[tuple[str, str, str]]:
+    """``(directive, rest, line)`` for each line of a text format that is not
+    blank or a ``#`` comment.  A second line of a directive in ``once`` is a
+    ``ValueError`` that quotes it."""
+    seen: set[str] = set()
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, _, rest = line.partition(" ")
+        if head in once and head in seen:
+            raise ValueError(f"bad {head} line: {line!r}: {head} is given twice")
+        seen.add(head)
+        yield head, rest, line
+
+
 def parse_algebra(text: str) -> AlgebraSpec:
     name = ""
     families: tuple[str, ...] = ()
     parameters: tuple[str, ...] = ()
     index0_only = False
     table: dict[tuple[str, str], list[tuple[str, MPoly]]] = {}
-    bracket_lines: list[tuple[str, tuple[str, ...]]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(" ")
+    bracket_lines: list[tuple[str, tuple[str, ...], MPoly]] = []
+    for head, rest, line in text_lines(text, ("algebra", "families", "parameters", "grading")):
         if head == "algebra":
             name = rest.strip()
         elif head == "families":
@@ -393,18 +405,25 @@ def parse_algebra(text: str) -> AlgebraSpec:
             if len(words) != 4 or words[2] != "->":
                 raise ValueError(f"bad bracket line: {line!r}")
             fa, fb, _, target = words
-            table.setdefault((fa, fb), []).append((target, line_poly(poly_part, head, line)))
-            bracket_lines.append((line, (fa, fb, target)))
+            template = line_poly(poly_part, head, line)
+            table.setdefault((fa, fb), []).append((target, template))
+            bracket_lines.append((line, (fa, fb, target), template))
         else:
             raise ValueError(f"unknown directive {head!r} in algebra text")
     if not name or not families:
         raise ValueError("algebra text needs a name and a families line")
-    for line, named in bracket_lines:
+    for line, named, template in bracket_lines:
         for family in named:
             if family not in families:
                 raise ValueError(
                     f"bad bracket line: {line!r}: family {family} is not on the "
                     "families line"
+                )
+        for var in template.variables():
+            if var not in (VAR_D, VAR_L, *parameters):
+                raise ValueError(
+                    f"bad bracket line: {line!r}: template has a term in {var}, "
+                    f"which is neither {VAR_D}, {VAR_L} nor on the parameters line"
                 )
     return AlgebraSpec(
         name=name,

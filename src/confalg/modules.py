@@ -49,6 +49,7 @@ from .lca import (
     GenPoly,
     WindowTooSmall,
     line_poly,
+    text_lines,
 )
 from .linsolve import linear_solve
 from .poly import GaussianRational, Inconsistent, MPoly
@@ -701,12 +702,43 @@ def _solve_witness_equations(
 # ---------------------------------------------------------------------------
 
 
+#: the ``param`` keys each module kind reads, in its builder's argument order
+MODULE_PARAMS = {
+    "rank1": ("alpha", "beta", "c", "d"),
+    "graded-vab": ("alpha", "beta", "d"),
+    "graded-vAb": ("beta", "d"),
+}
+_PARAM_DEFAULTS: dict[str, ParamLike] = {"alpha": "sym", "beta": "sym", "c": "sym", "d": 0}
+
+
+def build_module(
+    spec: AlgebraSpec,
+    kind: str,
+    params: Mapping[str, ParamLike],
+    bits: BitSeq | None = None,
+) -> Rank1Module | GradedModule:
+    """The module of ``kind`` (a ``MODULE_PARAMS`` key) over ``spec``.
+
+    ``params`` maps keys the kind reads to values; a missing key takes its
+    default (``sym``, or 0 for ``d``).  A ``graded-vAb`` module needs
+    ``bits``.
+    """
+    args = [params.get(key, _PARAM_DEFAULTS[key]) for key in MODULE_PARAMS[kind]]
+    if kind == "rank1":
+        return build_rank1(spec, *args)
+    if kind == "graded-vab":
+        return build_graded(spec, "vab", *args)
+    if bits is None:
+        raise ValueError("a graded-vAb module needs a bitseq")
+    return build_graded(spec, "vAb", bits, *args)
+
+
 def serialize_module(module: Rank1Module | GradedModule) -> str:
     lines: list[str] = []
     if isinstance(module, Rank1Module):
         lines.append("module rank1")
         lines.append("families " + " ".join(module.families))
-        for key in ("alpha", "beta", "c", "d"):
+        for key in MODULE_PARAMS["rank1"]:
             lines.append(f"param {key} : {getattr(module, key)}")
     else:
         if module.kind == "custom":
@@ -720,43 +752,35 @@ def serialize_module(module: Rank1Module | GradedModule) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: the ``param`` keys each module kind reads, in its builder's argument order
-_KIND_PARAMS = {
-    "rank1": ("alpha", "beta", "c", "d"),
-    "graded-vab": ("alpha", "beta", "d"),
-    "graded-vAb": ("beta", "d"),
-}
-_PARAM_DEFAULTS: dict[str, ParamLike] = {"alpha": "sym", "beta": "sym", "c": "sym", "d": 0}
-
-
 def parse_module(text: str, spec: AlgebraSpec) -> Rank1Module | GradedModule:
     kind = ""
     families: tuple[str, ...] = ()
     params: dict[str, tuple[MPoly, str]] = {}
     bits: BitSeq | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(" ")
+    bits_line = ""
+    for head, rest, line in text_lines(text, ("module", "families", "bitseq")):
         if head == "module":
             kind = rest.strip()
         elif head == "families":
             families = tuple(rest.split())
         elif head == "param":
             key, _, value = rest.partition(":")
-            params[key.strip()] = (line_poly(value, head, line), line)
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"bad param line: {line!r}: param {key} is given twice")
+            params[key] = (line_poly(value, head, line), line)
         elif head == "bitseq":
             lo_txt, _, value = rest.partition(":")
             try:
                 bits = BitSeq.from_string(value, int(lo_txt))
             except ValueError as exc:
                 raise ValueError(f"bad bitseq line: {line!r}: {exc}") from exc
+            bits_line = line
         else:
             raise ValueError(f"unknown directive {head!r} in module text")
     if families and set(families) != set(spec.families):
         raise ValueError("module families do not match the algebra")
-    readable = _KIND_PARAMS.get(kind)
+    readable = MODULE_PARAMS.get(kind)
     if readable is None:
         raise ValueError(f"unknown module kind {kind!r}")
     for key, (_, line) in params.items():
@@ -765,11 +789,6 @@ def parse_module(text: str, spec: AlgebraSpec) -> Rank1Module | GradedModule:
                 f"bad param line: {line!r}: module {kind} has no param {key}; "
                 f"it reads {', '.join(readable)}"
             )
-    args = [params[key][0] if key in params else _PARAM_DEFAULTS[key] for key in readable]
-    if kind == "rank1":
-        return build_rank1(spec, *args)
-    if kind == "graded-vab":
-        return build_graded(spec, "vab", *args)
-    if bits is None:
-        raise ValueError("graded-vAb module text needs a bitseq line")
-    return build_graded(spec, "vAb", bits, *args)
+    if bits is not None and kind != "graded-vAb":
+        raise ValueError(f"bad bitseq line: {bits_line!r}: module {kind} reads no bitseq")
+    return build_module(spec, kind, {key: poly for key, (poly, _) in params.items()}, bits)

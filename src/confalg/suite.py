@@ -29,7 +29,7 @@ from .classify import (
     StepFailed,
     classify_graded,
     classify_rank1,
-    materialize_rank1,
+    materialize,
 )
 from .derivations import (
     DerivationSpec,
@@ -383,7 +383,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
                 failures.extend((a, b, fault) for fault in faults)
                 if outcome is not None:
                     spec = builder(a, b)
-                    rep = check_module_axioms(spec, materialize_rank1(outcome, spec))
+                    rep = check_module_axioms(spec, materialize(outcome, spec))
                     if not rep.all_zero:
                         failures.append((a, b, "round trip", sorted(rep.residuals)))
             rec.passed = not failures

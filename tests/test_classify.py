@@ -13,8 +13,7 @@ from confalg.classify import (
     certify_self_commuting_d_free,
     classify_graded,
     classify_rank1,
-    materialize_graded,
-    materialize_rank1,
+    materialize,
     weight_equation_kernel,
 )
 from confalg.lca import DegreeBoundExceeded, WindowTooSmall
@@ -181,7 +180,7 @@ class TestRank1:
         for a, b in ((0, 0), (2, 5)):
             spec = build_csv(a, b)
             outcome = classify_rank1("csv", a, b)
-            module = materialize_rank1(outcome, spec)
+            module = materialize(outcome, spec)
             assert check_module_axioms(spec, module).all_zero
 
     def test_steps_are_recorded(self):
@@ -222,7 +221,7 @@ class TestGradedUniformBase:
     def test_round_trip(self):
         spec = build_csv(0, 0)
         outcome = classify_graded("csv", 0, 0, "vab")
-        module = materialize_graded(outcome, spec)
+        module = materialize(outcome, spec)
         assert check_module_axioms(spec, module, 3, 2).all_zero
 
 
@@ -234,7 +233,7 @@ class TestGradedCaseSplitBase:
             assert outcome.families["Y"] == "d"
             assert not outcome.collapsed
             spec = build_csv(0, 0)
-            module = materialize_graded(outcome, spec, bitseq=bits)
+            module = materialize(outcome, spec, bitseq=bits)
             assert check_module_axioms(spec, module, 3, 2).all_zero
 
     def test_mixed_bits_collapse_extension(self):

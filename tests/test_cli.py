@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 import yaml
@@ -237,6 +238,87 @@ class TestConfigAndReports:
         assert main(["verify-axioms", "--config", str(cfg)]) == 1
         capsys.readouterr()
         assert main(["verify-axioms", "--config", str(cfg), "--algebra", "csv"]) == 0
+
+    @pytest.mark.parametrize("command, entries, message", [
+        ("classify", {"algebra": "csv", "kind": "graded", "base": "VAB", "grid": "0,0"},
+         "argument --base: invalid choice: 'VAB' (choose from 'vab', 'vAb', 'both')"),
+        ("check-module", {"algebra": "csv", "a": 0, "b": 0, "kind": "graded", "base": "both"},
+         "argument --base: invalid choice: 'both' (choose from 'vab', 'vAb')"),
+        ("verify-axioms", {"algebra": "csv", "format": "xml"},
+         "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+        ("derivations", {"algebra": "csv", "window": "two"},
+         "argument --window: invalid int value: 'two'"),
+    ], ids=["classify-base", "check-module-base", "format", "window"])
+    def test_config_value_is_checked_as_a_flag(self, tmp_path, capsys, command, entries, message):
+        cfg = tmp_path / "run.yaml"
+        report = tmp_path / "report.out"
+        cfg.write_text(yaml.safe_dump({**entries, "report": str(report)}))
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(cfg)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"confalg {command}: error: {message}\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("key", ["gen_bnd", "gen", "config", "help", "grading", "Algebra"])
+    def test_config_key_that_is_not_a_flag_is_refused(self, tmp_path, capsys, key):
+        # "gen" would pass as an argparse abbreviation of --gen-bound, and
+        # "grading" is a flag of derivations only
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"algebra": "csv", key: 5}))
+        assert main(["verify-axioms", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config file {str(cfg)!r}: key {key!r} is not a flag of "
+            "verify-axioms\n"
+        )
+
+    @pytest.mark.parametrize("key", ["gen_bound", "gen-bound"])
+    def test_config_key_spelled_with_underscore_or_hyphen(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "algebra": "csv", "a": 0, "b": 0, "kind": "graded", "window": 1, key: 1,
+        }))
+        path = tmp_path / "r.json"
+        assert main(["check-module", "--config", str(cfg), "--report", str(path),
+                     "--format", "json"]) == 0
+        data = json.loads(path.read_text())
+        assert data["config"]["gen_bound"] == "1"
+        # 3 families squared, 3 x 3 generator index pairs, 3 basis indices
+        assert "(243 instances)" in data["checks"][0]["claim"]
+
+    @pytest.mark.parametrize("command, entries", [
+        ("verify-axioms", {"algebra": "chv", "a": "-1/2", "b": "0"}),
+        ("solve-construction", {"seed": "5"}),
+        ("check-module", {
+            "algebra": "csv", "a": "0", "b": "0", "kind": "graded", "base": "vAb",
+            "bitseq": "0" * 13, "bitseq_lo": "-6", "window": "2", "gen_bound": "1",
+        }),
+        ("classify", {
+            "kind": "graded", "algebra": "chv", "grid": "1,0", "base": "both",
+            "bitseqs": "1", "window": "2", "gen_bound": "1", "degree": "4",
+        }),
+        ("derivations", {
+            "task": "solve", "algebra": "csv", "a": "1", "b": "0", "degree": "4",
+            "window": "2",
+        }),
+        ("paper-suite", {"only": "1,8", "seed": "7"}),
+    ])
+    def test_config_file_gives_the_report_of_its_flags(self, tmp_path, capsys, command, entries):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(entries))
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
+        outputs = []
+        for k, args in enumerate((flags, ["--config", str(cfg)])):
+            path = tmp_path / f"r{k}.json"
+            code = main([command, *args, "--report", str(path), "--format", "json"])
+            data = json.loads(path.read_text())
+            for check in data["checks"]:
+                check.pop("elapsed_ms")
+            out = re.sub(r"\(\d+ ms\)", "", capsys.readouterr().out)
+            outputs.append((code, out, data))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
 
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

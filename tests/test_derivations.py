@@ -735,6 +735,20 @@ class TestDecompose:
         with pytest.raises(ValueError, match="^bound must be >= 0, got -1"):
             decompose(spec, ad(spec, GenPoly.unit("M", 0), window=3), bound=-1)
 
+    @pytest.mark.parametrize("name", ["decompose", "solve_graded_derivations"])
+    def test_symbolic_parameters_are_refused(self, name):
+        # the weights of decompose and the solver's rows need numeric
+        # structure constants; b is symbolic here
+        spec = build_csv(1, "sym")
+        with pytest.raises(ValueError) as err:
+            if name == "decompose":
+                decompose(spec, d_vec(spec, {0: ONE}, window=3))
+            else:
+                solve_graded_derivations(spec)
+        assert str(err.value) == (
+            f"{name} needs numeric algebra parameters; csv has symbolic b"
+        )
+
     def test_family_not_decomposable_off_a1(self):
         spec = build_csv(0, 0)
         with pytest.raises(NotDecomposable):
@@ -784,6 +798,32 @@ class TestSerialization:
         assert str(err.value) == (
             f"bad image line: {line!r}: family {family} is not on the families line"
         )
+
+    @pytest.mark.parametrize("line, family", [
+        ("image Q 0 -> Z 0 : 1", "Q"), ("image L 0 -> Z 0 : 1", "Z")
+    ])
+    def test_image_family_off_a_later_families_line_is_refused(self, line, family):
+        with pytest.raises(ValueError) as err:
+            parse_derivation(f"window 1\n{line}\nfamilies L M\n")
+        assert str(err.value) == (
+            f"bad image line: {line!r}: family {family} is not on the families line"
+        )
+
+    def test_lines_parse_in_any_order(self):
+        spec = build_csv(1, 0)
+        text = serialize_derivation(ad(spec, GenPoly.unit("M", 0), window=1))
+        lines = text.splitlines()
+        assert lines[:3] == ["derivation", "families L M Y", "window 1"]
+        back = parse_derivation("\n".join(lines[3:] + lines[:3]) + "\n")
+        assert serialize_derivation(back) == text
+
+    @pytest.mark.parametrize("line", ["families L M", "window 1", "degree 0"])
+    def test_repeated_single_valued_line_is_refused(self, line):
+        text = "derivation\nfamilies L M\nwindow 1\ndegree 0\n"
+        with pytest.raises(ValueError) as err:
+            parse_derivation(text + line + "\n")
+        head = line.split()[0]
+        assert str(err.value) == f"bad {head} line: {line!r}: {head} is given twice"
 
     @pytest.mark.parametrize("poly, stray", [("m", "m"), ("d + a*l", "a"), ("m*n", "m, n")])
     def test_image_term_in_a_stray_variable_is_refused_at_its_line(self, poly, stray):

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from confalg.catalog import build_construction, build_csv, build_cw
+from confalg.catalog import (
+    ALGEBRA_IDS,
+    build_algebra,
+    build_chv,
+    build_construction,
+    build_csv,
+    build_cw,
+)
 from confalg.lca import (
     GenPoly,
     Generator,
@@ -208,6 +215,38 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             parse_algebra("algebra t\nfamilies L\ngrading index1\n")
         assert str(err.value) == "bad grading line: 'grading index1': the only grading is index0"
+
+    @pytest.mark.parametrize("ident", [i for i in ALGEBRA_IDS if i != "tsv"])
+    def test_every_catalog_algebra_round_trips(self, ident):
+        text = serialize_algebra(build_algebra(ident))
+        assert serialize_algebra(parse_algebra(text)) == text
+
+    def test_template_in_an_undeclared_variable_is_refused(self):
+        # without its parameters line, chv(1, b) would parse with no
+        # parameters and reach the derivation solver as a numeric algebra
+        text = serialize_algebra(build_chv(1, "sym"))
+        edited = text.replace("parameters b\n", "")
+        assert edited != text
+        with pytest.raises(ValueError) as err:
+            parse_algebra(edited)
+        assert str(err.value) == (
+            "bad bracket line: 'bracket L M -> M : d + l + b': template has a term "
+            "in b, which is neither d, l nor on the parameters line"
+        )
+        # the check runs once the whole text is read, so the parameters line
+        # may come last
+        moved = parse_algebra(edited + "parameters b\n")
+        assert serialize_algebra(moved) == text
+
+    @pytest.mark.parametrize(
+        "line", ["algebra u", "families L", "parameters a", "grading index0"]
+    )
+    def test_repeated_single_valued_line_is_refused(self, line):
+        text = "algebra t\nfamilies L\nparameters a\ngrading index0\n"
+        with pytest.raises(ValueError) as err:
+            parse_algebra(text + line + "\n")
+        head = line.split()[0]
+        assert str(err.value) == f"bad {head} line: {line!r}: {head} is given twice"
 
 
 class TestGenPolyValue:

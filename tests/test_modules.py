@@ -12,6 +12,7 @@ from confalg.modules import (
     BitSeq,
     apply_action,
     build_graded,
+    build_module,
     build_rank1,
     check_module_axioms,
     graded_from_tables,
@@ -508,6 +509,39 @@ class TestWitness:
             reducibility_witness(module)
 
 
+class TestBuildModule:
+    @pytest.mark.parametrize("kind, params, direct", [
+        ("rank1", {}, lambda spec, bits: build_rank1(spec)),
+        ("rank1", {"alpha": Fraction(1, 2), "c": 2, "d": "sym"},
+         lambda spec, bits: build_rank1(spec, Fraction(1, 2), "sym", 2, "sym")),
+        ("graded-vab", {}, lambda spec, bits: build_graded(spec, "vab")),
+        ("graded-vab", {"alpha": 3, "beta": 1, "d": "sym"},
+         lambda spec, bits: build_graded(spec, "vab", 3, 1, "sym")),
+        ("graded-vAb", {}, lambda spec, bits: build_graded(spec, "vAb", bits)),
+        ("graded-vAb", {"beta": 2, "d": Fraction(1, 3)},
+         lambda spec, bits: build_graded(spec, "vAb", bits, 2, Fraction(1, 3))),
+    ])
+    def test_matches_the_kind_builder(self, kind, params, direct):
+        spec = build_csv(0, 0)
+        bits = BitSeq.from_string("0110100010101100000", -9)
+        built = build_module(spec, kind, params, bits)
+        want = direct(spec, bits)
+        assert serialize_module(built) == serialize_module(want)
+        if kind == "rank1":
+            assert built == want
+        else:
+            assert all(
+                built.action(fam, i, m) == want.action(fam, i, m)
+                for fam in spec.families
+                for i in range(-2, 3)
+                for m in range(-3, 4)
+            )
+
+    def test_graded_vab_needs_bits(self):
+        with pytest.raises(ValueError, match="^a graded-vAb module needs a bitseq$"):
+            build_module(build_csv(0, 0), "graded-vAb", {})
+
+
 class TestSerialization:
     def test_rank1_round_trip(self):
         spec = build_csv(0, 0)
@@ -554,6 +588,35 @@ class TestSerialization:
         key = line.split()[1]
         assert str(err.value) == (
             f"bad param line: {line!r}: module {kind} has no param {key}; it reads {readable}"
+        )
+
+    @pytest.mark.parametrize("kind", ["rank1", "graded-vab"])
+    def test_bitseq_line_the_kind_does_not_read_is_refused(self, kind):
+        line = f"bitseq -9 : {'0' * 19}"
+        with pytest.raises(ValueError) as err:
+            parse_module(f"module {kind}\nfamilies L M Y\n{line}\n", build_csv(0, 0))
+        assert str(err.value) == f"bad bitseq line: {line!r}: module {kind} reads no bitseq"
+
+    def test_graded_vAb_text_without_bitseq_is_refused(self):
+        with pytest.raises(ValueError, match="^a graded-vAb module needs a bitseq$"):
+            parse_module("module graded-vAb\nfamilies L M Y\n", build_csv(0, 0))
+
+    @pytest.mark.parametrize("line", [
+        "module graded-vab", "families L M Y", "param alpha : 2", f"bitseq -9 : {'1' * 19}"
+    ])
+    def test_repeated_single_valued_line_is_refused(self, line):
+        text = f"module graded-vAb\nfamilies L M Y\nparam alpha : 1\nbitseq -9 : {'0' * 19}\n"
+        with pytest.raises(ValueError) as err:
+            parse_module(text + line + "\n", build_csv(0, 0))
+        head, _, rest = line.partition(" ")
+        tag = f"param {rest.split()[0]}" if head == "param" else head
+        assert str(err.value) == f"bad {head} line: {line!r}: {tag} is given twice"
+
+    def test_distinct_param_lines_are_kept(self):
+        spec = build_csv(0, 0)
+        text = "module rank1\nparam alpha : 1/2\nparam c : 2\n"
+        assert serialize_module(parse_module(text, spec)) == serialize_module(
+            build_rank1(spec, Fraction(1, 2), "sym", 2, 0)
         )
 
     def test_vab_round_trip(self):
