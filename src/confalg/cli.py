@@ -45,11 +45,14 @@ from .modules import (
 from .poly import GaussianRational, ParseError, parse_scalar
 from .report import CheckRecord, Report, timed_check
 from .suite import (
+    C4_ALGEBRAS,
+    C4_BOUND,
+    C4_WINDOW,
     CRITERIA,
     DEFAULT_SEED,
     EXTENSION_POINT,
+    c4_dichotomy,
     criterion_2,
-    criterion_4,
     expected_extra_dimension,
     expected_weights,
     graded_faults,
@@ -94,6 +97,13 @@ def _snapshot(args: argparse.Namespace, *keys: str) -> dict:
     return {key: str(value) for key in keys if (value := getattr(args, key)) is not None}
 
 
+def _algebra(args: argparse.Namespace) -> str:
+    """The ``--algebra`` value, which the command cannot run without."""
+    if args.algebra is None:
+        raise ConfigError(f"field 'algebra': required by {args.command}")
+    return args.algebra
+
+
 def _numeric(value: str, field: str) -> GaussianRational:
     parsed = parse_param(value, field)
     if parsed == "sym":
@@ -107,7 +117,7 @@ def _numeric(value: str, field: str) -> GaussianRational:
 
 
 def cmd_verify_axioms(args: argparse.Namespace) -> Report:
-    algebra = str(args.algebra)
+    algebra = _algebra(args)
     report = Report(
         command="verify-axioms",
         config=_snapshot(args, "algebra", "a", "b", "ap", "bp", "window", "seed"),
@@ -180,7 +190,7 @@ def _build_module(args: argparse.Namespace, spec):
 
 
 def cmd_check_module(args: argparse.Namespace) -> Report:
-    algebra = str(args.algebra)
+    algebra = _algebra(args)
     report = Report(
         command="check-module",
         config=_snapshot(args, "algebra", "a", "b", "kind", "base", "alpha", "beta", "c",
@@ -219,7 +229,7 @@ def _families_text(outcome) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> Report:
-    algebra = str(args.algebra)
+    algebra = _algebra(args)
     grid = parse_grid(args.grid, "grid")
     report = Report(
         command="classify",
@@ -292,17 +302,15 @@ def _step_failed(rec: CheckRecord, exc: StepFailed) -> None:
 
 
 def cmd_derivations(args: argparse.Namespace) -> Report:
-    algebra = str(args.algebra)
+    if args.task == "dichotomy":
+        return _dichotomy(args)
+    algebra = _algebra(args)
     grading = args.grading
     report = Report(
         command="derivations",
         config=_snapshot(args, "algebra", "task", "a", "b", "grading", "degree", "window",
                          "seed"),
     )
-    if args.task == "dichotomy":
-        for record in criterion_4():
-            report.add(record)
-        return report
     parse = parse_param if args.task == "dvec-check" else _numeric
     a, b = parse(args.a, "a"), parse(args.b, "b")
     spec = build_algebra(algebra, a=a, b=b)
@@ -344,6 +352,24 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
         dec = decompose(spec, ad(spec, x, window=args.window + 1), bound=args.degree)
         rec.passed = dec.x == x and not dec.q
         rec.status = f"x = {dec.x}; q = {dec.q}"
+    return report
+
+
+def _dichotomy(args: argparse.Namespace) -> Report:
+    """Criterion 4 on ``--algebra`` (csv or chv), or on both when it is not
+    given; the report's ``config`` holds the image degree and window that
+    criterion 4 solves at, which the dichotomy does not read from flags."""
+    if args.algebra is not None and args.algebra not in C4_ALGEBRAS:
+        raise ConfigError(
+            f"field 'algebra': the dichotomy runs on csv or chv, not {args.algebra!r}"
+        )
+    report = Report(
+        command="derivations",
+        config={**_snapshot(args, "algebra", "task"), "degree": str(C4_BOUND),
+                "window": str(C4_WINDOW)},
+    )
+    for name in [args.algebra] if args.algebra else C4_ALGEBRAS:
+        report.add(c4_dichotomy(name))
     return report
 
 
@@ -446,12 +472,14 @@ def _file_args(parser: argparse.ArgumentParser, command: str, path: str) -> list
 
     A key is the full name of one of the subcommand's flags, with ``_`` or
     ``-`` between words; any other key, ``config`` among them, is a
-    ``ConfigError``.  The ``=`` form keeps a value such as ``-9`` from
-    reading as a flag.
+    ``ConfigError``.  ``yaml.BaseLoader`` keeps each scalar as the text
+    written (``bitseq: 0110`` stays ``0110``, not an integer), so the flag
+    parser reads it as it reads the command line.  The ``=`` form keeps a
+    value such as ``-9`` from reading as a flag.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
+            loaded = yaml.load(fh, Loader=yaml.BaseLoader) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -62,6 +62,7 @@ the oracles the solve is tested against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping
@@ -427,8 +428,9 @@ def _family_pair_contributions(
     spec: AlgebraSpec,
     fam_x: str,
     fam_y: str,
-    powers: tuple[list[MPoly], list[MPoly], list[MPoly]],
+    powers: tuple[tuple[MPoly, ...], tuple[MPoly, ...], tuple[MPoly, ...]],
     local: dict[_Slot, int],
+    shared: dict[tuple, list[list[tuple]]],
 ) -> list[_Contribution]:
     """Index-free linearization of the Leibniz residual of (x_i, y_j).
 
@@ -442,11 +444,15 @@ def _family_pair_contributions(
     included) and ``powers`` holding d^p, (-(l+m))^p and (d+m)^p for the
     three terms.  So each T is multiplied by each power_p once, and the
     factor l^q only raises the l exponents of that product.
+
+    The terms of [(D x)_{l+m} y] read only the templates of (G, y), those
+    of [x _m (D y)] only the templates of (x, G); ``shared`` keeps them per
+    template pair for the other family pairs of one table build.
     """
     monos = _degree_monos(len(powers[0]) - 1)
     out: list[_Contribution] = []
 
-    def raised(template: MPoly, power: list[MPoly]) -> list[tuple]:
+    def raised(template: MPoly, power: tuple[MPoly, ...]) -> list[tuple]:
         """The terms of power_p * l^q * template, for each (p, q) in order."""
         products = [tuple((factor * template).terms.items()) for factor in power]
         return [
@@ -457,25 +463,33 @@ def _family_pair_contributions(
     def keyed(target: str, terms: tuple) -> tuple:
         return tuple(((target, mono), c) for mono, c in terms)
 
-    d_pow, neg_lm_pow, d_m_pow = powers
+    def side(which: int, pair: tuple[str, str], at: MPoly) -> list[list[tuple]]:
+        """Per template T of ``pair``, the keyed terms of -T at l -> ``at``,
+        raised by term ``which``'s powers, per monomial."""
+        key = (which, pair)
+        if key not in shared:
+            shared[key] = [
+                [keyed(tgt_h, t) for t in raised(-template.substitute(VAR_L, at), powers[which])]
+                for tgt_h, template in spec.table.get(pair) or ()
+            ]
+        return shared[key]
+
     # D([x _m y]): bracket templates at m, images shifted by l
     for tgt_f, template in spec.templates(fam_x, fam_y):
-        terms = raised(template.substitute(VAR_L, POLY_M).shift(VAR_D, POLY_L), d_pow)
+        terms = raised(template.substitute(VAR_L, POLY_M).shift(VAR_D, POLY_L), powers[0])
         for tgt_g in spec.families:
             for mono, t in zip(monos, terms):
                 out.append((0, local[(tgt_f, tgt_g, mono)], keyed(tgt_g, t)))
     # [(D x)_{l+m} y]: first-argument coefficients evaluated at d -> -(l+m)
     for fam_g in spec.families:
-        for tgt_h, template in spec.table.get((fam_g, fam_y)) or ():
-            terms = raised(-template.substitute(VAR_L, POLY_L_PLUS_M), neg_lm_pow)
+        for terms in side(1, (fam_g, fam_y), POLY_L_PLUS_M):
             for mono, t in zip(monos, terms):
-                out.append((1, local[(fam_x, fam_g, mono)], keyed(tgt_h, t)))
+                out.append((1, local[(fam_x, fam_g, mono)], t))
     # [x _m (D y)]: second-argument coefficients shifted d -> d + m
     for fam_g in spec.families:
-        for tgt_h, template in spec.table.get((fam_x, fam_g)) or ():
-            terms = raised(-template.substitute(VAR_L, POLY_M), d_m_pow)
+        for terms in side(2, (fam_x, fam_g), POLY_M):
             for mono, t in zip(monos, terms):
-                out.append((2, local[(fam_y, fam_g, mono)], keyed(tgt_h, t)))
+                out.append((2, local[(fam_y, fam_g, mono)], t))
     return out
 
 
@@ -507,20 +521,35 @@ def _pair_rows(
     return {key: row for key, row in buckets.items() if row}
 
 
+@functools.cache
+def _powers(bound: int) -> tuple[tuple[MPoly, ...], tuple[MPoly, ...], tuple[MPoly, ...]]:
+    """d^p, (-(l+m))^p and (d+m)^p for p <= ``bound``: constants of the
+    bound alone, built once per bound."""
+    return (
+        tuple(MPoly.var(VAR_D, p) for p in range(bound + 1)),
+        tuple((-POLY_L_PLUS_M) ** p for p in range(bound + 1)),
+        tuple((MPoly.var(VAR_D) + POLY_M) ** p for p in range(bound + 1)),
+    )
+
+
 def _contribution_table(
     spec: AlgebraSpec, bound: int, family_pairs: Iterable[tuple[str, str]]
 ) -> dict[tuple[str, str], list[_Contribution]]:
-    """The contributions of each family pair, built once per pair."""
-    powers = (
-        [MPoly.var(VAR_D, p) for p in range(bound + 1)],
-        [(-POLY_L_PLUS_M) ** p for p in range(bound + 1)],
-        [(MPoly.var(VAR_D) + POLY_M) ** p for p in range(bound + 1)],
-    )
+    """The contributions of each family pair, built once per pair.
+
+    The terms of [(D x)_{l+m} y] and [x _m (D y)] are built once per
+    template pair and shared by every family pair of this table that reads
+    them (in ``_lzero_kernel`` every pair is (L, y), so the (L, G) terms are
+    built once, not once per y); they are dropped with the table build.
+    The powers are ``_powers(bound)``.
+    """
+    powers = _powers(bound)
     local = _index_slots(spec.families, bound)
+    shared: dict[tuple, list[list[tuple]]] = {}
     table: dict[tuple[str, str], list[_Contribution]] = {}
     for pair in family_pairs:
         if pair not in table:
-            table[pair] = _family_pair_contributions(spec, *pair, powers, local)
+            table[pair] = _family_pair_contributions(spec, *pair, powers, local, shared)
     return table
 
 
@@ -558,10 +587,8 @@ def _leibniz_system(
     return coords, rows
 
 
-def _lzero_kernel(
-    spec: AlgebraSpec, coords: _Coords
-) -> tuple[list[SparseRow], list[SparseRow] | None]:
-    """Kernels of block 0 and of B, the two blocks of the lzero Leibniz system.
+def _lzero_blocks(spec: AlgebraSpec, coords: _Coords) -> tuple[list[SparseRow], list[SparseRow]]:
+    """Block 0 and B, the two blocks of the lzero Leibniz system.
 
     For j != 0 the rows of the pairs (L_0, y_j) touch only the L-source
     columns at index 0 (A) and the index-j columns (B), and they are the
@@ -576,9 +603,9 @@ def _lzero_kernel(
     ``coords`` is the window-0 layout.  The rows of (L_0, y_1) are built
     once on it, their index-1 columns being the next n: B is their index-1
     part, block 0 the same rows with the index-1 columns folded onto index
-    0.  Both kernels are on the n index-0 columns.  An algebra restricted
-    to index 0 has no index 1 and so no B (None); the fold still gives its
-    block 0, as an identity of the rows' polynomials.
+    0.  Both are on the n index-0 columns.  An algebra restricted to index
+    0 has no index 1 and so no B; the fold still gives its block 0, as an
+    identity of the rows' polynomials.
     """
     n = coords.n
     table = _contribution_table(spec, coords.bound, (("L", fam) for fam in spec.families))
@@ -592,9 +619,18 @@ def _lzero_kernel(
                 folded[k] = folded[k] + value if k in folded else value
             block_0.append({k: v for k, v in folded.items() if v})
             block_b.append({col - n: v for col, v in row.items() if col >= n})
+    return block_0, block_b
+
+
+def _lzero_kernel(
+    spec: AlgebraSpec, coords: _Coords
+) -> tuple[list[SparseRow], list[SparseRow] | None]:
+    """Kernels of block 0 and of B (``_lzero_blocks``) on the n index-0
+    columns; None for B of an algebra restricted to index 0."""
+    block_0, block_b = _lzero_blocks(spec, coords)
 
     def kernel(rows: list[SparseRow]) -> list[SparseRow]:
-        return list(reduce_rows([r for r in rows if r], None, n).kernel_vectors().values())
+        return list(reduce_rows([r for r in rows if r], None, coords.n).kernel_vectors().values())
 
     return kernel(block_0), None if spec.index0_only else kernel(block_b)
 
@@ -623,19 +659,35 @@ def inner_window_vectors(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
 class DerivationSolveResult:
     """Kernel of the graded Leibniz system with its inner comparison.
 
-    ``kernel0_dimension`` and ``kernel_b_dimension`` are dim ker(block 0)
-    and dim ker B (None for an algebra restricted to index 0, which has no
-    B); ``inner_rank`` is the rank of the index-0 inner patterns, which is
-    the inner rank at every window.
+    The result keeps the kernel vectors of block 0 and of B on the n
+    index-0 columns of the window-0 layout ``coords`` (``kernel_b`` is None
+    for an algebra restricted to index 0, which has no B);
+    ``kernel0_dimension`` and ``kernel_b_dimension`` are their counts, and
+    ``dimension`` is dim ker(block 0) + 2 * window * dim ker B.
+    ``inner_rank`` is the rank of the index-0 inner patterns, which is the
+    inner rank at every window.  ``basis`` is built from the kernel vectors
+    on its first read; no verdict reads it.
     """
 
     degree: int
-    dimension: int
+    window: int
     inner_rank: int
-    kernel0_dimension: int
-    kernel_b_dimension: int | None
-    basis: list[DerivationSpec]
     scope_note: str
+    coords: _Coords = field(repr=False)
+    kernel_0: list[SparseRow] = field(repr=False)
+    kernel_b: list[SparseRow] | None = field(repr=False)
+
+    @property
+    def kernel0_dimension(self) -> int:
+        return len(self.kernel_0)
+
+    @property
+    def kernel_b_dimension(self) -> int | None:
+        return None if self.kernel_b is None else len(self.kernel_b)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.kernel_0) + 2 * self.window * len(self.kernel_b or ())
 
     @property
     def extra_dimension(self) -> int:
@@ -645,6 +697,22 @@ class DerivationSolveResult:
     def every_window(self) -> bool:
         """ker B = 0: dimension and inner rank are the same at every window."""
         return self.kernel_b_dimension == 0
+
+    @functools.cached_property
+    def basis(self) -> list[DerivationSpec]:
+        """Each block-0 kernel vector, read as an index-0 pattern and
+        relabelled to every index of the window, then each ker-B vector
+        placed at each j != 0."""
+        coords, window = self.coords, self.window
+        spec = coords.spec
+
+        def at0(vec: SparseRow) -> dict[str, GenPoly]:
+            return {fam: image for (fam, _), image in coords.derivation_of(vec).images.items()}
+
+        basis = [_uniform(spec, at0(x0), window, self.degree) for x0 in self.kernel_0]
+        basis.extend(_uniform(spec, at0(y), window, self.degree, (j,))
+                     for j in range(-window, window + 1) if j for y in self.kernel_b or ())
+        return basis
 
 
 def _refuse_negative(**values: int) -> None:
@@ -691,13 +759,6 @@ def solve_graded_derivations(
     inner_rank = reduce_rows(patterns, None, coords.n).rank
     if reduce_rows(ker_0 + patterns, None, coords.n).rank != len(ker_0):
         raise AssertionError("inner derivations escaped the solved kernel")
-
-    def at0(vec: SparseRow) -> dict[str, GenPoly]:
-        return {fam: image for (fam, _), image in coords.derivation_of(vec).images.items()}
-
-    basis = [_uniform(spec, at0(x0), window, degree) for x0 in ker_0]
-    basis.extend(_uniform(spec, at0(y), window, degree, (j,))
-                 for j in range(-window, window + 1) if j for y in ker_b or ())
     if ker_b == []:
         note = (
             "certified for every window (ker B = 0, so the dimension and the "
@@ -713,15 +774,9 @@ def solve_graded_derivations(
         )
         if ker_b:
             note += f"; dim ker B = {len(ker_b)}, so the dimension grows with the window"
-    return DerivationSolveResult(
-        degree=degree,
-        dimension=len(ker_0) + 2 * window * len(ker_b or ()),
-        inner_rank=inner_rank,
-        kernel0_dimension=len(ker_0),
-        kernel_b_dimension=None if ker_b is None else len(ker_b),
-        basis=basis,
-        scope_note=note,
-    )
+    return DerivationSolveResult(degree=degree, window=window, inner_rank=inner_rank,
+                                 scope_note=note, coords=coords, kernel_0=ker_0,
+                                 kernel_b=ker_b)
 
 
 # ---------------------------------------------------------------------------

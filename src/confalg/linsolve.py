@@ -6,6 +6,9 @@ vector of polynomials plus the scalar kernel of ``A``.
 
 Internally rows are sparse ``{column: coefficient}`` dictionaries; the
 systems produced by the derivation solver are large but extremely sparse.
+``reduce_rows`` keeps the pivot rows fully reduced with a column index
+(each non-pivot column -> the pivot rows that hold it), so a new pivot
+reduces only the rows that hold its column, not every pivot row.
 """
 
 from __future__ import annotations
@@ -68,60 +71,71 @@ def reduce_rows(
     rhs: Sequence[MPoly] | None,
     ncols: int,
 ) -> Echelon:
-    """Run sparse Gauss-Jordan elimination; raises Inconsistent on 0 = rhs."""
+    """Run sparse Gauss-Jordan elimination; raises Inconsistent on 0 = rhs.
+
+    Rows hold no zero entries.  Pivot rows stay fully reduced: besides its
+    pivot a pivot row holds non-pivot columns only.  So one pass over the
+    pivot columns an incoming row hits clears them all, and a new pivot
+    needs to reduce only the pivot rows that hold its column, which
+    ``holders`` (non-pivot column -> pivot columns whose rows hold it)
+    lists; it is updated wherever a pivot-row entry is created or cancels.
+    With no ``rhs`` no right-hand side arithmetic is done.
+    """
     pivots: dict[int, SparseRow] = {}
     pivot_rhs: dict[int, MPoly] = {}
+    holders: dict[int, set[int]] = {}
     zero_poly = MPoly.zero()
     for k, incoming in enumerate(rows):
         row = dict(incoming)
         b = rhs[k] if rhs is not None else zero_poly
-        while True:
-            hit = [c for c in row if c in pivots]
-            if not hit:
-                break
-            for col in hit:
-                factor = row.pop(col, None)
-                if not factor:
+        for col in [c for c in row if c in pivots]:
+            factor = row.pop(col)
+            for c2, v2 in pivots[col].items():
+                if c2 == col:
                     continue
-                prow = pivots[col]
-                for c2, v2 in prow.items():
-                    if c2 == col:
-                        continue
-                    acc = row.get(c2)
-                    s = (-factor * v2) if acc is None else acc - factor * v2
-                    if s:
-                        row[c2] = s
-                    elif acc is not None:
-                        del row[c2]
-                pb = pivot_rhs[col]
-                if pb:
-                    b = b - pb.scale(factor)
+                acc = row.get(c2)
+                s = (-factor * v2) if acc is None else acc - factor * v2
+                if s:
+                    row[c2] = s
+                elif acc is not None:
+                    del row[c2]
+            pb = pivot_rhs[col]
+            if pb:
+                b = b - pb.scale(factor)
         if not row:
             if not b.is_zero():
                 raise Inconsistent("linear system has no solution")
             continue
         col = min(row)
-        inv = ONE / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        b = b.scale(inv)
-        # keep existing pivot rows fully reduced against the new pivot
-        for piv, prow in pivots.items():
-            coeff = prow.get(col)
-            if not coeff:
-                continue
+        lead = row[col]
+        if lead != ONE:
+            inv = ONE / lead
+            row = {c: v * inv for c, v in row.items()}
+            if b:
+                b = b.scale(inv)
+        for c2 in row:
+            if c2 != col:
+                holders.setdefault(c2, set()).add(col)
+        # keep the pivot rows that hold the new pivot column fully reduced
+        for piv in holders.pop(col, ()):
+            prow = pivots[piv]
+            coeff = prow.pop(col)
             for c2, v2 in row.items():
                 if c2 == col:
-                    del prow[col]
                     continue
                 acc = prow.get(c2)
-                s = (-coeff * v2) if acc is None else acc - coeff * v2
+                if acc is None:
+                    prow[c2] = -coeff * v2
+                    holders[c2].add(piv)
+                    continue
+                s = acc - coeff * v2
                 if s:
                     prow[c2] = s
-                elif acc is not None:
+                else:
                     del prow[c2]
-            nb = b
-            if nb:
-                pivot_rhs[piv] = pivot_rhs[piv] - nb.scale(coeff)
+                    holders[c2].discard(piv)
+            if b:
+                pivot_rhs[piv] = pivot_rhs[piv] - b.scale(coeff)
         pivots[col] = row
         pivot_rhs[col] = b
     return Echelon(ncols=ncols, pivots=pivots, pivot_rhs=pivot_rhs)

@@ -229,6 +229,53 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "c1-axioms" in out and "c8-witness-found" in out
 
+    @pytest.mark.parametrize("command", [
+        ["verify-axioms"],
+        ["check-module", "--a", "0", "--b", "0"],
+        ["classify", "--grid", "0,0"],
+        ["derivations"],
+        ["derivations", "--task", "dvec-check"],
+        ["derivations", "--task", "solve", "--a", "1", "--b", "0"],
+        ["derivations", "--task", "decompose", "--a", "1", "--b", "0"],
+    ], ids=["verify-axioms", "check-module", "classify", "derivations", "dvec-check",
+            "solve", "decompose"])
+    def test_missing_algebra_is_refused(self, capsys, command):
+        assert main(command) == 2
+        assert capsys.readouterr().err == (
+            f"config error: field 'algebra': required by {command[0]}\n"
+        )
+
+    def test_dichotomy_runs_the_given_algebra_at_criterion_4_settings(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        assert main(["derivations", "--task", "dichotomy", "--algebra", "chv",
+                     "--report", str(path), "--format", "json"]) == 0
+        data = json.loads(path.read_text())
+        assert [check["check_id"] for check in data["checks"]] == ["c4-dichotomy-chv"]
+        assert data["config"] == {
+            "algebra": "chv", "task": "dichotomy", "degree": "4", "window": "2",
+        }
+        assert "summary: 1/1 passed" in capsys.readouterr().out
+
+    def test_dichotomy_without_algebra_runs_both(self, capsys, monkeypatch):
+        ran = []
+
+        def record(name):
+            ran.append(name)
+            return cli.CheckRecord(f"c4-dichotomy-{name}", "", status="", passed=True)
+
+        monkeypatch.setattr(cli, "c4_dichotomy", record)
+        assert main(["derivations", "--task", "dichotomy"]) == 0
+        assert ran == ["csv", "chv"]
+        out = capsys.readouterr().out
+        assert '"degree": "4"' in out and '"window": "2"' in out
+
+    @pytest.mark.parametrize("algebra", ["sv", "cw", "mfam"])
+    def test_dichotomy_refuses_other_algebras(self, capsys, algebra):
+        assert main(["derivations", "--task", "dichotomy", "--algebra", algebra]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: field 'algebra': the dichotomy runs on csv or chv, not {algebra!r}\n"
+        )
+
 
 class TestConfigAndReports:
     def test_config_file_with_cli_override(self, tmp_path, capsys):
@@ -319,6 +366,20 @@ class TestConfigAndReports:
             outputs.append((code, out, data))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0
+
+    @pytest.mark.parametrize("bits", ["0110100010101100000", "0000000000000000000"])
+    def test_config_scalars_reach_the_flag_parser_as_written(self, tmp_path, capsys, bits):
+        # unquoted, YAML's own typing would read these as integers
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "algebra: csv\na: 0\nb: 0\nkind: graded\nbase: vAb\n"
+            f"bitseq: {bits}\ngen_bound: 2\nwindow: 3\n"
+        )
+        path = tmp_path / "r.json"
+        assert main(["check-module", "--config", str(cfg), "--report", str(path),
+                     "--format", "json"]) == 0
+        config = json.loads(path.read_text())["config"]
+        assert (config["bitseq"], config["gen_bound"]) == (bits, "2")
 
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

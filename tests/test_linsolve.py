@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from confalg.catalog import build_chv, build_csv
+from confalg.derivations import _lzero_blocks, _make_coords, inner_window_vectors
 from confalg.linsolve import linear_solve, reduce_rows
 from confalg.poly import GaussianRational, Inconsistent, MPoly, parse_poly
 
@@ -81,3 +83,122 @@ def test_kernel_vectors_are_sparse_kernel_basis():
     }
     dense = [[vec.get(j, GaussianRational.of(0)) for j in range(4)] for vec in vectors.values()]
     assert ech.kernel_basis() == dense
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle for reduce_rows: literal dense Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def dense_gauss_jordan(rows, rhs, ncols):
+    """Rows in order, each dense over ``ncols`` columns and reduced by every
+    pivot row; its first nonzero column is the new pivot, which is then
+    cleared from every earlier pivot row.  No sparse index.  Returns the
+    pivot rows (sparse, in pivot order) and their right-hand sides."""
+    zero = GaussianRational.of(0)
+    done = {}
+    for k, sparse in enumerate(rows):
+        row = [sparse.get(c, zero) for c in range(ncols)]
+        b = rhs[k] if rhs is not None else MPoly.zero()
+        for p, (prow, pb) in done.items():
+            f = row[p]
+            if f:
+                row = [x - f * y for x, y in zip(row, prow)]
+                b = b - pb.scale(f)
+        lead = next((c for c in range(ncols) if row[c]), None)
+        if lead is None:
+            if not b.is_zero():
+                raise Inconsistent("0 = rhs")
+            continue
+        inv = GaussianRational.of(1) / row[lead]
+        row, b = [x * inv for x in row], b.scale(inv)
+        for p, (prow, pb) in done.items():
+            f = prow[lead]
+            if f:
+                done[p] = ([x - f * y for x, y in zip(prow, row)], pb - b.scale(f))
+        done[lead] = (row, b)
+    pivots = {p: {c: v for c, v in enumerate(prow) if v} for p, (prow, _) in done.items()}
+    return pivots, {p: b for p, (_, b) in done.items()}
+
+
+def _gauss(rng):
+    return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+
+
+def random_system(rng):
+    """Sparse rows with Gaussian entries, some empty, some combinations of
+    earlier rows; a polynomial rhs (consistent or not) or none."""
+    ncols = rng.randint(1, 10)
+    rows = []
+    for _ in range(rng.randint(0, 14)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+            continue
+        if kind < 0.4 and rows:
+            terms = [(_gauss(rng), rng.choice(rows)) for _ in range(2)]
+            cols = {c for _, r in terms for c in r}
+            row = {c: sum((x * r[c] for x, r in terms if c in r), GaussianRational.of(0))
+                   for c in cols}
+        else:
+            row = {c: _gauss(rng) for c in range(ncols) if rng.random() < 0.4}
+        rows.append({c: v for c, v in sorted(row.items()) if v})
+    shape = rng.random()
+    if shape < 0.4:
+        return rows, None, ncols
+    x = [parse_poly(f"{rng.randint(-2, 2)}*a + {rng.randint(-2, 2)}*b*i") for _ in range(ncols)]
+    rhs = [sum((x[c].scale(v) for c, v in row.items()), MPoly.zero()) for row in rows]
+    if shape < 0.7 and rhs:
+        k = rng.randrange(len(rhs))
+        rhs[k] = rhs[k] + parse_poly(f"{rng.randint(-1, 1)} + {rng.randint(0, 1)}*a")
+    return rows, rhs, ncols
+
+
+def assert_matches_oracle(rows, rhs, ncols):
+    """``reduce_rows`` gives the oracle's pivots (in key order) and rhs, or
+    raises ``Inconsistent`` exactly when it does.  Returns True when both
+    raised."""
+    try:
+        want = dense_gauss_jordan(rows, rhs, ncols)
+    except Inconsistent:
+        with pytest.raises(Inconsistent):
+            reduce_rows(rows, rhs, ncols)
+        return True
+    ech = reduce_rows(rows, rhs, ncols)
+    assert list(ech.pivots) == list(want[0])
+    assert ech.pivots == want[0]
+    assert ech.pivot_rhs == want[1]
+    return False
+
+
+def test_reduce_rows_matches_dense_gauss_jordan_on_seeded_systems():
+    rng = random.Random(2021)
+    shapes = {"inconsistent": 0, "rank deficient": 0, "no rhs": 0}
+    for _ in range(1200):
+        rows, rhs, ncols = random_system(rng)
+        before = [dict(r) for r in rows]
+        if assert_matches_oracle(rows, rhs, ncols):
+            shapes["inconsistent"] += 1
+        else:
+            rank = reduce_rows(rows, None, ncols).rank
+            shapes["rank deficient"] += rank < sum(1 for r in rows if r)
+        shapes["no rhs"] += rhs is None
+        assert rows == before          # the input rows are not changed
+    assert all(count >= 100 for count in shapes.values()), shapes
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(1, 0), (GaussianRational(Fraction(1, 2), 1), GaussianRational(2, -1))],
+    ids=["a1", "gauss"],
+)
+@pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+def test_reduce_rows_matches_dense_gauss_jordan_on_criterion_4_blocks(builder, weights):
+    # block 0, B and the inner patterns of the degree-0 solve at bound 4
+    spec = builder(*weights)
+    coords = _make_coords(spec, 0, 4, 0)
+    block_0, block_b = _lzero_blocks(spec, coords)
+    patterns = inner_window_vectors(spec, coords)
+    kernel = list(reduce_rows(block_0, None, coords.n).kernel_vectors().values())
+    for rows in (block_0, block_b, patterns, kernel + patterns):
+        assert not assert_matches_oracle(rows, None, coords.n)
