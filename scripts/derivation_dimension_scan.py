@@ -8,6 +8,7 @@ exactly on the a = 1 line.
 Usage: python scripts/derivation_dimension_scan.py [csv|chv] [bound] [window]
 """
 
+import argparse
 import sys
 
 from confalg.catalog import build_chv, build_csv
@@ -15,11 +16,17 @@ from confalg.derivations import solve_graded_derivations
 from confalg.suite import DERIVATION_GRID_A, DERIVATION_GRID_B
 
 
-def main() -> int:
-    algebra = sys.argv[1] if len(sys.argv) > 1 else "csv"
-    bound = int(sys.argv[2]) if len(sys.argv) > 2 else 4
-    window = int(sys.argv[3]) if len(sys.argv) > 3 else 2
-    builder = {"csv": build_csv, "chv": build_chv}[algebra]
+BUILDERS = {"csv": build_csv, "chv": build_chv}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("algebra", nargs="?", default="csv", choices=sorted(BUILDERS))
+    parser.add_argument("bound", nargs="?", type=int, default=4, help="image degree bound")
+    parser.add_argument("window", nargs="?", type=int, default=2, help="index window")
+    args = parser.parse_args(argv)
+    algebra, bound, window = args.algebra, args.bound, args.window
+    builder = BUILDERS[algebra]
     print(f"{algebra}: image degree <= {bound}, window |i| <= {window}")
     print(f"{'a':>6} {'b':>4} {'deg':>4} {'dim':>4} {'inner':>6} {'extra':>6}")
     for a in DERIVATION_GRID_A:

@@ -248,13 +248,18 @@ def _dfree_yy_vanishes(degree_bound: int) -> bool:
 def weight_equation_kernel(A: GaussianRational, B: GaussianRational, degree_bound: int) -> list[MPoly]:
     """Kernel of ``(A l - m + B) p(l+m) + m p(m) = 0`` for deg p <= bound.
 
-    Returns a basis of solutions as polynomials in ``l``.
+    Returns a basis of solutions as polynomials in ``l``.  The column of
+    ``l^q`` is ``w (l+m)^q + m^(q+1)``; ``(l+m)^q`` is carried from one q
+    to the next with one product, and ``m^(q+1)`` is a single term.
     """
     w = POLY_L.scale(A) - POLY_M + MPoly.const(B)
     cols = degree_bound + 1
     rows: dict[tuple, SparseRow] = {}
+    power = MPoly.const(1)                  # (l+m)^q
     for q in range(cols):
-        contribution = w * POLY_L_PLUS_M**q + POLY_M * POLY_M**q
+        if q:
+            power = power * POLY_L_PLUS_M
+        contribution = w * power + MPoly.var(VAR_M, q + 1)
         for mono, coeff in contribution.terms.items():
             rows.setdefault(mono, {})[q] = coeff
     ech = reduce_rows(list(rows.values()), None, cols)

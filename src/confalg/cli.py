@@ -5,8 +5,11 @@ derivations, paper-suite.  Options may come from a YAML config file
 (``--config``) whose keys are the subcommand's flag names; its entries are
 parsed as flags, placed before the command line's own, so they are checked
 as flags are and command-line flags override them.  Defaults are the
-parser's.  Reports print as text and can be written to a file as text or
-JSON; the exit code is 0 exactly when every check in the report passed.
+parser's, except for the ``derivations`` options that criterion 4 fixes
+(``C4_FIXED``): ``--task dichotomy`` refuses them, and the other tasks fill
+them from ``DEFAULTS``.  Reports print as text and can be written to a
+file as text or JSON; the exit code is 0 exactly when every check in the
+report passed.
 """
 
 from __future__ import annotations
@@ -178,6 +181,8 @@ def cmd_solve_construction(args: argparse.Namespace) -> Report:
 def _build_module(args: argparse.Namespace, spec):
     kind = "rank1" if args.kind == "rank1" else f"graded-{args.base}"
     bits = None
+    if kind != "graded-vAb" and args.bitseq is not None:
+        raise ConfigError(f"field 'bitseq': module {kind} reads no bitseq")
     if kind == "graded-vAb":
         if not args.bitseq:
             raise ConfigError("field 'bitseq': required for the vAb base")
@@ -304,6 +309,9 @@ def _step_failed(rec: CheckRecord, exc: StepFailed) -> None:
 def cmd_derivations(args: argparse.Namespace) -> Report:
     if args.task == "dichotomy":
         return _dichotomy(args)
+    for key in C4_FIXED:
+        if getattr(args, key) is None:
+            setattr(args, key, DEFAULTS[key])
     algebra = _algebra(args)
     grading = args.grading
     report = Report(
@@ -355,10 +363,23 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
     return report
 
 
+#: the ``derivations`` options that criterion 4 fixes, so the dichotomy
+#: refuses them; the parser leaves them unset and the other tasks take
+#: their ``DEFAULTS`` in ``cmd_derivations``
+C4_FIXED = ("a", "b", "degree", "window", "grading", "seed")
+
+
 def _dichotomy(args: argparse.Namespace) -> Report:
     """Criterion 4 on ``--algebra`` (csv or chv), or on both when it is not
     given; the report's ``config`` holds the image degree and window that
-    criterion 4 solves at, which the dichotomy does not read from flags."""
+    criterion 4 solves at.  A ``C4_FIXED`` option given is refused."""
+    for key in C4_FIXED:
+        if getattr(args, key) is not None:
+            raise ConfigError(
+                f"field {key!r}: c4 fixes it; the dichotomy runs criterion 4 over its "
+                f"weight grid and degrees -1..1 at image degree {C4_BOUND} and window "
+                f"{C4_WINDOW}"
+            )
     if args.algebra is not None and args.algebra not in C4_ALGEBRAS:
         raise ConfigError(
             f"field 'algebra': the dichotomy runs on csv or chv, not {args.algebra!r}"
@@ -423,9 +444,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_options(defaults: dict) -> argparse.ArgumentParser:
+    """The options every subcommand takes, with ``defaults``."""
     common = argparse.ArgumentParser(add_help=False)
-    common.set_defaults(**DEFAULTS)
+    common.set_defaults(**defaults)
     common.add_argument("--config", help="YAML config file (CLI flags override it)")
     common.add_argument("--algebra", choices=ALGEBRA_IDS)
     common.add_argument("--a", help="rational p/q, Gaussian p/q+r/si, or 'sym'")
@@ -438,7 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--report", help="write the report to this path")
     common.add_argument("--format", choices=("text", "json"))
+    return common
 
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_options(DEFAULTS)
     parser = argparse.ArgumentParser(
         prog="confalg",
         description="exact verification toolkit for Schroedinger-Virasoro "
@@ -459,7 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--base", choices=("vab", "vAb", "both"))
     cl.add_argument("--grid")
     cl.add_argument("--bitseqs", type=int, help="number of seeded random bit sequences")
-    dv = sub.add_parser("derivations", parents=[common])
+    # the options criterion 4 fixes stay unset here, so the dichotomy can
+    # tell a given one from a default
+    dv = sub.add_parser("derivations", parents=[
+        _common_options({k: v for k, v in DEFAULTS.items() if k not in C4_FIXED})
+    ])
     dv.add_argument("--task", choices=("dvec-check", "solve", "dichotomy", "decompose"))
     dv.add_argument("--grading", type=int, help="grading degree of the derivation")
     ps = sub.add_parser("paper-suite", parents=[common])

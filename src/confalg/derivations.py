@@ -900,7 +900,8 @@ def parse_derivation(text: str) -> DerivationSpec:
             families = tuple(rest.split())
         elif head == "window":
             window = _line_int(rest, head, line)
-            _refuse_negative(window=window)
+            if window < 0:
+                raise ValueError(f"bad window line: {line!r}: window must be >= 0, got {window}")
         elif head == "degree":
             degree = _line_int(rest, head, line)
         elif head == "image":

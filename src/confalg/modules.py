@@ -18,8 +18,10 @@ bracket templates are index-free.  So it is a function of the family pair
 and those action polynomials alone, and the stream computes it once per
 distinct such input and reuses it for every instance that shares the
 input.  The stream also reads each action once and forms the bracket heads
-once per family pair, and the oracle computes each variable change of a
-table value once per call.  Every such memo ends with its stream or call.
+once per family pair.  The oracle reads and counts every sample, and
+computes each distinct (relation, table values it reads) once per call,
+and each variable change of a table value once per call.  Every such memo
+ends with its stream or call.
 
 Graded actions ``F_i . v_m = T_F(i, m)(d, l) * v_{i+m}`` are checked on an
 explicit index window.  Rank-one actions have the form
@@ -459,22 +461,17 @@ def relations_oracle(
     ``module_residuals`` or ``two_action_difference``, so it is an
     independent cross-check of the generic axiom checker.
 
-    It evaluates and counts every (relation, i, j, m) sample.  The tables
-    take few distinct values, so each of the four variable changes below is
-    computed once per call for each distinct table value it meets.
+    It reads and counts every (relation, i, j, m) sample.  Each relation is
+    a function of the table values it reads: LM and LY read x(j, m),
+    y(i, j+m), z(i, m), w(j, i+m) and t(i+j, m); MM and MY read the first
+    four; YY reads four h-values and g(i+j, m).  The tables take few
+    distinct values, so each relation is computed once per call for each
+    distinct tuple of the values it reads, and each of the four variable
+    changes below once per call for each distinct table value it meets.
     """
     pa = as_param(a, "a")
     pb = as_param(b, "b")
     half = Fraction(1, 2)
-
-    def f(i: int, m: int) -> MPoly:
-        return module.action("L", i, m)
-
-    def g(i: int, m: int) -> MPoly:
-        return module.action("M", i, m)
-
-    def h(i: int, m: int) -> MPoly:
-        return module.action("Y", i, m)
 
     def at_mu_shift(p: MPoly) -> MPoly:     # p(d+l, m')
         return _as_bracket_var(p, VAR_M).shift(VAR_D, POLY_L)
@@ -490,19 +487,32 @@ def relations_oracle(
 
     changed: dict[tuple[Callable[[MPoly], MPoly], MPoly], MPoly] = {}
 
-    def at(change: Callable[[MPoly], MPoly], table: CoeffFn, i: int, m: int) -> MPoly:
-        """``change`` applied to ``table(i, m)``, memoised by the change and
-        the table value for the rest of this call."""
-        value = table(i, m)
+    def at(change: Callable[[MPoly], MPoly], value: MPoly) -> MPoly:
+        """``change`` applied to ``value``, memoised by the change and the
+        value for the rest of this call."""
         key = (change, value)
         out = changed.get(key)
         if out is None:
             out = changed[key] = change(value)
         return out
 
+    def actions(x: MPoly, y: MPoly, z: MPoly, w: MPoly) -> MPoly:
+        # x(d+l, m') y(d, l) - z(d+m', l) w(d, m')
+        return at(at_mu_shift, x) * y - at(d_plus_mu, z) * at(at_mu, w)
+
     w_lm = (pa - 1) * POLY_L - POLY_M + pb
     w_ly = pa.scale(half) * POLY_L - POLY_M + pb.scale(half)
+    w_yy = POLY_L - POLY_M
+    relations: dict[str, Callable[..., MPoly]] = {
+        "LM": lambda x, y, z, w, t: actions(x, y, z, w) - w_lm * at(at_sum, t),
+        "MM": actions,
+        "LY": lambda x, y, z, w, t: actions(x, y, z, w) - w_ly * at(at_sum, t),
+        "YY": lambda x, y, z, w, t: actions(x, y, z, w) - w_yy * at(at_sum, t),
+        "MY": actions,
+    }
     has_y = "Y" in module.families
+    act = module.action
+    computed: dict[tuple[str, tuple[MPoly, ...]], MPoly] = {}
 
     report = ModuleReport(module_kind=f"oracle:{module.kind}")
     gen_range = range(-k_gen, k_gen + 1)
@@ -510,31 +520,24 @@ def relations_oracle(
     for i in gen_range:
         for j in gen_range:
             for m in basis_range:
-                fm_shift = at(d_plus_mu, f, i, m)
-                rel: dict[str, MPoly] = {}
-                rel["LM"] = (
-                    at(at_mu_shift, g, j, m) * f(i, j + m)
-                    - fm_shift * at(at_mu, g, j, i + m)
-                    - w_lm * at(at_sum, g, i + j, m)
-                )
-                rel["MM"] = at(at_mu_shift, g, j, m) * g(i, j + m) - at(
-                    d_plus_mu, g, i, m
-                ) * at(at_mu, g, j, i + m)
+                f_i_jm, f_im = act("L", i, j + m), act("L", i, m)
+                g_jm, g_i_jm = act("M", j, m), act("M", i, j + m)
+                g_im, g_j_im, g_ij_m = act("M", i, m), act("M", j, i + m), act("M", i + j, m)
+                reads = {
+                    "LM": (g_jm, f_i_jm, f_im, g_j_im, g_ij_m),
+                    "MM": (g_jm, g_i_jm, g_im, g_j_im),
+                }
                 if has_y:
-                    rel["LY"] = (
-                        at(at_mu_shift, h, j, m) * f(i, j + m)
-                        - fm_shift * at(at_mu, h, j, i + m)
-                        - w_ly * at(at_sum, h, i + j, m)
-                    )
-                    rel["YY"] = (
-                        at(at_mu_shift, h, j, m) * h(i, j + m)
-                        - at(d_plus_mu, h, i, m) * at(at_mu, h, j, i + m)
-                        - (POLY_L - POLY_M) * at(at_sum, g, i + j, m)
-                    )
-                    rel["MY"] = at(at_mu_shift, h, j, m) * g(i, j + m) - at(
-                        d_plus_mu, g, i, m
-                    ) * at(at_mu, h, j, i + m)
-                for name, residual in rel.items():
+                    h_jm, h_i_jm = act("Y", j, m), act("Y", i, j + m)
+                    h_im, h_j_im = act("Y", i, m), act("Y", j, i + m)
+                    reads["LY"] = (h_jm, f_i_jm, f_im, h_j_im, act("Y", i + j, m))
+                    reads["YY"] = (h_jm, h_i_jm, h_im, h_j_im, g_ij_m)
+                    reads["MY"] = (h_jm, g_i_jm, g_im, h_j_im)
+                for name, values in reads.items():
+                    key = (name, values)
+                    residual = computed.get(key)
+                    if residual is None:
+                        residual = computed[key] = relations[name](*values)
                     report.checked += 1
                     if not residual.is_zero():
                         report.residuals[(name, i, j, m)] = residual
@@ -757,12 +760,14 @@ def parse_module(text: str, spec: AlgebraSpec) -> Rank1Module | GradedModule:
     families: tuple[str, ...] = ()
     params: dict[str, tuple[MPoly, str]] = {}
     bits: BitSeq | None = None
-    bits_line = ""
+    kind_line = families_line = bits_line = ""
     for head, rest, line in text_lines(text, ("module", "families", "bitseq")):
         if head == "module":
             kind = rest.strip()
+            kind_line = line
         elif head == "families":
             families = tuple(rest.split())
+            families_line = line
         elif head == "param":
             key, _, value = rest.partition(":")
             key = key.strip()
@@ -779,10 +784,18 @@ def parse_module(text: str, spec: AlgebraSpec) -> Rank1Module | GradedModule:
         else:
             raise ValueError(f"unknown directive {head!r} in module text")
     if families and set(families) != set(spec.families):
-        raise ValueError("module families do not match the algebra")
+        raise ValueError(
+            f"bad families line: {families_line!r}: module families do not match the "
+            f"algebra's {' '.join(spec.families)}"
+        )
     readable = MODULE_PARAMS.get(kind)
     if readable is None:
-        raise ValueError(f"unknown module kind {kind!r}")
+        if not kind_line:
+            raise ValueError("module text has no module line")
+        raise ValueError(
+            f"bad module line: {kind_line!r}: unknown module kind {kind!r}; "
+            f"the kinds are {', '.join(MODULE_PARAMS)}"
+        )
     for key, (_, line) in params.items():
         if key not in readable:
             raise ValueError(

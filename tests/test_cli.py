@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -93,6 +95,17 @@ class TestCommands:
         )
         assert code == 2
         assert capsys.readouterr().err == f"config error: field 'bitseq': {bits!r}: {cause}\n"
+
+    @pytest.mark.parametrize("kind", [["rank1"], ["graded", "--base", "vab"]],
+                             ids=["rank1", "graded-vab"])
+    def test_check_module_refuses_a_bitseq_the_kind_does_not_read(self, capsys, kind):
+        code = main(["check-module", "--algebra", "csv", "--a", "0", "--b", "0",
+                     "--kind", *kind, "--bitseq", "0101"])
+        assert code == 2
+        name = "rank1" if kind == ["rank1"] else "graded-vab"
+        assert capsys.readouterr().err == (
+            f"config error: field 'bitseq': module {name} reads no bitseq\n"
+        )
 
     def test_classify_rank1(self, capsys):
         code = main(
@@ -269,6 +282,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert '"degree": "4"' in out and '"window": "2"' in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("a", "3"), ("b", "0"), ("degree", "8"), ("window", "5"), ("grading", "0"),
+        ("seed", "1"),
+    ])
+    def test_dichotomy_refuses_what_criterion_4_fixes(self, tmp_path, capsys, flag, value):
+        # a value equal to the other tasks' default is refused too
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"task: dichotomy\nalgebra: chv\n{flag}: '{value}'\n")
+        for args in (
+            ["--task", "dichotomy", "--algebra", "chv", f"--{flag}", value],
+            ["--config", str(cfg)],
+        ):
+            assert main(["derivations", *args]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: field {flag!r}: c4 fixes it; the dichotomy runs criterion 4 "
+                "over its weight grid and degrees -1..1 at image degree 4 and window 2\n"
+            )
+
+    def test_other_derivation_tasks_keep_their_defaults(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        assert main(["derivations", "--algebra", "csv", "--a", "1", "--b", "0",
+                     "--report", str(path), "--format", "json"]) == 0
+        config = json.loads(path.read_text())["config"]
+        assert (config["task"], config["degree"], config["window"], config["grading"],
+                config["seed"]) == ("solve", "6", "3", "0", str(cli.DEFAULT_SEED))
+
     @pytest.mark.parametrize("algebra", ["sv", "cw", "mfam"])
     def test_dichotomy_refuses_other_algebras(self, capsys, algebra):
         assert main(["derivations", "--task", "dichotomy", "--algebra", algebra]) == 2
@@ -420,3 +459,25 @@ class TestConfigAndReports:
                 check.pop("elapsed_ms", None)
             docs.append(json.dumps(data, sort_keys=True))
         assert docs[0] == docs[1]
+
+
+class TestDimensionScanScript:
+    @staticmethod
+    def _main():
+        path = Path(__file__).resolve().parent.parent / "scripts" / "derivation_dimension_scan.py"
+        spec = importlib.util.spec_from_file_location("derivation_dimension_scan", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        return script.main
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            self._main()(["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
+    @pytest.mark.parametrize("algebra", ["sv", "cw"])
+    def test_unknown_algebra_exits_2(self, capsys, algebra):
+        with pytest.raises(SystemExit) as stop:
+            self._main()([algebra])
+        assert stop.value.code == 2

@@ -706,8 +706,9 @@ class TestDecompose:
         text = serialize_derivation(ad(spec, GenPoly.unit("L", 0), window=3))
         edited = text.replace("window 3\n", "window -1\n")
         assert edited != text
-        with pytest.raises(ValueError, match="^window must be >= 0, got -1"):
+        with pytest.raises(ValueError) as err:
             decompose(spec, parse_derivation(edited), bound=6)
+        assert str(err.value) == "bad window line: 'window -1': window must be >= 0, got -1"
 
     def test_image_line_outside_the_window_is_refused(self):
         # the images at |i| > 1 would be unreachable through image() and
@@ -782,6 +783,12 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             parse_derivation(text)
         assert str(err.value) == f"bad {line.split()[0]} line: {line!r}"
+
+    def test_negative_window_names_the_line(self):
+        line = "window -2"
+        with pytest.raises(ValueError) as err:
+            parse_derivation(f"derivation\nfamilies L M\n{line}\n")
+        assert str(err.value) == f"bad window line: {line!r}: window must be >= 0, got -2"
 
     def test_malformed_polynomial_names_the_line(self):
         line = "image L 0 -> M 0 : 1 +"

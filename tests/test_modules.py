@@ -356,6 +356,27 @@ def _oracle_cases():
     cases.append(pytest.param(module, "sym", "sym", id="indexed-LMY-sym"))
     module = graded_from_tables(("L", "M"), {k: tables[k] for k in "LM"})
     cases.append(pytest.param(module, 0, 1, id="indexed-LM-0,1"))
+    # equal M and Y tables: LM and LY read the same values, and so do MM, MY
+    # and YY, so only the relation name tells their residuals apart
+    same = {"L": tables["L"], "M": tables["M"], "Y": tables["M"]}
+    module = graded_from_tables(("L", "M", "Y"), same)
+    cases.append(pytest.param(module, 1, 0, id="equal-MY-1,0"))
+    cases.append(pytest.param(module, "sym", "sym", id="equal-MY-sym"))
+    e = MPoly.var("e")
+    flat = {"L": lambda i, m: P("d + alpha*l + beta"), "M": lambda i, m: e, "Y": lambda i, m: e}
+    module = graded_from_tables(("L", "M", "Y"), flat)
+    cases.append(pytest.param(module, 0, 1, id="equal-MY-flat-0,1"))
+    # L flat and M, Y read by generator index alone: for fixed j, LM and LY
+    # read the same x(j, m), y(i, j+m), z(i, m), w(j, i+m) at every i while
+    # t(i+j, m) moves with i
+    by_gen = {
+        "L": lambda i, m: P("d + l"),
+        "M": lambda i, m: P(f"{i}*d + 1"),
+        "Y": lambda i, m: P(f"d^2 + {i}*l"),
+    }
+    module = graded_from_tables(("L", "M", "Y"), by_gen)
+    cases.append(pytest.param(module, 1, 0, id="only-t-moves-1,0"))
+    cases.append(pytest.param(module, "sym", "sym", id="only-t-moves-sym"))
     return cases
 
 
@@ -388,6 +409,30 @@ class TestRelationsOracle:
             relations_oracle(module, 0, 0, 3, 2)
             counts.append(len(calls))
         assert counts == [8, 8]
+    def test_each_relation_input_is_computed_once_per_call(self, monkeypatch):
+        # flat tables give each relation one input tuple at every sample, so
+        # the whole window costs the products of its one sample at
+        # (i, j, m) = (0, 0, 0), and a second call pays them again
+        products = []
+        mul = MPoly.__mul__
+
+        def counting(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        values = {"L": P("d + 2*l"), "M": P("e"), "Y": P("d + e")}
+        module = graded_from_tables(
+            ("L", "M", "Y"), {fam: (lambda i, m, _v=v: _v) for fam, v in values.items()}
+        )
+        monkeypatch.setattr(MPoly, "__mul__", counting)
+        runs = []
+        for n_basis, k_gen in ((0, 0), (3, 2), (3, 2)):
+            products.clear()
+            report = relations_oracle(module, 1, 0, n_basis, k_gen)
+            runs.append((report.checked, len(products)))
+        assert [checked for checked, _ in runs] == [5, 875, 875]
+        assert runs[0][1] == runs[1][1] == runs[2][1] > 0
+
     def test_matches_axioms_on_valid_module(self):
         spec = build_csv(0, 0)
         module = build_graded(spec, "vab", "sym", "sym", "sym")
@@ -596,6 +641,27 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             parse_module(f"module {kind}\nfamilies L M Y\n{line}\n", build_csv(0, 0))
         assert str(err.value) == f"bad bitseq line: {line!r}: module {kind} reads no bitseq"
+
+    def test_unknown_kind_names_the_module_line(self):
+        line = "module graded-vxb"
+        with pytest.raises(ValueError) as err:
+            parse_module(f"{line}\nfamilies L M Y\n", build_csv(0, 0))
+        assert str(err.value) == (
+            f"bad module line: {line!r}: unknown module kind 'graded-vxb'; "
+            "the kinds are rank1, graded-vab, graded-vAb"
+        )
+
+    def test_text_without_module_line_is_refused(self):
+        with pytest.raises(ValueError, match="^module text has no module line$"):
+            parse_module("families L M Y\nparam alpha : 1\n", build_csv(0, 0))
+
+    def test_families_off_the_algebra_names_the_families_line(self):
+        line = "families L M"
+        with pytest.raises(ValueError) as err:
+            parse_module(f"module rank1\n{line}\n", build_csv(0, 0))
+        assert str(err.value) == (
+            f"bad families line: {line!r}: module families do not match the algebra's L M Y"
+        )
 
     def test_graded_vAb_text_without_bitseq_is_refused(self):
         with pytest.raises(ValueError, match="^a graded-vAb module needs a bitseq$"):
