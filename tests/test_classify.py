@@ -158,6 +158,21 @@ class TestCertificates:
         )
         assert len(kernel) == 1 and kernel[0] == MPoly.const(1)
 
+    @pytest.mark.parametrize("bound", range(13))
+    def test_weight_kernel_solves_its_equation(self, bound):
+        # the equation only has the constants, and only at the origin;
+        # each basis vector is checked against the equation written out
+        l, m = MPoly.var("l"), MPoly.var("m")
+        points = [Fraction(k, 2) for k in range(-3, 4)] + [GaussianRational(Fraction(1, 2), 1)]
+        for A in points:
+            for B in points:
+                a, b = GaussianRational.of(A), GaussianRational.of(B)
+                kernel = weight_equation_kernel(a, b, bound)
+                for p in kernel:
+                    lhs = (l.scale(a) - m + MPoly.const(b)) * p.substitute("l", l + m)
+                    assert lhs + m * p.substitute("l", m) == MPoly.zero()
+                assert kernel == ([MPoly.const(1)] if A == B == 0 else [])
+
 
 class TestRank1:
     @pytest.mark.parametrize("a,b", GRID)
