@@ -184,9 +184,13 @@ def construction_jacobi_residual(
 def solve_construction(restrict_to: list[str] | None = None) -> ConstructionSolution:
     """Solve the coefficient equations of the (L, Y, Y) Jacobi residual.
 
-    Every monomial coefficient in (d, l, m) is linear in the unknown
-    weights ap and bp with rational coefficients, so the whole system fits a
-    scalar linear solve with polynomial right-hand sides.  ``restrict_to``
+    Every monomial coefficient in (d, l, m) must be exactly
+    ``cap*ap + cbp*bp + rest`` with constants cap, cbp and a rest free of the
+    unknown weights; an equation that is not is a ``ValueError`` naming its
+    monomial.  So the whole system is a scalar linear solve with polynomial
+    right-hand sides, and since an underdetermined one is refused too, at
+    every (a, b) each weight pair but the solution leaves a nonzero
+    coefficient.  ``restrict_to``
     optionally keeps only the equations for the named monomials
     (e.g. ["d*l", "d"]), which already determine the solution; a name that
     matches no equation is a ``ValueError``.
@@ -203,6 +207,12 @@ def solve_construction(restrict_to: list[str] | None = None) -> ConstructionSolu
         cap = coeff_poly.coeff_extract(["ap"], {"ap": 1})
         cbp = coeff_poly.coeff_extract(["bp"], {"bp": 1})
         rest = coeff_poly.substitute("ap", 0).substitute("bp", 0)
+        linear = cap * MPoly.var("ap") + cbp * MPoly.var("bp") + rest
+        if linear != coeff_poly or not (cap.is_constant() and cbp.is_constant()):
+            raise ValueError(
+                f"the [{mono_txt}] coefficient equation {coeff_poly} is not "
+                "cap*ap + cbp*bp + rest with constant cap, cbp"
+            )
         rows.append([cap.constant_value(), cbp.constant_value()])
         rhs.append(-rest)
         equations.append((mono_txt, coeff_poly))

@@ -5,11 +5,12 @@ derivations, paper-suite.  Options may come from a YAML config file
 (``--config``) whose keys are the subcommand's flag names; its entries are
 parsed as flags, placed before the command line's own, so they are checked
 as flags are and command-line flags override them.  Defaults are the
-parser's, except for the ``derivations`` options that criterion 4 fixes
-(``C4_FIXED``): ``--task dichotomy`` refuses them, and the other tasks fill
-them from ``DEFAULTS``.  Reports print as text and can be written to a
-file as text or JSON; the exit code is 0 exactly when every check in the
-report passed.
+parser's, except for the options in ``UNSET``, which the parser leaves
+unset so that a run that reads one not can refuse it: ``derivations --task
+dichotomy`` refuses those criterion 4 fixes, and ``check-module`` and
+``classify`` with ``--kind rank1`` those a rank-one run reads not; every
+other run fills them from ``DEFAULTS``.  Reports print as text and can be written to a file as text
+or JSON; the exit code is 0 exactly when every check in the report passed.
 """
 
 from __future__ import annotations
@@ -107,6 +108,18 @@ def _algebra(args: argparse.Namespace) -> str:
     return args.algebra
 
 
+def _settle_unset(args: argparse.Namespace, refusal: str | None) -> None:
+    """The command's ``UNSET`` options: with a ``refusal`` (formatted with
+    the option's ``key``), each one given is refused; without, each one not
+    given takes its ``DEFAULTS`` value."""
+    for key in UNSET[args.command]:
+        given = getattr(args, key) is not None
+        if refusal is not None and given:
+            raise ConfigError(f"field {key!r}: {refusal.format(key=key)}")
+        if refusal is None and not given:
+            setattr(args, key, DEFAULTS[key])
+
+
 def _numeric(value: str, field: str) -> GaussianRational:
     parsed = parse_param(value, field)
     if parsed == "sym":
@@ -196,6 +209,7 @@ def _build_module(args: argparse.Namespace, spec):
 
 def cmd_check_module(args: argparse.Namespace) -> Report:
     algebra = _algebra(args)
+    _settle_unset(args, "module rank1 reads no {key}" if args.kind == "rank1" else None)
     report = Report(
         command="check-module",
         config=_snapshot(args, "algebra", "a", "b", "kind", "base", "alpha", "beta", "c",
@@ -205,8 +219,9 @@ def cmd_check_module(args: argparse.Namespace) -> Report:
     b = parse_param(args.b, "b")
     spec = build_algebra(algebra, a=a, b=b)
     module = _build_module(args, spec)
+    window = () if module.kind == "rank1" else (args.window, args.gen_bound)
     with timed_check(report.checks, "module-axioms") as rec:
-        axioms = check_module_axioms(spec, module, args.window, args.gen_bound)
+        axioms = check_module_axioms(spec, module, *window)
         rec.claim = f"module identity residuals over {algebra} ({axioms.checked} instances)"
         rec.passed = axioms.all_zero
         rec.status = "zero" if axioms.all_zero else "nonzero"
@@ -235,6 +250,8 @@ def _families_text(outcome) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> Report:
     algebra = _algebra(args)
+    rank1 = args.kind == "rank1"
+    _settle_unset(args, "the rank-one classification reads no {key}" if rank1 else None)
     grid = parse_grid(args.grid, "grid")
     report = Report(
         command="classify",
@@ -244,7 +261,7 @@ def cmd_classify(args: argparse.Namespace) -> Report:
     if algebra not in EXTENSION_POINT:
         raise ConfigError(f"field 'algebra': classification targets csv or chv, not {algebra!r}")
     points = [(_numeric(str(a), "grid"), _numeric(str(b), "grid")) for a, b in grid]
-    if args.kind == "rank1":
+    if rank1:
         for a, b in points:
             with timed_check(
                 report.checks, f"rank1-{a}-{b}", f"rank-one families over {algebra}({a},{b})"
@@ -309,9 +326,7 @@ def _step_failed(rec: CheckRecord, exc: StepFailed) -> None:
 def cmd_derivations(args: argparse.Namespace) -> Report:
     if args.task == "dichotomy":
         return _dichotomy(args)
-    for key in C4_FIXED:
-        if getattr(args, key) is None:
-            setattr(args, key, DEFAULTS[key])
+    _settle_unset(args, None)
     algebra = _algebra(args)
     grading = args.grading
     report = Report(
@@ -363,23 +378,15 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
     return report
 
 
-#: the ``derivations`` options that criterion 4 fixes, so the dichotomy
-#: refuses them; the parser leaves them unset and the other tasks take
-#: their ``DEFAULTS`` in ``cmd_derivations``
-C4_FIXED = ("a", "b", "degree", "window", "grading", "seed")
-
-
 def _dichotomy(args: argparse.Namespace) -> Report:
     """Criterion 4 on ``--algebra`` (csv or chv), or on both when it is not
     given; the report's ``config`` holds the image degree and window that
-    criterion 4 solves at.  A ``C4_FIXED`` option given is refused."""
-    for key in C4_FIXED:
-        if getattr(args, key) is not None:
-            raise ConfigError(
-                f"field {key!r}: c4 fixes it; the dichotomy runs criterion 4 over its "
-                f"weight grid and degrees -1..1 at image degree {C4_BOUND} and window "
-                f"{C4_WINDOW}"
-            )
+    criterion 4 solves at.  An ``UNSET`` option given is refused."""
+    _settle_unset(
+        args,
+        "c4 fixes it; the dichotomy runs criterion 4 over its weight grid and "
+        f"degrees -1..1 at image degree {C4_BOUND} and window {C4_WINDOW}",
+    )
     if args.algebra is not None and args.algebra not in C4_ALGEBRAS:
         raise ConfigError(
             f"field 'algebra': the dichotomy runs on csv or chv, not {args.algebra!r}"
@@ -434,6 +441,16 @@ DEFAULTS = {
     "format": "text",
 }
 
+#: the options each command's parser leaves unset, so that the command can
+#: tell a given one from a default: those criterion 4 fixes, for
+#: ``derivations``, and those a rank-one module reads not, for
+#: ``check-module`` and ``classify``
+UNSET = {
+    "derivations": ("a", "b", "degree", "window", "grading", "seed"),
+    "check-module": ("base", "bitseq_lo", "window", "gen_bound"),
+    "classify": ("base", "bitseqs", "window", "gen_bound", "seed"),
+}
+
 COMMANDS = {
     "verify-axioms": cmd_verify_axioms,
     "solve-construction": cmd_solve_construction,
@@ -464,35 +481,37 @@ def _common_options(defaults: dict) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options(DEFAULTS)
+    def add(command: str) -> argparse.ArgumentParser:
+        # argparse shares a parent's option objects between subparsers, so
+        # each command gets its own copy, without defaults for its ``UNSET``
+        unset = UNSET.get(command, ())
+        defaults = {k: v for k, v in DEFAULTS.items() if k not in unset}
+        return sub.add_parser(command, parents=[_common_options(defaults)])
+
     parser = argparse.ArgumentParser(
         prog="confalg",
         description="exact verification toolkit for Schroedinger-Virasoro "
         "type Lie conformal algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify-axioms", parents=[common])
-    sub.add_parser("solve-construction", parents=[common])
-    cm = sub.add_parser("check-module", parents=[common])
+    add("verify-axioms")
+    add("solve-construction")
+    cm = add("check-module")
     cm.add_argument("--kind", choices=("rank1", "graded"))
     cm.add_argument("--base", choices=("vab", "vAb"))
     for key in MODULE_PARAMS["rank1"]:     # rank1 reads every module param
         cm.add_argument(f"--{key}")
     cm.add_argument("--bitseq")
     cm.add_argument("--bitseq-lo", type=int)
-    cl = sub.add_parser("classify", parents=[common])
+    cl = add("classify")
     cl.add_argument("--kind", choices=("rank1", "graded"))
     cl.add_argument("--base", choices=("vab", "vAb", "both"))
     cl.add_argument("--grid")
     cl.add_argument("--bitseqs", type=int, help="number of seeded random bit sequences")
-    # the options criterion 4 fixes stay unset here, so the dichotomy can
-    # tell a given one from a default
-    dv = sub.add_parser("derivations", parents=[
-        _common_options({k: v for k, v in DEFAULTS.items() if k not in C4_FIXED})
-    ])
+    dv = add("derivations")
     dv.add_argument("--task", choices=("dvec-check", "solve", "dichotomy", "decompose"))
     dv.add_argument("--grading", type=int, help="grading degree of the derivation")
-    ps = sub.add_parser("paper-suite", parents=[common])
+    ps = add("paper-suite")
     ps.add_argument("--only", help="comma-separated criterion numbers")
     return parser
 

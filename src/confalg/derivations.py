@@ -890,9 +890,10 @@ def _line_int(text: str, directive: str, line: str) -> int:
 def parse_derivation(text: str) -> DerivationSpec:
     families: tuple[str, ...] = ()
     window = 0
+    window_line = ""
     degree: int | None = None
     images: dict[tuple[str, int], dict[Generator, MPoly]] = {}
-    image_lines: list[tuple[str, tuple[str, str]]] = []
+    image_lines: list[tuple[str, tuple[str, str], int]] = []
     for head, rest, line in text_lines(text, ("families", "window", "degree")):
         if head == "derivation":
             continue
@@ -900,6 +901,7 @@ def parse_derivation(text: str) -> DerivationSpec:
             families = tuple(rest.split())
         elif head == "window":
             window = _line_int(rest, head, line)
+            window_line = line
             if window < 0:
                 raise ValueError(f"bad window line: {line!r}: window must be >= 0, got {window}")
         elif head == "degree":
@@ -910,9 +912,9 @@ def parse_derivation(text: str) -> DerivationSpec:
             if len(words) != 5 or words[2] != "->":
                 raise ValueError(f"bad image line: {line!r}")
             fam, idx, _, tgt_fam, tgt_idx = words
-            image_lines.append((line, (fam, tgt_fam)))
             gen = Generator(tgt_fam, _line_int(tgt_idx, head, line))
             idx = _line_int(idx, head, line)
+            image_lines.append((line, (fam, tgt_fam), idx))
             poly = line_poly(poly_part, head, line)
             stray = [name for name in poly.variables() if name not in (VAR_D, VAR_L)]
             if stray:
@@ -924,17 +926,20 @@ def parse_derivation(text: str) -> DerivationSpec:
             slot[gen] = slot.get(gen, MPoly.zero()) + poly
         else:
             raise ValueError(f"unknown directive {head!r} in derivation text")
-    for line, named in image_lines:
+    for line, named, idx in image_lines:
         for family in named:
             if family not in families:
                 raise ValueError(
                     f"bad image line: {line!r}: family {family} is not on the "
                     "families line"
                 )
+        if abs(idx) > window:
+            where = repr(window_line) if window_line else "0 (no window line)"
+            raise ValueError(
+                f"bad image line: {line!r}: {named[0]}[{idx}] lies outside the window {where}"
+            )
     out = DerivationSpec(families=families, window=window, degree=degree)
     for (fam, idx), terms in images.items():
-        if abs(idx) > window:
-            raise ValueError(f"image line of {fam}[{idx}] lies outside the window {window}")
         gp = GenPoly(terms)
         if not gp.is_zero():
             out.images[(fam, idx)] = gp

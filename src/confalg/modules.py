@@ -1,6 +1,7 @@
 """Conformal modules: rank-one and graded intermediate-series builders,
-the module-axiom checker, the hand-coded relation oracle, and a bounded
-reducibility witness search.
+the module-axiom checker, the hand-coded relation oracle, and the
+reducibility witness of a rank-one module, decided at every degree by one
+gcd.
 
 Every residual of the module identity ``x.(y.v) - y.(x.v) - [x_l y].v``
 comes from one stream, ``module_residuals``, which yields ``(key,
@@ -53,8 +54,7 @@ from .lca import (
     line_poly,
     text_lines,
 )
-from .linsolve import linear_solve
-from .poly import GaussianRational, Inconsistent, MPoly
+from .poly import GaussianRational, MPoly
 
 #: default symbol names for module parameters passed as "sym".  The module
 #: generator symbol already occupies the name "d", so the scalar extension
@@ -588,29 +588,36 @@ def apply_action(
 
 
 # ---------------------------------------------------------------------------
-# reducibility witness search
+# reducibility witness
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class WitnessResult:
-    """Outcome of the submodule witness search on a rank-one module."""
+    """Outcome of the submodule witness decision on a rank-one module."""
 
     witness: MPoly | None = None
     degree: int | None = None
     trivial_module: bool = False
     all_actions_zero: bool = False
-    undecided: list[str] = field(default_factory=list)
     note: str = ""
 
 
-def reducibility_witness(module: Rank1Module, max_degree: int = 3) -> WitnessResult:
-    """Search for monic q(d) with q | q(d+l) * T_F for every acting family.
+def reducibility_witness(module: Rank1Module) -> WitnessResult:
+    """The monic q(d) of largest degree with q | q(d+l) * T_F for every
+    acting family F, or no witness when no such q of any degree exists.
 
-    Such a q generates a proper conformal submodule ``q(d) C[d] v``.  The
-    search is exhaustive for degrees 1..max_degree; absence of a witness
-    supports irreducibility at these degrees but does not prove it in
-    general.
+    Such a q generates a proper conformal submodule ``q(d) C[d] v``.  One
+    gcd decides every degree.  Let pi be an irreducible factor of q.  At a
+    root r of pi, q(r + l) is a nonzero polynomial in l, so pi does not
+    divide q(d + l); hence q | q(d+l) * T_F in Q(i)[d, l] iff q divides
+    every l-coefficient of T_F.  So a witness exists iff g, the monic gcd
+    over the families F and over k of [l^k] T_F (polynomials in d alone),
+    is not constant, and then every divisor of g is a witness; g is
+    returned, with ``degree = deg g``.  For ``build_rank1`` templates g is
+    d + beta when alpha and the extension scalar are 0, and 1 otherwise
+    (the irreducibility criterion for free rank-one modules of S.-J. Cheng
+    and V. G. Kac, "Conformal modules", Asian J. Math. 1 (1997)).
     """
     if not module.is_numeric():
         raise ValueError("witness search needs numeric module parameters")
@@ -622,82 +629,18 @@ def reducibility_witness(module: Rank1Module, max_degree: int = 3) -> WitnessRes
             note="scale base is zero: only the index-0 generators act; "
             "flagged as trivial, no witness search performed",
         )
-    acting = [t for t in module.templates.values() if not t.is_zero()]
-    for degree in range(1, max_degree + 1):
-        wnames = [f"w{k}" for k in range(degree)]
-        q = MPoly.var(VAR_D, degree)
-        for k, name in enumerate(wnames):
-            q = q + MPoly.var(name) * MPoly.var(VAR_D, k)
-        q_shift = q.shift(VAR_D, POLY_L)
-        equations: list[MPoly] = []
-        for t in acting:
-            _, rem = (q_shift * t).divmod_in(q, VAR_D)
-            equations.extend(rem.split_by([VAR_D, VAR_L]).values())
-        solution = _solve_witness_equations(equations, wnames)
-        if solution == "undecided":
-            return WitnessResult(
-                undecided=[f"degree {degree}: nonlinear residual equations"],
-                note="witness search undecided at this degree bound",
-            )
-        if solution is None:
-            continue
-        witness = MPoly.var(VAR_D, degree)
-        for k, name in enumerate(wnames):
-            witness = witness + MPoly.var(VAR_D, k).scale(solution[name])
-        for t in acting:
-            (witness.shift(VAR_D, POLY_L) * t).divide_exact(witness)
-        return WitnessResult(witness=witness, degree=degree)
-    return WitnessResult(note=f"no witness up to degree {max_degree}")
-
-
-def _solve_witness_equations(
-    equations: list[MPoly], wnames: list[str]
-) -> dict[str, GaussianRational] | None | str:
-    """Solve the remainder equations in the witness coefficients.
-
-    Returns the coefficient values, None when the system is provably
-    inconsistent, or 'undecided' when nonlinear equations survive linear
-    propagation (does not occur for the action shapes this package builds).
-    """
-    linear_rows: list[list[GaussianRational]] = []
-    linear_rhs: list[MPoly] = []
-    nonlinear: list[MPoly] = []
-    for eq in equations:
-        if eq.is_zero():
-            continue
-        if eq.is_constant():
-            return None
-        if eq.degree() <= 1:
-            row = []
-            rest = eq
-            for name in wnames:
-                row.append(eq.coeff_extract([name], {name: 1}).constant_value())
-                rest = rest.substitute(name, 0)
-            linear_rows.append(row)
-            linear_rhs.append(-rest)
-        else:
-            nonlinear.append(eq)
-    if not linear_rows:
-        return "undecided" if nonlinear else {
-            name: GaussianRational.of(0) for name in wnames
-        }
-    try:
-        sol = linear_solve(linear_rows, linear_rhs)
-    except Inconsistent:
-        return None
-    values: dict[str, GaussianRational] = {}
-    for name, value in zip(wnames, sol.solution):
-        if not value.is_constant():
-            return "undecided"
-        values[name] = value.constant_value()
-    for eq in nonlinear:
-        r = eq
-        for name, value in values.items():
-            r = r.substitute(name, MPoly.const(value))
-        if not r.is_zero():
-            # with free parameters another choice might work; stay honest
-            return "undecided" if sol.kernel else None
-    return values
+    g = _ZERO
+    for t in module.templates.values():
+        for coeff in t.split_by([VAR_L]).values():
+            # Euclid on polynomials in d: g becomes the monic gcd(g, coeff)
+            while not coeff.is_zero():
+                if coeff.is_constant():
+                    return WitnessResult(note="no witness at any degree")
+                coeff = coeff.scale(coeff.leading()[1] ** -1)
+                g, coeff = coeff, g.divmod_in(coeff, VAR_D)[1]
+    for t in module.templates.values():
+        (g.shift(VAR_D, POLY_L) * t).divide_exact(g)
+    return WitnessResult(witness=g, degree=g.degree_in(VAR_D))
 
 
 # ---------------------------------------------------------------------------

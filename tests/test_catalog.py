@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from confalg import catalog
 from confalg.catalog import (
     build_algebra,
     build_chv,
@@ -112,6 +113,24 @@ class TestConstructionSolver:
         assert str(err.value) == (
             f"restrict_to: monomials {unmatched} match no equation of the (L, Y, Y) "
             "Jacobi residual"
+        )
+
+    @pytest.mark.parametrize("extra, mono, equation", [
+        ("ap^2*d", "d", "ap^2 + b - 2*bp"),
+        ("ap*bp*l*m", "l*m", "ap*bp + 2*a - 4*ap + 4"),
+        ("3*bp^2*d^5", "d^5", "3*bp^2"),
+        ("a*ap*m", "m", "a*ap + 2*b - 4*bp"),
+    ], ids=["square-on-d", "product-on-l*m", "square-alone", "parametric-row"])
+    def test_equation_off_the_linear_form_is_refused(self, monkeypatch, extra, mono, equation):
+        # an ap^2 or ap*bp term would be dropped by the coefficient
+        # extraction, and a row in a would not be constant
+        residual = catalog.construction_jacobi_residual() + P(extra)
+        monkeypatch.setattr(catalog, "construction_jacobi_residual", lambda: residual)
+        with pytest.raises(ValueError) as err:
+            solve_construction()
+        assert str(err.value) == (
+            f"the [{mono}] coefficient equation {equation} is not "
+            "cap*ap + cbp*bp + rest with constant cap, cbp"
         )
 
     def test_solution_passes_all_axioms(self):

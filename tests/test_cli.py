@@ -107,6 +107,45 @@ class TestCommands:
             f"config error: field 'bitseq': module {name} reads no bitseq\n"
         )
 
+    @pytest.mark.parametrize("command, flag, value, reader", [
+        ("check-module", "base", "vab", "module rank1"),
+        ("check-module", "bitseq_lo", "3", "module rank1"),
+        ("check-module", "window", "3", "module rank1"),
+        ("check-module", "gen_bound", "1", "module rank1"),
+        ("classify", "base", "vab", "the rank-one classification"),
+        ("classify", "bitseqs", "7", "the rank-one classification"),
+        ("classify", "window", "1", "the rank-one classification"),
+        ("classify", "gen_bound", "2", "the rank-one classification"),
+        ("classify", "seed", "5", "the rank-one classification"),
+    ])
+    def test_rank1_refuses_what_it_does_not_read(self, tmp_path, capsys, command, flag, value,
+                                                 reader):
+        # a value equal to the graded runs' default is refused too
+        given = ["--algebra", "csv", "--a", "0", "--b", "0"] if command == "check-module" \
+            else ["--algebra", "csv", "--grid", "0,0"]
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"kind: rank1\n{flag}: '{value}'\n")
+        for args in (["--kind", "rank1", f"--{flag.replace('_', '-')}", value],
+                     ["--config", str(cfg)]):
+            assert main([command, *given, *args]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: field {flag!r}: {reader} reads no {flag}\n"
+            )
+
+    @pytest.mark.parametrize("command, given, config", [
+        ("check-module", ["--a", "0", "--b", "0"],
+         {"a": "0", "algebra": "csv", "alpha": "sym", "b": "0", "beta": "sym", "c": "sym",
+          "d": "0", "kind": "rank1"}),
+        ("classify", ["--grid", "0,0"],
+         {"algebra": "csv", "degree": "6", "grid": "0,0", "kind": "rank1"}),
+    ], ids=["check-module", "classify"])
+    def test_rank1_config_holds_only_what_it_reads(self, tmp_path, capsys, command, given,
+                                                   config):
+        path = tmp_path / "r.json"
+        assert main([command, "--algebra", "csv", *given, "--report", str(path),
+                     "--format", "json"]) == 0
+        assert json.loads(path.read_text())["config"] == config
+
     def test_classify_rank1(self, capsys):
         code = main(
             [
@@ -145,7 +184,8 @@ class TestCommands:
         code = main(
             [
                 "classify", "--kind", kind, "--algebra", "chv", "--grid", "1,0",
-                "--base", "vab", "--report", str(path), "--format", "json",
+                *(["--base", "vab"] if kind == "graded" else []),
+                "--report", str(path), "--format", "json",
             ]
         )
         assert code == 1

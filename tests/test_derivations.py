@@ -717,8 +717,24 @@ class TestDecompose:
         text = serialize_derivation(ad(spec, GenPoly.unit("L", 0), window=3))
         edited = text.replace("window 3\n", "window 1\n")
         assert edited != text
-        with pytest.raises(ValueError, match=r"^image line of L\[-3\] lies outside the window 1$"):
+        with pytest.raises(ValueError) as err:
             parse_derivation(edited)
+        assert str(err.value) == (
+            "bad image line: 'image L -3 -> L -3 : d + 2*l': L[-3] lies outside the "
+            "window 'window 1'"
+        )
+
+    def test_image_line_outside_the_default_window_is_refused(self):
+        spec = build_csv(2, 3)
+        text = serialize_derivation(ad(spec, GenPoly.unit("L", 0), window=3))
+        edited = text.replace("window 3\n", "")
+        assert edited != text
+        with pytest.raises(ValueError) as err:
+            parse_derivation(edited)
+        assert str(err.value) == (
+            "bad image line: 'image L -3 -> L -3 : d + 2*l': L[-3] lies outside the "
+            "window 0 (no window line)"
+        )
 
     @pytest.mark.parametrize("run", [check_derivation, decompose])
     def test_image_of_an_unknown_family_is_refused(self, run):

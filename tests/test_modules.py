@@ -18,11 +18,13 @@ from confalg.modules import (
     graded_from_tables,
     module_residuals,
     parse_module,
+    Rank1Module,
     reducibility_witness,
     relations_oracle,
     serialize_module,
 )
-from confalg.poly import MPoly, parse_poly
+from confalg.linsolve import linear_solve
+from confalg.poly import GaussianRational, Inconsistent, MPoly, parse_poly
 from conftest import literal_module_residual
 
 P = parse_poly
@@ -523,10 +525,104 @@ class TestActionApplication:
         assert set(out) == {3}
 
 
+def _bounded_witness_search(module, max_degree=3):
+    """The bounded witness search that ``reducibility_witness`` replaced,
+    kept as its oracle: for each degree 1..max_degree it writes a monic q
+    with unknown lower coefficients, asks that q divide q(d+l) * T_F for
+    every acting family by remainder equations, and solves them.  Returns
+    ``(witness, degree, trivial_module, all_actions_zero)``, or "undecided"
+    when nonlinear equations survive."""
+    if module.all_actions_zero() or not module.c_value():
+        return None, None, True, module.all_actions_zero()
+    acting = [t for t in module.templates.values() if not t.is_zero()]
+    for degree in range(1, max_degree + 1):
+        wnames = [f"w{k}" for k in range(degree)]
+        q = MPoly.var("d", degree)
+        for k, name in enumerate(wnames):
+            q = q + MPoly.var(name) * MPoly.var("d", k)
+        q_shift = q.shift("d", MPoly.var("l"))
+        equations = []
+        for t in acting:
+            _, rem = (q_shift * t).divmod_in(q, "d")
+            equations.extend(rem.split_by(["d", "l"]).values())
+        solution = _solve_witness_equations(equations, wnames)
+        if solution == "undecided":
+            return "undecided"
+        if solution is None:
+            continue
+        witness = MPoly.var("d", degree)
+        for k, name in enumerate(wnames):
+            witness = witness + MPoly.var("d", k).scale(solution[name])
+        for t in acting:
+            (witness.shift("d", MPoly.var("l")) * t).divide_exact(witness)
+        return witness, degree, False, False
+    return None, None, False, False
+
+
+def _solve_witness_equations(equations, wnames):
+    """The coefficient values, None when the system is inconsistent, or
+    "undecided" when nonlinear equations survive linear propagation."""
+    linear_rows, linear_rhs, nonlinear = [], [], []
+    for eq in equations:
+        if eq.is_zero():
+            continue
+        if eq.is_constant():
+            return None
+        if eq.degree() <= 1:
+            row = []
+            rest = eq
+            for name in wnames:
+                row.append(eq.coeff_extract([name], {name: 1}).constant_value())
+                rest = rest.substitute(name, 0)
+            linear_rows.append(row)
+            linear_rhs.append(-rest)
+        else:
+            nonlinear.append(eq)
+    if not linear_rows:
+        return "undecided" if nonlinear else {
+            name: GaussianRational.of(0) for name in wnames
+        }
+    try:
+        sol = linear_solve(linear_rows, linear_rhs)
+    except Inconsistent:
+        return None
+    values = {}
+    for name, value in zip(wnames, sol.solution):
+        if not value.is_constant():
+            return "undecided"
+        values[name] = value.constant_value()
+    for eq in nonlinear:
+        r = eq
+        for name, value in values.items():
+            r = r.substitute(name, MPoly.const(value))
+        if not r.is_zero():
+            return "undecided" if sol.kernel else None
+    return values
+
+
+def _gaussian(rng):
+    return GaussianRational(
+        Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+        Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.5 else 0,
+    )
+
+
+def _witness_cases(algebra, shape, count=100):
+    """Seeded rank-one modules over csv or chv: Gaussian alpha, beta, c and
+    extension scalar (each zero now and then), alpha = 0, or scale base 0."""
+    spec = {"csv": build_csv, "chv": build_chv}[algebra](0, 0)
+    rng = random.Random(f"{algebra}-{shape}")
+    for _ in range(count):
+        alpha = 0 if shape == "alpha-zero" or rng.random() < 0.1 else _gaussian(rng)
+        c = 0 if shape == "zero-scale" else _gaussian(rng) or 1
+        d = 0 if rng.random() < 0.5 else _gaussian(rng)
+        yield build_rank1(spec, alpha, _gaussian(rng), c, d)
+
+
 class TestWitness:
     def test_alpha_zero_finds_linear_witness(self):
         module = build_rank1(build_csv(0, 0), 0, 5, 1, 0)
-        res = reducibility_witness(module, 3)
+        res = reducibility_witness(module)
         assert res.witness == P("d + 5") and res.degree == 1
         # submodule condition verified independently
         shifted = res.witness.shift("d", MPoly.var("l"))
@@ -534,17 +630,18 @@ class TestWitness:
 
     def test_alpha_nonzero_no_witness(self):
         module = build_rank1(build_csv(0, 0), 1, 0, 1, 0)
-        res = reducibility_witness(module, 3)
-        assert res.witness is None and not res.undecided
+        res = reducibility_witness(module)
+        assert res.witness is None
+        assert res.note == "no witness at any degree"
 
     def test_nonzero_extension_blocks_witness(self):
         module = build_rank1(build_csv(0, 0), 0, 5, 1, 2)
-        res = reducibility_witness(module, 3)
+        res = reducibility_witness(module)
         assert res.witness is None
 
     def test_zero_scale_base_flagged(self):
         module = build_rank1(build_csv(0, 0), 1, 5, 0, 0)
-        res = reducibility_witness(module, 3)
+        res = reducibility_witness(module)
         assert res.trivial_module
         assert not res.all_actions_zero
 
@@ -552,6 +649,37 @@ class TestWitness:
         module = build_rank1(build_csv(0, 0), "sym", 0, 1, 0)
         with pytest.raises(ValueError):
             reducibility_witness(module)
+
+    @pytest.mark.parametrize("algebra", ["csv", "chv"])
+    @pytest.mark.parametrize("shape", ["gaussian", "alpha-zero", "zero-scale"])
+    def test_gcd_matches_the_bounded_search(self, algebra, shape):
+        outcomes = set()
+        for module in _witness_cases(algebra, shape):
+            res = reducibility_witness(module)
+            got = (res.witness, res.degree, res.trivial_module, res.all_actions_zero)
+            assert got == _bounded_witness_search(module), serialize_module(module)
+            outcomes.add(
+                "trivial" if res.trivial_module else "none" if res.witness is None else "found"
+            )
+        # each shape reaches the outcomes it is there for
+        assert outcomes == ({"trivial"} if shape == "zero-scale" else {"found", "none"})
+
+    def test_witness_is_the_whole_monic_gcd(self):
+        # the gcd of every l-coefficient of every template, made monic; the
+        # bounded search stops at its first degree and cannot solve this
+        # one, whose remainder equations are quadratic
+        g = P("(d + 1)*(d + 2)")
+        module = Rank1Module(
+            families=("L", "M"), alpha=P("0"), beta=P("0"), c=P("1"), d=P("0"),
+            templates={"L": g * P("2 + 3*i*l"), "M": g * P("d - 1/2")},
+        )
+        res = reducibility_witness(module)
+        assert res.witness == g and res.degree == 2
+        assert _bounded_witness_search(module) == "undecided"
+        for t in module.templates.values():
+            assert (g.shift("d", MPoly.var("l")) * t).divide_exact(g)
+        module.templates["M"] = P("(d + 2)*(d - 1/2)")
+        assert reducibility_witness(module).witness == P("d + 2")
 
 
 class TestBuildModule:
