@@ -6,11 +6,14 @@ derivations, paper-suite.  Options may come from a YAML config file
 parsed as flags, placed before the command line's own, so they are checked
 as flags are and command-line flags override them.  Defaults are the
 parser's, except for the options in ``UNSET``, which the parser leaves
-unset so that a run that reads one not can refuse it: ``derivations --task
-dichotomy`` refuses those criterion 4 fixes, and ``check-module`` and
-``classify`` with ``--kind rank1`` those a rank-one run reads not; every
-other run fills them from ``DEFAULTS``.  Reports print as text and can be written to a file as text
-or JSON; the exit code is 0 exactly when every check in the report passed.
+unset so that a run that reads one not can refuse it: ``verify-axioms``
+refuses ``--seed``, and ``--window`` off tsv; ``check-module`` refuses
+``--ap``, ``--bp``, ``--degree`` and ``--seed``, and those its module kind
+reads not; ``classify`` with ``--kind rank1`` those a rank-one run reads
+not; ``derivations --task dichotomy`` those criterion 4 fixes.  A run fills
+each one it reads from ``DEFAULTS``.  Reports print as text and can be
+written to a file as text or JSON; the exit code is 0 exactly when every
+check in the report passed.
 """
 
 from __future__ import annotations
@@ -108,16 +111,16 @@ def _algebra(args: argparse.Namespace) -> str:
     return args.algebra
 
 
-def _settle_unset(args: argparse.Namespace, refusal: str | None) -> None:
-    """The command's ``UNSET`` options: with a ``refusal`` (formatted with
-    the option's ``key``), each one given is refused; without, each one not
-    given takes its ``DEFAULTS`` value."""
+def _settle_unset(args: argparse.Namespace, reads: tuple[str, ...], refusal: str = "") -> None:
+    """The command's ``UNSET`` options: each one the run ``reads`` takes its
+    ``DEFAULTS`` value when not given, and each other one given is refused
+    with ``refusal``, formatted with the option's ``key``."""
     for key in UNSET[args.command]:
         given = getattr(args, key) is not None
-        if refusal is not None and given:
-            raise ConfigError(f"field {key!r}: {refusal.format(key=key)}")
-        if refusal is None and not given:
+        if key in reads and not given:
             setattr(args, key, DEFAULTS[key])
+        elif key not in reads and given:
+            raise ConfigError(f"field {key!r}: {refusal.format(key=key)}")
 
 
 def _numeric(value: str, field: str) -> GaussianRational:
@@ -134,9 +137,11 @@ def _numeric(value: str, field: str) -> GaussianRational:
 
 def cmd_verify_axioms(args: argparse.Namespace) -> Report:
     algebra = _algebra(args)
+    _settle_unset(args, ("window",) if algebra == "tsv" else (),
+                  f"the {algebra} check reads no {{key}}")
     report = Report(
         command="verify-axioms",
-        config=_snapshot(args, "algebra", "a", "b", "ap", "bp", "window", "seed"),
+        config=_snapshot(args, "algebra", "a", "b", "ap", "bp", "window"),
     )
     if algebra == "tsv":
         window = args.window
@@ -191,8 +196,7 @@ def cmd_solve_construction(args: argparse.Namespace) -> Report:
     return report
 
 
-def _build_module(args: argparse.Namespace, spec):
-    kind = "rank1" if args.kind == "rank1" else f"graded-{args.base}"
+def _build_module(args: argparse.Namespace, spec, kind: str):
     bits = None
     if kind != "graded-vAb" and args.bitseq is not None:
         raise ConfigError(f"field 'bitseq': module {kind} reads no bitseq")
@@ -209,7 +213,8 @@ def _build_module(args: argparse.Namespace, spec):
 
 def cmd_check_module(args: argparse.Namespace) -> Report:
     algebra = _algebra(args)
-    _settle_unset(args, "module rank1 reads no {key}" if args.kind == "rank1" else None)
+    kind = "rank1" if args.kind == "rank1" else f"graded-{args.base or DEFAULTS['base']}"
+    _settle_unset(args, MODULE_OPTIONS[kind], f"module {kind} reads no {{key}}")
     report = Report(
         command="check-module",
         config=_snapshot(args, "algebra", "a", "b", "kind", "base", "alpha", "beta", "c",
@@ -218,7 +223,7 @@ def cmd_check_module(args: argparse.Namespace) -> Report:
     a = parse_param(args.a, "a")
     b = parse_param(args.b, "b")
     spec = build_algebra(algebra, a=a, b=b)
-    module = _build_module(args, spec)
+    module = _build_module(args, spec, kind)
     window = () if module.kind == "rank1" else (args.window, args.gen_bound)
     with timed_check(report.checks, "module-axioms") as rec:
         axioms = check_module_axioms(spec, module, *window)
@@ -251,7 +256,8 @@ def _families_text(outcome) -> str:
 def cmd_classify(args: argparse.Namespace) -> Report:
     algebra = _algebra(args)
     rank1 = args.kind == "rank1"
-    _settle_unset(args, "the rank-one classification reads no {key}" if rank1 else None)
+    _settle_unset(args, () if rank1 else UNSET["classify"],
+                  "the rank-one classification reads no {key}")
     grid = parse_grid(args.grid, "grid")
     report = Report(
         command="classify",
@@ -326,7 +332,7 @@ def _step_failed(rec: CheckRecord, exc: StepFailed) -> None:
 def cmd_derivations(args: argparse.Namespace) -> Report:
     if args.task == "dichotomy":
         return _dichotomy(args)
-    _settle_unset(args, None)
+    _settle_unset(args, UNSET["derivations"])
     algebra = _algebra(args)
     grading = args.grading
     report = Report(
@@ -384,6 +390,7 @@ def _dichotomy(args: argparse.Namespace) -> Report:
     criterion 4 solves at.  An ``UNSET`` option given is refused."""
     _settle_unset(
         args,
+        (),
         "c4 fixes it; the dichotomy runs criterion 4 over its weight grid and "
         f"degrees -1..1 at image degree {C4_BOUND} and window {C4_WINDOW}",
     )
@@ -442,13 +449,19 @@ DEFAULTS = {
 }
 
 #: the options each command's parser leaves unset, so that the command can
-#: tell a given one from a default: those criterion 4 fixes, for
-#: ``derivations``, and those a rank-one module reads not, for
-#: ``check-module`` and ``classify``
+#: tell a given one from a default: those some run of the command reads not
 UNSET = {
+    "verify-axioms": ("window", "seed"),
     "derivations": ("a", "b", "degree", "window", "grading", "seed"),
-    "check-module": ("base", "bitseq_lo", "window", "gen_bound"),
+    "check-module": ("base", "bitseq_lo", "window", "gen_bound", "ap", "bp", "degree", "seed"),
     "classify": ("base", "bitseqs", "window", "gen_bound", "seed"),
+}
+
+#: the ``check-module`` options of ``UNSET`` that each module kind reads
+MODULE_OPTIONS = {
+    "rank1": (),
+    "graded-vab": ("base", "window", "gen_bound"),
+    "graded-vAb": ("base", "bitseq_lo", "window", "gen_bound"),
 }
 
 COMMANDS = {

@@ -18,11 +18,17 @@ The residual for (F_i, G_j) on v_m reads the actions only at (j, m),
 bracket templates are index-free.  So it is a function of the family pair
 and those action polynomials alone, and the stream computes it once per
 distinct such input and reuses it for every instance that shares the
-input.  The stream also reads each action once and forms the bracket heads
-once per family pair.  The oracle reads and counts every sample, and
-computes each distinct (relation, table values it reads) once per call,
-and each variable change of a table value once per call.  Every such memo
-ends with its stream or call.
+input.  A ``build_graded`` table (``vab`` or ``vAb``) acts on v_m by a
+value fixed by the bits at m and i+m (by nothing, for ``vab``), so there
+the input is fixed by the bits at m, i+m, j+m and i+j+m, and the stream
+keys each family pair's instances by that pattern before it reads an
+action.  This holds only for ``build_graded``'s tables, so custom modules
+(``graded_from_tables``) keep the by-value key.  The stream also reads
+each action once, makes each variable change of an action value once, and
+forms the bracket heads once per family pair.  The oracle reads and counts
+every sample, and computes each distinct (relation, table values it reads)
+once per call, and each variable change of a table value once per call.
+Every such memo ends with its stream or call.
 
 Graded actions ``F_i . v_m = T_F(i, m)(d, l) * v_{i+m}`` are checked on an
 explicit index window.  Rank-one actions have the form
@@ -176,7 +182,12 @@ def build_rank1(
 
 @dataclass
 class GradedModule:
-    """Graded free intermediate-series module with explicit coefficient tables."""
+    """Graded free intermediate-series module with explicit coefficient tables.
+
+    ``kind`` is ``vab`` or ``vAb`` only for ``build_graded``'s tables, whose
+    residuals the module-identity stream keys by bit pattern; any other
+    table is ``custom``.
+    """
 
     families: tuple[str, ...]
     kind: str                       # "vab" | "vAb" | "custom"
@@ -284,32 +295,75 @@ class ModuleReport:
         return not self.residuals
 
 
+#: a variable change of an action value p(d, l), and a way to make one
+Change = Callable[[MPoly], MPoly]
+At = Callable[[Change, MPoly], MPoly]
+
+
+def _at_m_shifted(p: MPoly) -> MPoly:     # p(d+l, m)
+    return _as_bracket_var(p, VAR_M).shift(VAR_D, POLY_L)
+
+
+def _shifted_by_m(p: MPoly) -> MPoly:     # p(d+m, l)
+    return p.shift(VAR_D, POLY_M)
+
+
+def _at_m(p: MPoly) -> MPoly:             # p(d, m)
+    return _as_bracket_var(p, VAR_M)
+
+
+def _at_l_plus_m(p: MPoly) -> MPoly:      # p(d, l+m)
+    return _as_bracket_var(p, POLY_L_PLUS_M)
+
+
+def _apply(change: Change, value: MPoly) -> MPoly:
+    return change(value)
+
+
+def _change_memo() -> At:
+    """``at(change, value)``: ``change(value)``, made once per distinct
+    (change, value) for as long as the returned ``at`` lives."""
+    made: dict[tuple[Change, MPoly], MPoly] = {}
+
+    def at(change: Change, value: MPoly) -> MPoly:
+        key = (change, value)
+        out = made.get(key)
+        if out is None:
+            out = made[key] = change(value)
+        return out
+
+    return at
+
+
 def two_action_factors(
-    x_jm: MPoly, y_i_jm: MPoly, z_im: MPoly, w_j_im: MPoly
+    x_jm: MPoly, y_i_jm: MPoly, z_im: MPoly, w_j_im: MPoly, at: At = _apply
 ) -> tuple[MPoly, MPoly, MPoly, MPoly]:
     """The four factors that ``two_action_difference`` multiplies.
 
     ``(x(d+l, m), y(d, l), z(d+m, l), w(d, m))`` for action templates in
-    (d, l), with ``m`` the second bracket variable.
+    (d, l), with ``m`` the second bracket variable.  ``at(change, value)``
+    makes each variable change; the stream passes one that makes it once
+    per distinct value.
     """
     return (
-        _as_bracket_var(x_jm, VAR_M).shift(VAR_D, POLY_L),
+        at(_at_m_shifted, x_jm),
         y_i_jm,
-        z_im.shift(VAR_D, POLY_M),
-        _as_bracket_var(w_j_im, VAR_M),
+        at(_shifted_by_m, z_im),
+        at(_at_m, w_j_im),
     )
 
 
 def two_action_difference(
-    x_jm: MPoly, y_i_jm: MPoly, z_im: MPoly, w_j_im: MPoly
+    x_jm: MPoly, y_i_jm: MPoly, z_im: MPoly, w_j_im: MPoly, at: At = _apply
 ) -> MPoly:
     """Action side of every two-action relation.
 
     ``x(d+l, m) y(d, l) - z(d+m, l) w(d, m)``, with ``m`` the second bracket
     variable: for x = G_j, y = F_i on v_(j+m), z = F_i, w = G_j on v_(i+m),
-    it is ``F_i.(G_j.v_m) - G_j.(F_i.v_m)``.
+    it is ``F_i.(G_j.v_m) - G_j.(F_i.v_m)``.  ``at`` is as for
+    ``two_action_factors``.
     """
-    x, y, z, w = two_action_factors(x_jm, y_i_jm, z_im, w_j_im)
+    x, y, z, w = two_action_factors(x_jm, y_i_jm, z_im, w_j_im, at)
     return x * y - z * w
 
 
@@ -321,6 +375,20 @@ def window_reach(n_basis: int, k_gen: int) -> int:
     reaches [-(n_basis + 2*k_gen), n_basis + 2*k_gen].
     """
     return n_basis + 2 * k_gen
+
+
+def _bit_pattern(module: Rank1Module | GradedModule) -> Callable[[int, int, int], tuple | None]:
+    """``pattern(i, j, m)``: the key under which the stream shares one
+    family pair's residual between instances.  It is the bits at m, i+m,
+    j+m and i+j+m for a ``vAb`` module and ``()`` for ``vab``; rank-one and
+    custom modules, whose tables may read their indices in any way, get
+    None (shared by value only)."""
+    if module.kind == "vab":
+        return lambda i, j, m: ()
+    if module.kind == "vAb":
+        bit = module.bitseq.at
+        return lambda i, j, m: (bit(m), bit(i + m), bit(j + m), bit(i + j + m))
+    return lambda i, j, m: None
 
 
 def module_residuals(
@@ -343,9 +411,17 @@ def module_residuals(
     F_i on v_m, G_j on v_(i+m) and, for each bracket target H, H_(i+j) on
     v_m; the bracket templates are index-free.  So the arithmetic runs once
     per distinct (F, G, those action polynomials), matched by value, and is
-    reused for every instance that shares them.  Each (family, i, m) action
-    is read once, and the bracket heads T_H(-l-m, l) are formed once per
-    family pair.  All this reuse ends with the stream.
+    reused for every instance that shares them.  For a ``build_graded``
+    module (kind ``vab`` or ``vAb``) those polynomials are fixed by the bits
+    at m, i+m, j+m and i+j+m, so within one family pair an instance whose
+    bit pattern (``_bit_pattern``, computed once per stream) was met before
+    takes that residual without reading the actions; a pattern met for the
+    first time falls back to the match by value.  Custom modules
+    (``graded_from_tables``) may read their indices in any way and keep the
+    match by value alone.  Each (family, i, m) action is read once, each
+    variable change of an action value is made once, and the bracket heads
+    T_H(-l-m, l) are formed once per family pair.  All this reuse ends with
+    the stream.
     """
     index_free = isinstance(module, Rank1Module)
     if index_free:
@@ -374,6 +450,11 @@ def module_residuals(
             value = reads[key] = act(family, i, m)
         return value
 
+    pattern = _bit_pattern(module)
+    instances = [
+        (i, j, m, pattern(i, j, m)) for i in gen_range for j in gen_range for m in basis_range
+    ]
+    at = _change_memo()
     computed: dict[tuple, MPoly] = {}
     for fam_f in spec.families:
         for fam_g in spec.families:
@@ -381,27 +462,28 @@ def module_residuals(
                 (target, template.substitute(VAR_D, -POLY_L_PLUS_M))
                 for target, template in spec.templates(fam_f, fam_g)
             )
-            for i in gen_range:
-                for j in gen_range:
-                    for m in basis_range:
-                        inputs = (
-                            read(fam_g, j, m),
-                            read(fam_f, i, j + m),
-                            read(fam_f, i, m),
-                            read(fam_g, j, i + m),
-                        ) + tuple(read(target, i + j, m) for target, _ in heads)
-                        shared = (fam_f, fam_g, inputs)
-                        residual = computed.get(shared)
-                        if residual is None:
-                            residual = two_action_difference(*inputs[:4])
-                            for (_, head), t_h in zip(heads, inputs[4:]):
-                                if not t_h.is_zero():
-                                    residual = residual - head * _as_bracket_var(
-                                        t_h, POLY_L_PLUS_M
-                                    )
-                            computed[shared] = residual
-                        key = (fam_f, fam_g) if index_free else (fam_f, fam_g, i, j, m)
-                        yield key, residual
+            by_pattern: dict[tuple, MPoly] = {}
+            for i, j, m, bits in instances:
+                residual = by_pattern.get(bits)
+                if residual is None:
+                    inputs = (
+                        read(fam_g, j, m),
+                        read(fam_f, i, j + m),
+                        read(fam_f, i, m),
+                        read(fam_g, j, i + m),
+                    ) + tuple(read(target, i + j, m) for target, _ in heads)
+                    shared = (fam_f, fam_g, inputs)
+                    residual = computed.get(shared)
+                    if residual is None:
+                        residual = two_action_difference(*inputs[:4], at)
+                        for (_, head), t_h in zip(heads, inputs[4:]):
+                            if not t_h.is_zero():
+                                residual = residual - head * at(_at_l_plus_m, t_h)
+                        computed[shared] = residual
+                    if bits is not None:
+                        by_pattern[bits] = residual
+                key = (fam_f, fam_g) if index_free else (fam_f, fam_g, i, j, m)
+                yield key, residual
 
 
 def check_module_axioms(

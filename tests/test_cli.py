@@ -146,6 +146,75 @@ class TestCommands:
                      "--format", "json"]) == 0
         assert json.loads(path.read_text())["config"] == config
 
+    @pytest.mark.parametrize("flag, value", [
+        ("ap", "3"), ("bp", "1/2"), ("degree", "2"), ("seed", "5"),
+    ])
+    @pytest.mark.parametrize("kind", [["rank1"], ["graded", "--base", "vab"],
+                                      ["graded", "--base", "vAb", "--bitseq", "0" * 19]],
+                             ids=["rank1", "graded-vab", "graded-vAb"])
+    def test_check_module_refuses_what_no_module_reads(self, tmp_path, capsys, kind, flag,
+                                                       value):
+        name = "rank1" if kind == ["rank1"] else f"graded-{kind[2]}"
+        given = ["--algebra", "csv", "--a", "0", "--b", "0", "--kind", *kind]
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{flag}: '{value}'\n")
+        for args in ([f"--{flag}", value], ["--config", str(cfg)]):
+            assert main(["check-module", *given, *args]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: field {flag!r}: module {name} reads no {flag}\n"
+            )
+
+    def test_check_module_vab_refuses_a_bitseq_lo(self, capsys):
+        assert main(["check-module", "--algebra", "csv", "--a", "0", "--b", "0",
+                     "--kind", "graded", "--bitseq-lo", "-9"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: field 'bitseq_lo': module graded-vab reads no bitseq_lo\n"
+        )
+
+    @pytest.mark.parametrize("base, extra, config", [
+        ("vab", [], {"base": "vab", "gen_bound": "1", "window": "1"}),
+        ("vAb", ["--bitseq", "0" * 13],
+         {"base": "vAb", "bitseq": "0" * 13, "bitseq_lo": "-9", "gen_bound": "1",
+          "window": "1"}),
+    ])
+    def test_graded_check_module_config_holds_what_the_base_reads(self, tmp_path, capsys,
+                                                                  base, extra, config):
+        # the vAb base reads bitseq_lo (here its default) and a vab base does not
+        path = tmp_path / "r.json"
+        assert main(["check-module", "--algebra", "csv", "--a", "0", "--b", "0", "--kind",
+                     "graded", "--base", base, *extra, "--window", "1", "--gen-bound", "1",
+                     "--report", str(path), "--format", "json"]) == 0
+        recorded = json.loads(path.read_text())["config"]
+        assert {key: recorded.get(key) for key in config} == config
+        unread = {"ap", "bp", "degree", "seed"} | ({"bitseq_lo"} if base == "vab" else set())
+        assert not unread & set(recorded)
+
+    @pytest.mark.parametrize("algebra, flag, value", [
+        ("chv", "window", "5"), ("csv", "window", "3"), ("mfam", "window", "2"),
+        ("chv", "seed", "1"), ("tsv", "seed", "20250809"),
+    ])
+    def test_verify_axioms_refuses_what_its_check_does_not_read(self, tmp_path, capsys,
+                                                                algebra, flag, value):
+        # a value equal to the old default is refused too
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{flag}: '{value}'\n")
+        for args in ([f"--{flag}", value], ["--config", str(cfg)]):
+            assert main(["verify-axioms", "--algebra", algebra, *args]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: field {flag!r}: the {algebra} check reads no {flag}\n"
+            )
+
+    @pytest.mark.parametrize("algebra, config", [
+        ("chv", {"a": "sym", "algebra": "chv", "b": "sym"}),
+        ("tsv", {"a": "sym", "algebra": "tsv", "b": "sym", "window": "3"}),
+    ])
+    def test_verify_axioms_config_holds_only_what_it_reads(self, tmp_path, capsys, algebra,
+                                                          config):
+        path = tmp_path / "r.json"
+        assert main(["verify-axioms", "--algebra", algebra, "--report", str(path),
+                     "--format", "json"]) == 0
+        assert json.loads(path.read_text())["config"] == config
+
     def test_classify_rank1(self, capsys):
         code = main(
             [

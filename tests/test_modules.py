@@ -264,6 +264,121 @@ class TestResidualReuse:
         assert len(calls) == counts[spec.name]
 
 
+def _graded_stream_cases():
+    """Seeded ``build_graded`` modules over csv and chv: numeric, Gaussian
+    and symbolic beta and d (and alpha for vab); random, constant and
+    alternating bits; the default window, (1, 1) and (2, 1), with some bit
+    sequences covering exactly ``window_reach``.  Two custom copies of vAb
+    tables check that a custom module keeps the by-value key."""
+    rng = random.Random(24)
+    gauss = GaussianRational(Fraction(1, 2), Fraction(-3, 2))
+    cases = []
+
+    def add(name, spec, grid, module, window):
+        label = f"{spec.name}({grid[0]},{grid[1]})-{name}-{window[0]},{window[1]}"
+        cases.append(pytest.param(spec, module, window, id=label))
+
+    def bits(shape, reach, extra=0):
+        lo, n = -reach - extra, 2 * (reach + extra) + 1
+        if shape == "random":
+            return BitSeq.random(rng, lo, lo + n - 1)
+        if shape == "alternating":
+            return BitSeq(lo, tuple(k % 2 for k in range(n)))
+        return BitSeq(lo, (1,) * n)
+
+    # the default window (3, 2) on bits over [-9, 9]
+    spec = build_csv(0, 0)
+    add("vAb-random-sym", spec, (0, 0),
+        build_graded(spec, "vAb", bits("random", 7, 2), "sym", "sym"), (3, 2))
+    spec = build_chv(1, 0)
+    add("vAb-alternating-num", spec, (1, 0),
+        build_graded(spec, "vAb", bits("alternating", 7, 2), Fraction(1, 2), 3), (3, 2))
+    add("vab-num", spec, (1, 0), build_graded(spec, "vab", 2, Fraction(-1, 3), 1), (3, 2))
+    # (1, 1) and (2, 1), on bits that cover exactly the window the identity reads
+    for build, grid in ((build_csv, (0, 0)), (build_chv, (1, 0)), (build_csv, (1, 0))):
+        spec = build(*grid)
+        for name, shape, beta, d in (
+            ("random-gauss-sym", "random", gauss, "sym"),
+            ("constant-sym-gauss", "constant", "sym", gauss),
+            ("alternating-gauss", "alternating", gauss, gauss),
+            ("random-num", "random", 0, 1),
+        ):
+            for window in ((1, 1), (2, 1)):
+                seq = bits(shape, modules.window_reach(*window))
+                add(f"vAb-{name}", spec, grid, build_graded(spec, "vAb", seq, beta, d), window)
+        add("vab-sym", spec, grid, build_graded(spec, "vab", "sym", "sym", "sym"), (1, 1))
+        add("vab-gauss", spec, grid, build_graded(spec, "vab", gauss, gauss, gauss), (2, 1))
+    # custom tables: a vAb module's own tables, and the same with an extension
+    # action that reads the generator index, which no bit pattern sees
+    spec = build_csv(0, 0)
+    seq = bits("random", 3)
+    vAb = build_graded(spec, "vAb", seq, "sym", "sym")
+    add("custom-vAb", spec, (0, 0), graded_from_tables(spec.families, vAb.coeffs, seq), (1, 1))
+    tables = {**vAb.coeffs, "Y": lambda i, m: P(f"{i}*dd + 1")}
+    add("custom-indexed", spec, (0, 0), graded_from_tables(spec.families, tables, seq), (1, 1))
+    return cases
+
+
+class TestGradedStream:
+    @pytest.mark.parametrize("spec, module, window", _graded_stream_cases())
+    def test_matches_literal_loop(self, spec, module, window):
+        # every (key, residual) of the stream, zeros included, in order
+        n_basis, k_gen = window
+        literal = [
+            ((fam_f, fam_g, i, j, m),
+             literal_module_residual(spec, module.action, fam_f, fam_g, i, j, m))
+            for fam_f in spec.families
+            for fam_g in spec.families
+            for i in range(-k_gen, k_gen + 1)
+            for j in range(-k_gen, k_gen + 1)
+            for m in range(-n_basis, n_basis + 1)
+        ]
+        assert list(module_residuals(spec, module, n_basis, k_gen)) == literal
+        report = check_module_axioms(spec, module, n_basis, k_gen)
+        assert report.checked == len(literal)
+        assert list(report.residuals.items()) == [(k, r) for k, r in literal if r]
+
+    @pytest.mark.parametrize(
+        "base, counts",
+        [
+            # the L table takes its 4 case values (1 for vab), Y the constant
+            # dd and M is 0; p(d, l+m) is not made for a zero bracket target
+            ("alternating", {"_at_m_shifted": 6, "_shifted_by_m": 6, "_at_m": 6,
+                             "_at_l_plus_m": 5}),
+            ("vab", {"_at_m_shifted": 3, "_shifted_by_m": 3, "_at_m": 3, "_at_l_plus_m": 2}),
+        ],
+    )
+    def test_each_variable_change_made_once_per_stream(self, monkeypatch, base, counts):
+        calls = {name: [] for name in counts}
+
+        def counting(name):
+            change = getattr(modules, name)
+
+            def counted(value):
+                calls[name].append(value)
+                return change(value)
+
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(modules, name, counting(name))
+        spec = build_csv(0, 0)
+        if base == "vab":
+            module = build_graded(spec, "vab", "sym", "sym", "sym")
+        else:
+            module = build_graded(spec, "vAb", BitSeq(-9, tuple(k % 2 for k in range(19))),
+                                  "sym", "sym")
+        runs = []
+        for _ in range(2):
+            for made in calls.values():
+                made.clear()
+            assert check_module_axioms(spec, module, 3, 2).checked == 1575
+            for made in calls.values():
+                assert len(made) == len(set(made))
+            runs.append({name: len(made) for name, made in calls.items()})
+        assert runs == [counts, counts]
+
+
 def _literal_oracle(module, a, b, n_basis, k_gen):
     """``relations_oracle`` with no memo: every variable change is made
     afresh at every sample (the reference the memoised oracle must match)."""
