@@ -356,32 +356,30 @@ def lie_jacobi_check(spec: LieAlgebraSpec, window: int) -> LieCheckReport:
 # registry for the command line
 # ---------------------------------------------------------------------------
 
-ALGEBRA_IDS = ("csv", "chv", "cw", "sv", "hv", "cvir", "mfam", "tsv")
+#: the parameters each algebra reads, by public identifier
+ALGEBRA_PARAMS = {
+    "csv": ("a", "b"), "chv": ("a", "b"), "cw": (), "sv": ("a", "b"), "hv": ("a", "b"),
+    "cvir": (), "mfam": ("a", "b", "ap", "bp"), "tsv": (),
+}
+ALGEBRA_IDS = tuple(ALGEBRA_PARAMS)
+
+_BUILDERS = {
+    "csv": build_csv, "chv": build_chv, "cw": build_cw, "sv": build_sv, "hv": build_hv,
+    "cvir": build_cvir, "mfam": build_construction,
+}
 
 
 def build_algebra(identifier: str, **params: ParamLike) -> AlgebraSpec:
-    """Build a conformal algebra by its public identifier."""
+    """Build a conformal algebra by its public identifier.
+
+    It reads the algebra's ``ALGEBRA_PARAMS`` from ``params`` (a missing one
+    is ``sym``) and ignores every other one."""
     ident = identifier.lower()
-    a = params.get("a", "sym")
-    b = params.get("b", "sym")
-    if ident == "csv":
-        return build_csv(a, b)
-    if ident == "chv":
-        return build_chv(a, b)
-    if ident == "cw":
-        return build_cw()
-    if ident == "sv":
-        return build_sv(a, b)
-    if ident == "hv":
-        return build_hv(a, b)
-    if ident == "cvir":
-        return build_cvir()
-    if ident == "mfam":
-        return build_construction(
-            a, params.get("ap", "sym"), b, params.get("bp", "sym")
-        )
     if ident == "tsv":
         raise ValueError(
             "tsv is the plain graded Lie algebra; only verify-axioms handles it"
         )
-    raise ValueError(f"unknown algebra identifier {identifier!r}")
+    if ident not in _BUILDERS:
+        raise ValueError(f"unknown algebra identifier {identifier!r}")
+    reads = ALGEBRA_PARAMS[ident]
+    return _BUILDERS[ident](**{key: value for key, value in params.items() if key in reads})

@@ -4,16 +4,18 @@ Subcommands: verify-axioms, solve-construction, check-module, classify,
 derivations, paper-suite.  Options may come from a YAML config file
 (``--config``) whose keys are the subcommand's flag names; its entries are
 parsed as flags, placed before the command line's own, so they are checked
-as flags are and command-line flags override them.  Defaults are the
-parser's, except for the options in ``UNSET``, which the parser leaves
-unset so that a run that reads one not can refuse it: ``verify-axioms``
-refuses ``--seed``, and ``--window`` off tsv; ``check-module`` refuses
-``--ap``, ``--bp``, ``--degree`` and ``--seed``, and those its module kind
-reads not; ``classify`` with ``--kind rank1`` those a rank-one run reads
-not; ``derivations --task dichotomy`` those criterion 4 fixes.  A run fills
-each one it reads from ``DEFAULTS``.  Reports print as text and can be
-written to a file as text or JSON; the exit code is 0 exactly when every
-check in the report passed.
+as flags are and command-line flags override them.
+
+One rule settles every run option (each option but ``--config``,
+``--report`` and ``--format``).  A run first works out the options it
+reads: those of its command, of its ``--kind``, ``--base`` or ``--task``,
+and the algebra's own parameters (``catalog.ALGEBRA_PARAMS``).  Each one it
+reads and is not given takes its ``DEFAULTS`` value; each one it does not
+read and is given is refused, so a value is never accepted and then
+ignored.  The report's ``config`` holds exactly the options the run reads
+that have a value.  Reports print as text and can be written to a file as
+text or JSON; the exit code is 0 exactly when every check in the report
+passed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import yaml
 
 from .catalog import (
     ALGEBRA_IDS,
+    ALGEBRA_PARAMS,
     build_algebra,
     build_tsv_lie,
     lie_jacobi_check,
@@ -99,11 +102,6 @@ def parse_grid(text: str, field: str) -> list[tuple]:
     return points
 
 
-def _snapshot(args: argparse.Namespace, *keys: str) -> dict:
-    """The report's ``config``: each of ``keys`` that has a value, as text."""
-    return {key: str(value) for key in keys if (value := getattr(args, key)) is not None}
-
-
 def _algebra(args: argparse.Namespace) -> str:
     """The ``--algebra`` value, which the command cannot run without."""
     if args.algebra is None:
@@ -111,16 +109,34 @@ def _algebra(args: argparse.Namespace) -> str:
     return args.algebra
 
 
-def _settle_unset(args: argparse.Namespace, reads: tuple[str, ...], refusal: str = "") -> None:
-    """The command's ``UNSET`` options: each one the run ``reads`` takes its
-    ``DEFAULTS`` value when not given, and each other one given is refused
-    with ``refusal``, formatted with the option's ``key``."""
-    for key in UNSET[args.command]:
-        given = getattr(args, key) is not None
-        if key in reads and not given:
-            setattr(args, key, DEFAULTS[key])
-        elif key not in reads and given:
+def _settle(args: argparse.Namespace, reads: tuple[str, ...], refusal: str) -> dict:
+    """Settle every run option of ``args`` by what the run ``reads``, and
+    return the report's ``config``: each option read that has a value, as
+    text.
+
+    An option read and not given takes its ``DEFAULTS`` value (if it has
+    one); an option not read and given is refused with ``refusal``,
+    formatted with the option's ``key``.  The options are walked in the
+    parser's order, the command's own before the shared ones.
+    """
+    config = {}
+    for key, value in vars(args).items():
+        if key in ("command", "config", "report", "format"):
+            continue
+        if key in reads and value is None:
+            value = DEFAULTS.get(key)
+            setattr(args, key, value)
+        if value is None:
+            continue
+        if key not in reads:
             raise ConfigError(f"field {key!r}: {refusal.format(key=key)}")
+        config[key] = str(value)
+    return config
+
+
+def _params(args: argparse.Namespace, keys: tuple[str, ...], parse=parse_param) -> dict:
+    """The options ``keys``, each parsed by ``parse``."""
+    return {key: parse(getattr(args, key), key) for key in keys}
 
 
 def _numeric(value: str, field: str) -> GaussianRational:
@@ -137,11 +153,10 @@ def _numeric(value: str, field: str) -> GaussianRational:
 
 def cmd_verify_axioms(args: argparse.Namespace) -> Report:
     algebra = _algebra(args)
-    _settle_unset(args, ("window",) if algebra == "tsv" else (),
-                  f"the {algebra} check reads no {{key}}")
+    reads = ("algebra", *ALGEBRA_PARAMS[algebra], *(("window",) if algebra == "tsv" else ()))
     report = Report(
         command="verify-axioms",
-        config=_snapshot(args, "algebra", "a", "b", "ap", "bp", "window"),
+        config=_settle(args, reads, f"the {algebra} check reads no {{key}}"),
     )
     if algebra == "tsv":
         window = args.window
@@ -155,12 +170,7 @@ def cmd_verify_axioms(args: argparse.Namespace) -> Report:
                 rec.passed = lie.all_zero
                 rec.status = "zero" if lie.all_zero else "nonzero"
         return report
-    params = {
-        key: parse_param(value, key)
-        for key in ("a", "b", "ap", "bp")
-        if (value := getattr(args, key)) is not None
-    }
-    spec = build_algebra(algebra, **params)
+    spec = build_algebra(algebra, **_params(args, ALGEBRA_PARAMS[algebra]))
     with timed_check(
         report.checks,
         f"axioms-{algebra}",
@@ -181,7 +191,10 @@ def cmd_verify_axioms(args: argparse.Namespace) -> Report:
 
 
 def cmd_solve_construction(args: argparse.Namespace) -> Report:
-    report = Report(command="solve-construction", config=_snapshot(args, "seed"))
+    report = Report(
+        command="solve-construction",
+        config=_settle(args, (), "the construction solve reads no {key}"),
+    )
     with timed_check(
         report.checks,
         "construction-weights",
@@ -191,15 +204,13 @@ def cmd_solve_construction(args: argparse.Namespace) -> Report:
         rec.passed = (sol.ap, sol.bp) == expected_weights()
         rec.status = f"ap = {sol.ap}; bp = {sol.bp}"
         rec.detail = "; ".join(f"[{mono}] {poly}" for mono, poly in sol.equations[:6])
-    for record in criterion_2(args.seed)[2:]:
+    for record in criterion_2()[2:]:
         report.add(record)
     return report
 
 
 def _build_module(args: argparse.Namespace, spec, kind: str):
     bits = None
-    if kind != "graded-vAb" and args.bitseq is not None:
-        raise ConfigError(f"field 'bitseq': module {kind} reads no bitseq")
     if kind == "graded-vAb":
         if not args.bitseq:
             raise ConfigError("field 'bitseq': required for the vAb base")
@@ -207,24 +218,27 @@ def _build_module(args: argparse.Namespace, spec, kind: str):
             bits = BitSeq.from_string(args.bitseq, args.bitseq_lo)
         except ValueError as exc:
             raise ConfigError(f"field 'bitseq': {args.bitseq!r}: {exc}") from exc
-    params = {key: parse_param(getattr(args, key), key) for key in MODULE_PARAMS[kind]}
-    return build_module(spec, kind, params, bits)
+    return build_module(spec, kind, _params(args, MODULE_PARAMS[kind]), bits)
 
 
 def cmd_check_module(args: argparse.Namespace) -> Report:
     algebra = _algebra(args)
-    kind = "rank1" if args.kind == "rank1" else f"graded-{args.base or DEFAULTS['base']}"
-    _settle_unset(args, MODULE_OPTIONS[kind], f"module {kind} reads no {{key}}")
+    kind = "rank1"
+    if (args.kind or DEFAULTS["kind"]) == "graded":
+        kind = f"graded-{args.base or DEFAULTS['base']}"
+    reads = ("algebra", "kind", *ALGEBRA_PARAMS[algebra], *MODULE_PARAMS[kind])
+    if kind != "rank1":
+        reads += ("base", "window", "gen_bound")
+    if kind == "graded-vAb":
+        reads += ("bitseq", "bitseq_lo")
     report = Report(
         command="check-module",
-        config=_snapshot(args, "algebra", "a", "b", "kind", "base", "alpha", "beta", "c",
-                         "d", "bitseq", "bitseq_lo", "window", "gen_bound"),
+        config=_settle(args, reads, f"module {kind} reads no {{key}}"),
     )
-    a = parse_param(args.a, "a")
-    b = parse_param(args.b, "b")
-    spec = build_algebra(algebra, a=a, b=b)
+    params = _params(args, ALGEBRA_PARAMS[algebra])
+    spec = build_algebra(algebra, **params)
     module = _build_module(args, spec, kind)
-    window = () if module.kind == "rank1" else (args.window, args.gen_bound)
+    window = () if kind == "rank1" else (args.window, args.gen_bound)
     with timed_check(report.checks, "module-axioms") as rec:
         axioms = check_module_axioms(spec, module, *window)
         rec.claim = f"module identity residuals over {algebra} ({axioms.checked} instances)"
@@ -233,9 +247,10 @@ def cmd_check_module(args: argparse.Namespace) -> Report:
         rec.residual_samples = [
             f"{key}: {val}" for key, val in list(axioms.residuals.items())[:3]
         ]
-    if module.kind != "rank1" and "Y" in spec.families and a != "sym" and b != "sym":
+    # the oracle writes out csv's relations, and chv's are their L, M part
+    if kind != "rank1" and algebra in ("csv", "chv") and "sym" not in params.values():
         with timed_check(report.checks, "relation-oracle") as rec:
-            oracle = relations_oracle(module, a, b, args.window, args.gen_bound)
+            oracle = relations_oracle(module, params["a"], params["b"], *window)
             rec.claim = (
                 f"hand-coded structure-coefficient relations ({oracle.checked} instances)"
             )
@@ -255,15 +270,16 @@ def _families_text(outcome) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> Report:
     algebra = _algebra(args)
-    rank1 = args.kind == "rank1"
-    _settle_unset(args, () if rank1 else UNSET["classify"],
-                  "the rank-one classification reads no {key}")
+    rank1 = (args.kind or DEFAULTS["kind"]) == "rank1"
+    reads = ("algebra", "kind", "grid", "degree")
+    if rank1:
+        refusal = "the rank-one classification reads no {key}"
+    else:
+        base = args.base or DEFAULTS["base"]
+        reads += ("base", "window", "gen_bound", *(("seed", "bitseqs") if base != "vab" else ()))
+        refusal = f"the graded classification on base {base} reads no {{key}}"
+    report = Report(command="classify", config=_settle(args, reads, refusal))
     grid = parse_grid(args.grid, "grid")
-    report = Report(
-        command="classify",
-        config=_snapshot(args, "algebra", "kind", "grid", "base", "degree", "window",
-                         "gen_bound", "seed", "bitseqs"),
-    )
     if algebra not in EXTENSION_POINT:
         raise ConfigError(f"field 'algebra': classification targets csv or chv, not {algebra!r}")
     points = [(_numeric(str(a), "grid"), _numeric(str(b), "grid")) for a, b in grid]
@@ -284,19 +300,17 @@ def cmd_classify(args: argparse.Namespace) -> Report:
                     "extension family" if outcome.has_extension else "trivial tails only"
                 )
         return report
-    base = args.base
-    rng = random.Random(args.seed)
-    n_seqs = args.bitseqs
-    least = 1 if base == "vAb" else 0
-    if n_seqs < least:
-        raise ConfigError(f"field 'bitseqs' must be >= {least} for base {base}, got {n_seqs}")
-    reach = window_reach(args.window, args.gen_bound)
-    bitseqs = [BitSeq.random(rng, -reach, reach) for _ in range(n_seqs)]
     bases: list[tuple[str, BitSeq | None]] = []
     if base in ("vab", "both"):
         bases.append(("vab", None))
     if base in ("vAb", "both"):
-        bases.extend(("vAb", bits) for bits in bitseqs)
+        n_seqs = args.bitseqs
+        least = 1 if base == "vAb" else 0
+        if n_seqs < least:
+            raise ConfigError(f"field 'bitseqs' must be >= {least} for base {base}, got {n_seqs}")
+        rng = random.Random(args.seed)
+        reach = window_reach(args.window, args.gen_bound)
+        bases.extend(("vAb", BitSeq.random(rng, -reach, reach)) for _ in range(n_seqs))
     for a, b in points:
         for base_kind, bits in bases:
             tag = base_kind if bits is None else f"{base_kind}-{bits.to_string()}"
@@ -330,20 +344,25 @@ def _step_failed(rec: CheckRecord, exc: StepFailed) -> None:
 
 
 def cmd_derivations(args: argparse.Namespace) -> Report:
-    if args.task == "dichotomy":
+    task = args.task or DEFAULTS["task"]
+    if task == "dichotomy":
         return _dichotomy(args)
-    _settle_unset(args, UNSET["derivations"])
     algebra = _algebra(args)
-    grading = args.grading
+    # every task judges by a (its verdict is expected_extra_dimension(a)) and
+    # names (a, b) in its claim, on every algebra
+    reads = ("algebra", "task", "grading", "a", "b", *ALGEBRA_PARAMS[algebra])
+    if task != "dvec-check":
+        reads += ("degree", "window")
     report = Report(
         command="derivations",
-        config=_snapshot(args, "algebra", "task", "a", "b", "grading", "degree", "window",
-                         "seed"),
+        config=_settle(args, reads, f"the {task} task reads no {{key}}"),
     )
-    parse = parse_param if args.task == "dvec-check" else _numeric
-    a, b = parse(args.a, "a"), parse(args.b, "b")
-    spec = build_algebra(algebra, a=a, b=b)
-    if args.task == "dvec-check":
+    grading = args.grading
+    parse = parse_param if task == "dvec-check" else _numeric
+    params = _params(args, ("a", "b", *ALGEBRA_PARAMS[algebra]), parse)
+    a, b = params["a"], params["b"]
+    spec = build_algebra(algebra, **params)
+    if task == "dvec-check":
         with timed_check(
             report.checks,
             "dvec-leibniz",
@@ -355,7 +374,7 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
             rec.passed = leibniz.all_zero == (expected_extra_dimension(a) == 1)
             rec.status = "zero" if leibniz.all_zero else "nonzero"
         return report
-    if args.task == "solve":
+    if task == "solve":
         with timed_check(
             report.checks, "graded-solve", f"degree-{grading} derivations of {algebra}({a},{b})"
         ) as rec:
@@ -387,10 +406,10 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
 def _dichotomy(args: argparse.Namespace) -> Report:
     """Criterion 4 on ``--algebra`` (csv or chv), or on both when it is not
     given; the report's ``config`` holds the image degree and window that
-    criterion 4 solves at.  An ``UNSET`` option given is refused."""
-    _settle_unset(
+    criterion 4 solves at, and every other option given is refused."""
+    config = _settle(
         args,
-        (),
+        ("algebra", "task"),
         "c4 fixes it; the dichotomy runs criterion 4 over its weight grid and "
         f"degrees -1..1 at image degree {C4_BOUND} and window {C4_WINDOW}",
     )
@@ -400,8 +419,7 @@ def _dichotomy(args: argparse.Namespace) -> Report:
         )
     report = Report(
         command="derivations",
-        config={**_snapshot(args, "algebra", "task"), "degree": str(C4_BOUND),
-                "window": str(C4_WINDOW)},
+        config={**config, "degree": str(C4_BOUND), "window": str(C4_WINDOW)},
     )
     for name in [args.algebra] if args.algebra else C4_ALGEBRAS:
         report.add(c4_dichotomy(name))
@@ -409,6 +427,8 @@ def _dichotomy(args: argparse.Namespace) -> Report:
 
 
 def cmd_paper_suite(args: argparse.Namespace) -> Report:
+    # the suite writes its own config, the seed
+    _settle(args, ("only", "seed"), "the paper suite reads no {key}")
     only = None
     if args.only:
         try:
@@ -427,9 +447,12 @@ def cmd_paper_suite(args: argparse.Namespace) -> Report:
 # ---------------------------------------------------------------------------
 
 
+#: the value a run option that the run reads takes when it is not given
 DEFAULTS = {
     "a": "sym",
     "b": "sym",
+    "ap": "sym",
+    "bp": "sym",
     "alpha": "sym",
     "beta": "sym",
     "c": "sym",
@@ -445,23 +468,6 @@ DEFAULTS = {
     "seed": DEFAULT_SEED,
     "bitseqs": 3,
     "bitseq_lo": -9,
-    "format": "text",
-}
-
-#: the options each command's parser leaves unset, so that the command can
-#: tell a given one from a default: those some run of the command reads not
-UNSET = {
-    "verify-axioms": ("window", "seed"),
-    "derivations": ("a", "b", "degree", "window", "grading", "seed"),
-    "check-module": ("base", "bitseq_lo", "window", "gen_bound", "ap", "bp", "degree", "seed"),
-    "classify": ("base", "bitseqs", "window", "gen_bound", "seed"),
-}
-
-#: the ``check-module`` options of ``UNSET`` that each module kind reads
-MODULE_OPTIONS = {
-    "rank1": (),
-    "graded-vab": ("base", "window", "gen_bound"),
-    "graded-vAb": ("base", "bitseq_lo", "window", "gen_bound"),
 }
 
 COMMANDS = {
@@ -474,10 +480,11 @@ COMMANDS = {
 }
 
 
-def _common_options(defaults: dict) -> argparse.ArgumentParser:
-    """The options every subcommand takes, with ``defaults``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The flag parser.  It sets no defaults, so a run can tell a given
+    option from one not given; each subcommand's own options come before
+    the shared ones, the order in which ``_settle`` walks them."""
     common = argparse.ArgumentParser(add_help=False)
-    common.set_defaults(**defaults)
     common.add_argument("--config", help="YAML config file (CLI flags override it)")
     common.add_argument("--algebra", choices=ALGEBRA_IDS)
     common.add_argument("--a", help="rational p/q, Gaussian p/q+r/si, or 'sym'")
@@ -490,16 +497,23 @@ def _common_options(defaults: dict) -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--report", help="write the report to this path")
     common.add_argument("--format", choices=("text", "json"))
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    def add(command: str) -> argparse.ArgumentParser:
-        # argparse shares a parent's option objects between subparsers, so
-        # each command gets its own copy, without defaults for its ``UNSET``
-        unset = UNSET.get(command, ())
-        defaults = {k: v for k, v in DEFAULTS.items() if k not in unset}
-        return sub.add_parser(command, parents=[_common_options(defaults)])
+    own = {command: argparse.ArgumentParser(add_help=False) for command in COMMANDS}
+    cm = own["check-module"]
+    cm.add_argument("--kind", choices=("rank1", "graded"))
+    cm.add_argument("--base", choices=("vab", "vAb"))
+    for key in MODULE_PARAMS["rank1"]:     # rank1 reads every module param
+        cm.add_argument(f"--{key}")
+    cm.add_argument("--bitseq")
+    cm.add_argument("--bitseq-lo", type=int)
+    cl = own["classify"]
+    cl.add_argument("--kind", choices=("rank1", "graded"))
+    cl.add_argument("--base", choices=("vab", "vAb", "both"))
+    cl.add_argument("--grid")
+    cl.add_argument("--bitseqs", type=int, help="number of seeded random bit sequences")
+    dv = own["derivations"]
+    dv.add_argument("--task", choices=("dvec-check", "solve", "dichotomy", "decompose"))
+    dv.add_argument("--grading", type=int, help="grading degree of the derivation")
+    own["paper-suite"].add_argument("--only", help="comma-separated criterion numbers")
 
     parser = argparse.ArgumentParser(
         prog="confalg",
@@ -507,25 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
         "type Lie conformal algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add("verify-axioms")
-    add("solve-construction")
-    cm = add("check-module")
-    cm.add_argument("--kind", choices=("rank1", "graded"))
-    cm.add_argument("--base", choices=("vab", "vAb"))
-    for key in MODULE_PARAMS["rank1"]:     # rank1 reads every module param
-        cm.add_argument(f"--{key}")
-    cm.add_argument("--bitseq")
-    cm.add_argument("--bitseq-lo", type=int)
-    cl = add("classify")
-    cl.add_argument("--kind", choices=("rank1", "graded"))
-    cl.add_argument("--base", choices=("vab", "vAb", "both"))
-    cl.add_argument("--grid")
-    cl.add_argument("--bitseqs", type=int, help="number of seeded random bit sequences")
-    dv = add("derivations")
-    dv.add_argument("--task", choices=("dvec-check", "solve", "dichotomy", "decompose"))
-    dv.add_argument("--grading", type=int, help="grading degree of the derivation")
-    ps = add("paper-suite")
-    ps.add_argument("--only", help="comma-separated criterion numbers")
+    for command, options in own.items():
+        sub.add_parser(command, parents=[options, common])
     return parser
 
 

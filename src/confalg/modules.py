@@ -549,7 +549,10 @@ def relations_oracle(
     four; YY reads four h-values and g(i+j, m).  The tables take few
     distinct values, so each relation is computed once per call for each
     distinct tuple of the values it reads, and each of the four variable
-    changes below once per call for each distinct table value it meets.
+    changes below once per call for each distinct table value it meets, by
+    the stream's ``_change_memo``.  The four changes are written out here
+    and not taken from the stream's, because they are part of the
+    independent encoding.
     """
     pa = as_param(a, "a")
     pb = as_param(b, "b")
@@ -567,16 +570,7 @@ def relations_oracle(
     def d_plus_mu(p: MPoly) -> MPoly:       # p(d+m', l)
         return p.shift(VAR_D, POLY_M)
 
-    changed: dict[tuple[Callable[[MPoly], MPoly], MPoly], MPoly] = {}
-
-    def at(change: Callable[[MPoly], MPoly], value: MPoly) -> MPoly:
-        """``change`` applied to ``value``, memoised by the change and the
-        value for the rest of this call."""
-        key = (change, value)
-        out = changed.get(key)
-        if out is None:
-            out = changed[key] = change(value)
-        return out
+    at = _change_memo()
 
     def actions(x: MPoly, y: MPoly, z: MPoly, w: MPoly) -> MPoly:
         # x(d+l, m') y(d, l) - z(d+m', l) w(d, m')

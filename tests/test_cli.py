@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import re
@@ -59,7 +60,7 @@ class TestCommands:
         assert "summary: 2/2 passed" in out
 
     def test_solve_construction(self, capsys):
-        assert main(["solve-construction", "--seed", "5"]) == 0
+        assert main(["solve-construction"]) == 0
         out = capsys.readouterr().out
         assert "(1/2)*a + 1" in out and "(1/2)*b" in out
 
@@ -206,7 +207,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("algebra, config", [
         ("chv", {"a": "sym", "algebra": "chv", "b": "sym"}),
-        ("tsv", {"a": "sym", "algebra": "tsv", "b": "sym", "window": "3"}),
+        ("tsv", {"algebra": "tsv", "window": "3"}),
     ])
     def test_verify_axioms_config_holds_only_what_it_reads(self, tmp_path, capsys, algebra,
                                                           config):
@@ -414,8 +415,9 @@ class TestCommands:
         assert main(["derivations", "--algebra", "csv", "--a", "1", "--b", "0",
                      "--report", str(path), "--format", "json"]) == 0
         config = json.loads(path.read_text())["config"]
-        assert (config["task"], config["degree"], config["window"], config["grading"],
-                config["seed"]) == ("solve", "6", "3", "0", str(cli.DEFAULT_SEED))
+        assert (config["task"], config["degree"], config["window"], config["grading"]) == (
+            "solve", "6", "3", "0")
+        assert "seed" not in config
 
     @pytest.mark.parametrize("algebra", ["sv", "cw", "mfam"])
     def test_dichotomy_refuses_other_algebras(self, capsys, algebra):
@@ -423,6 +425,94 @@ class TestCommands:
         assert capsys.readouterr().err == (
             f"config error: field 'algebra': the dichotomy runs on csv or chv, not {algebra!r}\n"
         )
+
+
+def _run_options(command: str) -> tuple[str, ...]:
+    """Each run option of ``command``: every flag but --config, --report and
+    --format."""
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(
+        action.dest for action in subparsers.choices[command]._actions
+        if action.option_strings and action.dest not in ("help", "config", "report", "format")
+    )
+
+
+#: a value that each run option's flag parser accepts
+VALUES = {
+    "algebra": "csv", "a": "0", "b": "0", "ap": "1", "bp": "1", "window": "1",
+    "gen_bound": "1", "degree": "2", "seed": "5", "kind": "rank1", "base": "vab",
+    "alpha": "1", "beta": "1", "c": "1", "d": "1", "bitseq": "0" * 13, "bitseq_lo": "-9",
+    "grid": "0,0", "bitseqs": "2", "task": "solve", "grading": "0", "only": "1",
+}
+
+#: (id, run, the options it reads, its report's config keys where they differ)
+RUNS = [
+    ("verify-axioms-chv", "verify-axioms --algebra chv", "algebra a b"),
+    ("verify-axioms-cw", "verify-axioms --algebra cw", "algebra"),
+    ("verify-axioms-mfam", "verify-axioms --algebra mfam", "algebra a b ap bp"),
+    ("verify-axioms-tsv", "verify-axioms --algebra tsv", "algebra window"),
+    ("solve-construction", "solve-construction", ""),
+    ("check-module-rank1", "check-module --algebra csv --a 0 --b 0 --kind rank1",
+     "algebra a b kind alpha beta c d"),
+    ("check-module-rank1-cw", "check-module --algebra cw", "algebra kind alpha beta c d"),
+    ("check-module-vab", "check-module --algebra chv --a 1 --b 0 --kind graded --base vab "
+     "--window 1 --gen-bound 1", "algebra a b kind base alpha beta d window gen_bound"),
+    ("check-module-vAb", "check-module --algebra csv --a 0 --b 0 --kind graded --base vAb "
+     "--bitseq 0000000000000 --window 1 --gen-bound 1",
+     "algebra a b kind base beta d bitseq bitseq_lo window gen_bound"),
+    ("classify-rank1", "classify --algebra chv --kind rank1 --grid 1,0 --degree 2",
+     "algebra kind grid degree"),
+    ("classify-vab", "classify --algebra chv --kind graded --base vab --grid 1,0 --window 1 "
+     "--gen-bound 1", "algebra kind grid degree base window gen_bound"),
+    ("classify-vAb", "classify --algebra chv --kind graded --base vAb --grid 1,0 --window 1 "
+     "--gen-bound 1 --bitseqs 1", "algebra kind grid degree base window gen_bound seed bitseqs"),
+    ("classify-both", "classify --algebra csv --kind graded --base both --grid 0,0 --window 1 "
+     "--gen-bound 1 --bitseqs 1", "algebra kind grid degree base window gen_bound seed bitseqs"),
+    ("dvec-check", "derivations --task dvec-check --algebra chv --a 1 --b 0",
+     "algebra task a b grading"),
+    ("solve", "derivations --task solve --algebra csv --a 1 --b 0 --degree 2 --window 1",
+     "algebra task a b grading degree window"),
+    ("decompose", "derivations --task decompose --algebra chv --a 1 --b 0 --degree 2 "
+     "--window 1", "algebra task a b grading degree window"),
+    ("dichotomy", "derivations --task dichotomy --algebra chv", "algebra task",
+     "algebra task degree window"),
+    ("paper-suite", "paper-suite --only 1", "only seed", "seed"),
+]
+
+REFUSALS = [
+    pytest.param(run, key, id=f"{name}-{key}")
+    for name, run, reads, *_ in RUNS
+    for key in _run_options(run.split()[0]) if key not in reads.split()
+]
+
+
+class TestOneRule:
+    """Every run option a run does not read is refused, given as a flag or
+    as a config-file key, and the report's config holds exactly the options
+    the run reads."""
+
+    @pytest.mark.parametrize("run, key", REFUSALS)
+    def test_an_option_the_run_does_not_read_is_refused(self, tmp_path, capsys, run, key):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{key}: '{VALUES[key]}'\n")
+        for args in ([f"--{key.replace('_', '-')}", VALUES[key]], ["--config", str(cfg)]):
+            assert main([*run.split(), *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"config error: field {key!r}: ")
+
+    @pytest.mark.parametrize("run, reads, config",
+                             [pytest.param(run, reads, *(rest or [reads]), id=name)
+                              for name, run, reads, *rest in RUNS])
+    def test_the_config_holds_what_the_run_reads(self, tmp_path, capsys, monkeypatch, run,
+                                                 reads, config):
+        monkeypatch.setattr(cli, "c4_dichotomy",
+                            lambda name: cli.CheckRecord(name, "", status="", passed=True))
+        path = tmp_path / "r.json"
+        assert main([*run.split(), "--report", str(path), "--format", "json"]) in (0, 1)
+        assert sorted(json.loads(path.read_text())["config"]) == sorted(config.split())
+
 
 
 class TestConfigAndReports:
@@ -484,7 +574,7 @@ class TestConfigAndReports:
 
     @pytest.mark.parametrize("command, entries", [
         ("verify-axioms", {"algebra": "chv", "a": "-1/2", "b": "0"}),
-        ("solve-construction", {"seed": "5"}),
+        ("solve-construction", {}),
         ("check-module", {
             "algebra": "csv", "a": "0", "b": "0", "kind": "graded", "base": "vAb",
             "bitseq": "0" * 13, "bitseq_lo": "-6", "window": "2", "gen_bound": "1",
@@ -556,7 +646,7 @@ class TestConfigAndReports:
             path = tmp_path / f"r{k}.json"
             main(
                 [
-                    "solve-construction", "--seed", "42", "--report", str(path),
+                    "solve-construction", "--report", str(path),
                     "--format", "json",
                 ]
             )

@@ -29,8 +29,10 @@ CLI_GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.txt"
 CLI_RUNS = (
     "verify-axioms --algebra chv --a=-1/2 --b 0",
     "verify-axioms --a 0",
+    "verify-axioms --algebra cw --a 3",
     "solve-construction",
     "solve-construction --config missing-run.yaml",
+    "solve-construction --seed 5",
     "check-module --algebra csv --a 0 --b 0 --kind rank1 --alpha 1/2 --c 2",
     "check-module --algebra chv --a 1 --b 0 --kind graded --base vab --window 1 --gen-bound 1",
     "check-module --algebra csv --a 0 --b 0 --kind rank1 --bitseq-lo 3",
@@ -40,10 +42,13 @@ CLI_RUNS = (
     "classify --algebra csv --kind rank1 --grid 0,0 --bitseqs 7 --window 1",
     "classify --algebra csv --kind rank1 --grid 0,0 --seed 3",
     "classify --algebra cw --grid 0,0",
+    "classify --algebra chv --kind graded --base vab --grid 1,0 --bitseqs 2",
     "derivations --task solve --algebra csv --a 1 --b 0 --degree 3 --window 1",
     "derivations --task dichotomy --a 1",
+    "derivations --task dvec-check --algebra csv --a 1 --b 0 --window 5",
     "paper-suite --only 2,8",
     "paper-suite --only 2,99",
+    "paper-suite --only 1 --a 3",
 )
 
 
