@@ -362,6 +362,11 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
     params = _params(args, ("a", "b", *ALGEBRA_PARAMS[algebra]), parse)
     a, b = params["a"], params["b"]
     spec = build_algebra(algebra, **params)
+    if task == "decompose" and "M" not in spec.families:
+        raise ConfigError(
+            f"field 'algebra': the decompose task splits ad(M_{grading}), and {algebra} "
+            "has no M family"
+        )
     if task == "dvec-check":
         with timed_check(
             report.checks,

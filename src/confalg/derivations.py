@@ -43,7 +43,16 @@ of the grading degree enters them.  Within a family pair, each
 instantiated template is multiplied by each power of its term once; the
 l^q factor of an unknown only raises l exponents.  The inner vectors take
 one bracket [d^k X_c _l F_0] per (X, k, F); ``ad`` stays the literal
-evaluator the tests hold them to.  Nothing built in a solve outlives it.
+evaluator the tests hold them to.
+
+Every row entry is linear in the template coefficients, so the solver's
+rows are built once per (families, the table's (pair, target) layout with
+each template's total degree in d and l, bound), on templates with one
+coefficient symbol per monomial d^u l^v of that degree, and kept for the
+life of the process (``_linearization``).  An entry is the id of its linear
+form in the symbols, which name places in the layout, so the cache holds no
+input value: a solve evaluates each form once at its own coefficients, and
+those values end with the call.
 
 So the (L_0, y_j) system is answered from its index-0 data.  The pairs
 with j != 0 are one block, relabelled: the index-0 L columns (A) and the
@@ -499,7 +508,7 @@ def _pair_rows(
     """Rows of the Leibniz residual of (x_i, y_j), keyed by the residual's
     (target family, monomial in d, l, m): each contribution's position
     plus the first column of i, j or i + j.  An index past the window lands
-    on the next block (``_lzero_kernel`` reads index 1 of window 0 so).
+    on the next block (``_linearization`` reads index 1 of window 0 so).
 
     Contributions are added in their build order, so unknowns that share a
     column (e.g. x_i and the bracket image when j = 0) sum and cancel in a
@@ -539,7 +548,7 @@ def _contribution_table(
 
     The terms of [(D x)_{l+m} y] and [x _m (D y)] are built once per
     template pair and shared by every family pair of this table that reads
-    them (in ``_lzero_kernel`` every pair is (L, y), so the (L, G) terms are
+    them (in ``_linearization`` every pair is (L, y), so the (L, G) terms are
     built once, not once per y); they are dropped with the table build.
     The powers are ``_powers(bound)``.
     """
@@ -587,6 +596,113 @@ def _leibniz_system(
     return coords, rows
 
 
+#: a linear form in the template coefficients: (coefficient, factor) pairs,
+#: each coefficient named by its position in ``_template_layout``'s list
+_Form = tuple[tuple[int, GaussianRational], ...]
+#: a row of a linearized block: (column, id of the entry's form) pairs
+_FormRow = tuple[tuple[int, int], ...]
+#: per family pair (sorted), the target and the template's total degree in
+#: d and l of each of its bracket entries
+_Layout = tuple[tuple[tuple[str, str], tuple[tuple[str, int], ...]], ...]
+
+
+def _template_layout(spec: AlgebraSpec) -> tuple[_Layout, list[GaussianRational]]:
+    """The layout of the bracket table and its template coefficients.
+
+    The coefficients come per family pair, in sorted order, per bracket
+    entry, per monomial d^u l^v with u + v at most the template's degree, in
+    ``_degree_monos`` order; those the template lacks are 0.
+    """
+    layout = []
+    coefficients: list[GaussianRational] = []
+    for pair in sorted(spec.table):
+        entries = []
+        for target, template in spec.table[pair]:
+            by_mono = {}
+            for mono, coeff in template.terms.items():
+                exps = dict(mono)
+                by_mono[exps.pop(VAR_D, 0), exps.pop(VAR_L, 0)] = coeff
+                if exps:
+                    raise ValueError(
+                        f"the template of {pair[0]}, {pair[1]} -> {target} has a term in "
+                        f"{', '.join(exps)} besides {VAR_D} and {VAR_L}"
+                    )
+            degree = template.degree()
+            entries.append((target, degree))
+            coefficients.extend(by_mono.get(uv, ZERO) for uv in _degree_monos(degree))
+        layout.append((pair, tuple(entries)))
+    return tuple(layout), coefficients
+
+
+def _interned(row: Mapping[int, Mapping[int, GaussianRational]],
+              forms: dict[_Form, int]) -> _FormRow:
+    """``row`` (column -> form as coefficient -> factor) with each nonzero
+    form replaced by its id in ``forms``, which is extended as needed."""
+    out = []
+    for col, form in row.items():
+        key = tuple(sorted((k, v) for k, v in form.items() if v))
+        if key:
+            out.append((col, forms.setdefault(key, len(forms))))
+    return tuple(out)
+
+
+@functools.cache
+def _linearization(
+    families: tuple[str, ...], layout: _Layout, bound: int
+) -> tuple[tuple[_FormRow, ...], tuple[_FormRow, ...], tuple[_Form, ...]]:
+    """Block 0 and B of ``_lzero_blocks`` for every table of this layout.
+
+    Each entry of the rows is linear in the template coefficients, so the
+    rows are built once, by ``_contribution_table`` and ``_pair_rows``, on a
+    table whose templates have one coefficient symbol per monomial d^u l^v
+    with u + v at most the template's degree, and each entry is kept as the
+    id of its linear form in those symbols.  A symbol names a place in the
+    layout, never a value: the entry holds no input, and an input with this
+    layout reads it by evaluating the forms at its coefficients.  Rows, forms
+    and the three tuples are immutable; block 0 is already folded, and rows
+    whose forms all cancel are dropped.  The cache lives as long as the
+    process, one entry per (families, layout, bound).
+    """
+    symbols: dict[str, int] = {}
+    table = {}
+    for pair, entries in layout:
+        templates = []
+        for target, degree in entries:
+            terms = {}
+            for u, v in _degree_monos(degree):
+                name = f"t{len(symbols)}"
+                symbols[name] = len(symbols)
+                terms[((VAR_D, u), (VAR_L, v), (name, 1))] = 1
+            templates.append((target, MPoly(terms)))
+        table[pair] = tuple(templates)
+    spec = AlgebraSpec("templates", families, table)
+    coords = _make_coords(spec, 0, bound, 0)
+    n = coords.n
+    contributions = _contribution_table(spec, bound, (("L", fam) for fam in families))
+    forms: dict[_Form, int] = {}
+    block_0: list[_FormRow] = []
+    block_b: list[_FormRow] = []
+    for fam in families:
+        rows: dict[tuple[str, Mono], dict[int, dict[int, GaussianRational]]] = {}
+        for (target, mono), row in _pair_rows(coords, contributions[("L", fam)], 0, 1).items():
+            # every term holds one symbol, which sorts after d, l and m
+            symbol = symbols[mono[-1][0]]
+            entries = rows.setdefault((target, mono[:-1]), {})
+            for col, value in row.items():
+                entries.setdefault(col, {})[symbol] = value
+        for row in rows.values():
+            folded: dict[int, dict[int, GaussianRational]] = {}
+            for col, form in row.items():
+                acc = folded.setdefault(col % n, {})
+                for k, v in form.items():
+                    acc[k] = acc[k] + v if k in acc else v
+            block_0.append(_interned(folded, forms))
+            block_b.append(_interned({col - n: form for col, form in row.items() if col >= n},
+                                     forms))
+    return (tuple(row for row in block_0 if row), tuple(row for row in block_b if row),
+            tuple(forms))
+
+
 def _lzero_blocks(spec: AlgebraSpec, coords: _Coords) -> tuple[list[SparseRow], list[SparseRow]]:
     """Block 0 and B, the two blocks of the lzero Leibniz system.
 
@@ -600,26 +716,28 @@ def _lzero_blocks(spec: AlgebraSpec, coords: _Coords) -> tuple[list[SparseRow], 
     every index and by ker B placed at each j != 0: dimension
     dim ker(block 0) + 2w dim ker B.
 
-    ``coords`` is the window-0 layout.  The rows of (L_0, y_1) are built
-    once on it, their index-1 columns being the next n: B is their index-1
-    part, block 0 the same rows with the index-1 columns folded onto index
-    0.  Both are on the n index-0 columns.  An algebra restricted to index
-    0 has no index 1 and so no B; the fold still gives its block 0, as an
-    identity of the rows' polynomials.
+    ``coords`` is the window-0 layout.  The rows of (L_0, y_1) on it, their
+    index-1 columns being the next n, give B as their index-1 part and block
+    0 as the same rows with the index-1 columns folded onto index 0.  Both
+    are on the n index-0 columns.  An algebra restricted to index 0 has no
+    index 1 and so no B; the fold still gives its block 0, as an identity of
+    the rows' polynomials.
+
+    The rows come from ``_linearization``, cached per (families, table
+    layout, bound) with every entry a linear form in the template
+    coefficients: the call evaluates each distinct form once at the
+    coefficients of ``spec`` (a list that ends with the call) and keeps the
+    nonzero entries and the rows that hold one.
     """
-    n = coords.n
-    table = _contribution_table(spec, coords.bound, (("L", fam) for fam in spec.families))
-    block_0: list[SparseRow] = []
-    block_b: list[SparseRow] = []
-    for fam in spec.families:
-        for row in _pair_rows(coords, table[("L", fam)], 0, 1).values():
-            folded: SparseRow = {}
-            for col, value in row.items():
-                k = col % n
-                folded[k] = folded[k] + value if k in folded else value
-            block_0.append({k: v for k, v in folded.items() if v})
-            block_b.append({col - n: v for col, v in row.items() if col >= n})
-    return block_0, block_b
+    layout, coefficients = _template_layout(spec)
+    block_0, block_b, forms = _linearization(spec.families, layout, coords.bound)
+    values = [sum((v * coefficients[k] for k, v in form), ZERO) for form in forms]
+
+    def evaluated(block: tuple[_FormRow, ...]) -> list[SparseRow]:
+        rows = ({col: values[f] for col, f in row if values[f]} for row in block)
+        return [row for row in rows if row]
+
+    return evaluated(block_0), evaluated(block_b)
 
 
 def _lzero_kernel(
@@ -630,7 +748,7 @@ def _lzero_kernel(
     block_0, block_b = _lzero_blocks(spec, coords)
 
     def kernel(rows: list[SparseRow]) -> list[SparseRow]:
-        return list(reduce_rows([r for r in rows if r], None, coords.n).kernel_vectors().values())
+        return list(reduce_rows(rows, None, coords.n).kernel_vectors().values())
 
     return kernel(block_0), None if spec.index0_only else kernel(block_b)
 
@@ -733,7 +851,8 @@ def solve_graded_derivations(
     degree <= ``bound``); equations are Leibniz residual coefficients of
     the pairs {(L_0, y_j)}, which carry the whole classification argument.
     The answer for any window comes from the index-0 data
-    (``_lzero_kernel``): the rows of (L_0, y_1), built once, give block 0
+    (``_lzero_kernel``): the rows of (L_0, y_1), built once per table layout
+    and bound and evaluated at ``spec``'s templates, give block 0
     and B; the dimension is dim ker(block 0) + 2 * window * dim ker B, and
     the basis is the block-0 kernel vectors, read as index-0 patterns and
     relabelled to every index (``_uniform``), plus ker B placed at each

@@ -316,6 +316,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "restricted to index 0" in err
 
+    @pytest.mark.parametrize("algebra", ["cw", "cvir"])
+    def test_derivations_decompose_refuses_an_algebra_without_m(self, capsys, algebra):
+        code = main(
+            ["derivations", "--task", "decompose", "--algebra", algebra, "--a", "1", "--b", "0"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: field 'algebra': the decompose task splits ad(M_0), and "
+            f"{algebra} has no M family\n"
+        )
+
     def test_derivations_dvec(self, capsys):
         code = main(
             [

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,11 @@ from confalg.derivations import (
     DerivationSpec,
     _contribution_table,
     _leibniz_system,
+    _linearization,
+    _lzero_blocks,
     _make_coords,
     _pair_rows,
+    _template_layout,
     inner_window_vectors,
     NotDecomposable,
     StrayVariable,
@@ -658,6 +662,122 @@ class TestGeneratedRows:
             with pytest.raises(ValueError, match="restricted to index 0") as relabelled:
                 inner_window_vectors(spec, coords)
             assert str(relabelled.value) == str(literal.value)
+
+
+
+def numeric_blocks(spec, bound):
+    """The oracle of ``_lzero_blocks``: block 0 is the whole lzero system at
+    window 0, the rows of the pairs (L_0, y_0); B is the index-1 part of the
+    rows of the lzero system at window 1 that reach index 1."""
+    _, block_0 = _leibniz_system(spec, 0, bound, 0, "lzero")
+    coords, rows = _leibniz_system(spec, 0, bound, 1, "lzero")
+    start = 2 * coords.n
+    block_b = [{col - start: v for col, v in row.items() if col >= start} for row in rows]
+    return block_0, [row for row in block_b if row]
+
+
+def row_multiset(rows):
+    return Counter(frozenset(row.items()) for row in rows)
+
+
+def with_yy_template(template: str):
+    """csv(1, 0) with [Y _l Y] = ``template`` M: the same (pair, target)
+    layout as csv, with another template degree."""
+    csv = build_csv(1, 0)
+    return AlgebraSpec("csv-yy", csv.families, {**csv.table, ("Y", "Y"): (("M", P(template)),)})
+
+
+#: the criterion-4 grid (it holds a = 0, a = -2, where a/2 + 1 = 0, and b = 0,
+#: where template coefficients vanish) and two non-real points
+CACHE_POINTS = [(a, b) for a in DERIVATION_GRID_A for b in DERIVATION_GRID_B] + [
+    GAUSS_WEIGHTS, (GaussianRational(Fraction(-2), Fraction(1)), Fraction(0)),
+]
+
+
+class TestLinearizationCache:
+    """``_lzero_blocks`` evaluates rows that ``_linearization`` builds once
+    per (families, table layout, bound); these tests hold them to the
+    numeric lzero system and the cache to its key."""
+
+    @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_evaluated_blocks_equal_the_numeric_build(self, build):
+        for a, b in CACHE_POINTS:
+            spec = build(a, b)
+            coords = _make_coords(spec, 0, 4, 0)
+            want_0, want_b = numeric_blocks(spec, 4)
+            got_0, got_b = _lzero_blocks(spec, coords)
+            assert row_multiset(got_0) == row_multiset(want_0), (a, b)
+            assert row_multiset(got_b) == row_multiset(want_b), (a, b)
+            assert all(got_0) and all(got_b) and all(v for row in got_0 + got_b
+                                                       for v in row.values())
+
+    @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_kernels_equal_the_numeric_build(self, build):
+        for a, b in CACHE_POINTS:
+            res = solve_graded_derivations(build(a, b), 0, 4, 2)
+            n = res.coords.n
+            want_0, want_b = (list(reduce_rows(rows, None, n).kernel_vectors().values())
+                              for rows in numeric_blocks(build(a, b), 4))
+            assert (res.kernel_0, res.kernel_b) == (want_0, want_b), (a, b)
+
+    def test_one_entry_per_algebra_on_the_criterion_4_grid(self):
+        _linearization.cache_clear()
+        for build in (build_csv, build_chv):
+            for a in DERIVATION_GRID_A:
+                for b in DERIVATION_GRID_B:
+                    for degree in (-1, 0, 1):
+                        solve_graded_derivations(build(a, b), degree, 4, 2)
+        info = _linearization.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 88)
+        # sv and hv share the tables, and so the entries, of csv and chv
+        solve_graded_derivations(build_sv(1, 0), 0, 4, 0)
+        solve_graded_derivations(build_hv(2, 1), 0, 4, 0)
+        assert _linearization.cache_info().currsize == 2
+
+    def test_the_key_holds_each_template_degree(self):
+        # the same (pair, target) layout at template degrees 1, 2 and 0: each
+        # gets its own entry, and each evaluates to its own numeric rows
+        _linearization.cache_clear()
+        for spec in (build_csv(1, 0), with_yy_template("d + 2*l + l^2"),
+                     with_yy_template("3"), build_csv(1, 0)):
+            want_0, want_b = numeric_blocks(spec, 2)
+            got_0, got_b = _lzero_blocks(spec, _make_coords(spec, 0, 2, 0))
+            assert (row_multiset(got_0), row_multiset(got_b)) == (
+                row_multiset(want_0), row_multiset(want_b)), spec.table[("Y", "Y")]
+        assert _linearization.cache_info().currsize == 3
+
+    def test_rows_do_not_depend_on_the_solves_before(self):
+        # P, then Q, then P: each evaluation reads only its own spec
+        p, q = build_csv(1, 0), build_csv(*GAUSS_WEIGHTS)
+        coords = _make_coords(p, 0, 4, 0)
+        _linearization.cache_clear()
+        first = _lzero_blocks(p, coords)
+        entry = _linearization(p.families, _template_layout(p)[0], 4)
+        between = _lzero_blocks(q, coords)
+        assert _lzero_blocks(p, coords) == first
+        assert [row_multiset(rows) for rows in between] == [
+            row_multiset(rows) for rows in numeric_blocks(q, 4)]
+        # the entry holds no value of either spec: built from Q alone it is
+        # the same
+        _linearization.cache_clear()
+        _lzero_blocks(q, coords)
+        assert _linearization(q.families, _template_layout(q)[0], 4) == entry
+
+    def test_cached_rows_are_immutable(self):
+        spec = build_chv(1, 0)
+        coords = _make_coords(spec, 0, 4, 0)
+        block_0, _ = _lzero_blocks(spec, coords)
+        # tuples all the way down, so no part of the entry changes in place
+        hash(_linearization(spec.families, _template_layout(spec)[0], 4))
+        # and each call evaluates rows of its own
+        block_0[0].clear()
+        assert _lzero_blocks(spec, coords)[0][0]
+
+    def test_template_in_a_stray_variable_is_refused(self):
+        csv = build_csv(1, 0)
+        spec = AlgebraSpec("csv-x", csv.families, {**csv.table, ("Y", "Y"): (("M", P("d + x")),)})
+        with pytest.raises(ValueError, match="Y, Y -> M has a term in x besides d and l"):
+            solve_graded_derivations(spec, 0, 2, 0)
 
 
 class TestDecompose:

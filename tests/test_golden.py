@@ -46,6 +46,7 @@ CLI_RUNS = (
     "derivations --task solve --algebra csv --a 1 --b 0 --degree 3 --window 1",
     "derivations --task dichotomy --a 1",
     "derivations --task dvec-check --algebra csv --a 1 --b 0 --window 5",
+    "derivations --task decompose --algebra cw --a 1 --b 0",
     "paper-suite --only 2,8",
     "paper-suite --only 2,99",
     "paper-suite --only 1 --a 3",
