@@ -41,26 +41,33 @@ pair, each unknown carrying its position in an index block, and relabelled
 per index pair by adding the start of the block of i, j or i + j; nothing
 of the grading degree enters them.  Within a family pair, each
 instantiated template is multiplied by each power of its term once; the
-l^q factor of an unknown only raises l exponents.  The inner vectors take
-one bracket [d^k X_c _l F_0] per (X, k, F); ``ad`` stays the literal
-evaluator the tests hold them to.
+l^q factor of an unknown only raises l exponents.  The inner vectors are
+index-0 patterns too: [d^k X_c _l F_i] is [d^k X_0 _l F_0] with every
+index raised by c + i, so the columns of ad(d^k X_c) at index 0 do not
+depend on the grading degree c, and one bracket per (X, k, F) gives them
+all; ``ad`` stays the literal evaluator the tests hold them to.
 
-Every row entry is linear in the template coefficients, so the solver's
-rows are built once per (families, the table's (pair, target) layout with
-each template's total degree in d and l, bound), on templates with one
-coefficient symbol per monomial d^u l^v of that degree, and kept for the
-life of the process (``_linearization``).  An entry is the id of its linear
-form in the symbols, which name places in the layout, so the cache holds no
-input value: a solve evaluates each form once at its own coefficients, and
-those values end with the call.
+Every row entry and every inner-pattern entry is linear in the template
+coefficients, so the solver's rows and the patterns are built once per
+(families, the table's (pair, target) layout with each template's total
+degree in d and l, bound), on templates with one coefficient symbol per
+monomial d^u l^v of that degree, and kept for the life of the process
+(``_linearization``).  An entry is the id of its linear form in the
+symbols, which name places in the layout, so the cache holds no input
+value: a solve looks the entry up once and evaluates each form once at its
+own coefficients, for both blocks and the patterns, and those values end
+with the call.
 
 So the (L_0, y_j) system is answered from its index-0 data.  The pairs
 with j != 0 are one block, relabelled: the index-0 L columns (A) and the
 index-j columns (B).  The pairs with j = 0, block 0, are the same rows with
 the index-j columns folded onto index 0.  The rows of (L_0, y_1) are built
 once, on the window-0 layout, whose index-1 columns are its next n, and
-two eliminations over the index-0 columns give ker(block 0) and ker B.  For
-a window w the kernel has dimension dim ker(block 0) + 2w dim ker B; its
+two eliminations over the index-0 columns give ker(block 0) and ker B.
+Before each, the rows that hold one entry, many in either block, are
+made unit rows and their columns cleared from the other rows
+(``linsolve.pin_single_entry_rows``): the row space is the same, so the
+reduced row echelon form is too, on far fewer entries.  For a window w the kernel has dimension dim ker(block 0) + 2w dim ker B; its
 basis is each block-0 kernel vector relabelled to every index and each
 ker-B vector placed at each j != 0.  The inner rank is read on the index-0
 patterns.  When ker B = 0 the answer does not depend on the window, and
@@ -74,7 +81,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .lca import (
     POLY_L,
@@ -93,7 +100,7 @@ from .lca import (
     text_lines,
     weight_of,
 )
-from .linsolve import SparseRow, reduce_rows
+from .linsolve import SparseRow, pin_single_entry_rows, reduce_rows
 from .poly import ZERO, GaussianRational, Inconsistent, Mono, MPoly
 
 
@@ -103,6 +110,12 @@ class NotDecomposable(ValueError):
 
 class StrayVariable(ValueError):
     """An image term in a variable other than d and l, which has no column."""
+
+
+class InnerNotInKernel(ValueError):
+    """An inner derivation that the solved graded Leibniz kernel lacks: the
+    bracket table is no Lie conformal algebra's (it breaks skew-symmetry or
+    the Jacobi identity), so ``ad`` of some element breaks the Leibniz rule."""
 
 
 #: finitely supported scalar sequence: position -> coefficient
@@ -634,23 +647,38 @@ def _template_layout(spec: AlgebraSpec) -> tuple[_Layout, list[GaussianRational]
     return tuple(layout), coefficients
 
 
+def _form_id(form: Mapping[int, GaussianRational], forms: dict[_Form, int]) -> int | None:
+    """The id in ``forms`` (extended as needed) of ``form`` (coefficient ->
+    factor); None for the zero form."""
+    key = tuple(sorted((k, v) for k, v in form.items() if v))
+    return forms.setdefault(key, len(forms)) if key else None
+
+
 def _interned(row: Mapping[int, Mapping[int, GaussianRational]],
               forms: dict[_Form, int]) -> _FormRow:
-    """``row`` (column -> form as coefficient -> factor) with each nonzero
-    form replaced by its id in ``forms``, which is extended as needed."""
-    out = []
-    for col, form in row.items():
-        key = tuple(sorted((k, v) for k, v in form.items() if v))
-        if key:
-            out.append((col, forms.setdefault(key, len(forms))))
-    return tuple(out)
+    """``row`` (column -> form) with each nonzero form replaced by its id."""
+    ids = ((col, _form_id(form, forms)) for col, form in row.items())
+    return tuple((col, f) for col, f in ids if f is not None)
+
+
+class _Linearization(NamedTuple):
+    """One ``_linearization`` entry; every entry of a row is a form id."""
+
+    #: block 0 and B of ``_lzero_blocks``, on the n index-0 columns
+    block_0: tuple[_FormRow, ...]
+    block_b: tuple[_FormRow, ...]
+    #: the index-0 pattern of ad(d^k X_c) per (X, k), k < bound, X over the
+    #: families, in ``inner_window_vectors`` order, on the n index-0 columns
+    patterns: tuple[_FormRow, ...]
+    #: pattern entries past the bound: (source family, monomial in d and l,
+    #: form id), in the order the patterns meet them
+    beyond: tuple[tuple[str, Mono, int], ...]
+    forms: tuple[_Form, ...]
 
 
 @functools.cache
-def _linearization(
-    families: tuple[str, ...], layout: _Layout, bound: int
-) -> tuple[tuple[_FormRow, ...], tuple[_FormRow, ...], tuple[_Form, ...]]:
-    """Block 0 and B of ``_lzero_blocks`` for every table of this layout.
+def _linearization(families: tuple[str, ...], layout: _Layout, bound: int) -> _Linearization:
+    """Block 0, B and the inner patterns for every table of this layout.
 
     Each entry of the rows is linear in the template coefficients, so the
     rows are built once, by ``_contribution_table`` and ``_pair_rows``, on a
@@ -659,9 +687,17 @@ def _linearization(
     id of its linear form in those symbols.  A symbol names a place in the
     layout, never a value: the entry holds no input, and an input with this
     layout reads it by evaluating the forms at its coefficients.  Rows, forms
-    and the three tuples are immutable; block 0 is already folded, and rows
-    whose forms all cancel are dropped.  The cache lives as long as the
-    process, one entry per (families, layout, bound).
+    and the tuples are immutable; block 0 is already folded, and rows whose
+    forms all cancel are dropped.  The cache lives as long as the process,
+    one entry per (families, layout, bound).
+
+    The inner patterns come from the same table, one bracket
+    [d^k X_0 _l F_0] per (X, k, F).  The column of a pattern entry is its
+    (source F, target, monomial) slot, which no index reads: [d^k X_c _l F_0]
+    is [d^k X_0 _l F_0] with each generator index raised by c, so the
+    patterns are the same at every grading degree c.  A pattern entry whose
+    monomial is past the bound has no column; it is kept in ``beyond`` for
+    ``_index0_patterns`` to refuse when it evaluates nonzero.
     """
     symbols: dict[str, int] = {}
     table = {}
@@ -699,8 +735,64 @@ def _linearization(
             block_0.append(_interned(folded, forms))
             block_b.append(_interned({col - n: form for col, form in row.items() if col >= n},
                                      forms))
-    return (tuple(row for row in block_0 if row), tuple(row for row in block_b if row),
-            tuple(forms))
+    patterns: list[_FormRow] = []
+    beyond: dict[tuple[int, str, str, Mono], dict[int, GaussianRational]] = {}
+    for fam in families:
+        for k in range(bound):
+            x = GenPoly.unit(fam, 0, MPoly.var(VAR_D, k))
+            pattern: dict[int, dict[int, GaussianRational]] = {}
+            for src in families:
+                image = conformal_bracket(spec, x, GenPoly.unit(src, 0), VAR_L)
+                for gen, poly in image.terms.items():
+                    for mono, value in poly.terms.items():
+                        # one symbol per term, after d and l
+                        exps = dict(mono[:-1])
+                        slot = (src, gen.family, (exps.get(VAR_D, 0), exps.get(VAR_L, 0)))
+                        if slot in coords.local:
+                            form = pattern.setdefault(coords.local[slot], {})
+                        else:
+                            key = (len(patterns), src, gen.family, mono[:-1])
+                            form = beyond.setdefault(key, {})
+                        form[symbols[mono[-1][0]]] = value
+            patterns.append(_interned(pattern, forms))
+    # a term's coefficient is nonzero, so no pattern form is the zero form
+    past = tuple((src, mono, _form_id(form, forms)) for (_, src, _, mono), form in beyond.items())
+    return _Linearization(tuple(row for row in block_0 if row),
+                          tuple(row for row in block_b if row), tuple(patterns), past,
+                          tuple(forms))
+
+
+def _evaluated(spec: AlgebraSpec, bound: int) -> tuple[_Linearization, list[GaussianRational]]:
+    """The ``_linearization`` entry of ``spec``'s layout at ``bound``, looked
+    up once, and the value of each of its forms at ``spec``'s template
+    coefficients, computed once (a list that ends with the caller)."""
+    layout, coefficients = _template_layout(spec)
+    entry = _linearization(spec.families, layout, bound)
+    return entry, [sum((v * coefficients[k] for k, v in form), ZERO) for form in entry.forms]
+
+
+def _evaluated_rows(rows: tuple[_FormRow, ...], values: list[GaussianRational]) -> list[SparseRow]:
+    """``rows`` at the form ``values``, without zero entries (an empty row
+    stays empty)."""
+    return [{col: values[f] for col, f in row if values[f]} for row in rows]
+
+
+def _index0_patterns(entry: _Linearization, values: list[GaussianRational],
+                     coords: _Coords) -> list[SparseRow]:
+    """The index-0 inner patterns of ``entry`` at the form ``values``, one
+    per (X, k) as ``inner_window_vectors`` orders them.
+
+    Raises ``DegreeBoundExceeded`` as ``_Coords.vector_of`` does for the
+    first pattern entry past the bound that evaluates nonzero, placed at
+    the first index of the window.
+    """
+    for src, mono, f in entry.beyond:
+        if values[f]:
+            raise DegreeBoundExceeded(
+                f"image of {src}[{-coords.src_window}] uses monomial {dict(mono)} beyond "
+                f"degree {coords.bound}"
+            )
+    return _evaluated_rows(entry.patterns, values)
 
 
 def _lzero_blocks(spec: AlgebraSpec, coords: _Coords) -> tuple[list[SparseRow], list[SparseRow]]:
@@ -726,51 +818,58 @@ def _lzero_blocks(spec: AlgebraSpec, coords: _Coords) -> tuple[list[SparseRow], 
     The rows come from ``_linearization``, cached per (families, table
     layout, bound) with every entry a linear form in the template
     coefficients: the call evaluates each distinct form once at the
-    coefficients of ``spec`` (a list that ends with the call) and keeps the
-    nonzero entries and the rows that hold one.
+    coefficients of ``spec`` (``_evaluated``) and keeps the nonzero entries
+    and the rows that hold one.
     """
-    layout, coefficients = _template_layout(spec)
-    block_0, block_b, forms = _linearization(spec.families, layout, coords.bound)
-    values = [sum((v * coefficients[k] for k, v in form), ZERO) for form in forms]
-
-    def evaluated(block: tuple[_FormRow, ...]) -> list[SparseRow]:
-        rows = ({col: values[f] for col, f in row if values[f]} for row in block)
-        return [row for row in rows if row]
-
-    return evaluated(block_0), evaluated(block_b)
+    entry, values = _evaluated(spec, coords.bound)
+    return tuple([row for row in _evaluated_rows(block, values) if row]
+                 for block in (entry.block_0, entry.block_b))
 
 
 def _lzero_kernel(
     spec: AlgebraSpec, coords: _Coords
-) -> tuple[list[SparseRow], list[SparseRow] | None]:
+) -> tuple[list[SparseRow], list[SparseRow] | None, list[SparseRow]]:
     """Kernels of block 0 and of B (``_lzero_blocks``) on the n index-0
-    columns; None for B of an algebra restricted to index 0."""
-    block_0, block_b = _lzero_blocks(spec, coords)
+    columns, None for B of an algebra restricted to index 0, and the
+    index-0 inner patterns (``inner_window_vectors`` at window 0).
 
-    def kernel(rows: list[SparseRow]) -> list[SparseRow]:
+    One lookup of ``_linearization`` and one evaluation of its forms serve
+    the blocks and the patterns.  Many rows of both blocks hold one entry,
+    which pins its column to 0 (at csv(1/2, 1), 215 of the 476 rows of block
+    0 pin 74 of its 135 columns, and 301 of the 473 rows of B pin 111):
+    ``pin_single_entry_rows`` makes them unit rows and clears their columns
+    from the other rows before each elimination.  That keeps the row space,
+    so ``reduce_rows`` reaches the same reduced row echelon form, and the
+    same kernel vectors, on rows with far fewer entries.
+    """
+    entry, values = _evaluated(spec, coords.bound)
+    patterns = _index0_patterns(entry, values, coords)
+
+    def kernel(block: tuple[_FormRow, ...]) -> list[SparseRow]:
+        rows = pin_single_entry_rows(_evaluated_rows(block, values))
         return list(reduce_rows(rows, None, coords.n).kernel_vectors().values())
 
-    return kernel(block_0), None if spec.index0_only else kernel(block_b)
+    ker_b = None if spec.index0_only else kernel(entry.block_b)
+    return kernel(entry.block_0), ker_b, patterns
 
 
 def inner_window_vectors(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
     """Window restrictions of ad(d^k X_c) for k < bound, X over the families.
 
     The same vectors as ``coords.vector_of(ad(spec, d^k X_c, window))``, in
-    that order, from one bracket per (X, k, F): bracket templates do not
-    depend on indices, so [d^k X_c _l F_i] is [d^k X_c _l F_0] with every
-    generator index raised by i.
+    that order.  Bracket templates do not depend on indices, so
+    [d^k X_c _l F_i] is [d^k X_0 _l F_0] with every generator index raised
+    by c + i: each vector is its index-0 pattern, which does not depend on
+    c, placed at every index of the window.  The patterns are evaluated from
+    the ``_linearization`` entry of ``spec``'s layout at ``coords.bound``,
+    which builds them once per entry by one bracket per (X, k, F).
     """
-    window, c = coords.src_window, coords.degree
-    _refuse_off_index0(spec, "ad", window, abs(c))
-    vectors = []
-    for fam in spec.families:
-        for k in range(coords.bound):
-            x = GenPoly.unit(fam, c, MPoly.var(VAR_D, k))
-            pattern = {src: conformal_bracket(spec, x, GenPoly.unit(src, 0), VAR_L)
-                       for src in spec.families}
-            vectors.append(coords.vector_of(_uniform(spec, pattern, window, c)))
-    return vectors
+    window = coords.src_window
+    _refuse_off_index0(spec, "ad", window, abs(coords.degree))
+    entry, values = _evaluated(spec, coords.bound)
+    starts = [(i + window) * coords.n for i in range(-window, window + 1)]
+    return [{start + col: value for start in starts for col, value in pattern.items()}
+            for pattern in _index0_patterns(entry, values, coords)]
 
 
 @dataclass
@@ -833,6 +932,21 @@ class DerivationSolveResult:
         return basis
 
 
+def _refuse_inner_outside(spec: AlgebraSpec, coords: _Coords, ker_0: list[SparseRow],
+                          patterns: list[SparseRow]) -> None:
+    """Raise ``InnerNotInKernel`` for the first inner pattern, in
+    ``inner_window_vectors`` order, that is not in the span of ``ker_0``."""
+    for position, pattern in enumerate(patterns):
+        if reduce_rows(ker_0 + [pattern], None, coords.n).rank != len(ker_0):
+            fam, k = spec.families[position // coords.bound], position % coords.bound
+            power = {0: "", 1: "d "}.get(k, f"d^{k} ")
+            raise InnerNotInKernel(
+                f"ad({power}{fam}[{coords.degree}]) is not in the solved kernel of "
+                f"{spec.name} at image degree <= {coords.bound}: its bracket table "
+                "fails the Leibniz rule for an inner derivation"
+            )
+
+
 def _refuse_negative(**values: int) -> None:
     for name, value in values.items():
         if value < 0:
@@ -851,9 +965,9 @@ def solve_graded_derivations(
     degree <= ``bound``); equations are Leibniz residual coefficients of
     the pairs {(L_0, y_j)}, which carry the whole classification argument.
     The answer for any window comes from the index-0 data
-    (``_lzero_kernel``): the rows of (L_0, y_1), built once per table layout
-    and bound and evaluated at ``spec``'s templates, give block 0
-    and B; the dimension is dim ker(block 0) + 2 * window * dim ker B, and
+    (``_lzero_kernel``): the rows of (L_0, y_1) and the index-0 inner
+    patterns, built once per table layout and bound and evaluated at
+    ``spec``'s templates, give block 0, B and the patterns; the dimension is dim ker(block 0) + 2 * window * dim ker B, and
     the basis is the block-0 kernel vectors, read as index-0 patterns and
     relabelled to every index (``_uniform``), plus ker B placed at each
     j != 0.  Every inner vector is one index-0 pattern copied to
@@ -861,7 +975,9 @@ def solve_graded_derivations(
     zero on the ker-B placements: so the inner rank and the check "inner in
     kernel" are read on the index-0 patterns.  When ker B = 0 neither the
     dimension nor the inner rank depends on the window, and the scope note
-    says so.
+    says so.  An inner pattern outside the kernel of block 0 means that the
+    table is no Lie conformal algebra's; it raises ``InnerNotInKernel``,
+    which names the first such ad(d^k X_c).
 
     The tests hold the answer to ``_leibniz_system``: the whole ``lzero``
     system, and the ``all`` system of every pair with |i|, |j| <= window
@@ -873,11 +989,10 @@ def solve_graded_derivations(
     _refuse_negative(window=window, bound=bound)
     _refuse_off_index0(spec, "the derivation solver", window, degree)
     coords = _make_coords(spec, degree, bound, 0)
-    ker_0, ker_b = _lzero_kernel(spec, coords)
-    patterns = inner_window_vectors(spec, coords)
+    ker_0, ker_b, patterns = _lzero_kernel(spec, coords)
     inner_rank = reduce_rows(patterns, None, coords.n).rank
     if reduce_rows(ker_0 + patterns, None, coords.n).rank != len(ker_0):
-        raise AssertionError("inner derivations escaped the solved kernel")
+        _refuse_inner_outside(spec, coords, ker_0, patterns)
     if ker_b == []:
         note = (
             "certified for every window (ker B = 0, so the dimension and the "

@@ -141,6 +141,32 @@ def reduce_rows(
     return Echelon(ncols=ncols, pivots=pivots, pivot_rhs=pivot_rhs)
 
 
+def pin_single_entry_rows(rows: Sequence[SparseRow]) -> list[SparseRow]:
+    """The rows with each single-entry row made the unit row of its column,
+    that column dropped from every other row, in one pass.
+
+    A single-entry row c e_k spans e_k, and subtracting multiples of e_k
+    from the other rows clears column k from them, so the row space and
+    with it the reduced row echelon form are unchanged; rows that the
+    stripping empties lie in the span of the unit rows and are left out.
+    The unit rows come first, one per pinned column in column order, and
+    so each enters ``reduce_rows`` as a pivot that no later row touches.
+    The input rows are not changed; a row that holds no pinned column is
+    passed on as it is (``reduce_rows`` copies every row it reads).
+    """
+    pinned = {next(iter(row)) for row in rows if len(row) == 1}
+    out: list[SparseRow] = [{col: ONE} for col in sorted(pinned)]
+    for row in rows:
+        if len(row) < 2:
+            continue
+        if not pinned.isdisjoint(row):
+            row = {c: v for c, v in row.items() if c not in pinned}
+            if not row:
+                continue
+        out.append(row)
+    return out
+
+
 @dataclass
 class LinearSolution:
     """General solution of ``A x = rhs``: particular + span(kernel)."""

@@ -55,7 +55,6 @@ from .lca import (
     VAR_L,
     VAR_M,
     AlgebraSpec,
-    GenPoly,
     WindowTooSmall,
     line_poly,
     text_lines,
@@ -618,49 +617,6 @@ def relations_oracle(
                     if not residual.is_zero():
                         report.residuals[(name, i, j, m)] = residual
     return report
-
-
-# ---------------------------------------------------------------------------
-# applying actions to module elements (for sesquilinearity spot checks)
-# ---------------------------------------------------------------------------
-
-BasisCombo = dict[int, MPoly]
-
-
-def apply_action(
-    module: Rank1Module | GradedModule,
-    x: GenPoly,
-    vec: BasisCombo,
-    bracket_var: str | MPoly = VAR_L,
-) -> BasisCombo:
-    """``x . vec`` extended by conformal sesquilinearity.
-
-    ``vec`` maps basis indices to coefficient polynomials (rank-one modules
-    use the single index 0).
-    """
-    v = MPoly.var(bracket_var) if isinstance(bracket_var, str) else MPoly.of(bracket_var)
-    out: BasisCombo = {}
-    for gen, p in x.terms.items():
-        p_at = p.substitute(VAR_D, -v)
-        for m, q in vec.items():
-            q_shift = q.shift(VAR_D, v)
-            if isinstance(module, Rank1Module):
-                act = module.action(gen.family, gen.index)
-                target = m
-            else:
-                act = module.action(gen.family, gen.index, m)
-                target = gen.index + m
-            if act.is_zero():
-                continue
-            if not (isinstance(bracket_var, str) and bracket_var == VAR_L):
-                act = _as_bracket_var(act, v)
-            contrib = p_at * q_shift * act
-            acc = out.get(target, _ZERO) + contrib
-            if acc.is_zero():
-                out.pop(target, None)
-            else:
-                out[target] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from confalg.catalog import build_chv, build_csv, build_hv, build_sv
+from confalg.catalog import build_chv, build_construction, build_csv, build_hv, build_sv
 import confalg.derivations
 from confalg.derivations import (
     DerivationReport,
     DerivationSpec,
+    InnerNotInKernel,
     _contribution_table,
     _leibniz_system,
     _linearization,
     _lzero_blocks,
+    _lzero_kernel,
     _make_coords,
     _pair_rows,
     _template_layout,
@@ -30,7 +32,9 @@ from confalg.derivations import (
     serialize_derivation,
     solve_graded_derivations,
 )
-from confalg.lca import AlgebraSpec, GenPoly, Generator, UnknownFamily, make_algebra
+from confalg.lca import (
+    AlgebraSpec, DegreeBoundExceeded, GenPoly, Generator, UnknownFamily, make_algebra,
+)
 from confalg.linsolve import reduce_rows
 from confalg.poly import ZERO, GaussianRational, MPoly, parse_poly
 from confalg.suite import DERIVATION_GRID_A, DERIVATION_GRID_B
@@ -778,6 +782,66 @@ class TestLinearizationCache:
         spec = AlgebraSpec("csv-x", csv.families, {**csv.table, ("Y", "Y"): (("M", P("d + x")),)})
         with pytest.raises(ValueError, match="Y, Y -> M has a term in x besides d and l"):
             solve_graded_derivations(spec, 0, 2, 0)
+
+
+class TestCachedPatterns:
+    """A solve reads the inner patterns from the same ``_linearization``
+    entry as its blocks; these tests hold them to ``ad`` and the refusals
+    to those of the numeric build."""
+
+    @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
+    def test_the_patterns_a_solve_reads_are_the_literal_ones(self, build):
+        for weights in CACHE_POINTS + [(1, GaussianRational(Fraction(0), Fraction(1)))]:
+            spec = build(*weights)
+            for degree in (-1, 0, 1):
+                coords = _make_coords(spec, degree, 4, 0)
+                patterns = _lzero_kernel(spec, coords)[2]
+                assert patterns == literal_inner_vectors(spec, coords), (weights, degree)
+
+    @pytest.mark.parametrize("template, monomials", [
+        ("d + 2*l + l^2", ({"l": 2}, {"l": 3}, {"l": 4})),
+        ("l^2", ({"l": 2}, {"l": 3}, {"l": 4})),
+        ("d^2", ({"d": 2}, {"d": 2, "l": 1}, {"d": 2, "l": 2})),
+    ])
+    def test_a_pattern_past_the_bound_is_refused_as_before(self, template, monomials):
+        spec = with_yy_template(template)
+        for bound, mono in zip((1, 2, 3), monomials):
+            for degree in (-1, 0, 1):
+                with pytest.raises(DegreeBoundExceeded) as solved:
+                    solve_graded_derivations(spec, degree, bound, 1)
+                assert str(solved.value) == (
+                    f"image of Y[0] uses monomial {mono} beyond degree {bound}")
+                with pytest.raises(DegreeBoundExceeded) as windowed:
+                    inner_window_vectors(spec, _make_coords(spec, degree, bound, 2))
+                assert str(windowed.value) == (
+                    f"image of Y[-2] uses monomial {mono} beyond degree {bound}")
+
+
+class TestInnerNotInKernel:
+    """A table that is not a Lie conformal algebra's breaks the Leibniz rule
+    for some ad(d^k X_c); the solve names the first such pattern."""
+
+    def test_mfam_off_the_construction_locus(self):
+        spec = build_construction(a=1, b=0, ap=1, bp=0)
+        with pytest.raises(InnerNotInKernel, match=r"^ad\(Y\[0\]\) is not in the solved "
+                           r"kernel of mfam at image degree <= 3"):
+            solve_graded_derivations(spec, 0, 3, 1)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_table_that_is_not_skew_symmetric(self, bound):
+        spec = with_yy_template("3")
+        for degree in (-1, 0, 1):
+            with pytest.raises(InnerNotInKernel) as info:
+                solve_graded_derivations(spec, degree, bound, 0)
+            assert str(info.value).startswith(
+                f"ad(Y[{degree}]) is not in the solved kernel of csv-yy at image "
+                f"degree <= {bound}")
+            # the named pattern is the first that the block-0 kernel lacks
+            coords = _make_coords(spec, degree, bound, 0)
+            ker_0, _, patterns = _lzero_kernel(spec, coords)
+            outside = [k for k, p in enumerate(patterns)
+                       if reduce_rows(ker_0 + [p], None, coords.n).rank != len(ker_0)]
+            assert outside[0] == spec.families.index("Y") * bound
 
 
 class TestDecompose:

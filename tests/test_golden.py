@@ -47,6 +47,7 @@ CLI_RUNS = (
     "derivations --task dichotomy --a 1",
     "derivations --task dvec-check --algebra csv --a 1 --b 0 --window 5",
     "derivations --task decompose --algebra cw --a 1 --b 0",
+    "derivations --task solve --algebra mfam --a 1 --b 0 --ap 1 --bp 0 --window 1 --degree 3",
     "paper-suite --only 2,8",
     "paper-suite --only 2,99",
     "paper-suite --only 1 --a 3",

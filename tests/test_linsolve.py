@@ -5,8 +5,8 @@ import pytest
 
 from confalg.catalog import build_chv, build_csv
 from confalg.derivations import _lzero_blocks, _make_coords, inner_window_vectors
-from confalg.linsolve import linear_solve, reduce_rows
-from confalg.poly import GaussianRational, Inconsistent, MPoly, parse_poly
+from confalg.linsolve import linear_solve, pin_single_entry_rows, reduce_rows
+from confalg.poly import ONE, GaussianRational, Inconsistent, MPoly, parse_poly
 
 
 def test_single_equation_with_polynomial_rhs():
@@ -202,3 +202,87 @@ def test_reduce_rows_matches_dense_gauss_jordan_on_criterion_4_blocks(builder, w
     kernel = list(reduce_rows(block_0, None, coords.n).kernel_vectors().values())
     for rows in (block_0, block_b, patterns, kernel + patterns):
         assert not assert_matches_oracle(rows, None, coords.n)
+
+
+# ---------------------------------------------------------------------------
+# pinning single-entry rows keeps the reduced row echelon form
+# ---------------------------------------------------------------------------
+
+
+def assert_pinning_keeps_the_echelon(rows, ncols):
+    """``pin_single_entry_rows`` puts one unit row per column of a
+    single-entry row first, and no later row holds such a column; after it
+    ``reduce_rows`` gives the same pivot rows, rank and kernel vectors as on
+    ``rows``, which are not changed.  Returns the number of pinned columns."""
+    before = [dict(r) for r in rows]
+    pinned = pin_single_entry_rows(rows)
+    singles = sorted({col for row in rows if len(row) == 1 for col in row})
+    assert pinned[:len(singles)] == [{col: ONE} for col in singles]
+    rest = pinned[len(singles):]
+    assert all(row and set(singles).isdisjoint(row) for row in rest)
+    assert len(rest) == sum(1 for row in rows if len(row) > 1 and set(row) - set(singles))
+    plain, via = reduce_rows(rows, None, ncols), reduce_rows(pinned, None, ncols)
+    assert via.pivots == plain.pivots
+    assert via.rank == plain.rank
+    assert via.kernel_vectors() == plain.kernel_vectors()
+    assert rows == before
+    return len(singles)
+
+
+def single_entry_system(rng):
+    """Sparse rows rich in single-entry rows: some repeated or rescaled,
+    some rows held on pinned columns only (stripping empties them), now
+    and then a system of single-entry rows alone."""
+    ncols = rng.randint(1, 10)
+    only_singles = rng.random() < 0.15
+    rows = []
+    for _ in range(rng.randint(1, 14)):
+        kind = rng.random()
+        singles = [row for row in rows if len(row) == 1]
+        if only_singles or kind < 0.35:
+            rows.append({rng.randrange(ncols): _gauss(rng) or ONE})
+        elif kind < 0.5 and singles:
+            (col, value), = rng.choice(singles).items()
+            rows.append({col: value * (_gauss(rng) or ONE)})
+        elif kind < 0.65 and len(singles) > 1:
+            cols = {col for row in singles for col in row}
+            rows.append({col: _gauss(rng) or ONE for col in cols})
+        else:
+            row = {c: _gauss(rng) for c in range(ncols) if rng.random() < 0.4}
+            rows.append({c: v for c, v in row.items() if v})
+    return rows, ncols
+
+
+def test_pinning_keeps_the_echelon_on_the_seeded_systems():
+    rng = random.Random(2021)
+    pinned = 0
+    for _ in range(1200):
+        rows, _, ncols = random_system(rng)
+        pinned += assert_pinning_keeps_the_echelon(rows, ncols) > 0
+    assert pinned >= 100
+
+
+def test_pinning_keeps_the_echelon_on_systems_of_single_entry_rows():
+    rng = random.Random(27)
+    shapes = {"repeated": 0, "emptied": 0, "all single": 0}
+    for _ in range(600):
+        rows, ncols = single_entry_system(rng)
+        singles = [next(iter(row)) for row in rows if len(row) == 1]
+        shapes["repeated"] += len(singles) > len(set(singles))
+        shapes["emptied"] += any(len(row) > 1 and set(row) <= set(singles) for row in rows)
+        shapes["all single"] += all(len(row) == 1 for row in rows)
+        assert_pinning_keeps_the_echelon(rows, ncols)
+    assert all(count >= 50 for count in shapes.values()), shapes
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(1, 0), (GaussianRational(Fraction(1, 2), 1), GaussianRational(2, -1)), (Fraction(1, 2), 1)],
+    ids=["a1", "gauss", "half"],
+)
+@pytest.mark.parametrize("builder", [build_csv, build_chv], ids=["csv", "chv"])
+def test_pinning_keeps_the_echelon_on_criterion_4_blocks(builder, weights):
+    spec = builder(*weights)
+    coords = _make_coords(spec, 0, 4, 0)
+    for rows in _lzero_blocks(spec, coords):
+        assert assert_pinning_keeps_the_echelon(rows, coords.n)

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from confalg import modules
 from confalg.catalog import build_chv, build_csv, build_cw
-from confalg.lca import GenPoly, WindowTooSmall
+from confalg.lca import WindowTooSmall
 from confalg.modules import (
     BitSeq,
-    apply_action,
     build_graded,
     build_module,
     build_rank1,
@@ -605,39 +604,6 @@ class TestRelationsOracle:
             axioms = check_module_axioms(spec, module, 3, 2)
             oracle = relations_oracle(module, a, b, 3, 2)
             assert axioms.all_zero == oracle.all_zero
-
-
-class TestActionApplication:
-    def test_sesquilinearity_rank1(self):
-        rng = random.Random(17)
-        spec = build_csv(0, 0)
-        module = build_rank1(spec, 1, 2, 3, 1)
-        lam = MPoly.var("l")
-        for _ in range(10):
-            fam = rng.choice(spec.families)
-            i = rng.randint(-2, 2)
-            p = P(f"{rng.randint(-3, 3)}*d + {rng.randint(0, 2)}")
-            vec = {0: P(f"d^2 + {rng.randint(-2, 2)}")}
-            x = GenPoly.unit(fam, i)
-            dx = GenPoly.unit(fam, i, MPoly.var("d"))
-            lhs = apply_action(module, dx, vec)
-            rhs = {k: P("-l") * v for k, v in apply_action(module, x, vec).items()}
-            assert lhs == {k: v for k, v in rhs.items() if not v.is_zero()}
-            # a . (d v) = (d + l) (a . v)
-            dvec = {0: MPoly.var("d") * vec[0]}
-            lhs2 = apply_action(module, x, dvec)
-            rhs2 = {
-                k: (MPoly.var("d") + lam) * v
-                for k, v in apply_action(module, x, vec).items()
-            }
-            assert lhs2 == {k: v for k, v in rhs2.items() if not v.is_zero()}
-            del p
-
-    def test_graded_action_lands_at_index_sum(self):
-        spec = build_csv(0, 0)
-        module = build_graded(spec, "vab", "sym", "sym", "sym")
-        out = apply_action(module, GenPoly.unit("Y", 2), {1: MPoly.const(1)})
-        assert set(out) == {3}
 
 
 def _bounded_witness_search(module, max_degree=3):
