@@ -5,28 +5,27 @@ Prints, per (a, b) and grading degree, the solved dimension, the inner
 rank on the same window, and their difference.  The difference is 1
 exactly on the a = 1 line.
 
-Usage: python scripts/derivation_dimension_scan.py [csv|chv] [bound] [window]
+Usage: python scripts/derivation_dimension_scan.py [algebra] [bound] [window]
+
+The algebra is one with a criterion-4 claim in the catalog (csv, chv).
 """
 
 import argparse
 import sys
 
-from confalg.catalog import build_chv, build_csv
+from confalg.catalog import CATALOG, claimed
 from confalg.derivations import solve_graded_derivations
 from confalg.suite import DERIVATION_GRID_A, DERIVATION_GRID_B
 
 
-BUILDERS = {"csv": build_csv, "chv": build_chv}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("algebra", nargs="?", default="csv", choices=sorted(BUILDERS))
+    parser.add_argument("algebra", nargs="?", default="csv", choices=claimed("c4"))
     parser.add_argument("bound", nargs="?", type=int, default=4, help="image degree bound")
     parser.add_argument("window", nargs="?", type=int, default=2, help="index window")
     args = parser.parse_args(argv)
     algebra, bound, window = args.algebra, args.bound, args.window
-    builder = BUILDERS[algebra]
+    builder = CATALOG[algebra].build
     print(f"{algebra}: image degree <= {bound}, window |i| <= {window}")
     print(f"{'a':>6} {'b':>4} {'deg':>4} {'dim':>4} {'inner':>6} {'extra':>6}")
     for a in DERIVATION_GRID_A:

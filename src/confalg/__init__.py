@@ -39,10 +39,8 @@ from .catalog import (
     build_hv,
     build_sv,
     build_tsv_lie,
-    lie_jacobi_check,
     lie_symbolic_check,
     solve_construction,
-    subalgebra_check,
 )
 from .modules import (
     BitSeq,

@@ -17,7 +17,9 @@ residual.
 
 The module also carries a plain (non-conformal) graded Lie algebra checker
 for the twisted Schroedinger-Virasoro bracket relations that motivate the
-conformal construction.
+conformal construction, and ``CATALOG``: each algebra by its public
+identifier, with its builder, the parameters the builder reads and the
+claims (``claim``) that every suite criterion and command-line task reads.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .lca import VAR_D, VAR_L, AlgebraSpec, check_jacobi, make_algebra
 from .linsolve import linear_solve
@@ -139,21 +141,6 @@ def build_hv(a: ParamLike = "sym", b: ParamLike = "sym") -> AlgebraSpec:
 def build_cvir() -> AlgebraSpec:
     """The Virasoro conformal algebra (single generator L_0)."""
     return _index0(build_cw(), "cvir")
-
-
-def subalgebra_check(parent: AlgebraSpec, sub: AlgebraSpec) -> bool:
-    """True iff sub's table is parent's restriction and is bracket-closed."""
-    if not set(sub.families) <= set(parent.families):
-        return False
-    fams = set(sub.families)
-    for fa, fb in product(sub.families, repeat=2):
-        parent_entries = parent.table.get((fa, fb), ())
-        for target, _ in parent_entries:
-            if target not in fams:
-                return False
-        if tuple(sub.table.get((fa, fb), ())) != tuple(parent_entries):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +277,6 @@ def build_tsv_lie() -> LieAlgebraSpec:
 @dataclass
 class LieCheckReport:
     algebra: str
-    window: int | None  # None: every index
     antisymmetry_failures: list[tuple] = field(default_factory=list)
     jacobi_failures: list[tuple] = field(default_factory=list)
 
@@ -306,18 +292,23 @@ def _lie_sum(terms: Iterable[tuple[tuple[str, Index], MPoly]]) -> dict[tuple[str
     return {key: c for key, c in out.items() if c}
 
 
-def _lie_check(spec: LieAlgebraSpec, window: int | None, pairs: list, triples: list) -> LieCheckReport:
-    """The bracket composition: nonzero residuals [x, y] + [y, x] of every
-    family pair at each index pair and [[x, y], z] + [[y, z], x] + [[z, x], y]
-    of every family triple at each index triple."""
-    report = LieCheckReport(spec.name, window)
-    for (fa, fb), (i, j) in product(product(spec.families, repeat=2), pairs):
-        x, y = (fa, i), (fb, j)
+def lie_symbolic_check(spec: LieAlgebraSpec) -> LieCheckReport:
+    """Anti-symmetry and Jacobi at every index, as polynomial identities.
+
+    The nonzero residuals [x, y] + [y, x] of every family pair and
+    [[x, y], z] + [[y, z], x] + [[z, x], y] of every family triple, composed
+    at the index symbols p, q, r, so each residual is a polynomial in the
+    indices.  One that vanishes at every integer point is the zero
+    polynomial, so a residual is zero exactly when its identity holds at
+    every index."""
+    report = LieCheckReport(spec.name)
+    for fa, fb in product(spec.families, repeat=2):
+        x, y = (fa, _P), (fb, _Q)
         res = _lie_sum(kc for u, v in ((x, y), (y, x)) for kc in spec.bracket_basis(*u, *v).items())
         if res:
-            report.antisymmetry_failures.append((fa, i, fb, j, res))
-    for (fa, fb, fc), (i, j, k) in product(product(spec.families, repeat=3), triples):
-        x, y, z = (fa, i), (fb, j), (fc, k)
+            report.antisymmetry_failures.append((fa, _P, fb, _Q, res))
+    for fa, fb, fc in product(spec.families, repeat=3):
+        x, y, z = (fa, _P), (fb, _Q), (fc, _R)
         res = _lie_sum(
             (key, c1 * c2)
             for u, v, w in ((x, y, z), (y, z, x), (z, x, y))
@@ -325,61 +316,92 @@ def _lie_check(spec: LieAlgebraSpec, window: int | None, pairs: list, triples: l
             for key, c2 in spec.bracket_basis(*inner, *w).items()
         )
         if res:
-            report.jacobi_failures.append((fa, i, fb, j, fc, k, res))
+            report.jacobi_failures.append((fa, _P, fb, _Q, fc, _R, res))
     return report
 
 
-def lie_symbolic_check(spec: LieAlgebraSpec) -> LieCheckReport:
-    """Anti-symmetry and Jacobi at every index, as polynomial identities.
-
-    The composition runs at the index symbols p, q, r, so each residual is
-    a polynomial in the indices.  One that vanishes at every integer point
-    is the zero polynomial, so a residual is zero exactly when its identity
-    holds at every index."""
-    return _lie_check(spec, None, [(_P, _Q)], [(_P, _Q, _R)])
-
-
-def lie_jacobi_check(spec: LieAlgebraSpec, window: int) -> LieCheckReport:
-    """Anti-symmetry and Jacobi over all basis triples with |index| <= window.
-
-    The window oracle: the same table and composition as
-    ``lie_symbolic_check``, evaluated at integer indices.  It cross-checks
-    the symbolic verdict and is not an independent encoding.
-    """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    indices = range(-window, window + 1)
-    return _lie_check(spec, window, list(product(indices, repeat=2)), list(product(indices, repeat=3)))
-
-
 # ---------------------------------------------------------------------------
-# registry for the command line
+# the catalog: each algebra's builder, parameters and claims
 # ---------------------------------------------------------------------------
 
-#: the parameters each algebra reads, by public identifier
-ALGEBRA_PARAMS = {
-    "csv": ("a", "b"), "chv": ("a", "b"), "cw": (), "sv": ("a", "b"), "hv": ("a", "b"),
-    "cvir": (), "mfam": ("a", "b", "ap", "bp"), "tsv": (),
-}
-ALGEBRA_IDS = tuple(ALGEBRA_PARAMS)
 
-_BUILDERS = {
-    "csv": build_csv, "chv": build_chv, "cw": build_cw, "sv": build_sv, "hv": build_hv,
-    "cvir": build_cvir, "mfam": build_construction,
+class NoClaim(ValueError):
+    """A task on an algebra of which the catalog states no claim of its kind."""
+
+
+@dataclass(frozen=True)
+class CatalogRow:
+    """One algebra: its builder, the parameters the builder reads, and the
+    claims that the suite's criteria and the command line judge it by."""
+
+    build: Callable[..., AlgebraSpec | LieAlgebraSpec]
+    params: tuple[str, ...] = ()
+    #: the non-inner derivation dimension at a = 1; it is 0 at every other a
+    extra_at_a1: int | None = None
+    #: L_i -> sum_c a_c M_{i+c} is a derivation exactly at a = 1
+    m_family: bool = False
+    #: the (a, b) where the module classification finds the scalar extension
+    extension_point: tuple[int, int] | None = None
+    #: criterion 4 states its derivation dichotomy, and criterion 5 its M family
+    c4: bool = False
+    #: ``modules.relations_oracle`` writes out its module relations
+    oracle: bool = False
+    #: a plain graded Lie algebra, which only ``verify-axioms`` reads
+    lie: bool = False
+
+
+#: every algebra by its public identifier
+CATALOG = MappingProxyType({
+    "csv": CatalogRow(build_csv, ("a", "b"), extra_at_a1=1, m_family=True,
+                      extension_point=(0, 0), c4=True, oracle=True),
+    "chv": CatalogRow(build_chv, ("a", "b"), extra_at_a1=1, m_family=True,
+                      extension_point=(1, 0), c4=True, oracle=True),
+    "cw": CatalogRow(build_cw, extra_at_a1=0),
+    "sv": CatalogRow(build_sv, ("a", "b"), extra_at_a1=1, m_family=True),
+    "hv": CatalogRow(build_hv, ("a", "b"), extra_at_a1=1, m_family=True),
+    "cvir": CatalogRow(build_cvir, extra_at_a1=0),
+    "mfam": CatalogRow(build_construction, ("a", "b", "ap", "bp"), extra_at_a1=1,
+                       m_family=True),
+    "tsv": CatalogRow(build_tsv_lie, lie=True),
+})
+
+#: what each claim of ``CatalogRow`` states, as a refusal names it
+_CLAIMS = {
+    "extra_at_a1": "non-inner derivation dimension",
+    "m_family": "M-valued family",
+    "extension_point": "classification extension point",
+    "c4": "criterion-4 dichotomy",
 }
+
+
+def _states(value) -> bool:
+    """Whether a claim field states a claim (0 does; None and False do not)."""
+    return value is not None and value is not False
+
+
+def claim(identifier: str, kind: str):
+    """The ``kind`` claim of the algebra ``identifier``; ``NoClaim``, naming
+    the algebra, when the catalog states none."""
+    value = getattr(CATALOG.get(identifier), kind, None)
+    if not _states(value):
+        raise NoClaim(f"the catalog states no {_CLAIMS[kind]} for {identifier}")
+    return value
+
+
+def claimed(kind: str) -> tuple[str, ...]:
+    """The identifiers of the algebras with a ``kind`` claim, in table order."""
+    return tuple(ident for ident, row in CATALOG.items() if _states(getattr(row, kind)))
 
 
 def build_algebra(identifier: str, **params: ParamLike) -> AlgebraSpec:
     """Build a conformal algebra by its public identifier.
 
-    It reads the algebra's ``ALGEBRA_PARAMS`` from ``params`` (a missing one
-    is ``sym``) and ignores every other one."""
-    ident = identifier.lower()
-    if ident == "tsv":
-        raise ValueError(
-            "tsv is the plain graded Lie algebra; only verify-axioms handles it"
-        )
-    if ident not in _BUILDERS:
+    It reads the row's ``params`` from ``params`` (a missing one is ``sym``)
+    and ignores every other one."""
+    row = CATALOG.get(identifier.lower())
+    if row is None:
         raise ValueError(f"unknown algebra identifier {identifier!r}")
-    reads = ALGEBRA_PARAMS[ident]
-    return _BUILDERS[ident](**{key: value for key, value in params.items() if key in reads})
+    if row.lie:
+        raise ValueError(f"{identifier} is a plain graded Lie algebra; only verify-axioms "
+                         "handles it")
+    return row.build(**{key: value for key, value in params.items() if key in row.params})

@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .catalog import ParamLike, as_param, build_algebra, restrict_families
+from .catalog import ParamLike, as_param, build_algebra, claim, restrict_families
 from .lca import (
     POLY_L,
     POLY_L_PLUS_M,
@@ -290,8 +290,7 @@ def _open_outcome(
     """
     av = _require_numeric(a, "a")
     bv = _require_numeric(b, "b")
-    if algebra not in ("csv", "chv"):
-        raise ValueError(f"classification targets csv or chv, not {algebra!r}")
+    claim(algebra, "extension_point")
     spec = build_algebra(algebra, a=av, b=bv)
     families = {fam: "0" for fam in spec.families}
     families["L"] = l_family
@@ -319,7 +318,7 @@ def classify_rank1(
     b: ParamLike,
     degree_bound: int = 6,
 ) -> ClassifyOutcome:
-    """Classify free rank-one modules over csv or chv at numeric (a, b).
+    """Classify free rank-one modules over a classification target at numeric (a, b).
 
     The L-action is fixed to ``c^i (d + alpha*l + beta)`` (the loop-Virasoro
     rank-one classification, taken as given); the classifier determines the
@@ -405,7 +404,7 @@ def classify_graded(
     k_gen: int = 2,
     bitseq: BitSeq | None = None,
 ) -> ClassifyOutcome:
-    """Classify graded intermediate-series modules over csv or chv.
+    """Classify graded intermediate-series modules over a classification target.
 
     The L-coefficients are fixed by the loop-Virasoro classification (the
     ``vab`` uniform weights or the ``vAb`` case split over a bit sequence);

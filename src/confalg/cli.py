@@ -9,13 +9,14 @@ as flags are and command-line flags override them.
 One rule settles every run option (each option but ``--config``,
 ``--report`` and ``--format``).  A run first works out the options it
 reads: those of its command, of its ``--kind``, ``--base`` or ``--task``,
-and the algebra's own parameters (``catalog.ALGEBRA_PARAMS``).  Each one it
+and the parameters of the algebra's ``catalog.CATALOG`` row.  Each one it
 reads and is not given takes its ``DEFAULTS`` value; each one it does not
 read and is given is refused, so a value is never accepted and then
 ignored.  The report's ``config`` holds exactly the options the run reads
-that have a value.  Reports print as text and can be written to a file as
-text or JSON; the exit code is 0 exactly when every check in the report
-passed.
+that have a value.  A task that judges the algebra by a catalog claim first
+refuses an algebra without one (``catalog.claim``).  Reports print as text
+and can be written to a file as text or JSON; the exit code is 0 exactly
+when every check in the report passed.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import sys
 import yaml
 
 from .catalog import (
-    ALGEBRA_IDS,
-    ALGEBRA_PARAMS,
+    CATALOG,
+    CatalogRow,
     build_algebra,
-    build_tsv_lie,
-    lie_jacobi_check,
+    claim,
+    claimed,
     lie_symbolic_check,
     solve_construction,
 )
@@ -55,12 +56,10 @@ from .modules import (
 from .poly import GaussianRational, ParseError, parse_scalar
 from .report import CheckRecord, Report, timed_check
 from .suite import (
-    C4_ALGEBRAS,
     C4_BOUND,
     C4_WINDOW,
     CRITERIA,
     DEFAULT_SEED,
-    EXTENSION_POINT,
     c4_dichotomy,
     criterion_2,
     expected_extra_dimension,
@@ -102,11 +101,15 @@ def parse_grid(text: str, field: str) -> list[tuple]:
     return points
 
 
-def _algebra(args: argparse.Namespace) -> str:
-    """The ``--algebra`` value, which the command cannot run without."""
+def _algebra(args: argparse.Namespace, kind: str | None = None) -> tuple[str, CatalogRow]:
+    """The ``--algebra`` value, which the command cannot run without, and its
+    catalog row; with ``kind``, an algebra without a claim of that kind
+    (``catalog.claim``) is refused."""
     if args.algebra is None:
         raise ConfigError(f"field 'algebra': required by {args.command}")
-    return args.algebra
+    if kind is not None:
+        claim(args.algebra, kind)
+    return args.algebra, CATALOG[args.algebra]
 
 
 def _settle(args: argparse.Namespace, reads: tuple[str, ...], refusal: str) -> dict:
@@ -152,25 +155,20 @@ def _numeric(value: str, field: str) -> GaussianRational:
 
 
 def cmd_verify_axioms(args: argparse.Namespace) -> Report:
-    algebra = _algebra(args)
-    reads = ("algebra", *ALGEBRA_PARAMS[algebra], *(("window",) if algebra == "tsv" else ()))
+    algebra, row = _algebra(args)
     report = Report(
         command="verify-axioms",
-        config=_settle(args, reads, f"the {algebra} check reads no {{key}}"),
+        config=_settle(args, ("algebra", *row.params), f"the {algebra} check reads no {{key}}"),
     )
-    if algebra == "tsv":
-        window = args.window
-        for check_id, claim, check in (
-            ("tsv-lie", "anti-symmetry and Jacobi at every index", lie_symbolic_check),
-            ("tsv-lie-window", f"the same on |index| <= {window} (window oracle)",
-             lambda spec: lie_jacobi_check(spec, window)),
-        ):
-            with timed_check(report.checks, check_id, claim) as rec:
-                lie = check(build_tsv_lie())
-                rec.passed = lie.all_zero
-                rec.status = "zero" if lie.all_zero else "nonzero"
+    if row.lie:
+        with timed_check(
+            report.checks, f"{algebra}-lie", "anti-symmetry and Jacobi at every index"
+        ) as rec:
+            lie = lie_symbolic_check(row.build())
+            rec.passed = lie.all_zero
+            rec.status = "zero" if lie.all_zero else "nonzero"
         return report
-    spec = build_algebra(algebra, **_params(args, ALGEBRA_PARAMS[algebra]))
+    spec = build_algebra(algebra, **_params(args, row.params))
     with timed_check(
         report.checks,
         f"axioms-{algebra}",
@@ -222,11 +220,11 @@ def _build_module(args: argparse.Namespace, spec, kind: str):
 
 
 def cmd_check_module(args: argparse.Namespace) -> Report:
-    algebra = _algebra(args)
+    algebra, row = _algebra(args)
     kind = "rank1"
     if (args.kind or DEFAULTS["kind"]) == "graded":
         kind = f"graded-{args.base or DEFAULTS['base']}"
-    reads = ("algebra", "kind", *ALGEBRA_PARAMS[algebra], *MODULE_PARAMS[kind])
+    reads = ("algebra", "kind", *row.params, *MODULE_PARAMS[kind])
     if kind != "rank1":
         reads += ("base", "window", "gen_bound")
     if kind == "graded-vAb":
@@ -235,7 +233,7 @@ def cmd_check_module(args: argparse.Namespace) -> Report:
         command="check-module",
         config=_settle(args, reads, f"module {kind} reads no {{key}}"),
     )
-    params = _params(args, ALGEBRA_PARAMS[algebra])
+    params = _params(args, row.params)
     spec = build_algebra(algebra, **params)
     module = _build_module(args, spec, kind)
     window = () if kind == "rank1" else (args.window, args.gen_bound)
@@ -247,8 +245,7 @@ def cmd_check_module(args: argparse.Namespace) -> Report:
         rec.residual_samples = [
             f"{key}: {val}" for key, val in list(axioms.residuals.items())[:3]
         ]
-    # the oracle writes out csv's relations, and chv's are their L, M part
-    if kind != "rank1" and algebra in ("csv", "chv") and "sym" not in params.values():
+    if kind != "rank1" and row.oracle and "sym" not in params.values():
         with timed_check(report.checks, "relation-oracle") as rec:
             oracle = relations_oracle(module, params["a"], params["b"], *window)
             rec.claim = (
@@ -269,7 +266,7 @@ def _families_text(outcome) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> Report:
-    algebra = _algebra(args)
+    algebra, _ = _algebra(args, "extension_point")
     rank1 = (args.kind or DEFAULTS["kind"]) == "rank1"
     reads = ("algebra", "kind", "grid", "degree")
     if rank1:
@@ -280,8 +277,6 @@ def cmd_classify(args: argparse.Namespace) -> Report:
         refusal = f"the graded classification on base {base} reads no {{key}}"
     report = Report(command="classify", config=_settle(args, reads, refusal))
     grid = parse_grid(args.grid, "grid")
-    if algebra not in EXTENSION_POINT:
-        raise ConfigError(f"field 'algebra': classification targets csv or chv, not {algebra!r}")
     points = [(_numeric(str(a), "grid"), _numeric(str(b), "grid")) for a, b in grid]
     if rank1:
         for a, b in points:
@@ -347,10 +342,8 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
     task = args.task or DEFAULTS["task"]
     if task == "dichotomy":
         return _dichotomy(args)
-    algebra = _algebra(args)
-    # every task judges by a (its verdict is expected_extra_dimension(a)) and
-    # names (a, b) in its claim, on every algebra
-    reads = ("algebra", "task", "grading", "a", "b", *ALGEBRA_PARAMS[algebra])
+    algebra, row = _algebra(args, "extra_at_a1" if task == "solve" else "m_family")
+    reads = ("algebra", "task", "grading", *row.params)
     if task != "dvec-check":
         reads += ("degree", "window")
     report = Report(
@@ -358,33 +351,28 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
         config=_settle(args, reads, f"the {task} task reads no {{key}}"),
     )
     grading = args.grading
-    parse = parse_param if task == "dvec-check" else _numeric
-    params = _params(args, ("a", "b", *ALGEBRA_PARAMS[algebra]), parse)
-    a, b = params["a"], params["b"]
+    params = _params(args, row.params, parse_param if task == "dvec-check" else _numeric)
+    expected = expected_extra_dimension(algebra, params.get("a"))
     spec = build_algebra(algebra, **params)
-    if task == "decompose" and "M" not in spec.families:
-        raise ConfigError(
-            f"field 'algebra': the decompose task splits ad(M_{grading}), and {algebra} "
-            "has no M family"
-        )
+    named = f"{algebra}({','.join(map(str, params.values()))})" if params else algebra
     if task == "dvec-check":
         with timed_check(
             report.checks,
             "dvec-leibniz",
-            f"Leibniz residuals of the M-valued family on {algebra}(a={a}, b={b})",
+            f"Leibniz residuals of the M-valued family on {named}",
             detail="a derivation exactly when a = 1",
         ) as rec:
             deriv = d_vec(spec, {grading: GaussianRational.of(1)}, window=3)
             leibniz = check_derivation(spec, deriv)
-            rec.passed = leibniz.all_zero == (expected_extra_dimension(a) == 1)
+            rec.passed = leibniz.all_zero == (expected == 1)
             rec.status = "zero" if leibniz.all_zero else "nonzero"
         return report
     if task == "solve":
         with timed_check(
-            report.checks, "graded-solve", f"degree-{grading} derivations of {algebra}({a},{b})"
+            report.checks, "graded-solve", f"degree-{grading} derivations of {named}"
         ) as rec:
             result = solve_graded_derivations(spec, grading, args.degree, args.window)
-            rec.passed = result.extra_dimension == expected_extra_dimension(a)
+            rec.passed = result.extra_dimension == expected
             rec.status = (
                 f"dim {result.dimension} = inner {result.inner_rank} + "
                 f"extra {result.extra_dimension}"
@@ -399,7 +387,7 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
     with timed_check(
         report.checks,
         "decompose-roundtrip",
-        f"decompose(ad(M_{grading})) over {algebra}({a},{b})",
+        f"decompose(ad(M_{grading})) over {named}",
     ) as rec:
         x = GenPoly.unit("M", grading)
         dec = decompose(spec, ad(spec, x, window=args.window + 1), bound=args.degree)
@@ -409,24 +397,23 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
 
 
 def _dichotomy(args: argparse.Namespace) -> Report:
-    """Criterion 4 on ``--algebra`` (csv or chv), or on both when it is not
-    given; the report's ``config`` holds the image degree and window that
-    criterion 4 solves at, and every other option given is refused."""
+    """Criterion 4 on ``--algebra``, or on every algebra with a ``c4`` claim
+    when it is not given; the report's ``config`` holds the image degree and
+    window that criterion 4 solves at, and every other option given is
+    refused."""
+    if args.algebra is not None:
+        claim(args.algebra, "c4")
     config = _settle(
         args,
         ("algebra", "task"),
         "c4 fixes it; the dichotomy runs criterion 4 over its weight grid and "
         f"degrees -1..1 at image degree {C4_BOUND} and window {C4_WINDOW}",
     )
-    if args.algebra is not None and args.algebra not in C4_ALGEBRAS:
-        raise ConfigError(
-            f"field 'algebra': the dichotomy runs on csv or chv, not {args.algebra!r}"
-        )
     report = Report(
         command="derivations",
         config={**config, "degree": str(C4_BOUND), "window": str(C4_WINDOW)},
     )
-    for name in [args.algebra] if args.algebra else C4_ALGEBRAS:
+    for name in [args.algebra] if args.algebra else claimed("c4"):
         report.add(c4_dichotomy(name))
     return report
 
@@ -491,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     the shared ones, the order in which ``_settle`` walks them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML config file (CLI flags override it)")
-    common.add_argument("--algebra", choices=ALGEBRA_IDS)
+    common.add_argument("--algebra", choices=CATALOG)
     common.add_argument("--a", help="rational p/q, Gaussian p/q+r/si, or 'sym'")
     common.add_argument("--b")
     common.add_argument("--ap")

@@ -52,24 +52,31 @@ coefficients, so the solver's rows and the patterns are built once per
 (families, the table's (pair, target) layout with each template's total
 degree in d and l, bound), on templates with one coefficient symbol per
 monomial d^u l^v of that degree, and kept for the life of the process
-(``_linearization``).  An entry is the id of its linear form in the
-symbols, which name places in the layout, so the cache holds no input
-value: a solve looks the entry up once and evaluates each form once at its
-own coefficients, for both blocks and the patterns, and those values end
-with the call.
+(``_linearization``; the patterns alone, which ``decompose`` reads, in
+``_inner_patterns``, whose entry the solver's entry extends).  An entry is
+the id of its linear form in the symbols, which name places in the layout,
+so the cache holds no input value: a solve looks the entry up once and
+evaluates each form once at its own coefficients, for both blocks and the
+patterns, and those values end with the call.
 
 So the (L_0, y_j) system is answered from its index-0 data.  The pairs
 with j != 0 are one block, relabelled: the index-0 L columns (A) and the
 index-j columns (B).  The pairs with j = 0, block 0, are the same rows with
-the index-j columns folded onto index 0.  The rows of (L_0, y_1) are built
-once, on the window-0 layout, whose index-1 columns are its next n, and
-two eliminations over the index-0 columns give ker(block 0) and ker B.
-Before each, the rows that hold one entry, many in either block, are
-made unit rows and their columns cleared from the other rows
+the index-j columns folded onto index 0, so a solution x_0 of block 0,
+copied to index j, solves block j (the conditions "A x_0 in im B" hold
+already).  The rows of (L_0, y_1) are built once, on the window-0 layout,
+whose index-1 columns are its next n, and two eliminations over the
+index-0 columns give ker(block 0) and ker B; an algebra restricted to
+index 0 has no index 1 and so no B, and the fold still gives its block 0.
+Before each elimination, the rows that hold one entry, many in either
+block, are made unit rows and their columns cleared from the other rows
 (``linsolve.pin_single_entry_rows``): the row space is the same, so the
-reduced row echelon form is too, on far fewer entries.  For a window w the kernel has dimension dim ker(block 0) + 2w dim ker B; its
-basis is each block-0 kernel vector relabelled to every index and each
-ker-B vector placed at each j != 0.  The inner rank is read on the index-0
+reduced row echelon form is too, on far fewer entries.  For a window w the
+kernel has dimension dim ker(block 0) + 2w dim ker B; its basis is each
+block-0 kernel vector relabelled to every index and each ker-B vector
+placed at each j != 0.  Every inner vector is one index-0 pattern copied
+to every index, and restriction to index 0 is injective on such copies and
+zero on the ker-B placements, so the inner rank is read on the index-0
 patterns.  When ker B = 0 the answer does not depend on the window, and
 the solve certifies it for every window.  The same system eliminated whole
 (``_leibniz_system(..., "lzero")``) and the all-pairs system are kept as
@@ -661,8 +668,29 @@ def _interned(row: Mapping[int, Mapping[int, GaussianRational]],
     return tuple((col, f) for col, f in ids if f is not None)
 
 
+def _symbol_templates(families: tuple[str, ...],
+                      layout: _Layout) -> tuple[AlgebraSpec, dict[str, int]]:
+    """A table of ``layout`` whose templates have one coefficient symbol per
+    monomial d^u l^v with u + v at most the template's degree, and the
+    position of each symbol in ``_template_layout``'s coefficient list."""
+    symbols: dict[str, int] = {}
+    table = {}
+    for pair, entries in layout:
+        templates = []
+        for target, degree in entries:
+            terms = {}
+            for u, v in _degree_monos(degree):
+                name = f"t{len(symbols)}"
+                symbols[name] = len(symbols)
+                terms[((VAR_D, u), (VAR_L, v), (name, 1))] = 1
+            templates.append((target, MPoly(terms)))
+        table[pair] = tuple(templates)
+    return AlgebraSpec("templates", families, table), symbols
+
+
 class _Linearization(NamedTuple):
-    """One ``_linearization`` entry; every entry of a row is a form id."""
+    """One ``_linearization`` or ``_inner_patterns`` entry (the latter with
+    no block rows); every entry of a row or pattern is a form id."""
 
     #: block 0 and B of ``_lzero_blocks``, on the n index-0 columns
     block_0: tuple[_FormRow, ...]
@@ -677,45 +705,63 @@ class _Linearization(NamedTuple):
 
 
 @functools.cache
+def _inner_patterns(families: tuple[str, ...], layout: _Layout, bound: int) -> _Linearization:
+    """The index-0 inner patterns for every table of this layout, an entry
+    with no block rows, from one bracket [d^k X_0 _l F_0] per (X, k, F) on
+    the symbol templates; ``decompose`` reads it alone.
+
+    A pattern entry's column is its (source F, target, monomial) slot, which
+    no index reads, so the patterns are the same at every grading degree.
+    An entry past the bound has no column; it is kept in ``beyond`` for
+    ``_index0_patterns`` to refuse when it evaluates nonzero.
+    """
+    spec, symbols = _symbol_templates(families, layout)
+    local = _make_coords(spec, 0, bound, 0).local
+    forms: dict[_Form, int] = {}
+    patterns: list[_FormRow] = []
+    beyond: dict[tuple[int, str, str, Mono], dict[int, GaussianRational]] = {}
+    for fam in families:
+        for k in range(bound):
+            x = GenPoly.unit(fam, 0, MPoly.var(VAR_D, k))
+            pattern: dict[int, dict[int, GaussianRational]] = {}
+            for src in families:
+                image = conformal_bracket(spec, x, GenPoly.unit(src, 0), VAR_L)
+                for gen, poly in image.terms.items():
+                    for mono, value in poly.terms.items():
+                        # one symbol per term, after d and l
+                        exps = dict(mono[:-1])
+                        slot = (src, gen.family, (exps.get(VAR_D, 0), exps.get(VAR_L, 0)))
+                        if slot in local:
+                            form = pattern.setdefault(local[slot], {})
+                        else:
+                            key = (len(patterns), src, gen.family, mono[:-1])
+                            form = beyond.setdefault(key, {})
+                        form[symbols[mono[-1][0]]] = value
+            patterns.append(_interned(pattern, forms))
+    # a term's coefficient is nonzero, so no pattern form is the zero form
+    past = tuple((src, mono, _form_id(form, forms)) for (_, src, _, mono), form in beyond.items())
+    return _Linearization((), (), tuple(patterns), past, tuple(forms))
+
+
+@functools.cache
 def _linearization(families: tuple[str, ...], layout: _Layout, bound: int) -> _Linearization:
     """Block 0, B and the inner patterns for every table of this layout.
 
-    Each entry of the rows is linear in the template coefficients, so the
-    rows are built once, by ``_contribution_table`` and ``_pair_rows``, on a
-    table whose templates have one coefficient symbol per monomial d^u l^v
-    with u + v at most the template's degree, and each entry is kept as the
-    id of its linear form in those symbols.  A symbol names a place in the
-    layout, never a value: the entry holds no input, and an input with this
-    layout reads it by evaluating the forms at its coefficients.  Rows, forms
-    and the tuples are immutable; block 0 is already folded, and rows whose
-    forms all cancel are dropped.  The cache lives as long as the process,
-    one entry per (families, layout, bound).
-
-    The inner patterns come from the same table, one bracket
-    [d^k X_0 _l F_0] per (X, k, F).  The column of a pattern entry is its
-    (source F, target, monomial) slot, which no index reads: [d^k X_c _l F_0]
-    is [d^k X_0 _l F_0] with each generator index raised by c, so the
-    patterns are the same at every grading degree c.  A pattern entry whose
-    monomial is past the bound has no column; it is kept in ``beyond`` for
-    ``_index0_patterns`` to refuse when it evaluates nonzero.
+    The rows are built once, by ``_contribution_table`` and ``_pair_rows``
+    on the symbol templates (``_symbol_templates``), each entry kept as the
+    id of its linear form in the symbols.  A symbol names a place in the
+    layout, never a value, so the entry holds no input.  Rows, forms and
+    the tuples are immutable; block 0 is already folded, and rows whose
+    forms all cancel are dropped.  The entry extends the ``_inner_patterns``
+    entry of its key, whose forms come first, so one evaluation serves the
+    blocks and the patterns.  The cache lives as long as the process.
     """
-    symbols: dict[str, int] = {}
-    table = {}
-    for pair, entries in layout:
-        templates = []
-        for target, degree in entries:
-            terms = {}
-            for u, v in _degree_monos(degree):
-                name = f"t{len(symbols)}"
-                symbols[name] = len(symbols)
-                terms[((VAR_D, u), (VAR_L, v), (name, 1))] = 1
-            templates.append((target, MPoly(terms)))
-        table[pair] = tuple(templates)
-    spec = AlgebraSpec("templates", families, table)
+    inner = _inner_patterns(families, layout, bound)
+    spec, symbols = _symbol_templates(families, layout)
     coords = _make_coords(spec, 0, bound, 0)
     n = coords.n
     contributions = _contribution_table(spec, bound, (("L", fam) for fam in families))
-    forms: dict[_Form, int] = {}
+    forms = {form: k for k, form in enumerate(inner.forms)}
     block_0: list[_FormRow] = []
     block_b: list[_FormRow] = []
     for fam in families:
@@ -735,39 +781,17 @@ def _linearization(families: tuple[str, ...], layout: _Layout, bound: int) -> _L
             block_0.append(_interned(folded, forms))
             block_b.append(_interned({col - n: form for col, form in row.items() if col >= n},
                                      forms))
-    patterns: list[_FormRow] = []
-    beyond: dict[tuple[int, str, str, Mono], dict[int, GaussianRational]] = {}
-    for fam in families:
-        for k in range(bound):
-            x = GenPoly.unit(fam, 0, MPoly.var(VAR_D, k))
-            pattern: dict[int, dict[int, GaussianRational]] = {}
-            for src in families:
-                image = conformal_bracket(spec, x, GenPoly.unit(src, 0), VAR_L)
-                for gen, poly in image.terms.items():
-                    for mono, value in poly.terms.items():
-                        # one symbol per term, after d and l
-                        exps = dict(mono[:-1])
-                        slot = (src, gen.family, (exps.get(VAR_D, 0), exps.get(VAR_L, 0)))
-                        if slot in coords.local:
-                            form = pattern.setdefault(coords.local[slot], {})
-                        else:
-                            key = (len(patterns), src, gen.family, mono[:-1])
-                            form = beyond.setdefault(key, {})
-                        form[symbols[mono[-1][0]]] = value
-            patterns.append(_interned(pattern, forms))
-    # a term's coefficient is nonzero, so no pattern form is the zero form
-    past = tuple((src, mono, _form_id(form, forms)) for (_, src, _, mono), form in beyond.items())
-    return _Linearization(tuple(row for row in block_0 if row),
-                          tuple(row for row in block_b if row), tuple(patterns), past,
-                          tuple(forms))
+    return inner._replace(block_0=tuple(row for row in block_0 if row),
+                          block_b=tuple(row for row in block_b if row), forms=tuple(forms))
 
 
-def _evaluated(spec: AlgebraSpec, bound: int) -> tuple[_Linearization, list[GaussianRational]]:
-    """The ``_linearization`` entry of ``spec``'s layout at ``bound``, looked
-    up once, and the value of each of its forms at ``spec``'s template
-    coefficients, computed once (a list that ends with the caller)."""
+def _evaluated(spec: AlgebraSpec, bound: int, cached=_linearization):
+    """The ``cached`` entry (``_linearization`` or ``_inner_patterns``) of
+    ``spec``'s layout at ``bound``, looked up once, and the value of each of
+    its forms at ``spec``'s template coefficients, computed once (a list
+    that ends with the caller)."""
     layout, coefficients = _template_layout(spec)
-    entry = _linearization(spec.families, layout, bound)
+    entry = cached(spec.families, layout, bound)
     return entry, [sum((v * coefficients[k] for k, v in form), ZERO) for form in entry.forms]
 
 
@@ -796,31 +820,10 @@ def _index0_patterns(entry: _Linearization, values: list[GaussianRational],
 
 
 def _lzero_blocks(spec: AlgebraSpec, coords: _Coords) -> tuple[list[SparseRow], list[SparseRow]]:
-    """Block 0 and B, the two blocks of the lzero Leibniz system.
-
-    For j != 0 the rows of the pairs (L_0, y_j) touch only the L-source
-    columns at index 0 (A) and the index-j columns (B), and they are the
-    same rows for every j, relabelled.  The rows of (L_0, y_0), block 0,
-    are that block read at j = 0: index-j columns fall onto index 0, the
-    L-source ones onto A.  So a solution x_0 of block 0, copied to index j,
-    solves block j, and the conditions "A x_0 in im B" hold already.  The
-    kernel at window w is spanned by the block-0 kernel vectors copied to
-    every index and by ker B placed at each j != 0: dimension
-    dim ker(block 0) + 2w dim ker B.
-
-    ``coords`` is the window-0 layout.  The rows of (L_0, y_1) on it, their
-    index-1 columns being the next n, give B as their index-1 part and block
-    0 as the same rows with the index-1 columns folded onto index 0.  Both
-    are on the n index-0 columns.  An algebra restricted to index 0 has no
-    index 1 and so no B; the fold still gives its block 0, as an identity of
-    the rows' polynomials.
-
-    The rows come from ``_linearization``, cached per (families, table
-    layout, bound) with every entry a linear form in the template
-    coefficients: the call evaluates each distinct form once at the
-    coefficients of ``spec`` (``_evaluated``) and keeps the nonzero entries
-    and the rows that hold one.
-    """
+    """Block 0 and B of the lzero Leibniz system (see the module
+    docstring) on the n index-0 columns of the window-0 layout ``coords``,
+    evaluated from the ``_linearization`` entry of ``spec``'s layout, with
+    the nonzero entries and the rows that hold one."""
     entry, values = _evaluated(spec, coords.bound)
     return tuple([row for row in _evaluated_rows(block, values) if row]
                  for block in (entry.block_0, entry.block_b))
@@ -831,16 +834,13 @@ def _lzero_kernel(
 ) -> tuple[list[SparseRow], list[SparseRow] | None, list[SparseRow]]:
     """Kernels of block 0 and of B (``_lzero_blocks``) on the n index-0
     columns, None for B of an algebra restricted to index 0, and the
-    index-0 inner patterns (``inner_window_vectors`` at window 0).
+    index-0 inner patterns (``inner_window_vectors`` at window 0), from one
+    lookup of ``_linearization`` and one evaluation of its forms.
 
-    One lookup of ``_linearization`` and one evaluation of its forms serve
-    the blocks and the patterns.  Many rows of both blocks hold one entry,
-    which pins its column to 0 (at csv(1/2, 1), 215 of the 476 rows of block
-    0 pin 74 of its 135 columns, and 301 of the 473 rows of B pin 111):
-    ``pin_single_entry_rows`` makes them unit rows and clears their columns
-    from the other rows before each elimination.  That keeps the row space,
-    so ``reduce_rows`` reaches the same reduced row echelon form, and the
-    same kernel vectors, on rows with far fewer entries.
+    Before each elimination ``pin_single_entry_rows`` turns the rows with
+    one entry into unit rows (at csv(1/2, 1), 215 of the 476 rows of block 0
+    pin 74 of its 135 columns, and 301 of the 473 rows of B pin 111), which
+    keeps the row space and so the kernel vectors.
     """
     entry, values = _evaluated(spec, coords.bound)
     patterns = _index0_patterns(entry, values, coords)
@@ -857,16 +857,13 @@ def inner_window_vectors(spec: AlgebraSpec, coords: _Coords) -> list[SparseRow]:
     """Window restrictions of ad(d^k X_c) for k < bound, X over the families.
 
     The same vectors as ``coords.vector_of(ad(spec, d^k X_c, window))``, in
-    that order.  Bracket templates do not depend on indices, so
-    [d^k X_c _l F_i] is [d^k X_0 _l F_0] with every generator index raised
-    by c + i: each vector is its index-0 pattern, which does not depend on
-    c, placed at every index of the window.  The patterns are evaluated from
-    the ``_linearization`` entry of ``spec``'s layout at ``coords.bound``,
-    which builds them once per entry by one bracket per (X, k, F).
+    that order: each is its index-0 pattern (see the module docstring),
+    evaluated from the ``_inner_patterns`` entry of ``spec``'s layout at
+    ``coords.bound``, placed at every index of the window.
     """
     window = coords.src_window
     _refuse_off_index0(spec, "ad", window, abs(coords.degree))
-    entry, values = _evaluated(spec, coords.bound)
+    entry, values = _evaluated(spec, coords.bound, _inner_patterns)
     starts = [(i + window) * coords.n for i in range(-window, window + 1)]
     return [{start + col: value for start in starts for col, value in pattern.items()}
             for pattern in _index0_patterns(entry, values, coords)]
@@ -965,19 +962,12 @@ def solve_graded_derivations(
     degree <= ``bound``); equations are Leibniz residual coefficients of
     the pairs {(L_0, y_j)}, which carry the whole classification argument.
     The answer for any window comes from the index-0 data
-    (``_lzero_kernel``): the rows of (L_0, y_1) and the index-0 inner
-    patterns, built once per table layout and bound and evaluated at
-    ``spec``'s templates, give block 0, B and the patterns; the dimension is dim ker(block 0) + 2 * window * dim ker B, and
-    the basis is the block-0 kernel vectors, read as index-0 patterns and
-    relabelled to every index (``_uniform``), plus ker B placed at each
-    j != 0.  Every inner vector is one index-0 pattern copied to
-    every index, and restriction to index 0 is injective on such copies and
-    zero on the ker-B placements: so the inner rank and the check "inner in
-    kernel" are read on the index-0 patterns.  When ker B = 0 neither the
-    dimension nor the inner rank depends on the window, and the scope note
-    says so.  An inner pattern outside the kernel of block 0 means that the
-    table is no Lie conformal algebra's; it raises ``InnerNotInKernel``,
-    which names the first such ad(d^k X_c).
+    (``_lzero_kernel``), as the module docstring describes; the inner rank
+    and the check "inner in kernel" are read on the index-0 patterns.  When
+    ker B = 0 neither the dimension nor the inner rank depends on the
+    window, and the scope note says so.  An inner pattern outside the
+    kernel of block 0 means that the table is no Lie conformal algebra's;
+    it raises ``InnerNotInKernel``, which names the first such ad(d^k X_c).
 
     The tests hold the answer to ``_leibniz_system``: the whole ``lzero``
     system, and the ``all`` system of every pair with |i|, |j| <= window

@@ -17,9 +17,11 @@ import random
 from fractions import Fraction
 
 from .catalog import (
-    build_chv,
+    CATALOG,
     build_csv,
     build_tsv_lie,
+    claim,
+    claimed,
     lie_symbolic_check,
     solve_construction,
 )
@@ -65,9 +67,7 @@ DERIVATION_GRID_B = (Fraction(0), Fraction(1), Fraction(-3))
 MODULE_GRID = ((0, 0), (1, 0), (0, 1), (2, 5), (1, 1))
 
 
-# Expected verdicts, each stated once for the criteria below and the CLI.
-
-EXTENSION_POINT = {"csv": (0, 0), "chv": (1, 0)}
+# Expected verdicts, read from the catalog's claims by the criteria and the CLI.
 
 
 def _equals(param, value: int) -> bool:
@@ -80,9 +80,11 @@ def expected_weights(a=MPoly.var("a"), b=MPoly.var("b")):
     return a * Fraction(1, 2) + 1, b * Fraction(1, 2)
 
 
-def expected_extra_dimension(a) -> int:
-    """The non-inner derivation dimension: 1 exactly at a = 1, else 0."""
-    return 1 if _equals(a, 1) else 0
+def expected_extra_dimension(algebra: str, a=None) -> int:
+    """The non-inner derivation dimension of ``algebra`` at ``a``, its catalog
+    claim: ``extra_at_a1`` at a = 1, else 0 (``a`` is not read when that is 0)."""
+    extra = claim(algebra, "extra_at_a1")
+    return extra if extra and _equals(a, 1) else 0
 
 
 def constant_on_window(bits: BitSeq, n_basis: int, k_gen: int) -> bool:
@@ -101,7 +103,7 @@ def extension_expected(
     (j+m, i+j+m) and holds only where the two patterns agree, so the bits
     must be constant on the probed window.
     """
-    point_a, point_b = EXTENSION_POINT[algebra]
+    point_a, point_b = claim(algebra, "extension_point")
     if not (_equals(a, point_a) and _equals(b, point_b)):
         return False
     return bits is None or constant_on_window(bits, n_basis, k_gen)
@@ -254,12 +256,10 @@ def criterion_3(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
 #: the image-degree bound and window of criterion 4's solves
 C4_BOUND = 4
 C4_WINDOW = 2
-#: the algebras of criterion 4, each with its builder
-C4_ALGEBRAS = {"csv": build_csv, "chv": build_chv}
 
 
 def c4_dichotomy(name: str) -> CheckRecord:
-    """Criterion 4 on one algebra of ``C4_ALGEBRAS``: the non-inner
+    """Criterion 4 on one algebra with a ``c4`` claim: the non-inner
     dimension is 1 iff a = 1 on the weight grid at degrees -1..1, and each
     solve must find ker B = 0, which makes its answer independent of the
     window."""
@@ -271,14 +271,15 @@ def c4_dichotomy(name: str) -> CheckRecord:
         f"dimension of {name} equals 1 exactly at a = 1 "
         f"(every window, image degree {C4_BOUND})",
     ) as rec:
+        build = CATALOG[name].build
         failures, window_bound = [], []
         for a in DERIVATION_GRID_A:
             for b in DERIVATION_GRID_B:
                 for c in (-1, 0, 1):
                     res = solve_graded_derivations(
-                        C4_ALGEBRAS[name](a, b), degree=c, bound=C4_BOUND, window=C4_WINDOW
+                        build(a, b), degree=c, bound=C4_BOUND, window=C4_WINDOW
                     )
-                    if res.extra_dimension != expected_extra_dimension(a):
+                    if res.extra_dimension != expected_extra_dimension(name, a):
                         failures.append((a, b, c, res.dimension, res.inner_rank))
                     if not res.every_window:
                         window_bound.append((a, b, c, res.kernel_b_dimension))
@@ -293,8 +294,9 @@ def c4_dichotomy(name: str) -> CheckRecord:
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
-    """Derivation dichotomy (``c4_dichotomy``) on csv and on chv."""
-    return [c4_dichotomy(name) for name in C4_ALGEBRAS]
+    """Derivation dichotomy (``c4_dichotomy``) on each algebra with a ``c4``
+    claim."""
+    return [c4_dichotomy(name) for name in claimed("c4")]
 
 
 def criterion_5(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
@@ -302,16 +304,17 @@ def criterion_5(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
     rng = random.Random(seed)
     support = {rng.randint(-2, 2): _rand_scalar(rng) for _ in range(3)}
     support[0] = GaussianRational.of(1)
+    names = claimed("c4")
     with timed_check(
         out,
         "c5-dvec-derivation",
-        "the M-valued family is a derivation of csv(1,b) and chv(1,b) "
+        f"the M-valued family is a derivation of {' and '.join(f'{n}(1,b)' for n in names)} "
         "with symbolic b and seeded finite support",
         inputs={"seed": seed, "support": {k: str(v) for k, v in support.items()}},
     ) as rec:
         detail, scopes = [], []
-        for name, builder in (("csv", build_csv), ("chv", build_chv)):
-            spec = builder(1, "sym")
+        for name in names:
+            spec = CATALOG[name].build(1, "sym")
             rep = check_derivation(spec, d_vec(spec, support, window=3))
             scopes.append(rep.every_index)
             if not rep.all_zero:
@@ -370,12 +373,12 @@ def criterion_5(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
 
 def criterion_6(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
     out: list[CheckRecord] = []
-    for name, builder in (("csv", build_csv), ("chv", build_chv)):
+    for name in claimed("extension_point"):
         with timed_check(
             out,
             f"c6-rank1-{name}",
             f"rank-one classification over the grid finds the scalar "
-            f"extension exactly at {EXTENSION_POINT[name]} and the "
+            f"extension exactly at {claim(name, 'extension_point')} and the "
             "rematerialized family passes the module axioms with symbolic "
             "parameters",
         ) as rec:
@@ -385,7 +388,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
                 faults = faults or rank1_faults(outcome)
                 failures.extend((a, b, fault) for fault in faults)
                 if outcome is not None:
-                    spec = builder(a, b)
+                    spec = CATALOG[name].build(a, b)
                     rep = check_module_axioms(spec, materialize(outcome, spec))
                     if not rep.all_zero:
                         failures.append((a, b, "round trip", sorted(rep.residuals)))
@@ -411,8 +414,8 @@ def criterion_7(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
     ]
     sequences = bitseqs + fixed
 
-    for name, builder in (("csv", build_csv), ("chv", build_chv)):
-        ext_point = EXTENSION_POINT[name]
+    for name in claimed("extension_point"):
+        ext_point = claim(name, "extension_point")
         with timed_check(
             out,
             f"c7-graded-vab-{name}",
@@ -460,7 +463,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> list[CheckRecord]:
                         # independent of the classifier's own sufficiency step,
                         # which runs check_module_axioms
                         module = build_graded(
-                            builder(a, b), "vAb", bits, "sym", "sym"
+                            CATALOG[name].build(a, b), "vAb", bits, "sym", "sym"
                         )
                         oracle = relations_oracle(module, a, b, n_basis, k_gen)
                         if oracle.all_zero != want_ext:

@@ -6,6 +6,8 @@ import pytest
 
 from confalg import catalog
 from confalg.catalog import (
+    CATALOG,
+    NoClaim,
     build_algebra,
     build_chv,
     build_construction,
@@ -15,15 +17,16 @@ from confalg.catalog import (
     build_hv,
     build_sv,
     build_tsv_lie,
+    claim,
+    claimed,
     LieAlgebraSpec,
-    lie_jacobi_check,
     lie_symbolic_check,
-    restrict_families,
     solve_construction,
-    subalgebra_check,
 )
+from confalg.derivations import check_derivation, d_vec, solve_graded_derivations
 from confalg.lca import check_all_axioms, check_jacobi
-from confalg.poly import MPoly, parse_poly
+from confalg.poly import GaussianRational, MPoly, parse_poly
+from confalg.suite import expected_extra_dimension
 
 P = parse_poly
 
@@ -66,29 +69,6 @@ class TestBuilders:
             assert spec.name == ident
         with pytest.raises(ValueError):
             build_algebra("nope")
-
-
-class TestSubalgebras:
-    def test_cw_inside_csv(self):
-        # the L-on-L template is weight-independent, so cw sits in every csv
-        assert subalgebra_check(build_csv("sym", "sym"), build_cw()) is True
-        assert subalgebra_check(build_csv(0, 0), build_cw()) is True
-
-    def test_chv_inside_csv(self):
-        assert subalgebra_check(build_csv("sym", "sym"), build_chv("sym", "sym"))
-
-    def test_my_restriction_closed(self):
-        csv = build_csv("sym", "sym")
-        sub = restrict_families(csv, ["M", "Y"], "my")
-        assert subalgebra_check(csv, sub) is True
-
-    def test_ly_restriction_not_closed(self):
-        csv = build_csv("sym", "sym")
-        sub = restrict_families(csv, ["L", "Y"], "ly")
-        assert subalgebra_check(csv, sub) is False
-
-    def test_cvir_inside_chv(self):
-        assert subalgebra_check(build_chv(0, 0), build_cvir()) is True
 
 
 class TestConstructionSolver:
@@ -161,7 +141,6 @@ def _family_tuples(report):
 class TestTsvLie:
     def test_small_window_zero(self):
         assert lie_symbolic_check(build_tsv_lie()).all_zero
-        assert lie_jacobi_check(build_tsv_lie(), 2).all_zero
 
     def test_mutated_constant_is_flagged(self):
         # [L_p, Y_q] = (q - p/3) Y_{p+q} in the forward orientation only
@@ -170,7 +149,7 @@ class TestTsvLie:
         table[("L", "Y")] = ("Y", P("q - (1/3)*p"))
         mutant = LieAlgebraSpec("mutant", tsv.families, table)
         symbolic = lie_symbolic_check(mutant)
-        assert not symbolic.all_zero and symbolic.window is None
+        assert not symbolic.all_zero
         assert {f[1:4:2] for f in symbolic.antisymmetry_failures} == {(P("p"), P("q"))}
         assert {f[1:6:2] for f in symbolic.jacobi_failures} == {(P("p"), P("q"), P("r"))}
         antisymmetry, jacobi = _family_tuples(symbolic)
@@ -178,10 +157,6 @@ class TestTsvLie:
         assert jacobi == {
             t for t in product("LY", repeat=3) if sorted(t) in (list("LLY"), list("LYY"))
         }
-        oracle = lie_jacobi_check(mutant, 2)
-        assert _family_tuples(oracle) == (antisymmetry, jacobi)
-        # [L_i, Y_j] + [Y_j, L_i] = (i/6) Y_{i+j}: nonzero for i in {-2, -1, 1, 2}
-        assert len(oracle.antisymmetry_failures) == 2 * 4 * 5
 
     def test_table_is_read_only_and_polynomial(self):
         tsv = build_tsv_lie()
@@ -199,6 +174,65 @@ class TestTsvLie:
         tsv = build_tsv_lie()
         assert tsv.bracket_basis("Y", 3, "Y", 3) == {}
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            lie_jacobi_check(build_tsv_lie(), 0)
+
+def _params(a, b):
+    """The parameters of the claims test at (a, b); mfam's weights are the
+    ones that close its table (``solve_construction``), where its claims
+    are csv's."""
+    return {"a": a, "b": b, "ap": Fraction(a) / 2 + 1, "bp": Fraction(b) / 2}
+
+
+CLAIM_A = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2))
+
+
+class TestCatalogClaims:
+    """Each claim the catalog states holds where the suite does not check
+    it, and a task on an algebra without a claim of its kind is refused."""
+
+    @pytest.mark.parametrize("ident", claimed("extra_at_a1"))
+    def test_derivation_claim_holds(self, ident):
+        row = CATALOG[ident]
+        for a in CLAIM_A if "a" in row.params else (None,):
+            for b in (0, 1):
+                spec = build_algebra(ident, **_params(a or 0, b))
+                window = 0 if spec.index0_only else 1
+                for bound in (2, 4):
+                    res = solve_graded_derivations(spec, 0, bound, window)
+                    assert res.extra_dimension == expected_extra_dimension(ident, a), (a, b, bound)
+
+    @pytest.mark.parametrize("ident", claimed("m_family"))
+    def test_m_family_claim_holds(self, ident):
+        for a in CLAIM_A:
+            for b in (0, 1):
+                spec = build_algebra(ident, **_params(a, b))
+                window = 0 if spec.index0_only else 1
+                deriv = d_vec(spec, {0: GaussianRational.of(1)}, window)
+                assert check_derivation(spec, deriv).all_zero == (a == 1), (a, b)
+
+    def test_claims_by_kind(self):
+        assert claimed("extra_at_a1") == ("csv", "chv", "cw", "sv", "hv", "cvir", "mfam")
+        assert claimed("m_family") == ("csv", "chv", "sv", "hv", "mfam")
+        assert claimed("c4") == claimed("extension_point") == ("csv", "chv")
+        assert (claim("csv", "extension_point"), claim("chv", "extension_point")) == (
+            (0, 0), (1, 0))
+        assert claim("cw", "extra_at_a1") == 0 and expected_extra_dimension("cw") == 0
+        assert [i for i, row in CATALOG.items() if row.oracle] == ["csv", "chv"]
+        assert [i for i, row in CATALOG.items() if row.lie] == ["tsv"]
+
+    @pytest.mark.parametrize("ident, kind, name", [
+        ("cw", "m_family", "M-valued family"),
+        ("sv", "c4", "criterion-4 dichotomy"),
+        ("hv", "extension_point", "classification extension point"),
+        ("tsv", "extra_at_a1", "non-inner derivation dimension"),
+        ("nope", "c4", "criterion-4 dichotomy"),
+    ])
+    def test_a_missing_claim_is_refused_by_name(self, ident, kind, name):
+        with pytest.raises(NoClaim) as err:
+            claim(ident, kind)
+        assert str(err.value) == f"the catalog states no {name} for {ident}"
+
+    def test_the_builder_reads_the_row_parameters(self):
+        assert build_algebra("cw", a=3).families == ("L",)
+        assert build_algebra("mfam", a=1, b=0, ap=Fraction(3, 2), bp=0).parameters == ()
+        with pytest.raises(ValueError, match="tsv is a plain graded Lie algebra"):
+            build_algebra("tsv")

@@ -11,6 +11,7 @@ from confalg.derivations import (
     DerivationSpec,
     InnerNotInKernel,
     _contribution_table,
+    _inner_patterns,
     _leibniz_system,
     _linearization,
     _lzero_blocks,
@@ -786,8 +787,29 @@ class TestLinearizationCache:
 
 class TestCachedPatterns:
     """A solve reads the inner patterns from the same ``_linearization``
-    entry as its blocks; these tests hold them to ``ad`` and the refusals
-    to those of the numeric build."""
+    entry as its blocks, and ``decompose`` from their own ``_inner_patterns``
+    entry; these tests hold them to ``ad`` and the refusals to those of the
+    numeric build."""
+
+    def test_decompose_builds_no_block_rows(self, monkeypatch):
+        # both caches empty, as in a fresh process
+        _linearization.cache_clear()
+        _inner_patterns.cache_clear()
+        built = []
+        monkeypatch.setattr(confalg.derivations, "_pair_rows",
+                            lambda *args: built.append(args) or _pair_rows(*args))
+        spec = build_csv(1, 0)
+        dec = decompose(spec, d_vec(spec, {0: ONE}, window=3))
+        assert (dec.x, dec.q) == (GenPoly.zero(), ONE)
+        assert built == [] and _linearization.cache_info().currsize == 0
+        assert _inner_patterns.cache_info().currsize == 1
+        # a solve at that bound then starts from the same pattern entry
+        res = solve_graded_derivations(spec, 0, 7, 1)
+        key = (spec.families, _template_layout(spec)[0], 7)
+        entry, inner = _linearization(*key), _inner_patterns(*key)
+        assert (entry.patterns, entry.beyond) == (inner.patterns, inner.beyond)
+        assert entry.forms[:len(inner.forms)] == inner.forms
+        assert built and res.extra_dimension == 1
 
     @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
     def test_the_patterns_a_solve_reads_are_the_literal_ones(self, build):

@@ -30,6 +30,7 @@ CLI_RUNS = (
     "verify-axioms --algebra chv --a=-1/2 --b 0",
     "verify-axioms --a 0",
     "verify-axioms --algebra cw --a 3",
+    "verify-axioms --algebra tsv --window 2",
     "solve-construction",
     "solve-construction --config missing-run.yaml",
     "solve-construction --seed 5",
@@ -44,8 +45,12 @@ CLI_RUNS = (
     "classify --algebra cw --grid 0,0",
     "classify --algebra chv --kind graded --base vab --grid 1,0 --bitseqs 2",
     "derivations --task solve --algebra csv --a 1 --b 0 --degree 3 --window 1",
+    "derivations --task solve --algebra cw --degree 3 --window 1",
+    "derivations --task solve --algebra cw --a 1 --b 0",
+    "derivations --task solve --algebra cvir --window 0 --degree 3",
     "derivations --task dichotomy --a 1",
     "derivations --task dvec-check --algebra csv --a 1 --b 0 --window 5",
+    "derivations --task dvec-check --algebra cw",
     "derivations --task decompose --algebra cw --a 1 --b 0",
     "derivations --task solve --algebra mfam --a 1 --b 0 --ap 1 --bp 0 --window 1 --degree 3",
     "paper-suite --only 2,8",
