@@ -2,8 +2,8 @@
 
 The classifiers are guided: each step is one coefficient-comparison
 implication, stated as an exact polynomial fact that the engine verifies
-before using its conclusion.  The nonlinear steps rest on two mechanically
-checked certificates:
+before using its conclusion.  The nonlinear steps rest on the first two
+arguments below, and the weight step on the third:
 
 * self-commuting shape: any bounded-degree solution p of
   ``p(d+l, m) p(d, l) = p(d+m, l) p(d, m)`` is free of ``d``.  For each
@@ -26,12 +26,20 @@ checked certificates:
   fixed power times a residual free of it, and one nonzero instance forces
   the scalar to vanish.
 
-The weight equation ``W(l, m) p(l+m) = -m p(m)`` with ``W = A l - m + B``
-decides where extensions live: its kernel is zero unless (A, B) = (0, 0),
-where it is the constants.  For the Y family of the Schroedinger-Virasoro
-type algebra ``(A, B) = (a/2, b/2)``, so extensions need a = b = 0; for the
-M family of the Heisenberg-Virasoro type algebra ``(A, B) = (a-1, b)``,
-so extensions need a = 1, b = 0.
+* weight equation: ``W(l, m) p(l+m) = -m p(m)`` with ``W = A l - m + B``
+  decides where extensions live.  Its kernel is the constants at
+  (A, B) = (0, 0) and zero elsewhere, read from facts about the columns
+  ``T_n = W (l+m)^n + m^(n+1)`` that hold as identities in symbolic A and
+  B (``_weight_column_failure``).  The classifiers solve no weight system:
+  once the columns are certified up to the degree bound, the kernel is
+  "(A, B) == (0, 0)".  For the Y family of the Schroedinger-Virasoro type
+  algebra ``(A, B) = (a/2, b/2)``, so extensions need a = b = 0; for the M
+  family of the Heisenberg-Virasoro type algebra ``(A, B) = (a-1, b)``, so
+  extensions need a = 1, b = 0.
+
+The d-free certificate, the weight columns and the (Y, Y) identity for
+d-free coefficients read no parameter, so each is checked once per degree
+bound in a process and then read.
 
 The graded classifier settles every coefficient table with one procedure
 (``_constant_extension``): the weight equation pins the index-0
@@ -45,11 +53,15 @@ csv, M on chv).  Each table that survives is decided by reading
 break: csv's M table on the M family alone, which checks exactly the (M, M)
 relation (without a break, the (M_0, Y_0)/(Y_0, Y_0) contradiction forces
 the scalar to 0), and the extension table with L acting by f and the family
-by d * T.
+by d * T.  T[i, m] reads only f[i, m], which reads only the bits of the base
+at m and i+m (none for ``vab``), so both modules carry the base's bit
+pattern key (``bit_keyed``) and their streams compute one residual per
+family pair and bit pattern, as they do for the base itself.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,7 +77,6 @@ from .lca import (
     DegreeBoundExceeded,
     weight_of,
 )
-from .linsolve import SparseRow, reduce_rows
 from .modules import (
     MODULE_SYMBOLS,
     BitSeq,
@@ -86,6 +97,7 @@ from .poly import GaussianRational, MPoly
 
 _ONE = MPoly.const(1)
 _DFREE_STEP = "d-free certificate"
+_WEIGHT_STEP = "weight certificate"
 
 
 class StepFailed(ValueError):
@@ -232,45 +244,91 @@ def certify_self_commuting_d_free(degree_bound: int) -> None:
     _dfree_cache = degree_bound
 
 
+@functools.cache
 def _dfree_yy_vanishes(degree_bound: int) -> bool:
     """Whether the (Y, Y) left side vanishes for generic d-free coefficients.
 
     With d-free h the self-commuting difference h_j(m) h_i(l) - h_i(l) h_j(m)
     is identically zero, so the (Y, Y) identity reduces to
     0 = (l - m) g(l + m) and forces the M-coefficient g to vanish.  This
-    holds whatever the coefficients at other indices are.
+    holds whatever the coefficients at other indices are.  It reads only
+    the bound, so it is expanded once per bound.
     """
     hi, _ = _generic_box("hi", 0, degree_bound)
     hj, _ = _generic_box("hj", 0, degree_bound)
     return two_action_difference(hj, hi, hi, hj).is_zero()
 
 
-def weight_equation_kernel(A: GaussianRational, B: GaussianRational, degree_bound: int) -> list[MPoly]:
-    """Kernel of ``(A l - m + B) p(l+m) + m p(m) = 0`` for deg p <= bound.
+#: the weights of the weight equation as symbols, for the column identities
+_A, _B = MPoly.var("A"), MPoly.var("B")
 
-    Returns a basis of solutions as polynomials in ``l``.  The column of
-    ``l^q`` is ``w (l+m)^q + m^(q+1)``; ``(l+m)^q`` is carried from one q
-    to the next with one product, and ``m^(q+1)`` is a single term.
+
+def _weight_column(n: int) -> MPoly:
+    """T_n = (A l - m + B)(l+m)^n + m^(n+1) with symbolic A and B: the
+    coefficient of u_n when p = sum u_n l^n is put into
+    ``W(l, m) p(l+m) + m p(m)``."""
+    return (_A * POLY_L - POLY_M + _B) * POLY_L_PLUS_M**n + MPoly.var(VAR_M, n + 1)
+
+
+def _weight_column_failure(n: int) -> str | None:
+    """The first fact about the column T_n that fails, or None.
+
+    T_0 = A l + B; for n >= 1, T_n has degree <= n + 1 in (l, m), its
+    l^(n+1) coefficient is A and its l m^n coefficient is A - n.  Each is an
+    exact identity in the symbols A and B.
     """
-    w = POLY_L.scale(A) - POLY_M + MPoly.const(B)
-    cols = degree_bound + 1
-    rows: dict[tuple, SparseRow] = {}
-    power = MPoly.const(1)                  # (l+m)^q
-    for q in range(cols):
-        if q:
-            power = power * POLY_L_PLUS_M
-        contribution = w * power + MPoly.var(VAR_M, q + 1)
-        for mono, coeff in contribution.terms.items():
-            rows.setdefault(mono, {})[q] = coeff
-    ech = reduce_rows(list(rows.values()), None, cols)
-    basis = []
-    for vec in ech.kernel_basis():
-        p = MPoly.zero()
-        for q, coeff in enumerate(vec):
-            if coeff:
-                p = p + MPoly.var(VAR_L, q).scale(coeff)
-        basis.append(p)
-    return basis
+    column = _weight_column(n)
+    if n == 0:
+        facts = (("constant column", "T_0 = A*l + B", column == _A * POLY_L + _B),)
+    else:
+        lm_degree = max(sum(e for _, e in mono) for mono in column.split_by([VAR_L, VAR_M]))
+        facts = (
+            ("degree bound", f"deg_(l,m) T_{n} <= {n + 1}", lm_degree <= n + 1),
+            (
+                "top coefficient",
+                f"[l^{n + 1}] T_{n} = A",
+                column.coeff_extract([VAR_L, VAR_M], {VAR_L: n + 1}) == _A,
+            ),
+            (
+                "mixed coefficient",
+                f"[l*m^{n}] T_{n} = A - {n}",
+                column.coeff_extract([VAR_L, VAR_M], {VAR_L: 1, VAR_M: n}) == _A - n,
+            ),
+        )
+    for fact, claim, holds in facts:
+        if not holds:
+            return f"T_{n}: {fact} fails: {claim} does not hold"
+    return None
+
+
+#: the largest degree bound whose weight columns are certified; the columns
+#: at a bound include those at every smaller bound
+_weight_cache = -1
+
+
+def _constant_weight_kernel(
+    out: ClassifyOutcome, A: GaussianRational, B: GaussianRational, degree_bound: int
+) -> bool:
+    """Whether ``(A l - m + B) p(l+m) + m p(m) = 0``, deg p <= bound, has the
+    constants as kernel; otherwise its kernel is zero.
+
+    Write p = sum u_n l^n, so the left side is sum u_n T_n.  If some u_n
+    with n >= 1 is nonzero, take the largest such N: the columns k < N have
+    (l, m)-degree <= k + 1 <= N, so the l^(N+1) and l m^N coefficients of
+    the left side are A u_N and (A - N) u_N, and both vanishing needs A = 0
+    and A = N >= 1 at once.  So p = u_0 and the equation is
+    (A l + B) u_0 = 0: the kernel is the constants exactly when
+    (A, B) = (0, 0).  The column facts are checked once per bound
+    (``_weight_column_failure``); one that fails is a failed
+    "weight certificate" step of ``out`` that names the fact and n.
+    """
+    global _weight_cache
+    for n in range(_weight_cache + 1, degree_bound + 1):
+        failure = _weight_column_failure(n)
+        if failure is not None:
+            out.step(_WEIGHT_STEP, failure, ok=False)
+    _weight_cache = max(_weight_cache, degree_bound)
+    return not A and not B
 
 
 def _require_numeric(value: ParamLike, name: str) -> GaussianRational:
@@ -361,9 +419,8 @@ def classify_rank1(
 
     ext_family = extension_family(spec.families)
     A, B = weight_of(spec, ext_family)
-    kernel = weight_equation_kernel(A, B, degree_bound)
     w_text = f"({A})*l - m + ({B})"
-    if not kernel:
+    if not _constant_weight_kernel(out, A, B, degree_bound):
         out.step(
             "weight equation",
             f"W(l,m) p(l+m) = -m p(m) with W = {w_text} has only the zero "
@@ -374,15 +431,13 @@ def classify_rank1(
         "weight equation",
         f"W(l,m) p(l+m) = -m p(m) with W = {w_text} has the constants as "
         "solution space",
-        ok=len(kernel) == 1 and kernel[0].is_constant(),
     )
     # cross-index instance with general i: W d_{i+j} = -m c^i d_j and
-    # W = -m here, so d_{i+j} = c^i d_j; j = 0 gives d_i = c^i d_0.
+    # W = -m here (A = B = 0), so d_{i+j} = c^i d_j; j = 0 gives d_i = c^i d_0.
     out.step(
         "index recursion",
         "the general-index instance gives d_{i+j} = c^i d_j, so "
         "d_i = d * c^i with d = d_0",
-        ok=(A == GaussianRational.of(0) and B == GaussianRational.of(0)),
     )
     out.families[ext_family] = "d*c^i"
     out.extension_dim = 1
@@ -417,7 +472,8 @@ def classify_graded(
     residual is homogeneous in the scalar and one nonzero residual forces it
     to 0.  Each table is decided by reading ``module_residuals`` up to its
     first nonzero residual; every collapse step names that instance
-    ``(F, G, i, j, m)``.
+    ``(F, G, i, j, m)``.  Both streams are keyed by the base's bit pattern,
+    since each table at (i, m) reads only the base's L-action there.
     """
     if base == "vAb" and bitseq is None:
         raise ValueError("vAb classification needs a bit sequence")
@@ -444,7 +500,9 @@ def classify_graded(
         if g_table is not None:
             # M alone: the (M, M) relation, with L acting by 0 as the step states
             m_only = restrict_families(spec, ["M"], spec.name)
-            m_module = graded_from_tables(("M",), {"M": g_table}, base_module.bitseq)
+            m_module = graded_from_tables(
+                ("M",), {"M": g_table}, base_module.bitseq, bit_keyed=True
+            )
             collapse = next(
                 (key for key, r in module_residuals(m_only, m_module, n_basis, k_gen) if r),
                 None,
@@ -486,7 +544,10 @@ def classify_graded(
     )
     scalar = MPoly.var(MODULE_SYMBOLS["d"])
     extension = graded_from_tables(
-        spec.families, {"L": f, family: lambda i, m: scalar * table(i, m)}, base_module.bitseq
+        spec.families,
+        {"L": f, family: lambda i, m: scalar * table(i, m)},
+        base_module.bitseq,
+        bit_keyed=True,
     )
     bad = next(
         (key for key, r in module_residuals(spec, extension, n_basis, k_gen) if r), None
@@ -529,20 +590,15 @@ def _constant_extension(
     None when the table is forced to 0.
     """
     A, B = weight_of(spec, family)
-    kernel = weight_equation_kernel(A, B, degree_bound)
     w_text = f"W = ({A})*l - m + ({B})"
-    if not kernel:
+    if not _constant_weight_kernel(out, A, B, degree_bound):
         out.step(
             f"{family} weight equation",
             f"{w_text} has zero kernel, so the index-0 {family}-coefficients "
             "vanish and the j = 0 relations force the whole table to 0",
         )
         return None
-    out.step(
-        f"{family} weight equation",
-        f"{w_text} admits constant index-0 solutions",
-        ok=len(kernel) == 1 and kernel[0].is_constant(),
-    )
+    out.step(f"{family} weight equation", f"{w_text} admits constant index-0 solutions")
     table = _quotient_table(f, n_basis, k_gen, degree_bound)
     out.step(
         f"{family} cross-index propagation",

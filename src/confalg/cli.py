@@ -362,7 +362,10 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
             f"Leibniz residuals of the M-valued family on {named}",
             detail="a derivation exactly when a = 1",
         ) as rec:
-            deriv = d_vec(spec, {grading: GaussianRational.of(1)}, window=3)
+            # an index-0 algebra has window 0 alone
+            deriv = d_vec(
+                spec, {grading: GaussianRational.of(1)}, window=0 if spec.index0_only else 3
+            )
             leibniz = check_derivation(spec, deriv)
             rec.passed = leibniz.all_zero == (expected == 1)
             rec.status = "zero" if leibniz.all_zero else "nonzero"
@@ -390,7 +393,8 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
         f"decompose(ad(M_{grading})) over {named}",
     ) as rec:
         x = GenPoly.unit("M", grading)
-        dec = decompose(spec, ad(spec, x, window=args.window + 1), bound=args.degree)
+        window = args.window if spec.index0_only else args.window + 1
+        dec = decompose(spec, ad(spec, x, window=window), bound=args.degree)
         rec.passed = dec.x == x and not dec.q
         rec.status = f"x = {dec.x}; q = {dec.q}"
     return report

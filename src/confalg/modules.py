@@ -22,10 +22,13 @@ input.  A ``build_graded`` table (``vab`` or ``vAb``) acts on v_m by a
 value fixed by the bits at m and i+m (by nothing, for ``vab``), so there
 the input is fixed by the bits at m, i+m, j+m and i+j+m, and the stream
 keys each family pair's instances by that pattern before it reads an
-action.  This holds only for ``build_graded``'s tables, so custom modules
-(``graded_from_tables``) keep the by-value key.  The stream also reads
-each action once, makes each variable change of an action value once, and
-forms the bracket heads once per family pair.  The oracle reads and counts
+action.  A module says so by ``bit_keyed``: every ``build_graded`` module,
+and a custom one (``graded_from_tables``) only when its builder states that
+each table reads only the bits at m and i+m, as the classifier does for
+its two tables, each a function of the base's L-action at (i, m).  Other
+custom modules, which may read their indices in any way, keep the by-value
+key.  The stream also reads each action once, makes each variable change of
+an action value once, and forms the bracket heads once per family pair.  The oracle reads and counts
 every sample, and computes each distinct (relation, table values it reads)
 once per call, and each variable change of a table value once per call.
 Every such memo ends with its stream or call.
@@ -183,9 +186,11 @@ def build_rank1(
 class GradedModule:
     """Graded free intermediate-series module with explicit coefficient tables.
 
-    ``kind`` is ``vab`` or ``vAb`` only for ``build_graded``'s tables, whose
-    residuals the module-identity stream keys by bit pattern; any other
-    table is ``custom``.
+    ``kind`` is ``vab`` or ``vAb`` for ``build_graded``'s tables; any other
+    table is ``custom``.  ``bit_keyed`` states that every table reads only
+    the bits of ``bitseq`` at m and i+m (no index at all without a
+    ``bitseq``), so the module-identity stream may key residuals by bit
+    pattern; it holds for every ``build_graded`` module.
     """
 
     families: tuple[str, ...]
@@ -193,6 +198,7 @@ class GradedModule:
     coeffs: dict[str, CoeffFn]
     params: dict[str, MPoly] = field(default_factory=dict)
     bitseq: BitSeq | None = None
+    bit_keyed: bool = False
 
     def action(self, family: str, gen_index: int, basis_index: int) -> MPoly:
         fn = self.coeffs.get(family)
@@ -251,7 +257,8 @@ def build_graded(
         if fam == ext_family and not pd.is_zero():
             coeffs[fam] = lambda i, m, _p=pd: _p
     return GradedModule(
-        families=spec.families, kind=kind, coeffs=coeffs, params=params, bitseq=bits
+        families=spec.families, kind=kind, coeffs=coeffs, params=params, bitseq=bits,
+        bit_keyed=True,
     )
 
 
@@ -259,10 +266,17 @@ def graded_from_tables(
     families: tuple[str, ...],
     tables: Mapping[str, CoeffFn],
     bitseq: BitSeq | None = None,
+    bit_keyed: bool = False,
 ) -> GradedModule:
-    """Custom graded module from raw coefficient tables (for oracles/tests)."""
+    """Custom graded module from raw coefficient tables.
+
+    Pass ``bit_keyed`` only when every table at (i, m) reads only the bits
+    of ``bitseq`` at m and i+m (nothing without a ``bitseq``); the
+    module-identity stream then keys residuals by bit pattern.
+    """
     return GradedModule(
-        families=families, kind="custom", coeffs=dict(tables), bitseq=bitseq
+        families=families, kind="custom", coeffs=dict(tables), bitseq=bitseq,
+        bit_keyed=bit_keyed,
     )
 
 
@@ -378,16 +392,17 @@ def window_reach(n_basis: int, k_gen: int) -> int:
 
 def _bit_pattern(module: Rank1Module | GradedModule) -> Callable[[int, int, int], tuple | None]:
     """``pattern(i, j, m)``: the key under which the stream shares one
-    family pair's residual between instances.  It is the bits at m, i+m,
-    j+m and i+j+m for a ``vAb`` module and ``()`` for ``vab``; rank-one and
-    custom modules, whose tables may read their indices in any way, get
+    family pair's residual between instances.  For a ``bit_keyed`` module
+    it is the bits at m, i+m, j+m and i+j+m, or ``()`` without a bit
+    sequence; rank-one modules and custom modules that are not
+    ``bit_keyed``, whose tables may read their indices in any way, get
     None (shared by value only)."""
-    if module.kind == "vab":
+    if isinstance(module, Rank1Module) or not module.bit_keyed:
+        return lambda i, j, m: None
+    if module.bitseq is None:
         return lambda i, j, m: ()
-    if module.kind == "vAb":
-        bit = module.bitseq.at
-        return lambda i, j, m: (bit(m), bit(i + m), bit(j + m), bit(i + j + m))
-    return lambda i, j, m: None
+    bit = module.bitseq.at
+    return lambda i, j, m: (bit(m), bit(i + m), bit(j + m), bit(i + j + m))
 
 
 def module_residuals(
@@ -410,16 +425,17 @@ def module_residuals(
     F_i on v_m, G_j on v_(i+m) and, for each bracket target H, H_(i+j) on
     v_m; the bracket templates are index-free.  So the arithmetic runs once
     per distinct (F, G, those action polynomials), matched by value, and is
-    reused for every instance that shares them.  For a ``build_graded``
-    module (kind ``vab`` or ``vAb``) those polynomials are fixed by the bits
-    at m, i+m, j+m and i+j+m, so within one family pair an instance whose
-    bit pattern (``_bit_pattern``, computed once per stream) was met before
-    takes that residual without reading the actions; a pattern met for the
-    first time falls back to the match by value.  Custom modules
-    (``graded_from_tables``) may read their indices in any way and keep the
-    match by value alone.  Each (family, i, m) action is read once, each
-    variable change of an action value is made once, and the bracket heads
-    T_H(-l-m, l) are formed once per family pair.  All this reuse ends with
+    reused for every instance that shares them.  For a ``bit_keyed`` module
+    (every ``build_graded`` module, and the classifier's two tables) those
+    polynomials are fixed by the bits at m, i+m, j+m and i+j+m, so within
+    one family pair an instance whose bit pattern (``_bit_pattern``,
+    computed once per stream) was met before takes that residual without
+    reading the actions; a pattern met for the first time falls back to the
+    match by value.  Other custom modules (``graded_from_tables``) may read
+    their indices in any way and keep the match by value alone.  Each
+    (family, i, m) action is read once, each variable change of an action
+    value is made once, and the bracket heads T_H(-l-m, l) are formed once
+    per family pair.  All this reuse ends with
     the stream.
     """
     index_free = isinstance(module, Rank1Module)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from confalg.linsolve import reduce_rows
 from confalg.poly import GaussianRational, MPoly
 
 VAR_NAMES = ("d", "l", "m", "a", "b")
@@ -47,3 +48,33 @@ def literal_module_residual(spec, act, fam_f, fam_g, i, j, m):
             target, i + j, m
         ).substitute("l", l + mu)
     return residual
+
+
+def weight_equation_kernel(A, B, degree_bound):
+    """Kernel of ``(A l - m + B) p(l+m) + m p(m) = 0`` for deg p <= bound,
+    solved as a linear system: the oracle that the classifiers' weight
+    certificate (``classify._constant_weight_kernel``) must match.
+
+    Returns a basis of solutions as polynomials in ``l``.  The column of
+    ``l^q`` is ``w (l+m)^q + m^(q+1)``.
+    """
+    l, m = MPoly.var("l"), MPoly.var("m")
+    w = l.scale(A) - m + MPoly.const(B)
+    cols = degree_bound + 1
+    rows = {}
+    power = MPoly.const(1)                  # (l+m)^q
+    for q in range(cols):
+        if q:
+            power = power * (l + m)
+        contribution = w * power + MPoly.var("m", q + 1)
+        for mono, coeff in contribution.terms.items():
+            rows.setdefault(mono, {})[q] = coeff
+    ech = reduce_rows(list(rows.values()), None, cols)
+    basis = []
+    for vec in ech.kernel_basis():
+        p = MPoly.zero()
+        for q, coeff in enumerate(vec):
+            if coeff:
+                p = p + MPoly.var("l", q).scale(coeff)
+        basis.append(p)
+    return basis

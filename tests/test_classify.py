@@ -1,4 +1,5 @@
 import ast
+import functools
 import random
 import re
 from fractions import Fraction
@@ -14,7 +15,6 @@ from confalg.classify import (
     classify_graded,
     classify_rank1,
     materialize,
-    weight_equation_kernel,
 )
 from confalg.lca import DegreeBoundExceeded, WindowTooSmall
 from confalg import suite
@@ -27,7 +27,7 @@ from confalg.modules import (
     window_reach,
 )
 from confalg.poly import GaussianRational, MPoly
-from conftest import literal_module_residual
+from conftest import literal_module_residual, weight_equation_kernel
 
 GRID = [(0, 0), (1, 0), (0, 1), (2, 5), (1, 1)]
 
@@ -60,6 +60,26 @@ def generic_box(dmax, lmax):
 def uncertified(monkeypatch):
     """Forget every certified bound for the rest of the test."""
     monkeypatch.setattr(classify, "_dfree_cache", 0)
+    monkeypatch.setattr(classify, "_weight_cache", -1)
+    monkeypatch.setattr(
+        classify, "_dfree_yy_vanishes", functools.cache(classify._dfree_yy_vanishes.__wrapped__)
+    )
+
+
+#: (A, B) points of the weight-kernel tests: halves in [-3/2, 3/2] and one
+#: Gaussian point
+WEIGHT_POINTS = [Fraction(k, 2) for k in range(-3, 4)] + [GaussianRational(Fraction(1, 2), 1)]
+
+
+def blank_outcome():
+    return classify.ClassifyOutcome("csv", 0, 0, "rank1", 0, {})
+
+
+def kernel_oracle(out, A, B, degree_bound):
+    """The weight step read from the solved kernel instead of the certificate."""
+    kernel = weight_equation_kernel(A, B, degree_bound)
+    assert kernel in ([], [MPoly.const(1)])
+    return bool(kernel)
 
 
 class TestCertificates:
@@ -163,15 +183,93 @@ class TestCertificates:
         # the equation only has the constants, and only at the origin;
         # each basis vector is checked against the equation written out
         l, m = MPoly.var("l"), MPoly.var("m")
-        points = [Fraction(k, 2) for k in range(-3, 4)] + [GaussianRational(Fraction(1, 2), 1)]
-        for A in points:
-            for B in points:
+        for A in WEIGHT_POINTS:
+            for B in WEIGHT_POINTS:
                 a, b = GaussianRational.of(A), GaussianRational.of(B)
                 kernel = weight_equation_kernel(a, b, bound)
                 for p in kernel:
                     lhs = (l.scale(a) - m + MPoly.const(b)) * p.substitute("l", l + m)
                     assert lhs + m * p.substitute("l", m) == MPoly.zero()
                 assert kernel == ([MPoly.const(1)] if A == B == 0 else [])
+
+    @pytest.mark.parametrize("bound", range(13))
+    def test_weight_certificate_matches_the_kernel(self, monkeypatch, bound):
+        # certified at this bound alone, the certificate's answer is the
+        # solved kernel's on the whole grid
+        uncertified(monkeypatch)
+        for A in WEIGHT_POINTS:
+            for B in WEIGHT_POINTS:
+                a, b = GaussianRational.of(A), GaussianRational.of(B)
+                assert classify._constant_weight_kernel(blank_outcome(), a, b, bound) == (
+                    kernel_oracle(None, a, b, bound)
+                ), (A, B)
+        assert classify._weight_cache == bound
+
+    @pytest.mark.parametrize("fact, mutate", [
+        ("T_0: constant column", lambda n: MPoly.var("m") if n == 0 else MPoly.zero()),
+        ("T_1: degree bound", lambda n: MPoly.var("l", n + 2) if n else MPoly.zero()),
+        ("T_1: top coefficient", lambda n: MPoly.var("l", n + 1) if n else MPoly.zero()),
+        ("T_1: mixed coefficient",
+         lambda n: MPoly.var("l") * MPoly.var("m", n) if n else MPoly.zero()),
+    ], ids=["constant", "degree", "top", "mixed"])
+    def test_mutated_weight_column_fails_the_certificate(self, monkeypatch, fact, mutate):
+        uncertified(monkeypatch)
+        column = classify._weight_column
+        monkeypatch.setattr(classify, "_weight_column", lambda n: column(n) + mutate(n))
+        for run in (
+            lambda: classify_rank1("csv", 1, 1),
+            lambda: classify_graded("chv", 1, 0, "vab"),
+        ):
+            with pytest.raises(StepFailed) as info:
+                run()
+            step = info.value.steps[-1]
+            assert (step.name, step.ok) == ("weight certificate", False)
+            assert step.statement.startswith(f"{fact} fails: ")
+            # the trace holds the steps before the weight step too
+            assert info.value.trace.startswith("[ok] d-free certificate: ")
+            assert info.value.trace.endswith(f"[FAILED] weight certificate: {step.statement}")
+            assert classify._weight_cache == -1
+        # a suite criterion turns it into FAIL records, not a crash
+        records = suite.criterion_6()
+        assert records and not any(record.passed for record in records)
+
+    def test_weight_certificate_is_checked_once_per_bound(self, monkeypatch):
+        uncertified(monkeypatch)
+        checked = []
+        check = classify._weight_column_failure
+        monkeypatch.setattr(
+            classify, "_weight_column_failure", lambda n: checked.append(n) or check(n)
+        )
+        classify_rank1("csv", 0, 0)
+        assert checked == list(range(7)) and classify._weight_cache == 6
+        checked.clear()
+        classify_rank1("csv", 0, 0)
+        classify_graded("csv", 0, 0, "vab")
+        classify_rank1("chv", 2, 5, degree_bound=4)
+        assert checked == []
+        # a larger bound checks only the columns it adds
+        classify_rank1("chv", 2, 5, degree_bound=8)
+        assert checked == [7, 8]
+
+    def test_yy_identity_is_expanded_once_per_bound(self, monkeypatch):
+        uncertified(monkeypatch)
+        expanded = []
+        difference = classify.two_action_difference
+        monkeypatch.setattr(
+            classify,
+            "two_action_difference",
+            lambda *args: expanded.append(len(args)) or difference(*args),
+        )
+        bits = BitSeq.from_string("0" * 19, -9)
+        for _ in range(2):
+            classify_rank1("csv", 0, 0)
+            classify_rank1("csv", 1, 0)
+            classify_graded("csv", 1, 0, "vab")
+            classify_graded("csv", 1, 0, "vAb", bitseq=bits)
+        assert len(expanded) == 1
+        classify_rank1("csv", 0, 0, degree_bound=4)
+        classify_rank1("csv", 0, 0, degree_bound=4)
+        assert len(expanded) == 2
 
 
 class TestRank1:
@@ -462,6 +560,82 @@ class TestGradedCaseSplitBase:
             flat = build_graded(spec, "vAb", bits, "sym", "sym")
             flat_ok = check_module_axioms(spec, flat, 3, 2).all_zero
             assert flat_ok == (outcome.families["Y"] == "d")
+
+
+def probe_bits():
+    """The bit sequences of the stream and probe tests on [-9, 9]: all-0,
+    all-1, alternating and two seeded random ones."""
+    rng = random.Random(29)
+    return [
+        BitSeq(-9, (0,) * 19),
+        BitSeq(-9, (1,) * 19),
+        BitSeq(-9, tuple(k % 2 for k in range(19))),
+        BitSeq.random(rng, -9, 9),
+        BitSeq.random(rng, -9, 9),
+    ]
+
+
+def outcome_or_failure(classifier, *args, **kwargs):
+    """The outcome of the classifier call, or the type, message and step
+    trace of the ``StepFailed`` it raises."""
+    try:
+        return classifier(*args, **kwargs)
+    except StepFailed as exc:
+        return type(exc), str(exc), exc.trace
+
+
+class TestParameterFreeSteps:
+    @pytest.mark.parametrize("algebra", ["csv", "chv"])
+    def test_classifier_streams_match_the_literal_residuals(self, monkeypatch, algebra):
+        # the two tables' modules are keyed by the base's bit pattern, and
+        # their streams yield the literal residual of every instance, zeros
+        # included, in order
+        opened = []
+
+        def recorded(spec, module, n_basis, k_gen):
+            opened.append((spec, module, n_basis, k_gen))
+            return module_residuals(spec, module, n_basis, k_gen)
+
+        monkeypatch.setattr(classify, "module_residuals", recorded)
+        bases = [("vab", None)] + [("vAb", bits) for bits in probe_bits()]
+        for point in GRID:
+            for base, bits in bases:
+                classify_graded(algebra, *point, base, bitseq=bits)
+        # the tables survive the weight step only at (0, 0) and (1, 0)
+        assert len(opened) == len(bases) * (2 if algebra == "csv" else 1)
+        for spec, module, n_basis, k_gen in opened:
+            assert module.kind == "custom" and module.bit_keyed
+            window = range(-k_gen, k_gen + 1)
+            expected = [
+                ((f, g, i, j, m), literal_module_residual(spec, module.action, f, g, i, j, m))
+                for f in spec.families
+                for g in spec.families
+                for i in window
+                for j in window
+                for m in range(-n_basis, n_basis + 1)
+            ]
+            assert list(module_residuals(spec, module, n_basis, k_gen)) == expected
+
+    def test_certificate_and_kernel_oracle_give_equal_outcomes(self, monkeypatch):
+        # seeded probe: every outcome (families, extension_dim, collapsed,
+        # note, every step) and every StepFailed trace is the same when the
+        # weight step reads the solved kernel instead of the certificate
+        rng = random.Random(61)
+        seeded = [BitSeq.random(rng, -9, 9) for _ in range(4)]
+        bases = [("vab", None)] + [("vAb", bits) for bits in probe_bits() + seeded]
+        runs = []
+        for algebra in ("csv", "chv"):
+            for point in GRID:
+                runs.append((classify_rank1, (algebra, *point), {}))
+                runs.append((classify_rank1, (algebra, *point), {"degree_bound": 3}))
+                for base, bits in bases:
+                    runs.append((classify_graded, (algebra, *point, base), {"bitseq": bits}))
+        certified = [outcome_or_failure(run, *args, **kwargs) for run, args, kwargs in runs]
+        monkeypatch.setattr(classify, "_constant_weight_kernel", kernel_oracle)
+        solved = [outcome_or_failure(run, *args, **kwargs) for run, args, kwargs in runs]
+        assert certified == solved
+        # rank one twice, vab, all-0 and all-1 at each extension point
+        assert sum(outcome.has_extension for outcome in certified) == 2 * 5
 
 
 class TestOutcomeJudges:
