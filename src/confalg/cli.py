@@ -346,6 +346,7 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
     reads = ("algebra", "task", "grading", *row.params)
     if task != "dvec-check":
         reads += ("degree", "window")
+    window_given = args.window is not None
     report = Report(
         command="derivations",
         config=_settle(args, reads, f"the {task} task reads no {{key}}"),
@@ -354,6 +355,10 @@ def cmd_derivations(args: argparse.Namespace) -> Report:
     params = _params(args, row.params, parse_param if task == "dvec-check" else _numeric)
     expected = expected_extra_dimension(algebra, params.get("a"))
     spec = build_algebra(algebra, **params)
+    if spec.index0_only and "window" in reads and not window_given:
+        # an index-0 algebra has window 0 alone, so the window read defaults to it
+        args.window = 0
+        report.config["window"] = "0"
     named = f"{algebra}({','.join(map(str, params.values()))})" if params else algebra
     if task == "dvec-check":
         with timed_check(

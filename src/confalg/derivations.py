@@ -27,8 +27,9 @@ index i + c with polynomial coefficients of bounded total degree.  Its
 equations are the Leibniz residual coefficients for the pairs (L_0, y_j),
 which the uniform structure of the bracket table makes exhaustive: the
 classification argument subtracts inner derivations and the M-valued family
-using those pairs alone.  A wider (all-pairs) equation set is kept for
-cross-validation in the tests.
+using those pairs alone.  The tests keep the whole (L_0, y_j) system and
+the all-pairs system, written out by a hand linearization of the three
+terms of the residual, as the oracles of the solve.
 
 Bracket templates do not depend on generator indices, so a uniform
 derivation is one index-0 pattern relabelled to every index (``_uniform``
@@ -36,25 +37,24 @@ builds ``d_vec``, the inner vectors and the solved basis so), and the
 graded system has one column layout, computed by index arithmetic: the
 unknowns of source index i are the n columns from (i + w) * n on, w the
 source window, in the same (source family, target family, monomial) order
-at every index.  The rows of a pair (x_i, y_j) are built once per family
-pair, each unknown carrying its position in an index block, and relabelled
-per index pair by adding the start of the block of i, j or i + j; nothing
-of the grading degree enters them.  Within a family pair, each
-instantiated template is multiplied by each power of its term once; the
-l^q factor of an unknown only raises l exponents.  The inner vectors are
-index-0 patterns too: [d^k X_c _l F_i] is [d^k X_0 _l F_0] with every
-index raised by c + i, so the columns of ad(d^k X_c) at index 0 do not
-depend on the grading degree c, and one bracket per (X, k, F) gives them
-all; ``ad`` stays the literal evaluator the tests hold them to.
+at every index.  Nothing of the grading degree enters the rows.  The inner
+vectors are index-0 patterns too: [d^k X_c _l F_i] is [d^k X_0 _l F_0]
+with every index raised by c + i, so the columns of ad(d^k X_c) at index 0
+do not depend on the grading degree c, and one bracket per (X, k, F) gives
+them all; ``ad`` stays the literal evaluator the tests hold them to.
 
-Every row entry and every inner-pattern entry is linear in the template
+The residual is linear in the image coefficients and in the template
 coefficients, so the solver's rows and the patterns are built once per
 (families, the table's (pair, target) layout with each template's total
-degree in d and l, bound), on templates with one coefficient symbol per
-monomial d^u l^v of that degree, and kept for the life of the process
+degree in d and l, bound) and kept for the life of the process
 (``_linearization``; the patterns alone, which ``decompose`` reads, in
-``_inner_patterns``, whose entry the solver's entry extends).  An entry is
-the id of its linear form in the symbols, which name places in the layout,
+``_inner_patterns``, whose entry the solver's entry extends).  The rows
+are read off ``leibniz_residual`` itself, the one encoding of the rule:
+it runs on templates with one coefficient symbol per monomial d^u l^v of
+that degree and on a derivation with one symbol per image coefficient,
+and the factor of each template symbol in the coefficient of each image
+symbol is one term of a row entry's linear form.  An entry is the id of
+its linear form in the template symbols, which name places in the layout,
 so the cache holds no input value: a solve looks the entry up once and
 evaluates each form once at its own coefficients, for both blocks and the
 patterns, and those values end with the call.
@@ -78,9 +78,7 @@ placed at each j != 0.  Every inner vector is one index-0 pattern copied
 to every index, and restriction to index 0 is injective on such copies and
 zero on the ker-B placements, so the inner rank is read on the index-0
 patterns.  When ker B = 0 the answer does not depend on the window, and
-the solve certifies it for every window.  The same system eliminated whole
-(``_leibniz_system(..., "lzero")``) and the all-pairs system are kept as
-the oracles the solve is tested against.
+the solve certifies it for every window.
 """
 
 from __future__ import annotations
@@ -93,7 +91,6 @@ from typing import Iterable, Mapping, NamedTuple
 from .lca import (
     POLY_L,
     POLY_L_PLUS_M,
-    POLY_M,
     VAR_D,
     VAR_L,
     VAR_M,
@@ -357,10 +354,6 @@ def _degree_monos(bound: int) -> list[tuple[int, int]]:
 
 #: an unknown of one source index: (source family, target family, (p, q))
 _Slot = tuple[str, str, tuple[int, int]]
-#: what one unknown contributes to the rows of one pair: its index (0 for
-#: i + j, 1 for i, 2 for j), its position in that index's block, and its
-#: coefficients keyed by row (target family, monomial in d, l, m), signed
-_Contribution = tuple[int, int, tuple[tuple[tuple[str, Mono], GaussianRational], ...]]
 
 
 def _index_slots(families: tuple[str, ...], bound: int) -> dict[_Slot, int]:
@@ -389,10 +382,6 @@ class _Coords:
     def n(self) -> int:
         """Number of unknowns per source index."""
         return len(self.local)
-
-    @property
-    def ncols(self) -> int:
-        return (2 * self.src_window + 1) * self.n
 
     def vector_of(self, deriv: DerivationSpec) -> SparseRow:
         vec: SparseRow = {}
@@ -443,177 +432,6 @@ def _make_coords(
 ) -> _Coords:
     return _Coords(spec=spec, src_window=src_window, degree=degree, bound=bound,
                    local=_index_slots(spec.families, bound))
-
-
-def _times_l(mono: Mono, q: int) -> Mono:
-    """``mono * l^q``: d is the one variable that sorts before l."""
-    k = 1 if mono and mono[0][0] == VAR_D else 0
-    if k < len(mono) and mono[k][0] == VAR_L:
-        return mono[:k] + ((VAR_L, mono[k][1] + q),) + mono[k + 1:]
-    return mono[:k] + ((VAR_L, q),) + mono[k:]
-
-
-def _family_pair_contributions(
-    spec: AlgebraSpec,
-    fam_x: str,
-    fam_y: str,
-    powers: tuple[tuple[MPoly, ...], tuple[MPoly, ...], tuple[MPoly, ...]],
-    local: dict[_Slot, int],
-    shared: dict[tuple, list[list[tuple]]],
-) -> list[_Contribution]:
-    """Index-free linearization of the Leibniz residual of (x_i, y_j).
-
-    The residual is linear in the unknown image coefficients.  Bracket
-    templates do not depend on generator indices, so every polynomial here
-    depends on the family pair and the bound only: the indices i, j enter
-    through the index block each unknown sits in (1 for x_i, 2 for y_j, 0
-    for the image of x_i _m y_j at i + j), and within it the unknown's
-    column is its position in ``local``.  The unknown of d^p l^q enters its
-    term as power_p * l^q * T, T the term's instantiated template (sign
-    included) and ``powers`` holding d^p, (-(l+m))^p and (d+m)^p for the
-    three terms.  So each T is multiplied by each power_p once, and the
-    factor l^q only raises the l exponents of that product.
-
-    The terms of [(D x)_{l+m} y] read only the templates of (G, y), those
-    of [x _m (D y)] only the templates of (x, G); ``shared`` keeps them per
-    template pair for the other family pairs of one table build.
-    """
-    monos = _degree_monos(len(powers[0]) - 1)
-    out: list[_Contribution] = []
-
-    def raised(template: MPoly, power: tuple[MPoly, ...]) -> list[tuple]:
-        """The terms of power_p * l^q * template, for each (p, q) in order."""
-        products = [tuple((factor * template).terms.items()) for factor in power]
-        return [
-            tuple((_times_l(mono, q), c) for mono, c in products[p]) if q else products[p]
-            for p, q in monos
-        ]
-
-    def keyed(target: str, terms: tuple) -> tuple:
-        return tuple(((target, mono), c) for mono, c in terms)
-
-    def side(which: int, pair: tuple[str, str], at: MPoly) -> list[list[tuple]]:
-        """Per template T of ``pair``, the keyed terms of -T at l -> ``at``,
-        raised by term ``which``'s powers, per monomial."""
-        key = (which, pair)
-        if key not in shared:
-            shared[key] = [
-                [keyed(tgt_h, t) for t in raised(-template.substitute(VAR_L, at), powers[which])]
-                for tgt_h, template in spec.table.get(pair) or ()
-            ]
-        return shared[key]
-
-    # D([x _m y]): bracket templates at m, images shifted by l
-    for tgt_f, template in spec.templates(fam_x, fam_y):
-        terms = raised(template.substitute(VAR_L, POLY_M).shift(VAR_D, POLY_L), powers[0])
-        for tgt_g in spec.families:
-            for mono, t in zip(monos, terms):
-                out.append((0, local[(tgt_f, tgt_g, mono)], keyed(tgt_g, t)))
-    # [(D x)_{l+m} y]: first-argument coefficients evaluated at d -> -(l+m)
-    for fam_g in spec.families:
-        for terms in side(1, (fam_g, fam_y), POLY_L_PLUS_M):
-            for mono, t in zip(monos, terms):
-                out.append((1, local[(fam_x, fam_g, mono)], t))
-    # [x _m (D y)]: second-argument coefficients shifted d -> d + m
-    for fam_g in spec.families:
-        for terms in side(2, (fam_x, fam_g), POLY_M):
-            for mono, t in zip(monos, terms):
-                out.append((2, local[(fam_y, fam_g, mono)], t))
-    return out
-
-
-def _pair_rows(
-    coords: _Coords, contributions: list[_Contribution], i: int, j: int
-) -> dict[tuple[str, Mono], SparseRow]:
-    """Rows of the Leibniz residual of (x_i, y_j), keyed by the residual's
-    (target family, monomial in d, l, m): each contribution's position
-    plus the first column of i, j or i + j.  An index past the window lands
-    on the next block (``_linearization`` reads index 1 of window 0 so).
-
-    Contributions are added in their build order, so unknowns that share a
-    column (e.g. x_i and the bracket image when j = 0) sum and cancel in a
-    fixed order; rows that cancel to nothing are dropped.
-    """
-    n, w = coords.n, coords.src_window
-    offsets = ((i + j + w) * n, (i + w) * n, (j + w) * n)
-    buckets: dict[tuple[str, Mono], SparseRow] = {}
-    for which, position, terms in contributions:
-        col = offsets[which] + position
-        for key, value in terms:
-            row = buckets.setdefault(key, {})
-            acc = row.get(col)
-            s = value if acc is None else acc + value
-            if s:
-                row[col] = s
-            elif acc is not None:
-                del row[col]
-    return {key: row for key, row in buckets.items() if row}
-
-
-@functools.cache
-def _powers(bound: int) -> tuple[tuple[MPoly, ...], tuple[MPoly, ...], tuple[MPoly, ...]]:
-    """d^p, (-(l+m))^p and (d+m)^p for p <= ``bound``: constants of the
-    bound alone, built once per bound."""
-    return (
-        tuple(MPoly.var(VAR_D, p) for p in range(bound + 1)),
-        tuple((-POLY_L_PLUS_M) ** p for p in range(bound + 1)),
-        tuple((MPoly.var(VAR_D) + POLY_M) ** p for p in range(bound + 1)),
-    )
-
-
-def _contribution_table(
-    spec: AlgebraSpec, bound: int, family_pairs: Iterable[tuple[str, str]]
-) -> dict[tuple[str, str], list[_Contribution]]:
-    """The contributions of each family pair, built once per pair.
-
-    The terms of [(D x)_{l+m} y] and [x _m (D y)] are built once per
-    template pair and shared by every family pair of this table that reads
-    them (in ``_linearization`` every pair is (L, y), so the (L, G) terms are
-    built once, not once per y); they are dropped with the table build.
-    The powers are ``_powers(bound)``.
-    """
-    powers = _powers(bound)
-    local = _index_slots(spec.families, bound)
-    shared: dict[tuple, list[list[tuple]]] = {}
-    table: dict[tuple[str, str], list[_Contribution]] = {}
-    for pair in family_pairs:
-        if pair not in table:
-            table[pair] = _family_pair_contributions(spec, *pair, powers, local, shared)
-    return table
-
-
-def _leibniz_system(
-    spec: AlgebraSpec, degree: int, bound: int, window: int, pairs: str
-) -> tuple[_Coords, list[SparseRow]]:
-    """Column layout and rows of the graded Leibniz system.
-
-    Rows are built once per family pair and relabelled per index pair; the
-    contributions are dropped when the system is returned.  Only the tests
-    eliminate it: the ``lzero`` system whole is the oracle for its block
-    solve (``_lzero_kernel``), the ``all`` system an independent
-    cross-check.
-    """
-    if pairs == "lzero":
-        src_window = window
-        pair_list = [("L", 0, fam, j) for fam in spec.families
-                     for j in range(-window, window + 1)]
-    elif pairs == "all":
-        src_window = 2 * window
-        pair_list = [
-            (fx, i, fy, j)
-            for fx in spec.families
-            for fy in spec.families
-            for i in range(-window, window + 1)
-            for j in range(-window, window + 1)
-        ]
-    else:
-        raise ValueError("pairs must be 'lzero' or 'all'")
-    coords = _make_coords(spec, degree, bound, src_window)
-    table = _contribution_table(spec, bound, ((fx, fy) for fx, _, fy, _ in pair_list))
-    rows: list[SparseRow] = []
-    for fam_x, i, fam_y, j in pair_list:
-        rows.extend(_pair_rows(coords, table[(fam_x, fam_y)], i, j).values())
-    return coords, rows
 
 
 #: a linear form in the template coefficients: (coefficient, factor) pairs,
@@ -743,35 +561,60 @@ def _inner_patterns(families: tuple[str, ...], layout: _Layout, bound: int) -> _
     return _Linearization((), (), tuple(patterns), past, tuple(forms))
 
 
+def _generic_derivation(families: tuple[str, ...],
+                        bound: int) -> tuple[DerivationSpec, dict[str, int]]:
+    """The degree-0 derivation on the window-0 layout plus index 1 whose
+    image coefficient in each column is a symbol of its own, and the column
+    of each symbol: column k of index i (0 or 1) is i * n + k, n the
+    unknowns per index, and its symbol ``u<column>`` sorts after every
+    template symbol."""
+    local = _index_slots(families, bound)
+    columns: dict[str, int] = {}
+    images: dict[tuple[str, int], dict[Generator, dict]] = {}
+    for index in (0, 1):
+        for (src, tgt, (p, q)), k in local.items():
+            col = index * len(local) + k
+            columns[f"u{col}"] = col
+            terms = images.setdefault((src, index), {}).setdefault(Generator(tgt, index), {})
+            terms[((VAR_D, p), (VAR_L, q), (f"u{col}", 1))] = 1
+    deriv = DerivationSpec(families=families, window=1, degree=0)
+    for key, image in images.items():
+        deriv.images[key] = GenPoly({gen: MPoly(terms) for gen, terms in image.items()})
+    return deriv, columns
+
+
 @functools.cache
 def _linearization(families: tuple[str, ...], layout: _Layout, bound: int) -> _Linearization:
     """Block 0, B and the inner patterns for every table of this layout.
 
-    The rows are built once, by ``_contribution_table`` and ``_pair_rows``
-    on the symbol templates (``_symbol_templates``), each entry kept as the
-    id of its linear form in the symbols.  A symbol names a place in the
-    layout, never a value, so the entry holds no input.  Rows, forms and
-    the tuples are immutable; block 0 is already folded, and rows whose
-    forms all cancel are dropped.  The entry extends the ``_inner_patterns``
-    entry of its key, whose forms come first, so one evaluation serves the
-    blocks and the patterns.  The cache lives as long as the process.
+    The rows are the coefficients of ``leibniz_residual`` of the pairs
+    (L_0, y_1), y over the families, on the symbol templates
+    (``_symbol_templates``) and the generic derivation
+    (``_generic_derivation``).  The residual is linear in each: a term holds
+    one template symbol and one column symbol, after d, l and m.  So a term
+    is the factor of its template symbol in the entry of its column symbol,
+    in the row of its (target family, monomial in d, l, m), and each entry
+    is kept as the id of its linear form in the template symbols.  A symbol
+    names a place in the layout, never a value, so the entry holds no
+    input.  Rows, forms and the tuples are immutable; block 0 is already
+    folded, and rows whose forms all cancel are dropped.  The entry extends
+    the ``_inner_patterns`` entry of its key, whose forms come first, so one
+    evaluation serves the blocks and the patterns.  The cache lives as long
+    as the process.
     """
     inner = _inner_patterns(families, layout, bound)
     spec, symbols = _symbol_templates(families, layout)
-    coords = _make_coords(spec, 0, bound, 0)
-    n = coords.n
-    contributions = _contribution_table(spec, bound, (("L", fam) for fam in families))
+    deriv, columns = _generic_derivation(families, bound)
+    n = len(columns) // 2
     forms = {form: k for k, form in enumerate(inner.forms)}
     block_0: list[_FormRow] = []
     block_b: list[_FormRow] = []
     for fam in families:
         rows: dict[tuple[str, Mono], dict[int, dict[int, GaussianRational]]] = {}
-        for (target, mono), row in _pair_rows(coords, contributions[("L", fam)], 0, 1).items():
-            # every term holds one symbol, which sorts after d, l and m
-            symbol = symbols[mono[-1][0]]
-            entries = rows.setdefault((target, mono[:-1]), {})
-            for col, value in row.items():
-                entries.setdefault(col, {})[symbol] = value
+        for gen, poly in leibniz_residual(spec, deriv, "L", 0, fam, 1).terms.items():
+            for mono, value in poly.terms.items():
+                entries = rows.setdefault((gen.family, mono[:-2]), {})
+                entries.setdefault(columns[mono[-1][0]], {})[symbols[mono[-2][0]]] = value
         for row in rows.values():
             folded: dict[int, dict[int, GaussianRational]] = {}
             for col, form in row.items():
@@ -781,8 +624,11 @@ def _linearization(families: tuple[str, ...], layout: _Layout, bound: int) -> _L
             block_0.append(_interned(folded, forms))
             block_b.append(_interned({col - n: form for col, form in row.items() if col >= n},
                                      forms))
-    return inner._replace(block_0=tuple(row for row in block_0 if row),
-                          block_b=tuple(row for row in block_b if row), forms=tuple(forms))
+    # fewest entries first: the elimination then fills in less than in the
+    # residual's term order (sort is stable, so ties keep that order)
+    return inner._replace(block_0=tuple(sorted(filter(None, block_0), key=len)),
+                          block_b=tuple(sorted(filter(None, block_b), key=len)),
+                          forms=tuple(forms))
 
 
 def _evaluated(spec: AlgebraSpec, bound: int, cached=_linearization):
@@ -969,8 +815,8 @@ def solve_graded_derivations(
     kernel of block 0 means that the table is no Lie conformal algebra's;
     it raises ``InnerNotInKernel``, which names the first such ad(d^k X_c).
 
-    The tests hold the answer to ``_leibniz_system``: the whole ``lzero``
-    system, and the ``all`` system of every pair with |i|, |j| <= window
+    The tests hold the answer to the hand-built whole systems: the
+    (L_0, y_j) system, and the system of every pair with |i|, |j| <= window
     (over a source window twice as wide), each eliminated at once, with
     ``inner_window_vectors`` at that window.  An algebra restricted to
     index 0 (``index0_only``) has only window 0 at degree 0.

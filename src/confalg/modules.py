@@ -396,13 +396,15 @@ def _bit_pattern(module: Rank1Module | GradedModule) -> Callable[[int, int, int]
     it is the bits at m, i+m, j+m and i+j+m, or ``()`` without a bit
     sequence; rank-one modules and custom modules that are not
     ``bit_keyed``, whose tables may read their indices in any way, get
-    None (shared by value only)."""
+    None (shared by value only).  The bits are read from the tuple with no
+    range check: the caller has checked that the sequence covers every
+    index the stream reads."""
     if isinstance(module, Rank1Module) or not module.bit_keyed:
         return lambda i, j, m: None
     if module.bitseq is None:
         return lambda i, j, m: ()
-    bit = module.bitseq.at
-    return lambda i, j, m: (bit(m), bit(i + m), bit(j + m), bit(i + j + m))
+    bits, lo = module.bitseq.bits, module.bitseq.lo
+    return lambda i, j, m: (bits[m - lo], bits[i + m - lo], bits[j + m - lo], bits[i + j + m - lo])
 
 
 def module_residuals(
@@ -429,7 +431,8 @@ def module_residuals(
     (every ``build_graded`` module, and the classifier's two tables) those
     polynomials are fixed by the bits at m, i+m, j+m and i+j+m, so within
     one family pair an instance whose bit pattern (``_bit_pattern``,
-    computed once per stream) was met before takes that residual without
+    computed once per stream when the stream first reaches the instance)
+    was met before takes that residual without
     reading the actions; a pattern met for the first time falls back to the
     match by value.  Other custom modules (``graded_from_tables``) may read
     their indices in any way and keep the match by value alone.  Each
@@ -466,9 +469,10 @@ def module_residuals(
         return value
 
     pattern = _bit_pattern(module)
-    instances = [
-        (i, j, m, pattern(i, j, m)) for i in gen_range for j in gen_range for m in basis_range
-    ]
+    instances = [(i, j, m) for i in gen_range for j in gen_range for m in basis_range]
+    # the pattern of each instance, computed when the first family pair
+    # reaches it and read by the later ones
+    patterns: list[tuple | None] = []
     at = _change_memo()
     computed: dict[tuple, MPoly] = {}
     for fam_f in spec.families:
@@ -478,7 +482,10 @@ def module_residuals(
                 for target, template in spec.templates(fam_f, fam_g)
             )
             by_pattern: dict[tuple, MPoly] = {}
-            for i, j, m, bits in instances:
+            for n, (i, j, m) in enumerate(instances):
+                if n == len(patterns):
+                    patterns.append(pattern(i, j, m))
+                bits = patterns[n]
                 residual = by_pattern.get(bits)
                 if residual is None:
                     inputs = (

@@ -306,21 +306,23 @@ class TestCommands:
         assert err.startswith("config error: ") and "restricted to index 0" in err
 
     @pytest.mark.parametrize(
-        "task, algebra, off_index0",
-        [("decompose", "sv", []), ("dvec-check", "hv", ["--grading", "1"])],
+        "task, algebra, off_index0, code",
+        [("decompose", "sv", [], 0), ("dvec-check", "hv", ["--grading", "1"], 2)],
         ids=["decompose-sv", "dvec-check-hv"],
     )
-    def test_derivations_refuse_index0_algebra(self, capsys, task, algebra, off_index0):
+    def test_derivations_refuse_index0_algebra(self, capsys, task, algebra, off_index0, code):
         # both tasks run on sv and hv at window 0 and grading 0 alone:
-        # decompose at the default window 3, dvec-check at grading 1 are
-        # refused
-        code = main(
+        # decompose without --window reads window 0 there and passes,
+        # dvec-check at grading 1 is refused
+        assert main(
             ["derivations", "--task", task, "--algebra", algebra, "--a", "1", "--b", "0",
              *off_index0]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "restricted to index 0" in err
+        ) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("config error: ") and "restricted to index 0" in err
+        else:
+            assert '"window": "0"' in out and "[PASS] decompose-roundtrip" in out and not err
 
     @pytest.mark.parametrize("algebra", ["cw", "cvir"])
     def test_derivations_decompose_refuses_an_algebra_without_m(self, capsys, algebra):

@@ -10,14 +10,11 @@ from confalg.derivations import (
     DerivationReport,
     DerivationSpec,
     InnerNotInKernel,
-    _contribution_table,
     _inner_patterns,
-    _leibniz_system,
     _linearization,
     _lzero_blocks,
     _lzero_kernel,
     _make_coords,
-    _pair_rows,
     _template_layout,
     inner_window_vectors,
     NotDecomposable,
@@ -39,6 +36,7 @@ from confalg.lca import (
 from confalg.linsolve import reduce_rows
 from confalg.poly import ZERO, GaussianRational, MPoly, parse_poly
 from confalg.suite import DERIVATION_GRID_A, DERIVATION_GRID_B
+from conftest import contribution_table, hand_blocks, leibniz_system, ncols, pair_rows
 
 P = parse_poly
 ONE = GaussianRational.of(1)
@@ -54,12 +52,12 @@ def full_solve(spec, degree, bound, window, pairs="lzero"):
     Returns the layout, the kernel and the inner rank, and checks that the
     inner derivations lie in the kernel.
     """
-    coords, rows = _leibniz_system(spec, degree, bound, window, pairs)
-    ncols = coords.ncols
-    kernel = list(reduce_rows(rows, None, ncols).kernel_vectors().values())
+    coords, rows = leibniz_system(spec, degree, bound, window, pairs)
+    width = ncols(coords)
+    kernel = list(reduce_rows(rows, None, width).kernel_vectors().values())
     inner = inner_window_vectors(spec, coords)
-    assert reduce_rows(kernel + inner, None, ncols).rank == len(kernel)
-    return coords, kernel, reduce_rows(inner, None, ncols).rank
+    assert reduce_rows(kernel + inner, None, width).rank == len(kernel)
+    return coords, kernel, reduce_rows(inner, None, width).rank
 
 
 def assert_block_solve_matches_full(spec, degree, bound, window):
@@ -67,8 +65,8 @@ def assert_block_solve_matches_full(spec, degree, bound, window):
     res = solve_graded_derivations(spec, degree, bound, window)
     assert (res.dimension, res.inner_rank) == (len(kernel), inner_rank)
     block = [coords.vector_of(deriv) for deriv in res.basis]
-    assert reduce_rows(block, None, coords.ncols).rank == len(block) == res.dimension
-    union = reduce_rows(block + kernel, None, coords.ncols).rank
+    assert reduce_rows(block, None, ncols(coords)).rank == len(block) == res.dimension
+    union = reduce_rows(block + kernel, None, ncols(coords)).rank
     assert union == res.dimension
 
 
@@ -105,20 +103,20 @@ def assert_rows_match_evaluator(spec, degree, sources=("L",), index=0, seed=0):
     derivation with coordinates x at the row's (target generator, monomial)."""
     window, bound = 2, 4
     coords = _make_coords(spec, degree, bound, window)
-    table = _contribution_table(
+    table = contribution_table(
         spec, bound, [(fx, fy) for fx in sources for fy in spec.families]
     )
     rng = random.Random(seed)
     nonzero = 0
     for _ in range(2):
-        x = random_vector(rng, coords.ncols, 80)
+        x = random_vector(rng, ncols(coords), 80)
         deriv = coords.derivation_of(x)
         for fam_x in sources:
             for fam_y in spec.families:
                 for j in range(-window, window + 1):
                     if abs(index + j) > window:
                         continue
-                    rows = _pair_rows(coords, table[(fam_x, fam_y)], index, j)
+                    rows = pair_rows(coords, table[(fam_x, fam_y)], index, j)
                     predicted = {}
                     for key, row in rows.items():
                         value = sum((v * x[col] for col, v in row.items() if col in x), ZERO)
@@ -292,7 +290,7 @@ def reuse_cases():
     for build, a in ((build_csv, 1), (build_chv, 2), (build_csv, GaussianRational(1, 1))):
         spec = build(a, 0)
         coords = _make_coords(spec, rng.randint(-1, 1), 2, 2)
-        deriv = coords.derivation_of(random_vector(rng, coords.ncols, 12))
+        deriv = coords.derivation_of(random_vector(rng, ncols(coords), 12))
         yield f"coords-{spec.name}-{a}", spec, deriv, None
         yield f"coords-{spec.name}-{a}-w1", spec, deriv, 1
     for build in (build_csv, build_chv):
@@ -395,10 +393,10 @@ class TestSolver:
     def test_leibniz_system_shape(self, builder, shape, degree):
         # rows, columns, nonzeros and rank at bound 4, window 2; the rows do
         # not depend on the grading degree
-        coords, rows = _leibniz_system(builder(1, 0), degree, 4, 2, "lzero")
-        rank = reduce_rows(rows, None, coords.ncols).rank
+        coords, rows = leibniz_system(builder(1, 0), degree, 4, 2, "lzero")
+        rank = reduce_rows(rows, None, ncols(coords)).rank
         nnz = sum(len(row) for row in rows)
-        assert (len(rows), coords.ncols, nnz, rank) == shape
+        assert (len(rows), ncols(coords), nnz, rank) == shape
 
     @pytest.mark.parametrize(
         "builder, weights",
@@ -413,11 +411,11 @@ class TestSolver:
         # rows with the index-1 columns moved onto index 0
         spec = builder(*weights)
         coords = _make_coords(spec, 0, 4, 4)
-        table = _contribution_table(spec, 4, [("L", fam) for fam in spec.families])
+        table = contribution_table(spec, 4, [("L", fam) for fam in spec.families])
 
         def rows(j):
             return [row for fam in spec.families
-                    for row in _pair_rows(coords, table[("L", fam)], 0, j).values()]
+                    for row in pair_rows(coords, table[("L", fam)], 0, j).values()]
 
         def block(index):
             # the columns of source index ``index``, in layout order
@@ -540,7 +538,7 @@ class TestSolver:
             res = solve_graded_derivations(spec, degree, 4, 2 * window)
             assert (res.dimension, res.inner_rank) == (len(kernel), inner_rank)
             block = [coords.vector_of(deriv) for deriv in res.basis]
-            assert reduce_rows(block + kernel, None, coords.ncols).rank == res.dimension
+            assert reduce_rows(block + kernel, None, ncols(coords)).rank == res.dimension
             assert res.every_window and "every window" in res.scope_note
 
     def test_nonzero_kernel_of_b_grows_with_the_window(self):
@@ -606,8 +604,9 @@ class TestSolver:
 
 
 class TestGeneratedRows:
-    """The rows are built from factored, relabelled polynomials; these tests
-    hold them and the inner vectors to the literal evaluators."""
+    """The hand oracle's rows are built from factored, relabelled
+    polynomials; these tests hold them to ``leibniz_residual`` and the
+    inner vectors to ``ad``."""
 
     @pytest.mark.parametrize("degree", [-1, 0, 1])
     @pytest.mark.parametrize("build", [build_csv, build_chv], ids=["csv", "chv"])
@@ -674,8 +673,8 @@ def numeric_blocks(spec, bound):
     """The oracle of ``_lzero_blocks``: block 0 is the whole lzero system at
     window 0, the rows of the pairs (L_0, y_0); B is the index-1 part of the
     rows of the lzero system at window 1 that reach index 1."""
-    _, block_0 = _leibniz_system(spec, 0, bound, 0, "lzero")
-    coords, rows = _leibniz_system(spec, 0, bound, 1, "lzero")
+    _, block_0 = leibniz_system(spec, 0, bound, 0, "lzero")
+    coords, rows = leibniz_system(spec, 0, bound, 1, "lzero")
     start = 2 * coords.n
     block_b = [{col - start: v for col, v in row.items() if col >= start} for row in rows]
     return block_0, [row for row in block_b if row]
@@ -697,6 +696,48 @@ def with_yy_template(template: str):
 CACHE_POINTS = [(a, b) for a in DERIVATION_GRID_A for b in DERIVATION_GRID_B] + [
     GAUSS_WEIGHTS, (GaussianRational(Fraction(-2), Fraction(1)), Fraction(0)),
 ]
+
+
+def central_z():
+    """csv(1, 0) with a family Z that every bracket misses."""
+    csv = build_csv(1, 0)
+    return AlgebraSpec("csv+Z", csv.families + ("Z",), dict(csv.table))
+
+
+#: table shapes for the literal build: a non-real point, template
+#: coefficients that vanish (chv(0, 0)), four (Y, Y) template degrees, a
+#: central family, no bracket at all, and the M family on and off its
+#: construction locus (ap = 3/2 at a = 1)
+LITERAL_SHAPES = {
+    "csv-gauss": lambda: build_csv(*GAUSS_WEIGHTS),
+    "chv-0-0": lambda: build_chv(0, 0),
+    "yy-3": lambda: with_yy_template("3"),
+    "yy-d+2l+l2": lambda: with_yy_template("d + 2*l + l^2"),
+    "yy-l2": lambda: with_yy_template("l^2"),
+    "yy-d2": lambda: with_yy_template("d^2"),
+    "csv+Z": central_z,
+    "ab": lambda: make_algebra("ab", ["L"], {}),
+    "mfam-on": lambda: build_construction(a=1, b=0, ap=Fraction(3, 2), bp=0),
+    "mfam-off": lambda: build_construction(a=1, b=0, ap=1, bp=0),
+}
+
+
+class TestLiteralBuild:
+    """``_linearization`` reads its rows off ``leibniz_residual``; the hand
+    linearization in ``conftest`` is the oracle it is held to."""
+
+    @pytest.mark.parametrize("shape", list(LITERAL_SHAPES))
+    def test_entry_equals_the_hand_oracle(self, shape):
+        # as multisets of rows, each entry resolved to its linear form in
+        # the template symbols
+        spec = LITERAL_SHAPES[shape]()
+        for bound in range(7):
+            key = (spec.families, _template_layout(spec)[0], bound)
+            entry = _linearization(*key)
+            literal = tuple(
+                Counter(frozenset((col, entry.forms[f]) for col, f in row) for row in block)
+                for block in (entry.block_0, entry.block_b))
+            assert literal == hand_blocks(*key), bound
 
 
 class TestLinearizationCache:
@@ -792,12 +833,13 @@ class TestCachedPatterns:
     numeric build."""
 
     def test_decompose_builds_no_block_rows(self, monkeypatch):
-        # both caches empty, as in a fresh process
+        # both caches empty, as in a fresh process; the block rows are the
+        # coefficients of leibniz_residual, so a build shows as its calls
         _linearization.cache_clear()
         _inner_patterns.cache_clear()
         built = []
-        monkeypatch.setattr(confalg.derivations, "_pair_rows",
-                            lambda *args: built.append(args) or _pair_rows(*args))
+        monkeypatch.setattr(confalg.derivations, "leibniz_residual",
+                            lambda *args: built.append(args) or leibniz_residual(*args))
         spec = build_csv(1, 0)
         dec = decompose(spec, d_vec(spec, {0: ONE}, window=3))
         assert (dec.x, dec.q) == (GenPoly.zero(), ONE)

@@ -55,6 +55,7 @@ CLI_RUNS = (
     "derivations --task dvec-check --algebra hv --a 2 --b 0",
     "derivations --task decompose --algebra hv --a 1 --b 0 --window 0 --degree 2",
     "derivations --task decompose --algebra sv --a 1 --b 0",
+    "derivations --task solve --algebra hv --a 1 --b 0",
     "derivations --task decompose --algebra cw --a 1 --b 0",
     "derivations --task solve --algebra mfam --a 1 --b 0 --ap 1 --bp 0 --window 1 --degree 3",
     "paper-suite --only 2,8",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from confalg import modules
 from confalg.catalog import build_chv, build_csv, build_cw
-from confalg.lca import WindowTooSmall
+from confalg.lca import AlgebraSpec, WindowTooSmall
 from confalg.modules import (
     BitSeq,
     build_graded,
@@ -376,6 +376,30 @@ class TestGradedStream:
                 assert len(made) == len(set(made))
             runs.append({name: len(made) for name, made in calls.items()})
         assert runs == [counts, counts]
+
+    def test_stream_stopped_at_its_first_break_computes_no_later_pattern(self, monkeypatch):
+        # with [L _l L] = (d + 3l) L the very first instance breaks; a reader
+        # that stops there has asked for one bit pattern, not 175
+        computed = []
+
+        def counted(module):
+            pattern = bit_pattern(module)
+            return lambda i, j, m: computed.append((i, j, m)) or pattern(i, j, m)
+
+        bit_pattern = modules._bit_pattern
+        monkeypatch.setattr(modules, "_bit_pattern", counted)
+        csv = build_csv(0, 0)
+        table = {**csv.table, ("L", "L"): (("L", P("d + 3*l")),)}
+        spec = AlgebraSpec("csv-ll", csv.families, table)
+        bits = BitSeq(-9, tuple(k % 2 for k in range(19)))
+        module = build_graded(spec, "vAb", bits, "sym", "sym")
+        yielded = []
+        for key, residual in module_residuals(spec, module, 3, 2):
+            yielded.append(key)
+            if residual:
+                break
+        assert yielded == [("L", "L", -2, -2, -3)]
+        assert computed == [(-2, -2, -3)]
 
 
 def _literal_oracle(module, a, b, n_basis, k_gen):
