@@ -75,6 +75,7 @@ from .lca import (
     VAR_M,
     AlgebraSpec,
     DegreeBoundExceeded,
+    _refuse_negative,
     weight_of,
 )
 from .modules import (
@@ -229,9 +230,11 @@ def certify_self_commuting_d_free(degree_bound: int) -> None:
     identity holds exactly, without forming either product.
 
     A profile whose facts fail raises ``StepFailed`` with a failed
-    "d-free certificate" step that names the profile and the fact.
+    "d-free certificate" step that names the profile and the fact.  A
+    negative bound is a ``ValueError``.
     """
     global _dfree_cache
+    _refuse_negative(bound=degree_bound)
     if degree_bound <= _dfree_cache:
         return
     for t in range(1, degree_bound + 1):

@@ -10,7 +10,7 @@ Leibniz residual of a pair (x_i, y_j),
 is a generator-indexed polynomial in (d, l, m); identically zero residuals
 certify the rule for the pair.  The compatibility D(d a) = (d + l) D(a)
 holds structurally because images extend C[d]-linearly with the d -> d + l
-shift.
+shift.  The rule and ``ad`` live in ``lca``, whose Jacobi check reads them.
 
 The residual of (x_i, y_j) reads the images of x_i, of y_j and of each
 bracket target z_{i+j} of the family pair; the bracket templates are
@@ -89,17 +89,20 @@ from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 from .lca import (
-    POLY_L,
-    POLY_L_PLUS_M,
     VAR_D,
     VAR_L,
-    VAR_M,
     AlgebraSpec,
     DegreeBoundExceeded,
+    DerivationSpec,
     Generator,
     GenPoly,
     WindowTooSmall,
+    _refuse_negative,
+    _refuse_off_index0,
+    ad,
+    apply_derivation,
     conformal_bracket,
+    leibniz_residual,
     line_poly,
     text_lines,
     weight_of,
@@ -118,41 +121,12 @@ class StrayVariable(ValueError):
 
 class InnerNotInKernel(ValueError):
     """An inner derivation that the solved graded Leibniz kernel lacks: the
-    bracket table is no Lie conformal algebra's (it breaks skew-symmetry or
-    the Jacobi identity), so ``ad`` of some element breaks the Leibniz rule."""
+    bracket table breaks skew-symmetry or the Jacobi identity, and a Jacobi
+    failure is this Leibniz failure of ad (``lca.check_jacobi``)."""
 
 
 #: finitely supported scalar sequence: position -> coefficient
 SeqC = Mapping[int, GaussianRational]
-
-
-@dataclass
-class DerivationSpec:
-    """Images of the window generators under one conformal derivation."""
-
-    families: tuple[str, ...]
-    window: int
-    images: dict[tuple[str, int], GenPoly] = field(default_factory=dict)
-    degree: int | None = None
-
-    def image(self, family: str, index: int) -> GenPoly:
-        if abs(index) > self.window:
-            raise WindowTooSmall(
-                f"derivation images known for |index| <= {self.window}, got {index}"
-            )
-        return self.images.get((family, index), GenPoly.zero())
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.images.values())
-
-
-def _refuse_off_index0(spec: AlgebraSpec, what: str, window: int, degree: int) -> None:
-    """Refuse work on an index-0 algebra (``index0_only``) off index 0."""
-    if spec.index0_only and (window or degree):
-        raise ValueError(
-            f"{spec.name} is restricted to index 0: {what} needs window 0 and "
-            f"degree 0, got window {window} and degree {degree}"
-        )
 
 
 def _refuse_symbolic(spec: AlgebraSpec, what: str) -> None:
@@ -169,23 +143,6 @@ def _refuse_unknown_families(spec: AlgebraSpec, deriv: DerivationSpec) -> None:
         spec.check_family(fam)
         for gen in image.terms:
             spec.check_family(gen.family)
-
-
-def ad(spec: AlgebraSpec, x: GenPoly, window: int = 3) -> DerivationSpec:
-    """The inner derivation y -> [x _l y] on the generator window."""
-    _refuse_negative(window=window)
-    degree = None
-    indices = {gen.index for gen in x.terms}
-    if len(indices) == 1:
-        degree = next(iter(indices))
-    _refuse_off_index0(spec, "ad", window, max(map(abs, indices), default=0))
-    out = DerivationSpec(families=spec.families, window=window, degree=degree)
-    for fam in spec.families:
-        for i in range(-window, window + 1):
-            value = conformal_bracket(spec, x, GenPoly.unit(fam, i), VAR_L)
-            if not value.is_zero():
-                out.images[(fam, i)] = value
-    return out
 
 
 def d_vec(spec: AlgebraSpec, seq: SeqC, window: int = 3) -> DerivationSpec:
@@ -222,15 +179,6 @@ def _uniform(spec: AlgebraSpec, pattern: Mapping[str, GenPoly], window: int,
     return out
 
 
-def apply_derivation(deriv: DerivationSpec, x: GenPoly) -> GenPoly:
-    """Extend the generator images C[d]-linearly: D(p(d) u) = p(d+l) D(u)."""
-    out = GenPoly.zero()
-    for gen, poly in x.terms.items():
-        img = deriv.image(gen.family, gen.index)
-        out = out + img.scale(poly.shift(VAR_D, POLY_L))
-    return out
-
-
 @dataclass
 class DerivationReport:
     """Leibniz residuals over a generator window."""
@@ -251,28 +199,6 @@ class DerivationReport:
         """Each family's images are one pattern relabelled, so the verdict
         holds at every index pair of their uniform extension."""
         return bool(self.patterns) and all(n == 1 for n in self.patterns.values())
-
-
-def leibniz_residual(
-    spec: AlgebraSpec,
-    deriv: DerivationSpec,
-    fam_x: str,
-    i: int,
-    fam_y: str,
-    j: int,
-) -> GenPoly:
-    """D([x_i _m y_j]) - [(D x_i) _{l+m} y_j] - [x_i _m (D y_j)]."""
-    inner = conformal_bracket(
-        spec, GenPoly.unit(fam_x, i), GenPoly.unit(fam_y, j), VAR_M
-    )
-    t1 = apply_derivation(deriv, inner)
-    t2 = conformal_bracket(
-        spec, deriv.image(fam_x, i), GenPoly.unit(fam_y, j), POLY_L_PLUS_M
-    )
-    t3 = conformal_bracket(
-        spec, GenPoly.unit(fam_x, i), deriv.image(fam_y, j), VAR_M
-    )
-    return t1 - t2 - t3
 
 
 def check_derivation(
@@ -788,12 +714,6 @@ def _refuse_inner_outside(spec: AlgebraSpec, coords: _Coords, ker_0: list[Sparse
                 f"{spec.name} at image degree <= {coords.bound}: its bracket table "
                 "fails the Leibniz rule for an inner derivation"
             )
-
-
-def _refuse_negative(**values: int) -> None:
-    for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def solve_graded_derivations(

@@ -59,6 +59,7 @@ from .lca import (
     VAR_M,
     AlgebraSpec,
     WindowTooSmall,
+    _refuse_negative,
     line_poly,
     text_lines,
 )
@@ -419,9 +420,10 @@ def module_residuals(
     index-free templates, keyed ``(F, G)``.  Graded modules give one per
     (family pair, generator indices, basis index) over the window
     ``|i|, |j| <= k_gen``, ``|m| <= n_basis``, keyed ``(F, G, i, j, m)``.
-    Family pairs come in family order, then (i, j, m) in order.  A bit
-    sequence that does not cover the window the identity reads raises
-    ``WindowTooSmall`` before the first instance.
+    Family pairs come in family order, then (i, j, m) in order.  A negative
+    ``n_basis`` or ``k_gen`` is a ``ValueError``, and a bit sequence that
+    does not cover the window the identity reads raises ``WindowTooSmall``,
+    each before the first instance.
 
     The residual for (F_i, G_j) on v_m reads G_j on v_m, F_i on v_(j+m),
     F_i on v_m, G_j on v_(i+m) and, for each bracket target H, H_(i+j) on
@@ -441,6 +443,7 @@ def module_residuals(
     per family pair.  All this reuse ends with
     the stream.
     """
+    _refuse_negative(n_basis=n_basis, k_gen=k_gen)
     index_free = isinstance(module, Rank1Module)
     if index_free:
 
@@ -563,7 +566,8 @@ def relations_oracle(
     second encoding of the module identity, kept as an oracle: it writes the
     relations out by hand, never touches the bracket table and does not call
     ``module_residuals`` or ``two_action_difference``, so it is an
-    independent cross-check of the generic axiom checker.
+    independent cross-check of the generic axiom checker.  A negative
+    ``n_basis`` or ``k_gen`` is a ``ValueError``, as in the stream.
 
     It reads and counts every (relation, i, j, m) sample.  Each relation is
     a function of the table values it reads: LM and LY read x(j, m),
@@ -576,6 +580,7 @@ def relations_oracle(
     and not taken from the stream's, because they are part of the
     independent encoding.
     """
+    _refuse_negative(n_basis=n_basis, k_gen=k_gen)
     pa = as_param(a, "a")
     pb = as_param(b, "b")
     half = Fraction(1, 2)

@@ -5,6 +5,9 @@ identities that ``src/`` encodes once, kept only to check that encoding.
   afresh with no memo.
 - ``weight_equation_kernel``: the weight equation solved as a linear
   system, against the classifiers' weight certificate.
+- ``jacobi_three_brackets``: the Jacobi identity written out as its three
+  brackets.  ``lca.check_jacobi`` reads it as the Leibniz residual of
+  ad(a_0), and this independent encoding is its oracle.
 - the hand linearization of the Leibniz rule (``contribution_table``,
   ``pair_rows``, ``leibniz_system``, ``hand_blocks``): the rows of the
   graded Leibniz system written term by term from the three terms of the
@@ -23,7 +26,9 @@ from hypothesis import strategies as st
 from confalg.derivations import (
     _Coords, _degree_monos, _index_slots, _make_coords, _symbol_templates,
 )
-from confalg.lca import POLY_L, POLY_L_PLUS_M, POLY_M, VAR_D, VAR_L, AlgebraSpec
+from confalg.lca import (
+    POLY_L, POLY_L_PLUS_M, POLY_M, VAR_D, VAR_L, VAR_M, AlgebraSpec, GenPoly, conformal_bracket,
+)
 from confalg.linsolve import SparseRow, reduce_rows
 from confalg.poly import GaussianRational, Mono, MPoly
 
@@ -70,6 +75,20 @@ def literal_module_residual(spec, act, fam_f, fam_g, i, j, m):
             target, i + j, m
         ).substitute("l", l + mu)
     return residual
+
+
+def jacobi_three_brackets(spec, fam_a, fam_b, fam_c):
+    """``[a_l [b_m c]] - [[a_l b]_{l+m} c] - [b_m [a_l c]]`` at index 0,
+    formed from three nested brackets: the independent encoding of the
+    Jacobi identity that ``lca.check_jacobi``, the Leibniz residual of
+    ad(a_0) on (b_0, c_0), must match."""
+    a = GenPoly.unit(fam_a, 0)
+    b = GenPoly.unit(fam_b, 0)
+    c = GenPoly.unit(fam_c, 0)
+    t1 = conformal_bracket(spec, a, conformal_bracket(spec, b, c, VAR_M), VAR_L)
+    t2 = conformal_bracket(spec, conformal_bracket(spec, a, b, VAR_L), c, POLY_L_PLUS_M)
+    t3 = conformal_bracket(spec, b, conformal_bracket(spec, a, c, VAR_L), VAR_M)
+    return t1 - t2 - t3
 
 
 def weight_equation_kernel(A, B, degree_bound):

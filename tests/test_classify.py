@@ -165,6 +165,13 @@ class TestCertificates:
             (t, s) for t in range(1, 8) for s in range(8) if max(t, s) == 7
         )
 
+    def test_negative_bound_is_refused_before_the_cache(self, monkeypatch):
+        uncertified(monkeypatch)
+        certify_self_commuting_d_free(4)
+        with pytest.raises(ValueError, match=r"^bound must be >= 0, got -1$"):
+            certify_self_commuting_d_free(-1)
+        assert classify._dfree_cache == 4
+
     def test_weight_kernel_zero_off_origin(self):
         for A, B in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2)),
                      (Fraction(-1, 2), Fraction(1))):

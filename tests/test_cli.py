@@ -294,6 +294,32 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err == f"config error: {name} must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("flag, name", [("--window", "n_basis"), ("--gen-bound", "k_gen")])
+    def test_check_module_refuses_a_negative_window(self, capsys, flag, name):
+        # the table fails at window 3, so a run that checked nothing would
+        # pass it
+        code = main(
+            [
+                "check-module", "--algebra", "csv", "--a", "1", "--b", "0",
+                "--kind", "graded", "--base", "vab", "--d", "1", flag, "-1",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {name} must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("kind", [["rank1"], ["graded", "--base", "vab"]],
+                             ids=["rank1", "graded"])
+    def test_classify_refuses_a_negative_degree_bound(self, capsys, kind):
+        code = main(
+            ["classify", "--algebra", "csv", "--kind", *kind, "--degree", "-1", "--grid", "0,0"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: bound must be >= 0, got -1\n"
+
     def test_derivations_solve_refuses_index0_window(self, capsys):
         code = main(
             [

@@ -31,6 +31,7 @@ CLI_RUNS = (
     "verify-axioms --a 0",
     "verify-axioms --algebra cw --a 3",
     "verify-axioms --algebra tsv --window 2",
+    "verify-axioms --algebra mfam --a 1 --b 0 --ap 3 --bp 0",
     "solve-construction",
     "solve-construction --config missing-run.yaml",
     "solve-construction --seed 5",
@@ -39,11 +40,13 @@ CLI_RUNS = (
     "check-module --algebra csv --a 0 --b 0 --kind rank1 --bitseq-lo 3",
     "check-module --algebra csv --a 0 --b 0 --kind rank1 --window 1 --gen-bound 1",
     "check-module --algebra csv --a 0 --b 0 --kind graded --base vAb",
+    "check-module --algebra csv --a 1 --b 0 --kind graded --base vab --d 1 --window -1",
     "classify --algebra chv --kind rank1 --grid 1,0;0,1 --degree 4",
     "classify --algebra csv --kind rank1 --grid 0,0 --bitseqs 7 --window 1",
     "classify --algebra csv --kind rank1 --grid 0,0 --seed 3",
     "classify --algebra cw --grid 0,0",
     "classify --algebra chv --kind graded --base vab --grid 1,0 --bitseqs 2",
+    "classify --algebra csv --kind rank1 --degree -1 --grid 0,0",
     "derivations --task solve --algebra csv --a 1 --b 0 --degree 3 --window 1",
     "derivations --task solve --algebra cw --degree 3 --window 1",
     "derivations --task solve --algebra cw --a 1 --b 0",

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 
@@ -10,7 +11,10 @@ from confalg.catalog import (
     build_chv,
     build_construction,
     build_csv,
+    build_cvir,
     build_cw,
+    build_hv,
+    build_sv,
 )
 from confalg.lca import (
     GenPoly,
@@ -28,6 +32,8 @@ from confalg.lca import (
     skew_image,
 )
 from confalg.poly import MPoly, parse_poly
+
+from conftest import jacobi_three_brackets
 
 P = parse_poly
 
@@ -136,6 +142,37 @@ class TestJacobi:
         # ap = a/2 + 2 instead of a/2 + 1
         spec = build_construction("sym", P("(1/2)*a + 2"), "sym", P("(1/2)*b"))
         assert not check_jacobi(spec, "L", "Y", "Y").is_zero()
+
+
+class TestJacobiOracle:
+    """``check_jacobi`` reads the Jacobi identity as the Leibniz residual of
+    ad(a_0); the three-bracket expansion in conftest is its oracle."""
+
+    @pytest.mark.parametrize("build, triples, nonzero", [
+        (lambda: build_csv("sym", "sym"), 27, 0),
+        (lambda: build_chv(1, 0), 8, 0),
+        (lambda: build_construction(), 27, 3),
+        (lambda: build_construction(1, 3, 0, 0), 27, 3),
+        (lambda: build_sv(1, 0), 27, 0),
+        (lambda: build_hv(1, 0), 8, 0),
+        (build_cw, 1, 0),
+        (build_cvir, 1, 0),
+    ], ids=["csv-sym", "chv-1-0", "mfam-sym", "mfam-1-3-0-0", "sv-1-0", "hv-1-0", "cw", "cvir"])
+    def test_every_ordered_triple_matches_the_three_brackets(self, build, triples, nonzero):
+        spec = build()
+        ordered = list(itertools.product(spec.families, repeat=3))
+        residuals = [check_jacobi(spec, *triple) for triple in ordered]
+        assert residuals == [jacobi_three_brackets(spec, *triple) for triple in ordered]
+        assert len(ordered) == triples
+        assert sum(not r.is_zero() for r in residuals) == nonzero
+
+    def test_all_axioms_read_the_same_residuals(self):
+        spec = build_construction(1, 3, 0, 0)
+        report = check_all_axioms(spec)
+        assert report.jacobi == {
+            triple: jacobi_three_brackets(spec, *triple) for triple in report.jacobi
+        }
+        assert report.nonzero_checks() == ["jacobi L,Y,Y"]
 
 
 class TestAllAxioms:

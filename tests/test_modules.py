@@ -166,6 +166,20 @@ class TestGradedAxioms:
                 assert {fam_f, fam_g} <= set(wide.families)
                 assert max(abs(i), abs(j)) <= 2 and abs(m) <= 3
 
+    @pytest.mark.parametrize("n_basis, k_gen, name", [(-1, 2, "n_basis"), (3, -1, "k_gen")])
+    def test_negative_window_is_refused(self, n_basis, k_gen, name):
+        # a negative window has no instance, so it would pass by checking
+        # nothing; the stream and the oracle refuse it before any instance
+        spec = build_csv(1, 0)
+        module = build_graded(spec, "vab", "sym", "sym", 1)
+        message = f"{name} must be >= 0, got -1"
+        with pytest.raises(ValueError, match=message):
+            next(module_residuals(spec, module, n_basis, k_gen))
+        with pytest.raises(ValueError, match=message):
+            check_module_axioms(spec, module, n_basis, k_gen)
+        with pytest.raises(ValueError, match=message):
+            relations_oracle(module, 1, 0, n_basis, k_gen)
+
     def test_case_split_flat_extension_needs_constant_bits(self):
         # the flat extension of a case-split base is a module exactly when
         # the bit sequence is constant on the window
